@@ -18,6 +18,8 @@
 #                       auto-vs-serial routing
 #   make bench-remote   remote scatter/gather vs serial across local
 #                       cluster sizes
+#   make bench-e2e      the end-to-end benchmark's own tests plus a
+#                       5-second smoke run of every workload
 #   make lint           ruff check (fails in CI when ruff is absent;
 #                       skipped with a notice locally)
 #   make lint-analysis  reprolint: invariant static analysis (EXACT,
@@ -28,8 +30,8 @@ export PYTHONPATH := src:.:$(PYTHONPATH)
 
 .PHONY: test test-parallel test-sqlite test-auto test-remote \
 	test-remote-sharded bench bench-stream bench-kernel bench-parallel \
-	bench-storage bench-adaptive bench-remote lint lint-analysis \
-	quickstart
+	bench-storage bench-adaptive bench-remote bench-e2e lint \
+	lint-analysis quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -76,6 +78,13 @@ bench-adaptive:
 
 bench-remote:
 	$(PYTHON) -m pytest benchmarks/bench_remote_exec.py -q -s
+
+# A short run is no measurement, but it runs every output check
+# (digests, masses summing to one, stream replay == batch integrate):
+# a change that breaks one fails here.
+bench-e2e:
+	$(PYTHON) -m pytest e2ebench -q
+	$(PYTHON) e2ebench/run.py --workload all --seconds 5
 
 # Real ruff findings always fail; only a *missing* ruff is forgiven,
 # and only outside CI (GitHub Actions exports CI=true).

@@ -114,12 +114,17 @@ def test_federation_scaling_is_exact_and_recorded(
         assert list(relation.keys()) == list(serial_relation.keys())
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="speedup floor only meaningful with >= 4 cores",
-)
-def test_federation_4_workers_beats_serial(federation, serial_result):
+def test_federation_4_workers_beats_serial(
+    federation, serial_result, bench_record
+):
     """The acceptance bar: >= 2x at 4 process workers on a 4+-core box."""
+    if (os.cpu_count() or 1) < 4:
+        # Record the gap explicitly: a floor that cannot run on this
+        # host must leave a trace in BENCH_RESULTS.json, not vanish.
+        bench_record.skipped(
+            "integrate_4_workers_speedup_floor", "needs >= 4 cores"
+        )
+        pytest.skip("speedup floor only meaningful with >= 4 cores")
     serial_elapsed, serial_relation = serial_result
     with executor_scope(executor="process", workers=4):
         elapsed, (relation, _) = _timed(lambda: federation.integrate(name="F"))

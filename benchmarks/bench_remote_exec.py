@@ -151,12 +151,17 @@ def test_remote_scaling_is_exact_and_recorded(
         assert list(relation.keys()) == list(serial_relation.keys())
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="speedup floor only meaningful with >= 4 cores",
-)
-def test_remote_4_workers_beats_serial(federation, serial_result):
+def test_remote_4_workers_beats_serial(
+    federation, serial_result, bench_record
+):
     """The acceptance bar: >= 2x at a 4-worker cluster on a 4+-core box."""
+    if (os.cpu_count() or 1) < 4:
+        # Record the gap explicitly: a floor that cannot run on this
+        # host must leave a trace in BENCH_RESULTS.json, not vanish.
+        bench_record.skipped(
+            "remote_integrate_4_workers_speedup_floor", "needs >= 4 cores"
+        )
+        pytest.skip("speedup floor only meaningful with >= 4 cores")
     from repro.exec.remote import spawn_local_cluster
 
     serial_elapsed, serial_relation = serial_result

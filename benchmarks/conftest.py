@@ -7,10 +7,14 @@ doubles as an end-to-end verification run.
 
 Headline numbers also land in ``BENCH_RESULTS.json`` at the repo root
 (override with ``BENCH_RESULTS_PATH``): benches call the
-:func:`bench_record` fixture with ``(metric, value)`` pairs, every
+:func:`bench_record` fixture with ``(metric, value)`` pairs, and every
 record is stamped with the git revision it measured (``rev``, None
-outside a checkout), and the session-finish hook read-modify-writes the
-JSON list, replacing any stale records of the benches that just ran.
+outside a checkout) and the host it ran on (``nproc``, ``python``).
+The file is append-only: the session-finish hook adds this session's
+records after the earlier ones, so a rerun bench extends its trajectory
+instead of overwriting it.  A measurement the host cannot make (a
+speedup floor below 4 cores) appends an explicit ``skipped`` record via
+``bench_record.skipped`` rather than leaving no trace.
 :func:`read_results` reads the file back, normalizing pre-stamping
 records to ``rev: None``.  CI uploads the file as an artifact, so every
 build leaves a machine-readable performance trail.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 from pathlib import Path
 
@@ -29,7 +34,8 @@ from repro.datasets.generators import SyntheticConfig, synthetic_pair
 from repro.datasets.restaurants import table_ra, table_rb
 from repro.obs import registry
 
-#: Records accumulated this session: {"bench", "metric", "value", "rev"}.
+#: Records accumulated this session: {"bench", "metric", "value", "rev",
+#: "nproc", "python"}, plus "status"/"reason" on skipped records.
 _RECORDS: list[dict] = []
 
 _GIT_REVISION: str | None | bool = False  # False = not resolved yet
@@ -88,32 +94,45 @@ def _fresh_telemetry():
     yield
 
 
-@pytest.fixture
-def bench_record(request):
-    """Append ``{bench, metric, value}`` records for this bench module."""
-    bench = Path(request.node.path).stem
+class BenchRecorder:
+    """The :func:`bench_record` fixture: ``record(metric, value)``
+    appends a measurement, ``record.skipped(metric, reason)`` an
+    explicit record of a measurement this host could not make."""
 
-    def record(metric: str, value: float) -> None:
+    def __init__(self, bench: str):
+        self._bench = bench
+
+    def _append(self, metric: str, value, **extra) -> None:
         _RECORDS.append(
             {
-                "bench": bench,
+                "bench": self._bench,
                 "metric": str(metric),
-                "value": float(value),
+                "value": value,
                 "rev": git_revision(),
+                "nproc": os.cpu_count(),
+                "python": platform.python_version(),
+                **extra,
             }
         )
 
-    return record
+    def __call__(self, metric: str, value: float) -> None:
+        self._append(metric, float(value))
+
+    def skipped(self, metric: str, reason: str) -> None:
+        self._append(metric, None, status="skipped", reason=str(reason))
+
+
+@pytest.fixture
+def bench_record(request):
+    """Append stamped records for this bench module."""
+    return BenchRecorder(Path(request.node.path).stem)
 
 
 def pytest_sessionfinish(session, exitstatus):
     if not _RECORDS:
         return
     path = _results_path()
-    existing = read_results(path)
-    fresh_benches = {record["bench"] for record in _RECORDS}
-    kept = [r for r in existing if r.get("bench") not in fresh_benches]
-    path.write_text(json.dumps(kept + _RECORDS, indent=2) + "\n")
+    path.write_text(json.dumps(read_results(path) + _RECORDS, indent=2) + "\n")
 
 
 @pytest.fixture

@@ -47,7 +47,6 @@ from repro.ds.mass import Numeric
 from repro.exec.executors import get_executor, partition_count
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
-from repro.model.membership import TupleMembership
 from repro.model.relation import ExtendedRelation
 from repro.errors import OperationError
 
@@ -116,11 +115,6 @@ def _combine_evidence(
     if combined is None:
         return None, kappa
     return EvidenceSet(combined, left.domain or right.domain), kappa
-
-
-def _membership_kappa(a: TupleMembership, b: TupleMembership) -> Numeric:
-    """Dempster conflict between two membership pairs."""
-    return a.sn * (1 - b.sp) + (1 - a.sp) * b.sn
 
 
 def union_with_report(
@@ -324,8 +318,10 @@ def _merge_pair(
             return None
         values[attr_name] = combined
 
-    membership_kappa = _membership_kappa(l_tuple.membership, r_tuple.membership)
-    if membership_kappa == 1:
+    membership, membership_kappa = l_tuple.membership.combine_dempster_with_conflict(
+        r_tuple.membership
+    )
+    if membership is None:
         report.conflicts.append(ConflictRecord(key, "(sn,sp)", membership_kappa, True))
         if on_conflict == "raise":
             error = TotalConflictError(
@@ -340,7 +336,6 @@ def _merge_pair(
         report.conflicts.append(
             ConflictRecord(key, "(sn,sp)", membership_kappa, False)
         )
-    membership = l_tuple.membership.combine_dempster(r_tuple.membership)
     return ExtendedTuple(schema, values, membership)
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from repro.errors import MassFunctionError, TotalConflictError
 from repro.ds.frame import OMEGA, FocalElement, FrameOfDiscernment, is_omega
@@ -81,7 +80,7 @@ def _merged_frame(
 ) -> FrameOfDiscernment | None:
     """The common frame of two mass functions, validating agreement."""
     if m1.frame is not None and m2.frame is not None:
-        if m1.frame != m2.frame:
+        if m1.frame is not m2.frame and m1.frame != m2.frame:
             raise MassFunctionError(
                 f"cannot combine evidence over different frames "
                 f"{m1.frame.name!r} and {m2.frame.name!r}"
@@ -109,7 +108,7 @@ def _conjunctive_sets(
 ) -> tuple[dict[FocalElement, Numeric], Numeric]:
     """The frozenset-path conjunctive loop (fallback and reference)."""
     pooled: dict[FocalElement, Numeric] = {}
-    kappa: Numeric = Fraction(0)
+    kappa: Numeric = 0  # int seed: float workloads stay on float arithmetic
     for x, mass_x in m1.items():
         for y, mass_y in m2.items():
             product = mass_x * mass_y

@@ -51,6 +51,7 @@ from fractions import Fraction
 from repro.counters import ThreadLocalCounters
 from repro.ds.frame import OMEGA, FocalElement, FrameOfDiscernment, is_omega
 from repro.ds.mass import Numeric, validate_mass_total
+from repro.ds.notation import format_atom
 from repro.obs.registry import registry as _metrics_registry
 
 
@@ -238,7 +239,14 @@ class InternedFrame:
     canonical focal-element sort uses.
     """
 
-    __slots__ = ("_frame", "_bit_by_value", "_value_by_bit", "_omega")
+    __slots__ = (
+        "_frame",
+        "_bit_by_value",
+        "_value_by_bit",
+        "_omega",
+        "_sort_keys",
+        "_renderings",
+    )
 
     def __init__(self, frame: FrameOfDiscernment):
         self._frame = frame
@@ -246,6 +254,10 @@ class InternedFrame:
         self._bit_by_value = {value: bit for bit, value in enumerate(ordered)}
         self._value_by_bit = ordered
         self._omega = (1 << len(ordered)) - 1
+        # Per-mask caches (see sort_key / rendered_members), bounded and
+        # written under _INTERN_LOCK like the interning cache itself.
+        self._sort_keys: dict[int, tuple] = {}
+        self._renderings: dict[int, tuple | None] = {}
 
     @property
     def frame(self) -> FrameOfDiscernment:
@@ -298,16 +310,40 @@ class InternedFrame:
         Ascending bit positions enumerate members in sorted-``repr``
         order, so ``(size, positions)`` is order-isomorphic to the
         ``(size, sorted reprs)`` key of
-        :func:`repro.ds.mass._focal_sort_key`; OMEGA sorts last.
+        :func:`repro.ds.mass._focal_sort_key`; OMEGA sorts last.  Keys
+        are cached per mask: every canonicalization of a pooled result
+        sorts by them.
         """
+        key = self._sort_keys.get(mask)
+        if key is None:
+            if mask == self._omega:
+                key = (1, 0, ())
+            else:
+                positions = []
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    positions.append(low.bit_length())
+                    rest ^= low
+                key = (0, len(positions), tuple(positions))
+            _cache_put(self._sort_keys, mask, key)
+        return key
+
+    def rendered_members(self, mask: int) -> tuple | None:
+        """The members of *mask* as sorted
+        :func:`~repro.ds.notation.format_atom` strings; ``None`` for
+        OMEGA.  This is the structural float-evidence encoding of
+        :mod:`repro.storage.serialization`, cached per mask."""
+        try:
+            return self._renderings[mask]
+        except KeyError:
+            pass
         if mask == self._omega:
-            return (1, 0, ())
-        positions = []
-        while mask:
-            low = mask & -mask
-            positions.append(low.bit_length())
-            mask ^= low
-        return (0, len(positions), tuple(positions))
+            rendered = None
+        else:
+            rendered = tuple(sorted(map(format_atom, self.element_of(mask))))
+        _cache_put(self._renderings, mask, rendered)
+        return rendered
 
     def __repr__(self) -> str:
         return (
@@ -325,6 +361,15 @@ class InternedFrame:
 _INTERNED: dict[FrameOfDiscernment, InternedFrame] = {}
 _INTERN_LIMIT = 4096
 _INTERN_LOCK = threading.Lock()
+
+
+def _cache_put(cache: dict, key, value) -> None:
+    """Insert into a bounded per-frame cache under :data:`_INTERN_LOCK`
+    (cleared when full, like :data:`_INTERNED`)."""
+    with _INTERN_LOCK:
+        if len(cache) >= _INTERN_LIMIT:
+            cache.clear()
+        cache[key] = value
 
 
 def intern_frame(frame: FrameOfDiscernment) -> InternedFrame:
@@ -471,7 +516,9 @@ def conjunctive_compiled(
     on the empty set.
     """
     pooled: dict[int, Numeric] = {}
-    kappa: Numeric = Fraction(0)
+    # An int seed keeps float workloads on float arithmetic (0 + x is x
+    # for either mass type, bit for bit).
+    kappa: Numeric = 0
     get = pooled.get
     b_pairs = tuple(zip(b.masks, b.values))
     for x_mask, x_value in zip(a.masks, a.values):

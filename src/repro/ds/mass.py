@@ -16,6 +16,19 @@ as ``"0.25"`` and rational strings such as ``"1/3"``.  Strings are always
 converted to exact fractions; pass genuine ``float`` objects to work in
 floating point.  Mixed inputs degrade gracefully: exactness is preserved
 whenever every mass is exact.
+
+Validation policy
+-----------------
+Masses are validated at ingress: parsing bracket notation, the public
+constructors fed with user data, and deserialization all coerce every
+value and check the total through :func:`validate_mass_total`.  A mass
+function that is already bound to the same frame object (or an equal
+one) is reused as-is, without a second check, and so are the results
+of kernel operations (:mod:`repro.ds.kernel`), each of which is
+validated exactly once, when it is produced.  The kernel's canonical
+sort of pooled results is kept even though validation does not need
+it: chained float combinations are bit-identical to the frozenset path
+only when every fold visits pairs in the same canonical order.
 """
 
 from __future__ import annotations
@@ -70,7 +83,9 @@ def validate_mass_total(values) -> None:
     if not values:
         raise MassFunctionError("a mass function needs at least one focal element")
     total = sum(values)
-    if all(isinstance(value, Fraction) for value in values):
+    # Masses are Fractions or floats, and a single float operand makes
+    # the sum a float: the sum's type says whether every mass is exact.
+    if isinstance(total, Fraction):
         if total != 1:
             raise MassFunctionError(f"masses must sum to 1, got {total}")
     else:
@@ -281,7 +296,10 @@ class MassFunction:
 
     def focal_elements(self) -> tuple[FocalElement, ...]:
         """The focal elements in deterministic order (OMEGA last)."""
-        return tuple(sorted(self._mass_dict(), key=_focal_sort_key))
+        masses = self._mass_dict()
+        if len(masses) == 1:
+            return tuple(masses)
+        return tuple(sorted(masses, key=_focal_sort_key))
 
     def items(self) -> Iterator[tuple[FocalElement, Numeric]]:
         """Iterate ``(focal element, mass)`` pairs in deterministic order."""
@@ -311,8 +329,11 @@ class MassFunction:
     # -- structure predicates ----------------------------------------------
 
     def is_exact(self) -> bool:
-        """``True`` when every mass is a :class:`Fraction`."""
-        return all(isinstance(value, Fraction) for value in self._mass_dict().values())
+        """``True`` when every mass is a :class:`Fraction` (answered from
+        the compiled form when attached, without decoding the masses)."""
+        if self._compiled is not None:
+            return self._compiled.is_exact()
+        return all(isinstance(value, Fraction) for value in self._masses.values())
 
     def is_vacuous(self) -> bool:
         """``True`` when all mass sits on the whole frame (ignorance)."""

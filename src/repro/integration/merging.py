@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from repro.errors import IntegrationError, TotalConflictError
 from repro.model.etuple import ExtendedTuple
 from repro.model.relation import ExtendedRelation
-from repro.algebra.union import ConflictRecord, _combine_evidence, _membership_kappa
+from repro.algebra.union import ConflictRecord, _combine_evidence
 from repro.integration.entity_identification import KeyMatcher, TupleMatching
 from repro.integration.methods import (
     EvidentialMethod,
@@ -263,8 +263,10 @@ class TupleMerger:
                         return None
                     values[attr_name] = fallback
 
-        membership_kappa = _membership_kappa(l_tuple.membership, r_tuple.membership)
-        if membership_kappa == 1:
+        membership, membership_kappa = (
+            l_tuple.membership.combine_dempster_with_conflict(r_tuple.membership)
+        )
+        if membership is None:
             report.conflicts.append(ConflictRecord(key, "(sn,sp)", 1, True))
             if self._on_conflict == "raise":
                 raise TotalConflictError(
@@ -276,7 +278,6 @@ class TupleMerger:
             report.conflicts.append(
                 ConflictRecord(key, "(sn,sp)", membership_kappa, False)
             )
-        membership = l_tuple.membership.combine_dempster(r_tuple.membership)
         return ExtendedTuple(schema, values, membership)
 
     def _handle_total_conflict(self, attribute, key, left_value, right_value, report):

@@ -68,18 +68,13 @@ def discount_tuple(etuple: ExtendedTuple, schema, reliability) -> ExtendedTuple:
     from repro.model.membership import TupleMembership
 
     reliability = coerce_mass_value(reliability)
-    values: dict[str, object] = {}
-    for name, value in etuple.items():
-        if isinstance(value, EvidenceSet):
-            attribute = schema.attribute(name)
-            if attribute.uncertain:
-                values[name] = EvidenceSet(
-                    discount(value.mass_function, reliability), value.domain
-                )
-            else:
-                values[name] = value
-        else:
-            values[name] = value
+    values = dict(etuple.items())
+    # Uncertain attributes are never keys, so each holds an EvidenceSet.
+    for name in schema.uncertain_names:
+        value = values[name]
+        values[name] = EvidenceSet(
+            discount(value.mass_function, reliability), value.domain
+        )
     tm = etuple.membership
     membership = TupleMembership(
         reliability * tm.sn, 1 - reliability * (1 - tm.sp)

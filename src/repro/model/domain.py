@@ -169,10 +169,13 @@ class NumericDomain(Domain):
         return self._integral
 
     def contains(self, value: object) -> bool:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            return False
-        if self._integral and not isinstance(value, numbers.Integral):
-            return False
+        # A plain int is Integral and Real (and not a bool): skip the
+        # abstract-base-class checks on the common key type.
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                return False
+            if self._integral and not isinstance(value, numbers.Integral):
+                return False
         if self._low is not None and value < self._low:
             return False
         if self._high is not None and value > self._high:

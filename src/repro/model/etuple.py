@@ -13,6 +13,21 @@ carries a tuple membership pair:
   values lets the algebra treat them uniformly.
 
 Tuples are immutable; all "mutators" return new tuples.
+
+Validation policy
+-----------------
+Values are validated at ingress: parsed bracket notation, mappings and
+raw scalars are coerced and checked against the attribute's domain on
+the way in, and deserialization goes through the same constructor.  An
+:class:`EvidenceSet` that is already bound to the attribute's domain
+(the same domain object, or an equal one) is kept as-is instead of
+being re-wrapped and re-checked -- this is what the algebra's own
+outputs (merged, discounted and projected evidence) look like when they
+flow into the next tuple.  The checks that can still fire on such a
+value stay: a certain attribute still rejects uncertain evidence, and
+the membership pair is always range-checked.  The attribute-name check
+is one set comparison; the detailed unknown/missing message is only
+built when it fails.
 """
 
 from __future__ import annotations
@@ -47,7 +62,12 @@ def _coerce_value(attribute: Attribute, raw: object) -> object:
         return attribute.domain.validate(raw)
     # Non-key values are stored as evidence sets.
     if isinstance(raw, EvidenceSet):
-        evidence = EvidenceSet(raw.mass_function, attribute.domain)
+        domain = attribute.domain
+        if raw.domain is domain or (raw.domain is not None and raw.domain == domain):
+            # Already bound to (and validated against) this domain.
+            evidence = raw
+        else:
+            evidence = EvidenceSet(raw.mass_function, domain)
     elif isinstance(raw, MassFunction):
         evidence = EvidenceSet(raw, attribute.domain)
     elif isinstance(raw, Mapping):
@@ -81,7 +101,7 @@ class ExtendedTuple:
     True
     """
 
-    __slots__ = ("_schema", "_values", "_membership")
+    __slots__ = ("_schema", "_values", "_membership", "_key")
 
     def __init__(
         self,
@@ -89,24 +109,25 @@ class ExtendedTuple:
         values: Mapping[str, object],
         membership: object = CERTAIN,
     ):
-        unknown = set(values) - set(schema.names)
-        if unknown:
-            raise SchemaError(
-                f"values reference unknown attribute(s) "
-                f"{', '.join(sorted(unknown))} of relation {schema.name!r}"
-            )
-        missing = set(schema.names) - set(values)
-        if missing:
+        if values.keys() != schema.name_set:
+            unknown = set(values) - schema.name_set
+            if unknown:
+                raise SchemaError(
+                    f"values reference unknown attribute(s) "
+                    f"{', '.join(sorted(unknown))} of relation {schema.name!r}"
+                )
+            missing = schema.name_set - set(values)
             raise SchemaError(
                 f"tuple for {schema.name!r} is missing attribute(s) "
                 f"{', '.join(sorted(missing))}"
             )
         self._schema = schema
-        self._values = {
+        self._values = coerced = {
             attribute.name: _coerce_value(attribute, values[attribute.name])
             for attribute in schema.attributes
         }
         self._membership = _coerce_membership(membership)
+        self._key = tuple([coerced[name] for name in schema.key_names])
 
     # -- accessors -----------------------------------------------------------
 
@@ -122,7 +143,7 @@ class ExtendedTuple:
 
     def key(self) -> tuple:
         """The definite key values, in key-attribute order."""
-        return tuple(self._values[name] for name in self._schema.key_names)
+        return self._key
 
     def value(self, name: str) -> object:
         """The stored value: a scalar for keys, an EvidenceSet otherwise."""

@@ -50,7 +50,7 @@ class EvidenceSet:
         if isinstance(mass, str):
             mass_function = parse_evidence(mass, frame)
         elif isinstance(mass, MassFunction):
-            if frame is None or mass.frame == frame:
+            if frame is None or mass.frame is frame or mass.frame == frame:
                 # Already attached to (and validated against) this very
                 # frame: reuse as-is, preserving the compiled kernel
                 # state across integration folds.

@@ -154,18 +154,41 @@ class TupleMembership:
         source is certain the tuple exists and the other is certain it
         does not.
         """
-        sn1, sp1 = self._sn, self._sp
-        sn2, sp2 = other._sn, other._sp
-        kappa = sn1 * (1 - sp2) + (1 - sp1) * sn2
-        if kappa == 1:
+        combined, _ = self.combine_dempster_with_conflict(other)
+        if combined is None:
             raise TotalConflictError(
                 "tuple membership evidence is totally conflicting "
                 f"({self} vs {other})"
             )
+        return combined
+
+    def combine_dempster_with_conflict(
+        self, other: "TupleMembership"
+    ) -> tuple["TupleMembership | None", Numeric]:
+        """``F`` returning ``(result, kappa)``; ``None`` on total conflict
+        instead of raising.
+
+        The merge step (extended union, tuple merging) records kappa
+        for its conflict report, so it folds through this entry point
+        and computes the conflict once.  Float operands stay on float
+        arithmetic; mixed Fraction/float operands keep Python's mixed
+        arithmetic, which differs from converting first (``float(1 -
+        Fraction(1, 3)) != 1 - float(Fraction(1, 3))``).
+        """
+        sn1, sp1 = self._sn, self._sp
+        sn2, sp2 = other._sn, other._sp
+        false1 = 1 - sp1
+        false2 = 1 - sp2
+        kappa = sn1 * false2 + false1 * sn2
+        if kappa == 1:
+            return None, kappa
         remaining = 1 - kappa
         mass_true = sn1 * sp2 + sp1 * sn2 - sn1 * sn2
-        mass_false = (1 - sp1) * (1 - sn2) + (sp1 - sn1) * (1 - sp2)
-        return TupleMembership(mass_true / remaining, 1 - mass_false / remaining)
+        mass_false = false1 * (1 - sn2) + (sp1 - sn1) * false2
+        return (
+            TupleMembership(mass_true / remaining, 1 - mass_false / remaining),
+            kappa,
+        )
 
     def combine_product(self, other: "TupleMembership") -> "TupleMembership":
         """The paper's ``F_TM``: independent-events conjunction.

@@ -31,7 +31,16 @@ class RelationSchema:
     ('rname',)
     """
 
-    __slots__ = ("_name", "_attributes", "_by_name")
+    __slots__ = (
+        "_name",
+        "_attributes",
+        "_by_name",
+        "_names",
+        "_name_set",
+        "_key_names",
+        "_nonkey_names",
+        "_uncertain_names",
+    )
 
     def __init__(self, name: str, attributes: Sequence[Attribute]):
         if not name or not isinstance(name, str):
@@ -53,6 +62,13 @@ class RelationSchema:
         self._name = name
         self._attributes = attrs
         self._by_name = by_name
+        # Schemas are immutable: derive the name views once, not on
+        # every access from the per-tuple hot paths.
+        self._names = tuple(by_name)
+        self._name_set = frozenset(by_name)
+        self._key_names = tuple(a.name for a in attrs if a.key)
+        self._nonkey_names = tuple(a.name for a in attrs if not a.key)
+        self._uncertain_names = tuple(a.name for a in attrs if a.uncertain)
 
     # -- accessors ---------------------------------------------------------
 
@@ -69,22 +85,27 @@ class RelationSchema:
     @property
     def names(self) -> tuple[str, ...]:
         """All attribute names in declaration order."""
-        return tuple(attribute.name for attribute in self._attributes)
+        return self._names
+
+    @property
+    def name_set(self) -> frozenset[str]:
+        """All attribute names, as a set."""
+        return self._name_set
 
     @property
     def key_names(self) -> tuple[str, ...]:
         """Names of the key attributes, in declaration order."""
-        return tuple(a.name for a in self._attributes if a.key)
+        return self._key_names
 
     @property
     def nonkey_names(self) -> tuple[str, ...]:
         """Names of the non-key attributes, in declaration order."""
-        return tuple(a.name for a in self._attributes if not a.key)
+        return self._nonkey_names
 
     @property
     def uncertain_names(self) -> tuple[str, ...]:
         """Names of the attributes that may hold evidence sets."""
-        return tuple(a.name for a in self._attributes if a.uncertain)
+        return self._uncertain_names
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name; raises :class:`SchemaError`."""
@@ -112,7 +133,7 @@ class RelationSchema:
 
         Attribute *order* does not matter, names and flags do.
         """
-        if set(self.names) != set(other.names):
+        if self._name_set != other._name_set:
             return False
         return all(
             self._by_name[name].compatible_with(other._by_name[name])

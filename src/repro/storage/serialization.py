@@ -159,6 +159,20 @@ def _evidence_to_json(evidence: EvidenceSet) -> dict:
     mass_function = evidence.mass_function
     if mass_function.is_exact():
         return {"evidence": evidence.format(style="fraction")}
+    if mass_function.is_compiled:
+        # The compiled masks and values are already in canonical focal
+        # order, and the interned frame caches each mask's rendering.
+        compiled = mass_function.compiled()
+        rendered_members = compiled.interned.rendered_members
+        return {
+            "evidence_items": [
+                {
+                    "element": _rendering_to_json(rendered_members(mask)),
+                    "mass": float(value),
+                }
+                for mask, value in zip(compiled.masks, compiled.values)
+            ]
+        }
     items = []
     for element, value in mass_function.items():
         if is_omega(element):
@@ -167,6 +181,11 @@ def _evidence_to_json(evidence: EvidenceSet) -> dict:
             rendered = sorted(format_atom(member) for member in element)
         items.append({"element": rendered, "mass": float(value)})
     return {"evidence_items": items}
+
+
+def _rendering_to_json(rendered: tuple | None) -> list | None:
+    """A cached member rendering as a fresh JSON list (OMEGA: ``None``)."""
+    return None if rendered is None else list(rendered)
 
 
 def _evidence_from_json(document: dict, domain) -> EvidenceSet:

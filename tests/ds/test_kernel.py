@@ -11,6 +11,8 @@ combine / conjunctive / disjunctive / discount / bel / pls on both
 paths and assert equality.
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from repro.ds import (
     disjunctive,
     discount,
     intern_frame,
+    kernel,
     kernel_disabled,
     kernel_enabled,
     kernel_stats,
@@ -33,6 +36,8 @@ from repro.ds import (
 from repro.ds.belief import belief, commonality, plausibility, uncertainty_interval
 from repro.ds.frame import FrameOfDiscernment
 from repro.ds.kernel import CompiledMass, InternedFrame
+from repro.ds.mass import _focal_sort_key
+from repro.ds.notation import format_atom
 from repro.errors import DomainError, MassFunctionError, TotalConflictError
 
 
@@ -376,3 +381,67 @@ class TestStatsConcurrency:
         assert not failures
         delta = stats.since(before)
         assert delta.compilations == self.THREADS * self.ROUNDS
+
+
+class TestMaskCaches:
+    """Per-mask sort keys and renderings, cached on the interned frame."""
+
+    FRAME = FrameOfDiscernment("cache", ["a", "b", 'c"q', 1, 2.5, "1/3"])
+
+    def test_sort_keys_order_like_focal_elements(self):
+        interned = InternedFrame(self.FRAME)
+        masks = range(1, interned.omega_mask + 1)
+        by_mask = sorted(masks, key=interned.sort_key)
+        by_element = sorted(
+            masks, key=lambda mask: _focal_sort_key(interned.element_of(mask))
+        )
+        assert by_mask == by_element
+        # Cached keys are the same objects on the second lookup.
+        assert all(interned.sort_key(m) is interned.sort_key(m) for m in masks)
+
+    def test_rendered_members_are_sorted_format_atoms(self):
+        interned = InternedFrame(self.FRAME)
+        assert interned.rendered_members(interned.omega_mask) is None
+        for mask in range(1, interned.omega_mask):
+            element = interned.element_of(mask)
+            assert interned.rendered_members(mask) == tuple(
+                sorted(format_atom(value) for value in element)
+            )
+
+    def test_bounded_and_correct_under_threads(self, monkeypatch):
+        reference = InternedFrame(self.FRAME)
+        masks = list(range(1, reference.omega_mask + 1))
+        expected = {
+            mask: (reference.sort_key(mask), reference.rendered_members(mask))
+            for mask in masks
+        }
+        monkeypatch.setattr(kernel, "_INTERN_LIMIT", 8)
+        shared = InternedFrame(self.FRAME)
+        wrong = []
+        barrier = threading.Barrier(8)
+
+        def hammer(offset):
+            barrier.wait()
+            for round_ in range(20):
+                for mask in masks[offset:] + masks[:offset]:
+                    got = (shared.sort_key(mask), shared.rendered_members(mask))
+                    if got != expected[mask]:
+                        wrong.append((mask, got))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(7 * index,))
+                for index in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not wrong
+        assert len(shared._sort_keys) <= 8
+        assert len(shared._renderings) <= 8

@@ -1,0 +1,160 @@
+"""Host-independent cost counts of the serial integrate path.
+
+A wall-clock floor depends on the machine; these counts do not.  On the
+fixed float federation of :mod:`test_golden_integrate` (seed 11) the
+serial fold must
+
+* allocate no ``Fraction`` inside the bitmask combination loop
+  (:func:`repro.ds.kernel.conjunctive_compiled`) or the membership rule
+  ``F`` (:class:`TupleMembership`'s Dempster combination) whenever every
+  operand is a float;
+* validate each mass function a kernel operation produces exactly once
+  (:func:`repro.ds.mass.validate_mass_total`), and make exactly as many
+  validation calls in total as it always has.
+"""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from repro.ds import combination, discounting, kernel, mass
+from repro.exec.executors import executor_scope
+from repro.model.membership import TupleMembership
+from tests.integration.test_golden_integrate import (
+    FLOAT_RELIABILITIES,
+    golden_sources,
+    integrate,
+)
+
+#: Code objects that construct a Fraction (``_from_coprime_ints`` is the
+#: arithmetic's constructor on Python >= 3.12).
+_FRACTION_CONSTRUCTORS = {Fraction.__new__.__code__} | (
+    {Fraction._from_coprime_ints.__func__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints")
+    else set()
+)
+
+#: Counts of the seed-11 float federation, recorded before the serial
+#: path was optimized (the validation counts must never move).
+KERNEL_COMBINATIONS = 720
+KERNEL_DISCOUNTS = 800
+VALIDATE_CALLS = 4280
+FLOAT_MEMBERSHIP_COMBINATIONS = 210
+
+
+class FractionCounter:
+    """Counts Fraction constructions made while :meth:`call` runs."""
+
+    def __init__(self):
+        self.allocations = 0
+        self.calls = 0
+
+    def call(self, function, *args):
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in _FRACTION_CONSTRUCTORS:
+                self.allocations += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            return function(*args)
+        finally:
+            sys.setprofile(previous)
+            self.calls += 1
+
+
+def _all_float(values) -> bool:
+    return all(type(value) is float for value in values)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Run the fixed federation serially with every counter installed."""
+    counts = {"kernel_validates": 0, "validates": 0, "produced": 0}
+    kernel_loop = FractionCounter()
+    membership_rule = FractionCounter()
+
+    original_conjunctive = kernel.conjunctive_compiled
+
+    def conjunctive(a, b):
+        if _all_float(a.values + b.values):
+            return kernel_loop.call(original_conjunctive, a, b)
+        return original_conjunctive(a, b)
+
+    original_membership = TupleMembership.combine_dempster_with_conflict
+
+    def membership(self, other):
+        if _all_float((self.sn, self.sp, other.sn, other.sp)):
+            return membership_rule.call(original_membership, self, other)
+        return original_membership(self, other)
+
+    original_kernel_validate = kernel.validate_mass_total
+
+    def kernel_validate(values):
+        counts["kernel_validates"] += 1
+        return original_kernel_validate(values)
+
+    original_validate = mass.validate_mass_total
+
+    def validate(values):
+        counts["validates"] += 1
+        return original_validate(values)
+
+    def producing(function):
+        def wrapper(*args):
+            result = function(*args)
+            produced = result[0] if isinstance(result, tuple) else result
+            if produced is not None:
+                counts["produced"] += 1
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(kernel, "conjunctive_compiled", conjunctive)
+    monkeypatch.setattr(
+        TupleMembership, "combine_dempster_with_conflict", membership
+    )
+    monkeypatch.setattr(kernel, "validate_mass_total", kernel_validate)
+    monkeypatch.setattr(mass, "validate_mass_total", validate)
+    monkeypatch.setattr(
+        combination, "combine_compiled", producing(kernel.combine_compiled)
+    )
+    monkeypatch.setattr(
+        discounting, "discount_compiled", producing(kernel.discount_compiled)
+    )
+    sources = golden_sources(11, exact=False)
+    with executor_scope(executor="serial", workers=1, partitions=None):
+        integrate(sources, FLOAT_RELIABILITIES)
+    counts["validates"] += counts["kernel_validates"]
+    return counts, kernel_loop, membership_rule
+
+
+def test_float_kernel_loop_allocates_no_fraction(counted):
+    _, kernel_loop, _ = counted
+    assert kernel_loop.calls == KERNEL_COMBINATIONS
+    assert kernel_loop.allocations == 0
+
+
+def test_float_membership_rule_allocates_no_fraction(counted):
+    _, _, membership_rule = counted
+    assert membership_rule.calls == FLOAT_MEMBERSHIP_COMBINATIONS
+    assert membership_rule.allocations == 0
+
+
+def test_each_kernel_result_is_validated_exactly_once(counted):
+    counts, _, _ = counted
+    assert counts["produced"] == KERNEL_COMBINATIONS + KERNEL_DISCOUNTS
+    assert counts["kernel_validates"] == counts["produced"]
+    assert counts["validates"] == VALIDATE_CALLS
+
+
+def test_membership_rule_float_operands_stay_float():
+    left = TupleMembership(0.9, 1.0)
+    right = TupleMembership(0.5, 0.75)
+    counter = FractionCounter()
+    result = counter.call(left.combine_dempster, right)
+    assert counter.allocations == 0
+    assert type(result.sn) is float and type(result.sp) is float

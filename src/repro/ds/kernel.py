@@ -54,6 +54,9 @@ from repro.ds.mass import Numeric, validate_mass_total
 from repro.ds.notation import format_atom
 from repro.obs.registry import registry as _metrics_registry
 
+#: The value of an empty belief-measure sum (shared, never re-allocated).
+_ZERO = Fraction(0)
+
 
 # -- path selection and observability -----------------------------------------
 
@@ -422,41 +425,45 @@ class CompiledMass:
 
     # -- belief measures (subset-mask tests) -------------------------------
 
+    # The sums below start from the first matching mass rather than a
+    # ``Fraction(0)`` seed: ``Fraction(0) + x == x`` (and ``0.0 + x`` is
+    # ``x`` for non-negative floats), so values and types are unchanged,
+    # and an empty sum returns the shared :data:`_ZERO`.
+
     def bel(self, query_mask: int) -> Numeric:
         """``Bel``: total mass on submasks of *query_mask*."""
-        total: Numeric = Fraction(0)
+        total = None
         for mask, value in zip(self.masks, self.values):
             if mask & query_mask == mask:
-                total = total + value
-        return total
+                total = value if total is None else total + value
+        return _ZERO if total is None else total
 
     def pls(self, query_mask: int) -> Numeric:
         """``Pls``: total mass on masks intersecting *query_mask*."""
-        total: Numeric = Fraction(0)
+        total = None
         for mask, value in zip(self.masks, self.values):
             if mask & query_mask:
-                total = total + value
-        return total
+                total = value if total is None else total + value
+        return _ZERO if total is None else total
 
     def bel_pls(self, query_mask: int) -> tuple[Numeric, Numeric]:
         """``(Bel, Pls)`` in a single pass (the selection support pair)."""
-        sn: Numeric = Fraction(0)
-        sp: Numeric = Fraction(0)
+        sn = sp = None
         for mask, value in zip(self.masks, self.values):
             meet = mask & query_mask
             if meet:
-                sp = sp + value
+                sp = value if sp is None else sp + value
                 if meet == mask:
-                    sn = sn + value
-        return sn, sp
+                    sn = value if sn is None else sn + value
+        return (_ZERO if sn is None else sn), (_ZERO if sp is None else sp)
 
     def commonality(self, query_mask: int) -> Numeric:
         """``Q``: total mass on supermasks of *query_mask*."""
-        total: Numeric = Fraction(0)
+        total = None
         for mask, value in zip(self.masks, self.values):
             if mask & query_mask == query_mask:
-                total = total + value
-        return total
+                total = value if total is None else total + value
+        return _ZERO if total is None else total
 
     def __repr__(self) -> str:
         return (

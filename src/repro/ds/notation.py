@@ -21,10 +21,24 @@ Grammar::
     number    := decimal ('0.25') | rational ('1/3') | integer
 
 Numbers always parse to exact :class:`fractions.Fraction` values.
+
+Validation policy
+-----------------
+Parsing is on the load path of every stored exact relation, so it is
+kept cheap without giving up a check.  The tokenizer must stay
+linear-time: it matches the whole text once with a possessive repeat of
+atomic token groups and only re-walks the tokens to locate the offset
+of a :class:`~repro.errors.NotationError`.  Atom and mass-number parses
+(:func:`parse_atom`, :func:`parse_number`) are memoized in bounded
+caches; their results are immutable ``int``/``str``/``Fraction`` values
+and stored evidence repeats a small vocabulary of tokens.  Every parsed
+evidence set still goes through the :class:`~repro.ds.mass.MassFunction`
+constructor, which rejects negative masses and totals other than one.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -35,39 +49,50 @@ from repro.ds.mass import MassFunction, Numeric
 #: Spellings accepted for the whole-frame element.
 OMEGA_SPELLINGS = frozenset({"Ω", "Θ", "omega", "theta", "*", "OMEGA", "THETA"})
 
-_TOKEN_RE = re.compile(
-    r"""
+#: One token, optionally preceded by whitespace.
+_TOKEN = r"""
     \s*(
         \[ | \] | \{ | \} | , | \^
         | "(?:[^"\\]|\\.)*"          # double-quoted atom
         | '(?:[^'\\]|\\.)*'          # single-quoted atom
         | [^\[\]{},^\s]+             # bare atom / number
     )
-    """,
-    re.VERBOSE,
-)
+    """
+_TOKEN_RE = re.compile(_TOKEN, re.VERBOSE)
+
+#: A whole text of tokens.  Each token is an atomic group repeated
+#: possessively, so a failed match never backtracks across token
+#: boundaries: this accepts exactly the texts the token-by-token loop in
+#: :func:`_tokenize` accepts (that loop never backtracks either), in
+#: linear time.  A plain ``(?:token)*`` would retry every split of a run
+#: of atom characters and is exponential on malformed input.
+_TOKENS_RE = re.compile(rf"(?>{_TOKEN})*+", re.VERBOSE)
+
+#: Bound of the atom and number parse caches.
+_PARSE_CACHE_SIZE = 4096
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
+    if _TOKENS_RE.fullmatch(text):
+        return _TOKEN_RE.findall(text)
+    # Malformed: walk the tokens to report where tokenizing stops.
     position = 0
-    while position < len(text):
+    while True:
         match = _TOKEN_RE.match(text, position)
         if match is None:
             raise NotationError(
                 f"cannot tokenize evidence set at offset {position}: {text[position:]!r}"
             )
-        tokens.append(match.group(1))
         position = match.end()
-    return tokens
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_atom(token: str):
     """Interpret a bare atom: int, exact decimal/rational, or string.
 
     Quoted atoms are always strings; bare atoms that look numeric become
     numbers so evidence over numeric domains (for theta-predicates)
-    round-trips.
+    round-trips.  Results are immutable and memoized per token.
     """
     if len(token) >= 2 and token[0] == token[-1] and token[0] in {'"', "'"}:
         body = token[1:-1]
@@ -79,6 +104,16 @@ def parse_atom(token: str):
     if re.fullmatch(r"[+-]?\d+\.\d+", token) or re.fullmatch(r"[+-]?\d+/\d+", token):
         return Fraction(token)
     return token
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def parse_number(token: str) -> Fraction:
+    """``Fraction(token)``, memoized per token (mass values repeat).
+
+    Raises what :class:`~fractions.Fraction` raises (``ValueError``,
+    ``ZeroDivisionError``); callers turn that into their own error.
+    """
+    return Fraction(token)
 
 
 def format_atom(value: object) -> str:
@@ -237,7 +272,7 @@ class _Parser:
     def _parse_number(self) -> Fraction:
         token = self._next()
         try:
-            return Fraction(token)
+            return parse_number(token)
         except (ValueError, ZeroDivisionError) as exc:
             raise NotationError(f"cannot parse mass value {token!r}") from exc
 

@@ -27,7 +27,9 @@ flow into the next tuple.  The checks that can still fire on such a
 value stay: a certain attribute still rejects uncertain evidence, and
 the membership pair is always range-checked.  The attribute-name check
 is one set comparison; the detailed unknown/missing message is only
-built when it fails.
+built when it fails.  :meth:`ExtendedTuple.with_membership` (what
+selection builds per kept tuple) shares the already-coerced values and
+key of its source and checks only the new membership.
 """
 
 from __future__ import annotations
@@ -171,8 +173,18 @@ class ExtendedTuple:
     # -- derivations --------------------------------------------------------------
 
     def with_membership(self, membership: object) -> "ExtendedTuple":
-        """A copy with a different membership pair."""
-        return ExtendedTuple(self._schema, self._values, membership)
+        """A copy with a different membership pair.
+
+        The values and key are already coerced and never mutated, so the
+        copy shares them; only the membership goes through the ingress
+        check.
+        """
+        copy = object.__new__(ExtendedTuple)
+        copy._schema = self._schema
+        copy._values = self._values
+        copy._key = self._key
+        copy._membership = _coerce_membership(membership)
+        return copy
 
     def with_values(self, replacements: Mapping[str, object]) -> "ExtendedTuple":
         """A copy with some attribute values replaced."""

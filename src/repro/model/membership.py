@@ -24,6 +24,21 @@ Two combination rules act on membership pairs:
 The same structure doubles as the *support pair* that the selection
 support function ``F_SS`` assigns to predicates, so the algebra reuses
 this class for predicate supports.
+
+Validation policy
+-----------------
+Every pair that comes from outside the algebra -- user-supplied,
+parsed, loaded from storage, or a predicate support computed by
+``F_SS`` -- goes through the constructor and is range-checked (float
+pairs are clamped within :attr:`TupleMembership.FLOAT_TOLERANCE`
+first).  The outputs of ``F_TM`` (:meth:`TupleMembership.combine_product`)
+are trusted instead: the product of two valid pairs is valid by
+construction, in exact arithmetic and in float arithmetic alike, because
+float(Fraction) conversion and IEEE-754 rounding are monotone (the
+argument is spelled out where it is used).  Selection therefore pays for
+one range check per tuple -- the predicate support -- not two.  The one
+product that is still checked is a mixed one, an exact ``sn`` beside a
+rounded ``sp`` (or the reverse), where rounding can break the order.
 """
 
 from __future__ import annotations
@@ -61,7 +76,16 @@ class TupleMembership:
                 possible = 1.0
             if possible < necessary <= possible + tolerance:
                 necessary = possible
-        if not 0 <= necessary <= possible <= 1:
+        if type(necessary) is Fraction and type(possible) is Fraction:
+            # ``0 <= sn <= sp <= 1`` by integer cross-multiplication
+            # (denominators are always positive), without three
+            # ABC-dispatched Fraction comparisons.
+            n1, d1 = necessary.numerator, necessary.denominator
+            n2, d2 = possible.numerator, possible.denominator
+            valid = 0 <= n1 and n1 * d2 <= n2 * d1 and n2 <= d2
+        else:
+            valid = 0 <= necessary <= possible <= 1
+        if not valid:
             raise MembershipError(
                 f"membership must satisfy 0 <= sn <= sp <= 1, got "
                 f"(sn={necessary!r}, sp={possible!r})"
@@ -132,7 +156,10 @@ class TupleMembership:
     @property
     def is_supported(self) -> bool:
         """``sn > 0``: the CWA_ER storage criterion."""
-        return self._sn > 0
+        sn = self._sn
+        # A Fraction has the sign of its numerator (its denominator is
+        # positive); this skips an ABC-dispatched comparison per tuple.
+        return sn.numerator > 0 if type(sn) is Fraction else sn > 0
 
     @property
     def is_certain(self) -> bool:
@@ -198,7 +225,23 @@ class TupleMembership:
         conjoining the supports of independent predicates (Section 3.1.1,
         after Baldwin and Hau-Kashyap).
         """
-        return TupleMembership(self._sn * other._sn, self._sp * other._sp)
+        sn = self._sn * other._sn
+        sp = self._sp * other._sp
+        if type(sn) is not type(sp):
+            # An exact product beside a rounded one: rounding may put
+            # sp below sn, so check (and clamp) as the constructor does.
+            return TupleMembership(sn, sp)
+        # Trusted construction, no range check: for valid pairs
+        # ``0 <= sn1*sn2 <= sp1*sp2 <= 1`` (multiplying non-negative
+        # numbers preserves order, and each product is at most its
+        # factor).  Two float products keep the property: float(Fraction)
+        # conversion and IEEE-754 rounding are both monotone, so the
+        # rounded products stay ordered and within [0, 1] and no clamp
+        # can ever be needed.
+        product = object.__new__(TupleMembership)
+        product._sn = sn
+        product._sp = sp
+        return product
 
     def combine_disjunction(self, other: "TupleMembership") -> "TupleMembership":
         """Independent-events disjunction: support for ``S or T``.

@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.errors import SerializationError
 from repro.ds.frame import OMEGA, is_omega
 from repro.ds.mass import MassFunction
-from repro.ds.notation import format_atom, parse_atom
+from repro.ds.notation import format_atom, parse_atom, parse_number
 from repro.model.attribute import Attribute
 from repro.model.domain import (
     AnyDomain,
@@ -52,7 +52,7 @@ def _number_to_json(value) -> object:
 def _number_from_json(value) -> object:
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_number(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SerializationError(f"bad numeric literal {value!r}") from exc
     return value

@@ -445,3 +445,62 @@ class TestMaskCaches:
         assert not wrong
         assert len(shared._sort_keys) <= 8
         assert len(shared._renderings) <= 8
+
+
+class TestUnseededSums:
+    """``bel``/``pls``/``bel_pls``/``commonality`` start their sums from
+    the first matching mass; they must equal the ``Fraction(0)``-seeded
+    sums in value and in type, for exact, float and mixed masses."""
+
+    SUBNORMALS = [5e-324, 1e-310, 2.2250738585072009e-308]
+
+    masses = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=1000),
+        st.floats(min_value=0.0, max_value=1.0),  # never -0.0
+        st.sampled_from([Fraction(0), Fraction(1), 0.0, 1.0, *SUBNORMALS]),
+    )
+
+    @staticmethod
+    def seeded(compiled, matches):
+        total = Fraction(0)
+        for mask, value in zip(compiled.masks, compiled.values):
+            if matches(mask):
+                total = total + value
+        return total
+
+    @staticmethod
+    def same(left, right) -> bool:
+        if type(left) is not type(right):
+            return False
+        return left.hex() == right.hex() if isinstance(left, float) else left == right
+
+    @given(data=st.data())
+    def test_equal_to_the_seeded_sums(self, data):
+        frame = FrameOfDiscernment("sums", VALUE_POOL[:6])
+        interned = intern_frame(frame)
+        masks = data.draw(
+            st.lists(
+                st.integers(min_value=1, max_value=interned.omega_mask),
+                max_size=6,
+                unique=True,
+            )
+        )
+        values = [data.draw(self.masses) for _ in masks]
+        compiled = CompiledMass(interned, tuple(masks), tuple(values))
+        query = data.draw(st.integers(min_value=0, max_value=interned.omega_mask))
+        bel = self.seeded(compiled, lambda mask: mask & query == mask)
+        pls = self.seeded(compiled, lambda mask: mask & query)
+        common = self.seeded(compiled, lambda mask: mask & query == query)
+        assert self.same(compiled.bel(query), bel)
+        assert self.same(compiled.pls(query), pls)
+        sn, sp = compiled.bel_pls(query)
+        assert self.same(sn, bel) and self.same(sp, pls)
+        assert self.same(compiled.commonality(query), common)
+
+    def test_empty_sums_are_the_shared_zero(self):
+        interned = intern_frame(FrameOfDiscernment("sums", VALUE_POOL[:3]))
+        compiled = CompiledMass(interned, (0b001,), (0.5,))
+        assert compiled.bel(0b110) is kernel._ZERO
+        assert compiled.pls(0b110) is kernel._ZERO
+        assert compiled.bel_pls(0b110) == (kernel._ZERO, kernel._ZERO)
+        assert compiled.commonality(0b010) is kernel._ZERO

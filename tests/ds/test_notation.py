@@ -1,19 +1,28 @@
 """Tests for the paper's evidence-set notation (parse and format)."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import repro
 from repro.errors import NotationError
 from repro.ds.frame import OMEGA, FrameOfDiscernment
 from repro.ds.mass import MassFunction
 from repro.ds.notation import (
+    _TOKEN_RE,
+    _tokenize,
     format_evidence,
     format_focal_element,
     format_mass_value,
     parse_atom,
     parse_evidence,
+    parse_number,
 )
 from tests.conftest import mass_functions
 
@@ -174,3 +183,111 @@ class TestRoundTrip:
 @given(m=mass_functions())
 def test_format_parse_round_trip(m):
     assert parse_evidence(format_evidence(m, style="fraction")) == m
+
+
+# -- tokenizer ------------------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The token-by-token loop the one-pass tokenizer must agree with."""
+    tokens: list[str] = []
+    position = 0
+    while position < len(text):
+        match = _TOKEN_RE.match(text, position)
+        if match is None:
+            raise NotationError(
+                f"cannot tokenize evidence set at offset {position}: {text[position:]!r}"
+            )
+        tokens.append(match.group(1))
+        position = match.end()
+    return tokens
+
+
+def outcome(tokenize, text: str):
+    try:
+        return ("tokens", tokenize(text))
+    except NotationError as exc:
+        return ("error", str(exc))
+
+
+#: Pieces the generated texts are made of: every structural character,
+#: both quotes, the escape character, whitespace and a few atoms.
+TOKEN_ALPHABET = [
+    "[", "]", "{", "}", ",", "^", '"', "'", "\\", " ", "  ", "\t", "\n",
+    "a", "si", "hu", "Ω", "omega", "*", "0.5", "1/3", "7", "-2", '"a b"',
+    "'x'", '"a\\"b"',
+]
+
+
+class TestTokenizer:
+    @given(st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join))
+    def test_matches_the_token_loop(self, text):
+        assert outcome(_tokenize, text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "[si^0.5, hu^0.25, Ω^0.25]",
+            '["a b"^1/2, {x,"y,z"}^1/2]',
+            "[a^1] ",
+            "[a^1]  \n",
+            ' "unterminated',
+        ],
+    )
+    def test_examples_match_the_token_loop(self, text):
+        assert outcome(_tokenize, text) == outcome(reference_tokenize, text)
+
+    def test_malformed_input_fails_in_linear_time(self):
+        """A long run of atom characters before an unparseable tail must
+        fail fast.  A plain repeated-token ``fullmatch`` retries every
+        split of the run and never finishes, so the tokenizer runs in a
+        child process the test can time out."""
+        code = (
+            "import json, time\n"
+            "from repro.ds.notation import _tokenize\n"
+            "from repro.errors import NotationError\n"
+            "text = '[' + 'a' * 10_000 + ' '\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    _tokenize(text)\n"
+            "except NotationError as exc:\n"
+            "    message = str(exc)\n"
+            "else:\n"
+            "    message = None\n"
+            "print(json.dumps([time.perf_counter() - start, message]))\n"
+        )
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])),
+                capture_output=True,
+                text=True,
+                timeout=30,
+                check=True,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("tokenizing malformed input did not finish in 30 s")
+        elapsed, message = json.loads(completed.stdout)
+        assert message == "cannot tokenize evidence set at offset 10001: ' '"
+        assert elapsed < 1.0
+
+
+class TestMemoizedParses:
+    def test_atoms_are_memoized(self):
+        assert parse_atom("2/3") is parse_atom("2/3")
+        assert parse_atom("cantonese") == "cantonese"
+
+    def test_numbers_are_memoized(self):
+        assert parse_number("1/3") == Fraction(1, 3)
+        assert parse_number("0.25") is parse_number("0.25")
+
+    @pytest.mark.parametrize("token", ["x", "1/0", ""])
+    def test_bad_numbers_raise_every_time(self, token):
+        for _ in range(2):
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                parse_number(token)
+
+    def test_bad_mass_value_is_a_notation_error(self):
+        with pytest.raises(NotationError, match="cannot parse mass value"):
+            parse_evidence("[a^x]")

@@ -1,4 +1,4 @@
-"""Host-independent cost counts of the serial integrate path.
+"""Host-independent cost counts of the serial integrate and query paths.
 
 A wall-clock floor depends on the machine; these counts do not.  On the
 fixed float federation of :mod:`test_golden_integrate` (seed 11) the
@@ -11,6 +11,16 @@ serial fold must
 * validate each mass function a kernel operation produces exactly once
   (:func:`repro.ds.mass.validate_mass_total`), and make exactly as many
   validation calls in total as it always has.
+
+On a fixed exact relation of ``N`` tuples, the extended selection must
+
+* range-check exactly ``N`` membership pairs -- the predicate supports
+  ``F_SS`` -- and none of the ``F_TM`` products;
+* re-coerce no attribute value of a kept tuple, and seed no ``Bel``/
+  ``Pls`` sum with a fresh ``Fraction(0)``;
+
+while loading that relation from SQLite still validates every stored
+evidence value once (validation at ingress stays).
 """
 
 from __future__ import annotations
@@ -20,9 +30,16 @@ from fractions import Fraction
 
 import pytest
 
+from repro.algebra.predicates import IsPredicate
+from repro.algebra.select import select_eager
+from repro.algebra.thresholds import sn_at_least
+from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.ds import combination, discounting, kernel, mass
 from repro.exec.executors import executor_scope
+from repro.model import etuple as etuple_module
 from repro.model.membership import TupleMembership
+from repro.storage.backends import create_database
+from repro.storage.database import Database
 from tests.integration.test_golden_integrate import (
     FLOAT_RELIABILITIES,
     golden_sources,
@@ -158,3 +175,112 @@ def test_membership_rule_float_operands_stay_float():
     result = counter.call(left.combine_dempster, right)
     assert counter.allocations == 0
     assert type(result.sn) is float and type(result.sp) is float
+
+
+# -- the read path --------------------------------------------------------------
+
+#: Tuples of the fixed exact relation the read-path counts run on.
+READ_TUPLES = 400
+
+#: Non-key attributes of the synthetic schema (category, score, label):
+#: each stored tuple holds one evidence value per attribute.
+EVIDENCE_PER_TUPLE = 3
+
+
+def read_relation():
+    return synthetic_relation(
+        SyntheticConfig(n_tuples=READ_TUPLES, exact=True, seed=41), "R"
+    )
+
+
+def _counting(counts, name, function):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+def _zero_seeds(function, *args):
+    """Run *function*, counting ``Fraction(0)`` constructions (a bare
+    zero numerator; the arithmetic always passes a denominator)."""
+    zeros = 0
+
+    def hook(frame, event, arg):
+        nonlocal zeros
+        if (
+            event == "call"
+            and frame.f_code is Fraction.__new__.__code__
+            and frame.f_locals.get("denominator") is None
+            and frame.f_locals.get("numerator") == 0
+        ):
+            zeros += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, zeros
+
+
+def test_selection_checks_supports_not_products(monkeypatch):
+    relation = read_relation()
+    predicate = IsPredicate("category", {"c1", "c4", "c7"})
+    threshold = sn_at_least("0.05")
+    select_eager(relation, predicate, threshold)  # compile the evidence
+    counts = {"memberships": 0, "coerced": 0, "zero_seeds": 0, "bel_pls": 0}
+    monkeypatch.setattr(
+        TupleMembership,
+        "__init__",
+        _counting(counts, "memberships", TupleMembership.__init__),
+    )
+    monkeypatch.setattr(
+        etuple_module,
+        "_coerce_value",
+        _counting(counts, "coerced", etuple_module._coerce_value),
+    )
+    original_bel_pls = kernel.CompiledMass.bel_pls
+
+    def bel_pls(self, query_mask):
+        counts["bel_pls"] += 1
+        result, zeros = _zero_seeds(original_bel_pls, self, query_mask)
+        counts["zero_seeds"] += zeros
+        return result
+
+    monkeypatch.setattr(kernel.CompiledMass, "bel_pls", bel_pls)
+    selected = select_eager(relation, predicate, threshold)
+    assert 0 < len(selected) < READ_TUPLES
+    assert counts["bel_pls"] == READ_TUPLES
+    assert counts["memberships"] == READ_TUPLES
+    assert counts["coerced"] == 0
+    assert counts["zero_seeds"] == 0
+
+
+def test_bel_pls_misses_return_the_shared_zero():
+    compiled = next(iter(read_relation())).evidence("category").mass_function.compiled()
+    (sn, sp), zeros = _zero_seeds(compiled.bel_pls, 0)
+    assert (sn, sp) == (0, 0) and type(sn) is Fraction and type(sp) is Fraction
+    assert zeros == 0
+
+
+def test_loading_validates_every_stored_evidence_value(monkeypatch, tmp_path):
+    url = f"sqlite:{tmp_path / 'read.db'}"
+    database = create_database(url, "read")
+    database.add(read_relation())
+    database.persist()
+    database.close()
+    counts = {"validates": 0}
+    monkeypatch.setattr(
+        mass,
+        "validate_mass_total",
+        _counting(counts, "validates", mass.validate_mass_total),
+    )
+    database = Database.open(url)
+    try:
+        loaded = database.get("R")
+    finally:
+        database.close()
+    assert len(loaded) == READ_TUPLES
+    assert counts["validates"] == READ_TUPLES * EVIDENCE_PER_TUPLE

@@ -4,7 +4,8 @@ The claim the partitioned layer exists for: the paper's integration
 semantics decompose per entity, so with enough cores the Dempster-merge
 work of ``Federation.integrate`` and ``StreamEngine.flush`` scales with
 the worker count.  This bench measures both hot paths at 1/2/4/8
-process workers against the serial baseline, asserts every parallel
+process workers (the warm pool, :mod:`repro.exec.warmpool`) against
+the serial baseline, asserts every parallel
 result equals the serial relation exactly (tuples *and* order), and --
 on a machine with at least 4 cores -- requires >= 2x on federation
 integrate at 4 process workers (``PARALLEL_BENCH_RATIO_FLOOR`` relaxes
@@ -159,9 +160,9 @@ def test_stream_flush_scaling_is_exact_and_recorded():
         f"{serial_elapsed * 1e3:.1f} ms"
     )
     for workers in WORKER_COUNTS:
-        elapsed, relation = run(dict(executor="thread", workers=workers))
+        elapsed, relation = run(dict(executor="process", workers=workers))
         print(
-            f"stream flush, {workers} thread worker(s): "
+            f"stream flush, {workers} process worker(s): "
             f"{elapsed * 1e3:.1f} ms "
             f"({serial_elapsed / elapsed:.2f}x vs serial)"
         )

@@ -9,6 +9,11 @@ accumulated tuples the incremental path must win by >= 10x.
 
 Both paths produce the identical relation (asserted here and verified
 property-based in ``tests/stream``).
+
+O(delta) holds for persistence too: a one-entity stream flush against
+the SQLite backend writes a small fraction of the full-relation payload
+(``storage.sqlite.bytes_written`` scales with the *changed* hash
+shards, not the relation size).
 """
 
 import os
@@ -18,6 +23,10 @@ import pytest
 
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.integration import Federation, TupleMerger
+from repro.model.relation import partition_index
+from repro.obs import registry
+from repro.storage import open_backend
+from repro.storage.backends.sqlite import STREAM_SHARDS
 from repro.stream import StreamEngine
 
 #: Entities per source; every entity appears in all three sources, so
@@ -30,6 +39,8 @@ DELTA = 16
 #: (measured ~17x on quiet hardware); shared CI runners set a looser
 #: floor via the environment so scheduler noise cannot fail the build.
 RATIO_FLOOR = float(os.environ.get("STREAM_BENCH_RATIO_FLOOR", "10"))
+#: Stream relation size for the dirty-shard byte measurements.
+N_STREAM_ENTITIES = 512
 
 
 def _sources():
@@ -137,3 +148,51 @@ def _timed(operation):
     started = time.perf_counter()
     operation()
     return time.perf_counter() - started
+
+
+def test_dirty_shard_flush_bytes_scale_with_the_delta(
+    tmp_path, bench_record
+):
+    config = SyntheticConfig(
+        n_tuples=N_STREAM_ENTITIES,
+        conflict=0.3,
+        ignorance=1.0,
+        exact=False,
+        seed=41,
+    )
+    relation = synthetic_relation(config, "s0")
+    etuples = list(relation)
+    bytes_written = registry().counter("storage.sqlite.bytes_written")
+    with open_backend(f"sqlite:{tmp_path / 'stream.sqlite'}") as backend:
+        engine = StreamEngine(
+            relation.schema,
+            name="s0",
+            backend=backend,
+            merger=TupleMerger(on_conflict="vacuous"),
+        )
+        for etuple in etuples:
+            engine.upsert("a", etuple)
+        before = bytes_written.value
+        engine.flush()
+        full = bytes_written.value - before
+        # Re-assert one entity with a second source: one dirty shard.
+        engine.upsert("b", etuples[0])
+        before = bytes_written.value
+        engine.flush()
+        delta = bytes_written.value - before
+        loaded = backend.load_relation("s0")
+        assert loaded == engine.relation
+        assert list(loaded.keys()) == list(engine.relation.keys())
+    shard_fraction = len(
+        [e for e in etuples if partition_index(e.key(), STREAM_SHARDS) == 0]
+    ) / len(etuples)
+    print(
+        f"\nflush payload: full {full:,} B, one-entity delta {delta:,} B "
+        f"({delta / full:.1%} of full; one shard holds ~{shard_fraction:.1%})"
+    )
+    bench_record("full_flush_bytes", full)
+    bench_record("dirty_flush_bytes", delta)
+    bench_record("dirty_vs_full_fraction", delta / full)
+    # One changed entity dirties one of the 16 shards: the write must be
+    # a small fraction of the relation payload, not O(relation).
+    assert 0 < delta < full / 4

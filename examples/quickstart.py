@@ -12,12 +12,10 @@ This walks the paper's core loop with the fluent lazy API:
    rule is associative), publishes on flush, and re-collects
    subscribed queries,
 5. inspect the compact evidence kernel that runs underneath it all,
-6. fan the same work out over a worker pool: the physical execution
-   layer shards entity work into hash partitions, and any executor /
-   partition count reproduces the serial result exactly -- including
-   the adaptive runtime (REPRO_EXECUTOR=auto), where a cost model
-   routes each batch to the serial loop, the thread pool or the warm
-   process pool,
+6. fan the same work out over a warm process pool: the physical
+   execution layer shards entity work into hash partitions, and either
+   executor (serial or process) at any partition count reproduces the
+   serial result exactly,
 7. persist everything through a pluggable storage backend (json /
    sqlite / append-only log), with write-ahead durability for streams,
 8. watch it all through the unified telemetry layer (repro.obs):
@@ -29,7 +27,6 @@ This walks the paper's core loop with the fluent lazy API:
 Run:  python examples/quickstart.py
 """
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -149,19 +146,23 @@ def main() -> None:
     # Execution & parallelism.  The integration semantics are
     # per-entity (definite keys identify real-world entities; merges
     # never mix entities), so the physical layer (repro.exec) can shard
-    # every relation into hash partitions and fan the partition tasks
-    # out over a worker pool -- `configure(executor=..., workers=...)`,
-    # or the REPRO_EXECUTOR / REPRO_WORKERS environment variables, or
-    # `repro stream DB EVENTS --schema REL --workers 4` on the CLI.
-    # The default stays serial; with any executor and any partition
-    # count the results are *identical* to the serial path (same
-    # tuples, same order, exact masses -- property-tested), so turning
-    # parallelism on is purely a performance decision.
+    # entity work into hash partitions and fan the partition tasks out
+    # over a warm process pool -- `configure(executor="process",
+    # workers=...)`, or the REPRO_EXECUTOR / REPRO_WORKERS environment
+    # variables, or `repro stream DB EVENTS --schema REL --workers 4` on
+    # the CLI.  The pool (repro.exec.warmpool) is forked once and every
+    # later batch ships as compact pickled chunks; a batch that cannot
+    # pickle runs inline (exec.warmpool.fallbacks).  The default stays
+    # serial; with either executor and any partition count the results
+    # are *identical* to the serial path (same tuples, same order, exact
+    # masses -- property-tested), so turning parallelism on is purely a
+    # performance decision.
     from repro.exec import current_config, exec_stats, executor_scope
+    from repro.obs import registry as obs_registry
     from repro.session import Session
 
     serial_union = integrated.collect()
-    with executor_scope(executor="thread", workers=4) as config:
+    with executor_scope(executor="process", workers=2) as config:
         print(config.describe())  # also shown by `repro repl` :stats
         # A fresh session, so the collect below really re-executes
         # (the default session would serve its cached result).
@@ -169,128 +170,18 @@ def main() -> None:
         assert parallel.same_tuples(serial_union)
         assert [t.key() for t in parallel] == [t.key() for t in serial_union]
         print(exec_stats().summary())
+    pool = obs_registry().collect()
+    print(
+        f"  exec.warmpool.dispatches={pool['exec.warmpool.dispatches']} "
+        f"spawns={pool['exec.warmpool.spawns']}"
+    )
     print(f"back to the default: {current_config().describe()}")
-    print()
-
-    # The adaptive runtime.  Picking an executor and partition count by
-    # hand is itself a tuning burden, so `REPRO_EXECUTOR=auto` (or
-    # executor="auto") hands the choice to a cost model (repro.exec.cost):
-    # each batch is priced from its entity count, sources per entity,
-    # focal-set sizes and the live kernel-vs-fallback ratio, then routed
-    # to the serial loop, the thread pool, or the process pool --
-    # whichever the estimate says finishes first.  Process batches with
-    # picklable payloads dispatch through a *warm* worker pool
-    # (repro.exec.warmpool, disable with REPRO_WARM_POOL=0): the fork is
-    # paid once and every later batch ships as compact pickled chunks,
-    # which is what makes process workers profitable on the small
-    # batches a stream engine flushes all day.  Routing is invisible in
-    # the results -- auto is property-tested bit-for-bit against serial.
-    from repro.exec import cost
-
-    with executor_scope(executor="auto", workers=4):
-        with cost.workload(sources=2.0, focal=4.0):
-            decision = cost.decide_for(len(serial_union), workers=4)
-        print(f"cost model on this workload: {decision.describe()}")
-        adaptive = Session(db).execute("RA UNION RB BY (rname)")
-        assert adaptive.same_tuples(serial_union)
-        assert [t.key() for t in adaptive] == [t.key() for t in serial_union]
     # Persistence is adaptive too: sqlite stream flushes rewrite only
     # the hash shards the batch touched (bytes written scale with the
     # *delta*, watch storage.sqlite.bytes_written), quiet flushes skip
     # the backend entirely, and REPRO_AUTOCOMPACT=1 keeps a log:
     # journal bounded by compacting once it outgrows its last compact
     # size (`repro compact DB` does the same on demand).
-    print()
-
-    # Distributed execution.  Beyond one machine's cores, the remote
-    # executor (repro.exec.remote) scatters encoded partition batches
-    # to worker daemons over TCP or unix sockets and gathers replies in
-    # exact serial order.  Start daemons with `repro worker serve
-    # HOST:PORT`, point REPRO_WORKERS_ADDRS at them (comma-separated)
-    # and set REPRO_EXECUTOR=remote -- or let `repro worker run -n 4 --
-    # CMD` wire up a loopback cluster around any command.  Transport
-    # failures re-scatter the dead worker's chunks to survivors
-    # (exec.remote.retries); with no cluster at all the executor
-    # degrades to local execution, so remote is always safe to enable.
-    # The cost model prices every batch against the measured round-trip
-    # latency and bytes-per-item, so small batches never leave the
-    # process (REPRO_REMOTE_THRESHOLD pins the gate; 0 forces the wire).
-    from repro.exec.remote import spawn_local_cluster
-    from repro.obs import registry as obs_registry
-
-    with spawn_local_cluster(2) as cluster:
-        os.environ["REPRO_WORKERS_ADDRS"] = cluster.addr_spec
-        os.environ["REPRO_REMOTE_THRESHOLD"] = "0"
-        try:
-            with executor_scope(executor="remote", workers=2, partitions=4):
-                distributed = Session(db).execute("RA UNION RB BY (rname)")
-            assert distributed.same_tuples(serial_union)
-            assert [t.key() for t in distributed] == [
-                t.key() for t in serial_union
-            ]
-        finally:
-            del os.environ["REPRO_WORKERS_ADDRS"]
-            del os.environ["REPRO_REMOTE_THRESHOLD"]
-        wire = obs_registry().collect()
-        print(f"distributed over {cluster!r}")
-        print(
-            f"  exec.remote.batches={wire['exec.remote.batches']} "
-            f"tasks={wire['exec.remote.tasks']} "
-            f"bytes_sent={wire['exec.remote.bytes_sent']}"
-        )
-    print()
-
-    # Shard-resident workers.  Start daemons with `repro worker serve
-    # HOST:PORT --store sqlite:shards.db` (or `repro worker run -n 4
-    # --store -- CMD`) and each one owns a local shard store.  The
-    # coordinator then ships entity *keys* instead of encoded tuples:
-    # before a batch scatters it pushes only the dirty-shard delta since
-    # the last sync (the stream engine's flush deltas and
-    # Database.persist feed it), workers point-load their rows locally,
-    # and repeated integrations over slowly-changing sources stop
-    # re-sending the same tuples every batch.  Fallback rules: a stale
-    # store epoch, a dead worker, a worker without --store, or an
-    # unpublished relation quietly re-ships that chunk (or batch) as
-    # tuples -- results are bit-for-bit the serial ones either way.
-    # REPRO_REMOTE_LOCALITY=0 disables keyed scatter, =1 skips the cost
-    # gate; by default the cost model prices key bytes + pending sync
-    # against tuple shipping per batch.  Watch it work through
-    # exec.remote.locality_hits / locality_misses / bytes_saved.
-    from repro.integration import Federation, TupleMerger
-
-    with tempfile.TemporaryDirectory() as shards:
-        with spawn_local_cluster(2, store_dir=shards) as cluster:
-            os.environ["REPRO_WORKERS_ADDRS"] = cluster.addr_spec
-            os.environ["REPRO_REMOTE_THRESHOLD"] = "0"
-            os.environ["REPRO_REMOTE_LOCALITY"] = "1"
-            try:
-                federation = Federation(TupleMerger(on_conflict="vacuous"))
-                federation.add_source("RA", table_ra())
-                federation.add_source("RB", table_rb())
-                with executor_scope(
-                    executor="serial", workers=1, partitions=None
-                ):
-                    baseline, _ = federation.integrate(name="F")
-                with executor_scope(
-                    executor="remote", workers=2, partitions=4
-                ):
-                    keyed, _ = federation.integrate(name="F")
-                    keyed_again, _ = federation.integrate(name="F")
-                assert keyed == baseline
-                assert keyed_again == baseline
-            finally:
-                del os.environ["REPRO_WORKERS_ADDRS"]
-                del os.environ["REPRO_REMOTE_THRESHOLD"]
-                del os.environ["REPRO_REMOTE_LOCALITY"]
-            locality = obs_registry().collect()
-            print("shard-resident workers (keys, not tuples):")
-            print(
-                f"  exec.remote.locality_hits="
-                f"{locality['exec.remote.locality_hits']} "
-                f"locality_misses="
-                f"{locality['exec.remote.locality_misses']} "
-                f"bytes_saved={locality['exec.remote.bytes_saved']}"
-            )
     print()
 
     # Persistence & backends.  Storage locations are URLs -- `json:`

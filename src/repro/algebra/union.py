@@ -182,7 +182,7 @@ def _union_serial(
 
 
 def _merge_shard(common, pair):
-    """One shard of a partitioned merge (module-level: remote-shippable).
+    """One shard of a partitioned merge (module-level: pool-shippable).
 
     *common* is the per-batch constant ``(serial_core, schema,
     on_conflict)``; total-conflict errors return as data so the
@@ -216,20 +216,9 @@ def _merge_partitioned(
     entity comes earliest in left-iteration order wins).
     """
     pairs = list(zip(left.partitions(n), right.partitions(n)))
-    executor = get_executor()
-    if executor.kind == "remote":
-        # The encoded form pickles (serial_core, schema, on_conflict)
-        # once per batch, so shards can ship to worker daemons; the
-        # closure below would pin the whole batch to the local fallback.
-        outcomes = executor.map_encoded(
-            _merge_shard, (serial_core, schema, on_conflict), pairs
-        )
-    else:
-
-        def task(pair):
-            return _merge_shard((serial_core, schema, on_conflict), pair)
-
-        outcomes = executor.map(task, pairs)
+    outcomes = get_executor().map(
+        _merge_shard, (serial_core, schema, on_conflict), pairs
+    )
     errors = [exc for _, exc in outcomes if exc is not None]
     if errors:
         position = {key: index for index, key in enumerate(left.keys())}

@@ -1,8 +1,9 @@
 """CONC: fork/thread-safety of executor-reachable code.
 
-The physical layer (:mod:`repro.exec`) runs partition tasks on thread
-pools and ``fork`` process pools, so any module a task can reach is
-concurrent code whether it planned to be or not.  Two rules:
+The physical layer (:mod:`repro.exec`) ships partition tasks to a warm
+``fork`` process pool, and callers may drive it from several threads,
+so any module a task can reach is concurrent code whether it planned to
+be or not.  Three rules:
 
 * **CONC001** -- a module-level mutable global (a container literal or
   constructed instance) written from inside a function without holding a
@@ -18,22 +19,23 @@ concurrent code whether it planned to be or not.  Two rules:
   enclosing variable bound from ``open(...)``, ``sqlite3.connect(...)``
   or a ``threading`` lock (by assignment or as a ``with ... as`` target),
   passed to ``.submit``/``.map``/``.apply_async``/``.imap*`` -- or to
-  the *long-lived* warm-pool dispatches ``.submit_batch``/
-  ``.map_encoded`` (:mod:`repro.exec.warmpool`), where the hazard is
-  worse: the workers were forked long before the capture, so any handle
-  state is stale in the worker by construction, not merely racy.
-  Keyword arguments are scanned as well as positional ones.  File
-  offsets, sqlite connections and held locks do not survive ``fork`` --
-  the child inherits corrupt state.
+  the *long-lived* warm-pool dispatch ``.submit_batch``
+  (:mod:`repro.exec.warmpool`), where the hazard is worse: the workers
+  were forked long before the capture, so any handle state is stale in
+  the worker by construction, not merely racy.  Keyword arguments are
+  scanned as well as positional ones.  File offsets, sqlite connections
+  and held locks do not survive ``fork`` -- the child inherits corrupt
+  state.
 * **CONC003** -- a closure capturing a **socket** (``socket.socket``,
-  ``socket.create_connection``, ``socketpair``) shipped through the
-  encoded batch dispatches ``.map_encoded``/``.submit_batch``.  Those
-  dispatches cross a process -- with ``REPRO_EXECUTOR=remote``, a
-  machine -- boundary by pickling the task, and sockets do not pickle
-  at all: the capture is a guaranteed runtime failure (or a silent
-  local fallback), not merely a race.  Plain ``.submit``/``.map``
-  dispatches are deliberately out of scope: a thread pool shares the
-  address space, where handing a socket to a task is legitimate.
+  ``socket.create_connection``, ``socketpair``) shipped through an
+  encoded batch dispatch: the warm pool's ``.submit_batch`` or the
+  executor's three-operand ``.map(fn, common, items)``.  Those
+  dispatches cross the warm pool's process boundary by pickling the
+  task, and sockets do not pickle at all: the capture is a guaranteed
+  runtime failure (or a silent inline fallback), not merely a race.
+  Plain ``.submit`` and two-operand ``.map(fn, items)`` dispatches are
+  deliberately out of scope: a thread pool shares the address space,
+  where handing a socket to a task is legitimate.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ _MUTATING_METHODS = {
     "setdefault",
     "update",
 }
-#: Pool-dispatch method names.  ``submit_batch``/``map_encoded`` are the
-#: warm persistent pool's entry points (repro.exec.warmpool): their
-#: submissions outlive any batch, so a captured handle is stale in the
-#: long-ago-forked worker by construction.
+#: Pool-dispatch method names.  ``submit_batch`` is the warm persistent
+#: pool's entry point (repro.exec.warmpool): its submissions outlive any
+#: batch, so a captured handle is stale in the long-ago-forked worker by
+#: construction.
 _POOL_DISPATCH = {
     "submit",
     "map",
@@ -79,17 +81,25 @@ _POOL_DISPATCH = {
     "imap",
     "imap_unordered",
     "submit_batch",
-    "map_encoded",
 }
 _FORK_UNSAFE_CONSTRUCTORS = {"open", "sqlite3.connect", "connect"}
 #: Socket constructors (CONC003).  ``socket.socket`` and a bare
 #: ``socket(...)`` both end in ``socket``; ``create_connection`` and
 #: ``socketpair`` are the stdlib's other two ways to mint one.
 _SOCKET_CONSTRUCTORS = {"socket", "create_connection", "socketpair"}
-#: The encoded batch dispatches that pickle the task across a process
-#: (or, remotely, a machine) boundary -- where a captured socket is a
-#: guaranteed failure rather than a race.
-_WIRE_DISPATCH = {"submit_batch", "map_encoded"}
+
+
+def _is_wire_dispatch(call: ast.Call) -> bool:
+    """Whether *call* pickles its task across the warm pool's process
+    boundary -- where a captured socket is a guaranteed failure rather
+    than a race: ``submit_batch``, and ``map`` in its three-operand
+    ``(fn, common, items)`` executor form."""
+    if call.func.attr == "submit_batch":
+        return True
+    return call.func.attr == "map" and (
+        len(call.args) == 3
+        or any(keyword.arg == "common" for keyword in call.keywords)
+    )
 
 
 def _call_tail(node: ast.AST) -> str | None:
@@ -371,7 +381,7 @@ class _ForkCaptureVisitor(ScopedVisitor):
                 f"fork-capture:{closure_name}",
             )
         captured_sockets = sorted(name for name in captured if name in sockets)
-        if captured_sockets and call.func.attr in _WIRE_DISPATCH:
+        if captured_sockets and _is_wire_dispatch(call):
             resources = ", ".join(
                 f"{name} (from {sockets[name]})" for name in captured_sockets
             )
@@ -380,7 +390,7 @@ class _ForkCaptureVisitor(ScopedVisitor):
                 call,
                 f"{label} captures socket(s) {resources} and is shipped "
                 f"through .{call.func.attr}(), which pickles the task "
-                f"across a process or machine boundary; sockets never "
+                f"across a process boundary; sockets never "
                 f"survive that hop -- pass the address and connect "
                 f"inside the task instead",
                 f"socket-capture:{closure_name}",

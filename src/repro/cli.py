@@ -58,24 +58,13 @@ else JSON).
     through a :class:`repro.stream.StreamEngine` using REL's schema,
     publish the integrated relation into the catalog, and report
     throughput, the kernel-vs-fallback combination split and the
-    per-batch changelog.  ``--workers N`` (and ``--executor``) fan the
-    flush re-folds out over a worker pool (:mod:`repro.exec`);
+    per-batch changelog.  ``--workers N`` fans the flush re-folds out
+    over N warm pool processes (:mod:`repro.exec`; ``--executor
+    serial|process`` picks the executor explicitly);
     ``--durable URL`` journals every flushed batch through a storage
     backend (a ``log:`` URL gives write-ahead recovery); ``--save OUT``
     persists the resulting database, ``--show`` prints the integrated
     table, ``--trace-out FILE`` traces the replay into FILE as JSONL.
-
-``repro worker serve ADDRESS`` / ``repro worker run -n N -- CMD``
-    Distributed execution (:mod:`repro.exec.remote`).  ``serve`` runs
-    one worker daemon on ``HOST:PORT`` (or ``unix:/path``); point
-    coordinators at it with ``REPRO_EXECUTOR=remote`` and
-    ``REPRO_WORKERS_ADDRS=host:port,host:port,...``.  ``run`` spawns a
-    loopback cluster of N daemons, executes CMD with the remote
-    executor configured against it, and tears the cluster down --
-    ``make test-remote`` uses it to drive the tier-1 suite over the
-    wire.  With ``--store`` workers own per-node shard stores and
-    eligible batches ship entity keys instead of tuples
-    (``make test-remote-sharded``).
 
 Exit status: 0 on success, 1 on any :class:`repro.errors.ReproError`
 (message on stderr), 2 on usage errors.
@@ -84,7 +73,6 @@ Exit status: 0 on success, 1 on any :class:`repro.errors.ReproError`
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from contextlib import contextmanager
@@ -213,15 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fan flush re-folds out over N workers (implies a thread "
+        help="fan flush re-folds out over N workers (implies the process "
         "executor unless --executor says otherwise)",
     )
     stream.add_argument(
         "--executor",
-        choices=["serial", "thread", "process", "auto"],
+        choices=["serial", "process"],
         default=None,
-        help="physical executor; 'auto' picks per batch via the cost "
-        "model (default: REPRO_EXECUTOR or serial)",
+        help="physical executor (default: REPRO_EXECUTOR or serial)",
     )
     stream.add_argument(
         "--durable",
@@ -299,69 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(log: URLs only)",
     )
     compact.add_argument("database", help="store location (URL or path)")
-
-    worker = commands.add_parser(
-        "worker",
-        help="distributed execution: serve a worker daemon or run a "
-        "command against a local cluster",
-    )
-    worker_actions = worker.add_subparsers(
-        dest="worker_command", required=True
-    )
-    serve = worker_actions.add_parser(
-        "serve",
-        help="run one worker daemon on ADDRESS (HOST:PORT or unix:/path; "
-        "port 0 picks a free one)",
-    )
-    serve.add_argument("address", help="address to bind (HOST:PORT)")
-    serve.add_argument(
-        "--pool-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan batches over N local warm-pool processes (default 1)",
-    )
-    serve.add_argument(
-        "--store",
-        default=None,
-        metavar="URL",
-        help="own a shard store at URL (e.g. sqlite:shards.db): the "
-        "coordinator syncs relation shards here and ships entity keys "
-        "instead of tuples",
-    )
-    run = worker_actions.add_parser(
-        "run",
-        help="spawn a loopback cluster, run CMD against it "
-        "(REPRO_EXECUTOR=remote), tear the cluster down",
-    )
-    run.add_argument(
-        "-n",
-        "--workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="cluster size (default 4)",
-    )
-    run.add_argument(
-        "--threshold",
-        type=int,
-        default=0,
-        metavar="N",
-        help="REPRO_REMOTE_THRESHOLD for the command (default 0: "
-        "every batch goes remote)",
-    )
-    run.add_argument(
-        "--store",
-        action="store_true",
-        help="give every worker a temporary SQLite shard store, so "
-        "eligible batches scatter entity keys instead of tuples",
-    )
-    run.add_argument(
-        "cmd",
-        nargs=argparse.REMAINDER,
-        metavar="CMD",
-        help="command to run (prefix with -- to stop option parsing)",
-    )
     return parser
 
 
@@ -600,7 +524,7 @@ def _command_stream(args: argparse.Namespace, out) -> int:
     if args.executor is not None or args.workers is not None:
         kind = args.executor
         if kind is None and args.workers and args.workers > 1:
-            kind = "thread"
+            kind = "process"
         configure(executor=kind, workers=args.workers)
     db = open_database(args.database)
     durable = open_backend(args.durable) if args.durable else None
@@ -707,72 +631,6 @@ def _command_show(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_worker(args: argparse.Namespace, out) -> int:
-    if args.worker_command == "serve":
-        from repro.exec.remote import WorkerServer
-
-        server = WorkerServer(
-            args.address, pool_workers=args.pool_workers, store=args.store
-        )
-        server.start()
-        store_note = f", shard store {args.store}" if args.store else ""
-        print(
-            f"worker serving on {server.address} "
-            f"(pid {os.getpid()}, {args.pool_workers} pool worker(s)"
-            f"{store_note}); Ctrl-C to stop",
-            file=out,
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-        return 0
-
-    # worker run -n N -- CMD...
-    import subprocess
-
-    from repro.exec.remote import spawn_local_cluster
-
-    cmd = list(args.cmd)
-    if cmd and cmd[0] == "--":
-        cmd = cmd[1:]
-    if not cmd:
-        print("error: worker run needs a command after --", file=sys.stderr)
-        return 2
-    store_dir = None
-    if args.store:
-        import tempfile
-
-        store_dir = tempfile.TemporaryDirectory(prefix="repro-shards-")
-    try:
-        cluster = spawn_local_cluster(
-            args.workers,
-            store_dir=store_dir.name if store_dir else None,
-        )
-    except BaseException:
-        if store_dir is not None:
-            store_dir.cleanup()
-        raise
-    env = dict(os.environ)
-    env["REPRO_EXECUTOR"] = "remote"
-    env["REPRO_WORKERS_ADDRS"] = cluster.addr_spec
-    env["REPRO_REMOTE_THRESHOLD"] = str(args.threshold)
-    sharded = " with shard stores" if args.store else ""
-    print(
-        f"cluster of {args.workers} worker(s){sharded} at "
-        f"{cluster.addr_spec}; running: {' '.join(cmd)}",
-        file=out,
-    )
-    try:
-        return subprocess.call(cmd, env=env)
-    finally:
-        cluster.stop()
-        if store_dir is not None:
-            store_dir.cleanup()
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the exit status."""
     out = out if out is not None else sys.stdout
@@ -787,7 +645,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "show": _command_show,
         "stats": _command_stats,
         "stream": _command_stream,
-        "worker": _command_worker,
     }
     try:
         return handlers[args.command](args, out)

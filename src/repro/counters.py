@@ -2,9 +2,9 @@
 
 The library keeps two process-wide counter objects -- the evidence
 kernel's :data:`repro.ds.kernel.STATS` and the physical layer's
-:data:`repro.exec.executors.STATS` -- that are bumped from code running
-*inside* executor workers (a thread-pool fold compiles mass functions
-and combines evidence on worker threads).  A plain ``obj.field += 1``
+:data:`repro.exec.executors.STATS` -- that are bumped from whichever
+threads drive the library (an application may run integrations and
+queries on several threads at once).  A plain ``obj.field += 1``
 is a read-modify-write and loses updates under concurrency, so exact
 counts -- which the regression tests assert -- cannot ride on bare
 attributes.

@@ -106,11 +106,10 @@ class KernelStats:
 class LiveKernelStats:
     """The process-wide counters, safe to bump from executor workers.
 
-    Combination and compilation happen *inside* partition tasks when a
-    fold fans out (:mod:`repro.exec`), so the counters are bumped from
-    pool threads concurrently.  Increments go through
-    :class:`~repro.counters.ThreadLocalCounters` -- each worker bumps a
-    private cell, reads aggregate -- so counts observed after a batch
+    Combination and compilation may run on several caller threads at
+    once, so increments go through
+    :class:`~repro.counters.ThreadLocalCounters` -- each thread bumps a
+    private cell, reads aggregate -- so counts observed after the work
     completes are exact, with no lock on the combination hot path.
 
     Reads mirror the :class:`KernelStats` attribute API;
@@ -135,12 +134,7 @@ class LiveKernelStats:
         return self._counters.total("compilations")
 
     def bump(self, field: str, amount: int = 1) -> None:
-        """Add *amount* to *field* (lock-free; callable from any thread).
-
-        The *amount* form lets the remote coordinator fold a worker
-        daemon's shipped kernel-stats delta into the local counters in
-        one call per field.
-        """
+        """Add *amount* to *field* (lock-free; callable from any thread)."""
         self._counters.bump(field, amount)
 
     def snapshot(self) -> KernelStats:
@@ -176,27 +170,6 @@ _metrics_registry().register_source(
 def kernel_stats() -> KernelStats:
     """The process-wide :data:`STATS` object (live, not a copy)."""
     return STATS
-
-
-def apply_kernel_delta(
-    kernel_combinations: int = 0,
-    fallback_combinations: int = 0,
-    compilations: int = 0,
-) -> None:
-    """Fold a shipped counter delta into the process-wide :data:`STATS`.
-
-    Remote worker daemons run combinations in another process, so their
-    counter increments never reach this interpreter's globals; the
-    coordinator receives a ``since()`` delta on the wire and restores it
-    here.  This is the owning-layer entry point for that restore --
-    other packages call this instead of bumping :data:`STATS` directly.
-    """
-    if kernel_combinations:
-        STATS.bump("kernel_combinations", kernel_combinations)
-    if fallback_combinations:
-        STATS.bump("fallback_combinations", fallback_combinations)
-    if compilations:
-        STATS.bump("compilations", compilations)
 
 
 _enabled = True

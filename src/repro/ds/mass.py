@@ -503,9 +503,8 @@ class MassFunction:
         The state came out of a live instance's :meth:`__reduce__`, so
         the masses are already coerced, canonicalized and total-checked
         -- repeating that work made unpickling ~5x slower than the
-        pickle itself, which dominated the wire cost of shipping
-        evidence batches to remote executor workers
-        (:mod:`repro.exec.remote`).
+        pickle itself, which dominated the cost of shipping evidence
+        batches to process-pool workers (:mod:`repro.exec.warmpool`).
         """
         self = object.__new__(cls)
         self._masses = masses

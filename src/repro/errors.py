@@ -12,8 +12,7 @@ The exceptions mirror the layers of the system:
 * algebra layer (:class:`PredicateError`, :class:`OperationError`),
 * query layer (:class:`QueryError` and its lexing/parsing/planning
   subclasses, plus :class:`ExecutionError` for the physical layer and
-  its :class:`ConfigError` / :class:`ProtocolError` /
-  :class:`TaskDecodeError` refinements),
+  its :class:`ConfigError` refinement),
 * integration layer (:class:`IntegrationError`),
 * storage layer (:class:`SerializationError`, :class:`CatalogError`).
 """
@@ -144,33 +143,14 @@ class ConfigError(ExecutionError):
     """An execution-layer configuration value is invalid.
 
     Raised by :func:`repro.exec.configure` and the ``REPRO_EXECUTOR`` /
-    ``REPRO_WORKERS`` / ``REPRO_PARTITIONS`` / ``REPRO_WORKERS_ADDRS``
-    environment parsing; the message always names the accepted values
-    (``serial|thread|process|auto|remote``) so an operator sees the fix,
-    not just the failure.  Subclasses :class:`ExecutionError`, so
-    existing handlers keep working.
-    """
-
-
-class ProtocolError(ExecutionError):
-    """The remote-execution wire protocol was violated.
-
-    Raised by :mod:`repro.exec.remote.protocol` on a truncated frame,
-    bad magic, version mismatch, CRC failure or undecodable payload.
-    The coordinator treats it as a transport failure: the worker is
-    declared dead and the chunk is re-scattered to a survivor.
-    """
-
-
-class TaskDecodeError(ExecutionError):
-    """A worker daemon could not unpickle a shipped task.
-
-    Typically the task function lives in a module the daemon cannot
-    import (a test module, a ``__main__`` script) -- pickling by
-    reference succeeded on the coordinator but the reference does not
-    resolve on the worker.  This says nothing bad about the worker or
-    the task, so the coordinator treats the batch as unshippable and
-    runs it locally instead of retrying or failing.
+    ``REPRO_WORKERS`` / ``REPRO_PARTITIONS`` environment parsing.  The
+    message names the accepted values (``serial|process``) so an
+    operator sees the fix, not just the failure.  Naming a removed
+    executor tier (``thread``, ``auto``, ``remote``) or setting a
+    variable of a removed feature (``REPRO_WORKERS_ADDRS``,
+    ``REPRO_REMOTE_THRESHOLD``, ``REPRO_REMOTE_LOCALITY``,
+    ``REPRO_WARM_POOL``) raises it too, with a message saying so.
+    Subclasses :class:`ExecutionError`, so existing handlers keep working.
     """
 
 

@@ -1,42 +1,29 @@
-"""Pluggable executors: how partitioned physical work is fanned out.
+"""Executors: how partitioned physical work is fanned out.
 
 The integration semantics of the paper are per-entity -- Dempster
 merges, selection revision, union/intersection all decompose over
 definite keys -- so the physical layer phrases its work as independent
-*partition tasks*.  An :class:`Executor` decides how those tasks run:
+*partition tasks*.  Every fan-out goes through one dispatch,
+:meth:`Executor.map` ``(fn, common, items)``, which returns
+``[fn(common, item) for item in items]``: *fn* is a module-level
+function and ``common``/*items* pickle.  Two executors run it:
 
-* :class:`SerialExecutor` (the default) runs tasks inline, in order.
-  Results and pair order are bit-for-bit identical to the historical
-  single-loop code paths.
-* :class:`ThreadExecutor` fans tasks out over a thread pool.  Per-entity
-  work shares no mutable state, so the GIL-bound pool already overlaps
-  the interpreter-released portions (hashing, allocation) and keeps
-  results exact.
-* :class:`ProcessExecutor` fans tasks out over a ``fork`` process pool.
-  Tasks are *not* pickled -- the payload is published in a module global
-  and inherited by the forked children, so closures over plans,
-  predicates and thresholds work unchanged; only results cross the pipe
-  (every model object pickles: mass functions re-enter through their
-  constructor, see :meth:`repro.ds.mass.MassFunction.__reduce__`).
-  Platforms without ``fork`` fall back to inline execution.
+* :class:`SerialExecutor` (the default) runs the batch inline, in
+  order.  Results and pair order are bit-for-bit identical to the
+  historical single-loop code paths.
+* :class:`ProcessExecutor` ships the batch to the persistent warm
+  ``fork`` pool (:mod:`repro.exec.warmpool`): ``common`` is pickled once
+  per batch, items travel in at most ``workers`` contiguous chunks, and
+  results come back in item order.  A payload that does not pickle, a
+  dead pool or a platform without ``fork`` runs the batch inline
+  instead (counted by ``exec.warmpool.fallbacks``).
 
 The active executor is process-global, chosen via :func:`configure` or
 the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` / ``REPRO_PARTITIONS``
 environment variables, and read by every partition-aware call site
 through :func:`get_executor` / :func:`partition_count`.  Nested fan-out
 (a partition task that itself reaches a partition-aware operation) runs
-inline: the outer fan-out already owns the worker pool, and nesting
-would deadlock a bounded pool.
-
-``REPRO_EXECUTOR=auto`` opts into the **adaptive runtime**:
-:class:`AdaptiveExecutor` prices each batch with the cost model
-(:mod:`repro.exec.cost` -- focal-set sizes x source count x
-kernel-vs-fallback path, fed by the live telemetry counters) and routes
-it to the serial loop, the thread pool, or the warm process pool
-(:mod:`repro.exec.warmpool`), picking the partition count to match.
-Picklable batches submitted through :meth:`Executor.map_encoded` reach
-process workers over the persistent warm pool instead of forking per
-batch (disable with ``REPRO_WARM_POOL=0``).
+inline: the outer fan-out already owns the workers.
 
 Whatever the executor and partition count, every partition-aware code
 path reassembles results so they *equal the serial result exactly* --
@@ -46,11 +33,9 @@ property tests in ``tests/exec`` assert this).
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
 
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -59,21 +44,34 @@ from repro.errors import ConfigError, ExecutionError
 from repro.obs import tracing
 from repro.obs.registry import registry as _metrics_registry
 
-#: Accepted executor kinds (``auto`` defers to the cost model per
-#: batch; ``remote`` scatters across socket worker daemons, see
-#: :mod:`repro.exec.remote`).
-EXECUTOR_KINDS = ("serial", "thread", "process", "auto", "remote")
+#: Accepted executor kinds.
+EXECUTOR_KINDS = ("serial", "process")
+
+#: Executor tiers that no longer exist.  Naming one is a configuration
+#: error that says so, rather than an "unknown kind" puzzle.
+_REMOVED_KINDS = ("thread", "auto", "remote")
+
+#: Environment variables of removed features (the remote tier and the
+#: switch back to fork-per-batch).  A non-empty value fails loudly:
+#: silently ignoring it would run a different setup than the operator
+#: asked for.
+_REMOVED_ENV = (
+    "REPRO_WORKERS_ADDRS",
+    "REPRO_REMOTE_THRESHOLD",
+    "REPRO_REMOTE_LOCALITY",
+    "REPRO_WARM_POOL",
+)
 
 
 @dataclass
 class ExecStats:
     """A point-in-time snapshot of physical fan-out activity.
 
-    ``parallel_batches`` counts :meth:`Executor.map` calls that fanned
-    out to a pool; ``inline_batches`` those that ran inline (serial
-    executor, single task, or nested inside another task); ``tasks``
-    the partition tasks executed through fan-out.  The live counters
-    are :data:`STATS` (a :class:`LiveExecStats`).
+    ``parallel_batches`` counts :meth:`Executor.map` calls that ran on
+    pool workers; ``inline_batches`` those that ran inline (serial
+    executor, single item, nested inside another task, or a pool
+    fallback); ``tasks`` the items executed through fan-out.  The live
+    counters are :data:`STATS` (a :class:`LiveExecStats`).
     """
 
     parallel_batches: int = 0
@@ -89,13 +87,11 @@ class ExecStats:
 
 
 class LiveExecStats:
-    """The process-wide counters, safe to bump from pool workers.
+    """The process-wide counters, safe to bump from any driver thread.
 
-    Nested fan-out runs :meth:`Executor.map` *inside* worker threads
-    (counted as inline batches there), so the counters are bumped
-    concurrently; increments go through
-    :class:`~repro.counters.ThreadLocalCounters` so counts observed
-    after a batch returns are exact.
+    Increments go through :class:`~repro.counters.ThreadLocalCounters`
+    so counts observed after a batch returns are exact even when
+    several threads drive the physical layer at once.
     """
 
     _FIELDS = ("parallel_batches", "inline_batches", "tasks")
@@ -149,22 +145,6 @@ def exec_stats() -> ExecStats:
     return STATS
 
 
-def note_inline_batch() -> None:
-    """Count a batch the calling executor ran inline (no fan-out).
-
-    Owning-layer entry point for executors living in subpackages (the
-    remote coordinator): they report through here rather than bumping
-    :data:`STATS` from another package.
-    """
-    STATS.bump("inline_batches")
-
-
-def note_parallel_batch(tasks: int) -> None:
-    """Count a fanned-out batch of *tasks* items (see :func:`note_inline_batch`)."""
-    STATS.bump("parallel_batches")
-    STATS.bump("tasks", tasks)
-
-
 # -- nested-task guard --------------------------------------------------------
 
 _LOCAL = threading.local()
@@ -186,7 +166,7 @@ def _inside_task():
 # -- executors ----------------------------------------------------------------
 
 
-class Executor(ABC):
+class Executor:
     """Runs a batch of independent partition tasks, preserving order."""
 
     kind = "?"
@@ -196,48 +176,30 @@ class Executor(ABC):
             raise ExecutionError(f"workers must be >= 1, got {workers!r}")
         self.workers = int(workers)
 
-    def map(self, task, items) -> list:
-        """``[task(item) for item in items]``, possibly in parallel.
-
-        Results come back in item order; the first task exception
-        propagates.  Batches of one task, and batches issued from inside
-        another task (nested fan-out), always run inline.
-        """
-        items = list(items)
-        if len(items) <= 1 or self.workers <= 1 or _task_depth() > 0:
-            STATS.bump("inline_batches")
-            return [task(item) for item in items]
-        STATS.bump("parallel_batches")
-        STATS.bump("tasks", len(items))
-        with tracing.span("exec.map", kind=self.kind, tasks=len(items)):
-            return self._map(task, items)
-
-    @abstractmethod
-    def _map(self, task, items: list) -> list:
-        """Fan a multi-task batch out (pool executors override)."""
-
-    def map_encoded(self, fn, common, items) -> list:
+    def map(self, fn, common, items) -> list:
         """``[fn(common, item) for item in items]``, possibly in parallel.
 
-        The encoded variant of :meth:`map` for *picklable* work: *fn*
-        must be a module-level callable and ``common``/*items* must
-        pickle.  Executors with persistent workers (the process
-        executor's warm pool, :mod:`repro.exec.warmpool`) ship the
-        batch as compact pickled payloads -- ``common`` crosses the
-        pipe once per chunk, not once per item -- instead of forking;
-        in-process executors simply close over ``common``.  Same
-        contract as :meth:`map`: results in item order, first exception
-        propagates.
+        *fn* must be a module-level function and ``common``/*items* must
+        pickle.  Results come back in item order; the first task
+        exception propagates.  Batches of one item, batches issued from
+        inside another task (nested fan-out) and batches the pool
+        declines run inline.  This is the one place that emits the
+        ``exec.map`` span and bumps the ``exec.*`` batch counters.
         """
         items = list(items)
+        if len(items) > 1 and self.workers > 1 and _task_depth() == 0:
+            with tracing.span("exec.map", kind=self.kind, tasks=len(items)):
+                results = self._fan_out(fn, common, items)
+            if results is not None:
+                STATS.bump("parallel_batches")
+                STATS.bump("tasks", len(items))
+                return results
+        STATS.bump("inline_batches")
+        return [fn(common, item) for item in items]
 
-        def task(item):
-            return fn(common, item)
-
-        return self.map(task, items)
-
-    def close(self) -> None:
-        """Release pool resources (no-op for poolless executors)."""
+    def _fan_out(self, fn, common, items: list) -> list | None:
+        """Run a multi-item batch on workers; ``None`` runs it inline."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.workers} worker(s))"
@@ -251,200 +213,24 @@ class SerialExecutor(Executor):
     def __init__(self):
         super().__init__(workers=1)
 
-    def _map(self, task, items):  # pragma: no cover -- map() short-circuits
-        return [task(item) for item in items]
-
-
-class ThreadExecutor(Executor):
-    """A persistent thread pool (lazily created)."""
-
-    kind = "thread"
-
-    def __init__(self, workers: int):
-        super().__init__(workers)
-        self._pool = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            with self._lock:
-                if self._pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-exec",
-                    )
-        return self._pool
-
-    def _map(self, task, items):
-        pool = self._ensure_pool()
-
-        def run(item):
-            with _inside_task():
-                return task(item)
-
-        return list(pool.map(run, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-#: Payload for forked children: set immediately before the fork, so the
-#: children inherit it by memory copy and the pipe carries only indices.
-#: Guarded by :data:`_FORK_LOCK` -- the payload is process-global, so
-#: concurrent process-pool batches from different driver threads must
-#: serialize (one would otherwise fork the other's tasks).
-_FORK_PAYLOAD = None
-_FORK_LOCK = threading.Lock()
-
-
-def _fork_invoke(index: int):
-    task, items = _FORK_PAYLOAD
-    with _inside_task():
-        if not tracing.enabled():
-            return task(items[index]), None
-        # Ship the worker's spans back with the result (the same pattern
-        # the stream engine uses for kernel stats): the child captures,
-        # the parent ingests, and the trace reads as one tree.
-        with tracing.capture() as spans:
-            result = task(items[index])
-        return result, spans
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
 
 class ProcessExecutor(Executor):
-    """A process pool: warm persistent workers, forking as the fallback.
+    """Fan batches out over the warm persistent process pool.
 
-    :meth:`map` batches carry arbitrary closures, so they fork a pool
-    per batch *after* publishing the payload in :data:`_FORK_PAYLOAD` --
-    forked workers inherit tasks through memory rather than pickling
-    (plans and thresholds hold closures and cannot cross a pipe); only
-    task *results* are pickled back.  :meth:`map_encoded` batches are
-    picklable by contract, so they dispatch to the persistent warm pool
-    (:mod:`repro.exec.warmpool`) instead -- the fork tax is paid once,
-    making process workers profitable on small stream batches.  *warm*
-    defaults to the ``REPRO_WARM_POOL`` flag (on); payloads that turn
-    out not to pickle fall back to the fork path transparently.  Where
-    the ``fork`` start method is unavailable batches run inline.
+    The pool (:mod:`repro.exec.warmpool`) is shared per worker count
+    and outlives any one executor, so the fork is paid once per
+    process, not per batch.
     """
 
     kind = "process"
 
-    def __init__(self, workers: int, warm: bool | None = None):
-        super().__init__(workers)
-        self.warm = (
-            _env_flag("REPRO_WARM_POOL", default=True) if warm is None else warm
-        )
-
-    def map_encoded(self, fn, common, items) -> list:
-        items = list(items)
-        if (
-            not self.warm
-            or len(items) <= 1
-            or self.workers <= 1
-            or _task_depth() > 0
-        ):
-            return super().map_encoded(fn, common, items)
+    def _fan_out(self, fn, common, items):
         from repro.exec import warmpool
 
         pool = warmpool.get_pool(self.workers)
         if pool is None:
-            return super().map_encoded(fn, common, items)
-        results = pool.submit_batch(fn, common, items)
-        if results is None:  # unpicklable payload: inherit-by-fork path
-            return super().map_encoded(fn, common, items)
-        STATS.bump("parallel_batches")
-        STATS.bump("tasks", len(items))
-        return results
-
-    def _map(self, task, items):
-        global _FORK_PAYLOAD
-        try:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-        except (ImportError, ValueError):
-            return [task(item) for item in items]
-        with _FORK_LOCK:
-            _FORK_PAYLOAD = (task, items)
-            try:
-                with context.Pool(
-                    processes=min(self.workers, len(items))
-                ) as pool:
-                    pairs = pool.map(_fork_invoke, range(len(items)))
-            finally:
-                _FORK_PAYLOAD = None
-        results = []
-        for result, spans in pairs:
-            if spans:
-                tracing.ingest(spans)
-            results.append(result)
-        return results
-
-
-class AdaptiveExecutor(Executor):
-    """The cost-model router behind ``REPRO_EXECUTOR=auto``.
-
-    Holds one inner executor per kind and delegates each batch to the
-    one the cost model (:mod:`repro.exec.cost`) picked: the preceding
-    :func:`partition_count` call prices the workload (under whatever
-    :func:`repro.exec.cost.workload` hint the call site scoped) and
-    remembers the decision thread-locally; this executor consumes it,
-    so partitioning and executor kind always come from the same
-    pricing.  A batch with no usable remembered decision (or more items
-    than the decision partitioned for) is re-priced from its item
-    count.  Every route is exact -- the equivalence contract holds for
-    any executor -- so routing only ever changes *when* the answer
-    arrives.
-    """
-
-    kind = "auto"
-
-    def __init__(self, workers: int):
-        super().__init__(workers)
-        self._inner = {
-            "serial": SerialExecutor(),
-            "thread": ThreadExecutor(workers),
-            "process": ProcessExecutor(workers),
-        }
-
-    def _delegate(self, n_items: int) -> Executor:
-        from repro.exec import cost as _cost
-
-        decision = _cost.consume()
-        if decision is None or n_items > decision.partitions:
-            decision = _cost.decide_for(n_items, self.workers)
-        return self._inner[decision.kind]
-
-    def map(self, task, items) -> list:
-        items = list(items)
-        if len(items) <= 1 or _task_depth() > 0:
-            STATS.bump("inline_batches")
-            return [task(item) for item in items]
-        return self._delegate(len(items)).map(task, items)
-
-    def map_encoded(self, fn, common, items) -> list:
-        items = list(items)
-        if len(items) <= 1 or _task_depth() > 0:
-            STATS.bump("inline_batches")
-            return [fn(common, item) for item in items]
-        return self._delegate(len(items)).map_encoded(fn, common, items)
-
-    def _map(self, task, items):  # pragma: no cover -- map() delegates
-        return [task(item) for item in items]
-
-    def close(self) -> None:
-        for executor in self._inner.values():
-            executor.close()
+            return None
+        return pool.submit_batch(fn, common, items)
 
 
 # -- configuration ------------------------------------------------------------
@@ -489,30 +275,36 @@ def _env_int(name: str) -> int | None:
         ) from None
 
 
-def _default_workers(kind: str) -> int:
-    """The worker count a *kind* gets when none is configured.
+def _checked_kind(kind: str, source: str) -> str:
+    """*kind* if it is an accepted executor kind, else a ConfigError."""
+    if kind in _REMOVED_KINDS:
+        raise ConfigError(
+            f"{source}: the {kind!r} executor tier was removed; "
+            f"use one of {EXECUTOR_KINDS}"
+        )
+    if kind not in EXECUTOR_KINDS:
+        raise ConfigError(
+            f"{source} must be one of {EXECUTOR_KINDS}, got {kind!r}"
+        )
+    return kind
 
-    Serial needs one; the remote executor defaults to one worker per
-    configured ``REPRO_WORKERS_ADDRS`` address (the natural scatter
-    width) and falls back to the CPU count with no cluster configured;
-    everything else takes the CPU count.
-    """
-    if kind == "serial":
-        return 1
-    if kind == "remote":
-        raw = os.environ.get("REPRO_WORKERS_ADDRS", "")
-        addresses = [part for part in raw.split(",") if part.strip()]
-        if addresses:
-            return len(addresses)
-    return os.cpu_count() or 1
+
+def _default_workers(kind: str) -> int:
+    """One worker for serial, the CPU count for the process pool."""
+    return 1 if kind == "serial" else os.cpu_count() or 1
 
 
 def _config_from_env() -> ExecConfig:
-    kind = os.environ.get("REPRO_EXECUTOR", "serial").strip().lower()
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigError(
-            f"REPRO_EXECUTOR must be one of {EXECUTOR_KINDS}, got {kind!r}"
-        )
+    for name in _REMOVED_ENV:
+        if os.environ.get(name, "").strip():
+            raise ConfigError(
+                f"{name} configures a removed executor feature; unset it "
+                f"(executor kinds: {EXECUTOR_KINDS})"
+            )
+    kind = _checked_kind(
+        os.environ.get("REPRO_EXECUTOR", "serial").strip().lower(),
+        "REPRO_EXECUTOR",
+    )
     workers = _env_int("REPRO_WORKERS")
     if workers is None or workers <= 0:
         workers = _default_workers(kind)
@@ -520,8 +312,8 @@ def _config_from_env() -> ExecConfig:
 
 
 #: Resolved lazily on first use, not at import: a malformed REPRO_*
-#: variable must surface as a clean ExecutionError inside whatever
-#: entry point runs (the CLI turns ReproErrors into exit 1), never as a
+#: variable must surface as a clean ConfigError inside whatever entry
+#: point runs (the CLI turns ReproErrors into exit 1), never as a
 #: traceback that makes the package unimportable.
 _config: ExecConfig | None = None
 _executor: Executor | None = None
@@ -534,20 +326,6 @@ def _current() -> ExecConfig:
     return _config
 
 
-def _build_executor(config: ExecConfig) -> Executor:
-    if config.kind == "serial":
-        return SerialExecutor()
-    if config.kind == "thread":
-        return ThreadExecutor(config.workers)
-    if config.kind == "auto":
-        return AdaptiveExecutor(config.workers)
-    if config.kind == "remote":
-        from repro.exec.remote import RemoteExecutor
-
-        return RemoteExecutor(config.workers)
-    return ProcessExecutor(config.workers)
-
-
 def configure(
     executor: str | None = None,
     workers: int | None = None,
@@ -555,8 +333,8 @@ def configure(
 ) -> ExecConfig:
     """Choose the process-global executor and partitioning.
 
-    >>> configure(executor="thread", workers=4).describe()
-    'executor: thread, 4 worker(s), 4 partition(s)'
+    >>> configure(executor="process", workers=4).describe()
+    'executor: process, 4 worker(s), 4 partition(s)'
     >>> configure(executor="serial", workers=1, partitions=None).kind
     'serial'
 
@@ -567,22 +345,17 @@ def configure(
     """
     global _config, _executor
     current = _current()
-    kind = current.kind if executor is None else str(executor).strip().lower()
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigError(
-            f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
-        )
+    kind = current.kind
+    if executor is not None:
+        kind = _checked_kind(str(executor).strip().lower(), "executor")
     if workers is None:
-        if kind == current.kind:
-            workers = current.workers
-        else:
-            workers = _default_workers(kind)
+        workers = (
+            current.workers if kind == current.kind else _default_workers(kind)
+        )
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
     if partitions is not None and partitions < 1:
         raise ConfigError(f"partitions must be >= 1, got {partitions!r}")
-    if _executor is not None:
-        _executor.close()
     _config = ExecConfig(kind, int(workers), partitions)
     _executor = None
     return _config
@@ -597,54 +370,25 @@ def get_executor() -> Executor:
     """The process-global executor for the current configuration."""
     global _executor
     if _executor is None:
-        _executor = _build_executor(_current())
+        config = _current()
+        _executor = (
+            SerialExecutor()
+            if config.kind == "serial"
+            else ProcessExecutor(config.workers)
+        )
     return _executor
-
-
-def _shutdown_at_exit() -> None:
-    """Close the global executor when the interpreter exits.
-
-    A session that never calls ``close()`` explicitly would otherwise
-    leak pool threads and remote connections past its useful life;
-    every executor's ``close()`` is idempotent, so this hook is safe to
-    run after (or race with) an explicit close.  The warm fork pool has
-    its own hook (:mod:`repro.exec.warmpool`) because it deliberately
-    outlives any one executor.
-    """
-    global _executor
-    executor, _executor = _executor, None
-    if executor is not None:
-        executor.close()
-
-
-atexit.register(_shutdown_at_exit)
 
 
 def partition_count(size: int) -> int:
     """Partitions to use for a workload of *size* entities.
 
     1 (meaning: stay on the serial code path) when the configuration
-    does not partition or the workload is too small to split.
-
-    Under ``REPRO_EXECUTOR=auto`` the count comes from the cost model
-    (:mod:`repro.exec.cost`), priced with the call site's active
-    :func:`~repro.exec.cost.workload` hint; the decision is remembered
-    thread-locally so the :class:`AdaptiveExecutor`'s next ``map`` /
-    ``map_encoded`` routes to the matching executor kind.  An explicit
-    ``REPRO_PARTITIONS`` still pins the partition count.
+    does not partition, the workload is too small to split, or the call
+    is nested inside another partition task.
     """
     if size <= 1 or _task_depth() > 0:
         return 1
-    config = _current()
-    if config.kind == "auto":
-        from repro.exec import cost as _cost
-
-        decision = _cost.decide_for(size, config.workers)
-        _cost.remember(decision)
-        if config.partitions is not None:
-            return min(config.partitions, size)
-        return min(decision.partitions, size)
-    return min(config.effective_partitions(), size)
+    return min(_current().effective_partitions(), size)
 
 
 @contextmanager
@@ -655,16 +399,13 @@ def executor_scope(
 ):
     """Temporarily reconfigure the executor (tests, benchmarks).
 
-    >>> with executor_scope(executor="thread", workers=2) as config:
+    >>> with executor_scope(executor="process", workers=2) as config:
     ...     config.kind
-    'thread'
+    'process'
     """
     global _config, _executor
     previous_config, previous_executor = _current(), _executor
-    _executor = None
     try:
         yield configure(executor, workers, partitions)
     finally:
-        if _executor is not None:
-            _executor.close()
         _config, _executor = previous_config, previous_executor

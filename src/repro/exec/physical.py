@@ -1,29 +1,19 @@
-"""Physical execution: logical plans lowered onto partitioned operators.
+"""Physical execution: logical plans lowered onto physical operators.
 
 The logical plan IR (:mod:`repro.query.plans`) describes *what* to
 compute; this module decides *how*.  Every logical node lowers 1:1 onto
-a physical operator that may shard its input(s) into hash partitions
-(:meth:`repro.model.relation.ExtendedRelation.partitions`), evaluate
-the node per partition through the configured
-:class:`~repro.exec.executors.Executor`, and reassemble the partition
-results **in the exact order the serial evaluation would have
-produced** -- so plans executed under any executor and any partition
-count return relations identical (tuples, order, exact Fractions,
-bit-for-bit floats) to the historical serial path.
+a physical operator that evaluates the node and wraps it in a
+``physical.<op>`` tracing span.  Per-operator strategy:
 
-Per-operator strategy:
-
-* ``Scan`` / ``Literal`` -- never partitioned (catalog lookups).
-* ``Select`` / ``Project`` / ``Rename`` -- tuple-wise: each partition
-  evaluates the node on its shard; reassembly follows the input
-  relation's key order.
-* ``Union`` / ``Intersect`` -- delegated to the algebra's
-  per-entity merge (:func:`repro.algebra.union.union_with_report` /
+* ``Scan`` / ``Literal`` -- catalog lookup / in-memory relation.
+* ``Select`` / ``Project`` / ``Rename`` / ``Product`` -- evaluated in
+  one pass.  Their per-tuple work is too cheap to repay shipping plans
+  and shards to worker processes.
+* ``Union`` / ``Intersect`` -- delegated to the algebra's per-entity
+  merge (:func:`repro.algebra.union.union_with_report` /
   :func:`repro.algebra.intersection.intersection_with_report`), which
-  shards matched-entity work itself through the same executor.
-* ``Product`` -- the left input is partitioned, each task pairs its
-  shard with the whole right input; reassembly follows the serial
-  left-major order.
+  shards matched-entity work itself through the configured executor
+  and reassembles it in the exact serial order.
 
 Entry points: :func:`run_plan` executes a whole plan tree (what
 :meth:`repro.query.plans.Plan.execute` delegates to), and
@@ -35,7 +25,6 @@ physical lowering).
 
 from __future__ import annotations
 
-from repro.exec.executors import get_executor, partition_count
 from repro.model.relation import ExtendedRelation
 from repro.obs import tracing
 from repro.query.plans import (
@@ -51,18 +40,30 @@ from repro.query.plans import (
 )
 
 
+#: Logical node type -> (span op name, strategy shown by ``describe``).
+_OPERATORS: dict[type, tuple[str, str]] = {
+    ScanPlan: ("scan", "catalog lookup"),
+    LiteralPlan: ("literal", "in-memory relation"),
+    SelectPlan: ("select", "tuple-wise, one pass"),
+    ProjectPlan: ("project", "tuple-wise, one pass"),
+    RenamePlan: ("rename", "tuple-wise, one pass"),
+    UnionPlan: ("union", "per-entity merge tasks (in algebra.union)"),
+    IntersectPlan: ("intersect", "per-entity merge tasks (in algebra.union)"),
+    ProductPlan: ("product", "left-major nested loop"),
+}
+
+
 class PhysicalOperator:
     """A physical counterpart of one logical node (plus lowered children)."""
-
-    #: Human-readable partitioning strategy, overridden per operator.
-    strategy = "passthrough"
-
-    #: Short operator name used in span names (``physical.<op>``).
-    op = "node"
 
     def __init__(self, plan: Plan, children: tuple["PhysicalOperator", ...]):
         self.plan = plan
         self.children = children
+        #: Short operator name used in span names (``physical.<op>``)
+        #: and the human-readable evaluation strategy.
+        self.op, self.strategy = _OPERATORS.get(
+            type(plan), ("node", "passthrough")
+        )
 
     def schema(self):
         """The operator's output schema (the logical node's)."""
@@ -73,23 +74,19 @@ class PhysicalOperator:
         inputs = tuple(child.execute(database) for child in self.children)
         return self.traced_apply(inputs, database)
 
-    def apply(self, inputs, database) -> ExtendedRelation:
-        """Evaluate this operator alone, given its children's results."""
-        return self.plan.apply(inputs, database)
-
     def traced_apply(self, inputs, database) -> ExtendedRelation:
-        """:meth:`apply` wrapped in a ``physical.<op>`` tracing span.
+        """Evaluate this operator alone, in a ``physical.<op>`` span.
 
         The one extra cost with tracing disabled is the flag check; with
         it enabled the span records the node label and the exact
         input/output row counts.
         """
         if not tracing.enabled():
-            return self.apply(inputs, database)
+            return self.plan.apply(inputs, database)
         with tracing.span(
             "physical." + self.op, label=self.plan.label()
         ) as current:
-            result = self.apply(inputs, database)
+            result = self.plan.apply(inputs, database)
             current.note(
                 rows_in=[len(relation) for relation in inputs],
                 rows_out=len(result),
@@ -107,134 +104,16 @@ class PhysicalOperator:
         return f"{type(self).__name__}({self.plan.label()!r})"
 
 
-class PhysicalScan(PhysicalOperator):
-    """Catalog lookup; nothing to partition."""
-
-    op = "scan"
-
-
-class PhysicalLiteral(PhysicalOperator):
-    """In-memory relation; nothing to partition."""
-
-    op = "literal"
-
-
-class _TupleWise(PhysicalOperator):
-    """Shared shape of the per-tuple operators (select/project/rename).
-
-    The logical node is evaluated once per input shard; since these
-    operators never mix entities, reassembling the shard results in the
-    input relation's key order reproduces the serial output exactly.
-    """
-
-    strategy = "partition input, reassemble in input order"
-
-    def apply(self, inputs, database) -> ExtendedRelation:
-        (relation,) = inputs
-        n = partition_count(len(relation))
-        if n <= 1:
-            return self.plan.apply(inputs, database)
-        plan = self.plan
-        results = get_executor().map(
-            lambda part: plan.apply((part,), database), relation.partitions(n)
-        )
-        merged: dict[tuple, object] = {}
-        for part_result in results:
-            for etuple in part_result:
-                merged[etuple.key()] = etuple
-        ordered = [merged[key] for key in relation.keys() if key in merged]
-        # Part results carry the schema the serial evaluation would have
-        # derived from the runtime input (bind-time plan schemas can
-        # differ in relation *name* for literal-rooted plans).
-        return ExtendedRelation(results[0].schema, ordered, on_unsupported="drop")
-
-
-class PhysicalSelect(_TupleWise):
-    """Extended selection, sharded tuple-wise."""
-
-    op = "select"
-
-
-class PhysicalProject(_TupleWise):
-    """Extended projection, sharded tuple-wise."""
-
-    op = "project"
-
-
-class PhysicalRename(_TupleWise):
-    """Attribute renaming, sharded tuple-wise."""
-
-    op = "rename"
-
-
-class PhysicalUnion(PhysicalOperator):
-    """Extended union; the algebra merge shards per entity itself."""
-
-    strategy = "per-entity merge tasks (in algebra.union)"
-    op = "union"
-
-
-class PhysicalIntersect(PhysicalOperator):
-    """Extended intersection; the algebra merge shards per entity itself."""
-
-    strategy = "per-entity merge tasks (in algebra.union)"
-    op = "intersect"
-
-
-class PhysicalProduct(PhysicalOperator):
-    """Cartesian product: left input sharded, right broadcast."""
-
-    strategy = "partition left, broadcast right"
-    op = "product"
-
-    def apply(self, inputs, database) -> ExtendedRelation:
-        left, right = inputs
-        n = partition_count(len(left))
-        if n <= 1 or len(right) == 0:
-            return self.plan.apply(inputs, database)
-        plan = self.plan
-        results = get_executor().map(
-            lambda part: plan.apply((part, right), database), left.partitions(n)
-        )
-        merged: dict[tuple, object] = {}
-        for part_result in results:
-            for etuple in part_result:
-                merged[etuple.key()] = etuple
-        # Serial order is left-major: for each left tuple, every right
-        # tuple in right order.  The product key concatenates the two
-        # input keys (left key attributes precede right ones in the
-        # concatenated schema), so the pairing is directly addressable.
-        ordered = []
-        for left_key in left.keys():
-            for right_key in right.keys():
-                etuple = merged.get(left_key + right_key)
-                if etuple is not None:
-                    ordered.append(etuple)
-        return ExtendedRelation(results[0].schema, ordered, on_unsupported="drop")
-
-
-_OPERATORS: dict[type, type] = {
-    ScanPlan: PhysicalScan,
-    LiteralPlan: PhysicalLiteral,
-    SelectPlan: PhysicalSelect,
-    ProjectPlan: PhysicalProject,
-    RenamePlan: PhysicalRename,
-    UnionPlan: PhysicalUnion,
-    IntersectPlan: PhysicalIntersect,
-    ProductPlan: PhysicalProduct,
-}
-
-
 def lower(plan: Plan) -> PhysicalOperator:
     """Lower a logical plan tree to its physical operator tree."""
-    operator = _OPERATORS.get(type(plan), PhysicalOperator)
-    return operator(plan, tuple(lower(child) for child in plan.children()))
+    return PhysicalOperator(
+        plan, tuple(lower(child) for child in plan.children())
+    )
 
 
 def lower_node(plan: Plan) -> PhysicalOperator:
     """Lower a single node (children not lowered; for per-node engines)."""
-    operator = _OPERATORS.get(type(plan), PhysicalOperator)
-    return operator(plan, ())
+    return PhysicalOperator(plan, ())
 
 
 def apply_node(plan: Plan, inputs, database) -> ExtendedRelation:

@@ -1,12 +1,9 @@
 """A persistent warm ``fork`` worker pool with compact task encoding.
 
-The historical :class:`~repro.exec.executors.ProcessExecutor` forks a
-fresh pool *per batch* so closures cross into workers by memory
-inheritance -- correct for arbitrary tasks, but the fork-and-teardown
-tax (tens of milliseconds) swamps small batches, which is exactly what
-a stream engine flushes all day.  This module keeps one pool of
-already-forked workers alive across batches and ships work to them as
-**compact encoded payloads** instead:
+Forking a fresh pool per batch costs tens of milliseconds, which swamps
+small batches -- exactly what a stream engine flushes all day.  This
+module keeps one pool of already-forked workers alive across batches
+and ships work to them as **compact encoded payloads**:
 
 * the task function must be a module-level callable (it pickles by
   reference -- workers forked from this process already have the module
@@ -18,11 +15,11 @@ already-forked workers alive across batches and ships work to them as
 
 Payloads that cannot pickle (closures, open handles) are detected *in
 the driver* before anything is dispatched: :meth:`WarmPool.submit_batch`
-returns ``None`` and the caller falls back to the inherit-by-fork path.
-The pool is process-global and deliberately survives
-``executor_scope`` / ``Executor.close`` -- staying warm across scopes
-is the point -- and is reaped at interpreter exit.  Dispatch activity
-surfaces as the ``exec.warmpool.*`` metrics.
+returns ``None`` and the :class:`~repro.exec.executors.ProcessExecutor`
+runs the batch inline.  The pool is process-global and deliberately
+survives ``executor_scope`` -- staying warm across scopes is the point
+-- and is reaped at interpreter exit.  Dispatch activity surfaces as the
+``exec.warmpool.*`` metrics.
 
 Fork safety note (the CONC002 lint rule patrols this): tasks submitted
 here are *long-lived* pool submissions -- the workers were forked once,
@@ -53,7 +50,7 @@ _SPAWNS = _METRICS.counter(
 )
 _FALLBACKS = _METRICS.counter(
     "exec.warmpool.fallbacks",
-    "batches that could not pickle and fell back to fork-per-batch",
+    "batches that could not pickle or hit a dead pool and ran inline",
 )
 _DISPATCH_SECONDS = _METRICS.histogram(
     "exec.warmpool.dispatch_seconds", "warm-pool batch dispatch latency"
@@ -96,9 +93,9 @@ class WarmPool:
         """Run ``[fn(common, item) for item in items]`` on warm workers.
 
         Returns results in item order, or ``None`` when the payload
-        cannot cross the pipe (the caller falls back to forking).  The
-        first task exception propagates.  Concurrent driver threads
-        serialize on the pool, mirroring the fork-per-batch lock.
+        cannot cross the pipe or the pool died (the caller runs the
+        batch inline).  The first task exception propagates.
+        Concurrent driver threads serialize on the pool.
         """
         try:
             common_blob = pickle.dumps(
@@ -109,7 +106,7 @@ class WarmPool:
                 pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
                 for chunk in chunks
             ]
-        except Exception:  # noqa: BLE001 -- any pickling failure: fall back
+        except Exception:  # noqa: BLE001 -- any pickling failure: run inline
             _FALLBACKS.inc()
             return None
         started = time.perf_counter()
@@ -126,7 +123,7 @@ class WarmPool:
                     outcomes = [handle.get() for handle in handles]
                 except OSError:
                     # A dead worker poisons the whole pool: drop it (the
-                    # next batch re-forks) and let the caller fall back.
+                    # next batch re-forks) and let the caller run inline.
                     self._close_pool()
                     _FALLBACKS.inc()
                     return None

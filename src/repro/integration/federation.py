@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrationError, TotalConflictError
-from repro.exec import cost as _cost
 from repro.exec.executors import get_executor, partition_count
 from repro.model.relation import ExtendedRelation
 from repro.integration.merging import MergeReport, TupleMerger
@@ -98,8 +97,7 @@ def _integrate_shard(common, row):
     """Fold one shard row: the per-partition task of the sharded fold.
 
     Module-level and fully picklable so the batch can ship through
-    :meth:`Executor.map_encoded` -- including across a wire to remote
-    worker daemons (:mod:`repro.exec.remote`).  *common* is the
+    :meth:`Executor.map` to the warm process pool.  *common* is the
     per-batch constant ``(merger, name, metas)`` where ``metas`` pairs
     each source's name with its reliability, aligned with *row*'s
     shards.  Returns ``((relation, steps), survivors, error)`` with
@@ -123,6 +121,17 @@ def _integrate_shard(common, row):
     except TotalConflictError as exc:
         return None, survivors, exc
     return (relation, steps), survivors, None
+
+
+def _integrate_entity(common, key):
+    """One point merge: the per-key task of ``integrate_entities``.
+
+    *common* is ``(federation, name)``; the federation (merger plus
+    sources) pickles once per batch, and the pool ships the keys in
+    contiguous chunks.
+    """
+    federation, name = common
+    return federation.integrate_entity(key, name=name)
 
 
 def _serial_fold_order(
@@ -218,23 +227,16 @@ class Federation:
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
-        # The federation knows its own shape: hint the cost model with
-        # the entity and source counts so ``auto`` mode prices this
-        # integration rather than the defaults.
-        with _cost.workload(
-            entities=max(len(source.relation) for source in self._sources),
-            sources=len(self._sources),
-        ):
-            n = (
-                partition_count(
-                    max(len(source.relation) for source in self._sources)
-                )
-                if len(self._sources) > 1
-                else 1
+        n = (
+            partition_count(
+                max(len(source.relation) for source in self._sources)
             )
-            if n > 1:
-                return self._integrate_partitioned(name, n)
-            return self._integrate_serial(name)
+            if len(self._sources) > 1
+            else 1
+        )
+        if n > 1:
+            return self._integrate_partitioned(name, n)
+        return self._integrate_serial(name)
 
     def _integrate_serial(self, name: str):
         """The historical single-pass fold (also the raise-path oracle)."""
@@ -259,55 +261,15 @@ class Federation:
     ) -> tuple[ExtendedRelation, FederationReport]:
         """The sharded fold: per-partition tree folds, exact reassembly."""
         sources = self._sources
-        merger = self._merger
         shard_rows = list(
             zip(*[source.relation.partitions(n) for source in sources])
         )
         common = (
-            merger,
+            self._merger,
             name,
             tuple((source.name, source.reliability) for source in sources),
         )
-        executor = get_executor()
-        if executor.kind == "remote":
-            # The encoded path: shard rows and the (merger, name, metas)
-            # header are picklable by construction, so the fold can
-            # scatter across worker daemons; in-process executors keep
-            # the closure path below (nothing to pickle).
-            keyed = getattr(executor, "map_encoded_keyed", None)
-            publish = getattr(executor, "publish_relation", None)
-            source_names = [source.relation.name for source in sources]
-            if (
-                keyed is not None
-                and publish is not None
-                and len(set(source_names)) == len(source_names)
-            ):
-                # Shard-resident workers can rebuild each shard row from
-                # entity keys alone, so publish the source relations and
-                # scatter key lists; the executor transparently ships
-                # tuples instead whenever locality cannot serve the
-                # batch.  Duplicate source relation names would alias in
-                # the per-name shard stores, so they keep tuple shipping.
-                for source in sources:
-                    publish(source.relation)
-                specs = [
-                    tuple(
-                        (source_names[j], tuple(row[j].keys()))
-                        for j in range(len(sources))
-                    )
-                    for row in shard_rows
-                ]
-                outcomes = keyed(_integrate_shard, common, specs, shard_rows)
-            else:
-                outcomes = executor.map_encoded(
-                    _integrate_shard, common, shard_rows
-                )
-        else:
-
-            def shard_task(row):
-                return _integrate_shard(common, row)
-
-            outcomes = executor.map(shard_task, shard_rows)
+        outcomes = get_executor().map(_integrate_shard, common, shard_rows)
         if any(error is not None for _, _, error in outcomes):
             # A raise-policy conflict aborts the integration anyway, so
             # re-run the serial fold to surface the exact error the
@@ -405,9 +367,7 @@ class Federation:
 
         Entity merges are independent, so the batch fans the per-key
         work out through the configured executor
-        (:func:`repro.exec.get_executor`) in contiguous chunks -- the
-        cost model prices the batch like any other fan-out, and small
-        batches stay serial.  Returns one entry per input key, in input
+        (:func:`repro.exec.get_executor`); small batches stay serial.  Returns one entry per input key, in input
         order; each entry is exactly what :meth:`integrate_entity`
         returns for that key (the merged tuple, or ``None``).
         """
@@ -416,19 +376,6 @@ class Federation:
         keys = [key if isinstance(key, tuple) else (key,) for key in keys]
         if not keys:
             return []
-        with _cost.workload(entities=len(keys), sources=len(self._sources)):
-            n = partition_count(len(keys))
-            if n <= 1:
-                return [self.integrate_entity(key, name=name) for key in keys]
-            size, extra = divmod(len(keys), n)
-            chunks, start = [], 0
-            for index in range(n):
-                stop = start + size + (1 if index < extra else 0)
-                chunks.append(keys[start:stop])
-                start = stop
-
-            def task(chunk):
-                return [self.integrate_entity(key, name=name) for key in chunk]
-
-            results = get_executor().map(task, chunks)
-        return [etuple for chunk_results in results for etuple in chunk_results]
+        if partition_count(len(keys)) <= 1:
+            return [self.integrate_entity(key, name=name) for key in keys]
+        return get_executor().map(_integrate_entity, (self, name), keys)

@@ -2,8 +2,8 @@
 
 A *span* measures one named unit of work -- a query run, a physical
 operator application, an executor batch, a stream flush, a storage
-save.  Spans nest: each thread keeps its own parent stack, so serial
-and thread-pool work builds one in-process tree, while process-pool
+save.  Spans nest: each thread keeps its own parent stack, so
+in-process work builds one tree per driving thread, while process-pool
 workers capture their spans and ship the records back with the task
 results (the same pattern the stream engine uses for kernel stats),
 where :func:`ingest` re-homes them under the dispatching span.

@@ -236,49 +236,6 @@ class StorageBackend(abc.ABC):
         self._require_open()
         self._delete_relation(name)
 
-    # -- shard-store operations ----------------------------------------------
-    #
-    # The remote data-locality layer (:mod:`repro.exec.remote`) uses a
-    # backend as a worker-owned *shard store*: the coordinator pushes
-    # relation snapshots/deltas in, and workers point-load the rows a
-    # key-only batch names.  The base implementations go through whole
-    # relations, so every engine works as a store; the SQLite backend
-    # overrides them with indexed point queries.
-
-    def load_schema(self, name: str):
-        """The stored relation's schema, without loading its rows."""
-        self._require_open()
-        return self._load_schema(name)
-
-    def load_rows(self, name: str, keys) -> list | None:
-        """The stored tuples for *keys*, in key order.
-
-        Returns ``None`` -- never a partial list -- when the relation is
-        absent or any requested key has no (keyed) row: the caller
-        cannot distinguish a stale store from a missing entity, so it
-        must fall back to shipping the data itself.
-        """
-        self._require_open()
-        with self._instrument("load_rows", "row_loads", False):
-            return self._load_rows(name, list(keys))
-
-    def apply_relation_delta(self, name: str, schema, upserts, removed) -> None:
-        """Upsert/remove individual rows of one stored relation.
-
-        *upserts* are :class:`~repro.model.etuple.ExtendedTuple` values
-        (inserted or replaced by key), *removed* a list of keys to
-        delete; *schema* is the relation's current schema (creating the
-        relation when it is not stored yet).  Stored row *order* is not
-        part of this contract -- shard stores serve point loads in the
-        caller's key order -- but content is exact, and the catalog
-        version bumps like any other mutating save.  Raises
-        :class:`SerializationError` when the store cannot apply the
-        delta exactly (the caller then pushes a full snapshot).
-        """
-        self._require_open()
-        with self._instrument("apply_relation_delta", "delta_saves", True):
-            self._apply_relation_delta(name, schema, list(upserts), list(removed))
-
     # -- database-level operations ------------------------------------------
 
     def load_database(self):
@@ -373,48 +330,6 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def _stream_watermark(self, name: str) -> int | None:
         ...
-
-    def _load_schema(self, name: str):
-        return self._load_relation(name).schema
-
-    def _load_rows(self, name: str, keys: list) -> list | None:
-        try:
-            relation = self._load_relation(name)
-        except SerializationError:
-            return None
-        rows = []
-        for key in keys:
-            etuple = relation.get(key)
-            if etuple is None:
-                return None
-            rows.append(etuple)
-        return rows
-
-    def _apply_relation_delta(
-        self, name: str, schema, upserts: list, removed: list
-    ) -> None:
-        # Generic engines rewrite the whole relation; content-exact,
-        # just not O(delta).
-        from repro.model.relation import ExtendedRelation
-
-        try:
-            current = list(self._load_relation(name))
-        except SerializationError:
-            current = []
-        replacements = {etuple.key(): etuple for etuple in upserts}
-        dropped = set(removed)
-        tuples = []
-        for etuple in current:
-            key = etuple.key()
-            if key in dropped:
-                continue
-            tuples.append(replacements.pop(key, etuple))
-        # Brand-new keys append in upsert order (stored order is not
-        # part of the shard-store contract, only determinism is).
-        tuples.extend(replacements.values())
-        self._save_relation(
-            ExtendedRelation(schema, tuples, on_unsupported="allow"), None
-        )
 
     # -- shared helpers -----------------------------------------------------
 

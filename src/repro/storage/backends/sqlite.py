@@ -83,11 +83,6 @@ CREATE TABLE IF NOT EXISTS tuples (
 CREATE INDEX IF NOT EXISTS tuples_by_key ON tuples (relation, key_json);
 """
 
-#: Keys per ``IN (...)`` point query; comfortably under SQLite's
-#: default 999-variable limit with the relation name included.
-_POINT_QUERY_CHUNK = 400
-
-
 def _key_text(key: tuple) -> str:
     """Canonical JSON identity of an entity key (stable across runs)."""
     from repro.stream.connectors import _atom_to_json
@@ -348,107 +343,6 @@ class SqliteBackend(StorageBackend):
             if not deleted:
                 raise self._missing_relation(name)
             self._db.execute("DELETE FROM tuples WHERE relation = ?", (name,))
-            self._bump_catalog_version()
-
-    # -- shard-store operations ----------------------------------------------
-
-    def _load_schema(self, name: str):
-        self._require_store()
-        self._check_format()
-        row = self._db.execute(
-            "SELECT schema_json FROM relations WHERE name = ?", (name,)
-        ).fetchone()
-        if row is None:
-            raise self._missing_relation(name)
-        return schema_from_json(json.loads(row[0]))
-
-    def _load_rows(self, name: str, keys: list) -> list | None:
-        if not self._has_store():
-            return None
-        self._check_format()
-        self._ensure_key_column()
-        row = self._db.execute(
-            "SELECT schema_json FROM relations WHERE name = ?", (name,)
-        ).fetchone()
-        if row is None:
-            return None
-        schema = schema_from_json(json.loads(row[0]))
-        texts = [_key_text(key) for key in keys]
-        found: dict[str, str] = {}
-        for start in range(0, len(texts), _POINT_QUERY_CHUNK):
-            chunk = texts[start:start + _POINT_QUERY_CHUNK]
-            placeholders = ", ".join("?" for _ in chunk)
-            rows = self._db.execute(
-                f"SELECT key_json, row_json FROM tuples "
-                f"WHERE relation = ? AND key_json IN ({placeholders})",
-                (name, *chunk),
-            )
-            for key_json, row_json in rows:
-                found[key_json] = row_json
-        out = []
-        for text in texts:
-            row_json = found.get(text)
-            if row_json is None:
-                # Unknown key or a pre-migration NULL-keyed row: either
-                # way this store cannot serve the batch exactly.
-                return None
-            out.append(_tuple_from_json(json.loads(row_json), schema))
-        return out
-
-    def _apply_relation_delta(
-        self, name: str, schema, upserts: list, removed: list
-    ) -> None:
-        self._ensure_store()
-        self._check_format()
-        with self._db:
-            row = self._db.execute(
-                "SELECT 1 FROM relations WHERE name = ?", (name,)
-            ).fetchone()
-            if row is None:
-                relation = ExtendedRelation(schema, (), on_unsupported="allow")
-                self._insert_relation(relation, None)
-            else:
-                (nulls,) = self._db.execute(
-                    "SELECT COUNT(*) FROM tuples "
-                    "WHERE relation = ? AND key_json IS NULL",
-                    (name,),
-                ).fetchone()
-                if nulls:
-                    raise SerializationError(
-                        f"relation {name!r} in {self.url()} has {nulls} "
-                        f"row(s) predating the key_json layout; a delta "
-                        f"cannot apply exactly (save a full snapshot)"
-                    )
-                self._db.execute(
-                    "UPDATE relations SET schema_json = ? WHERE name = ?",
-                    (json.dumps(schema_to_json(schema)), name),
-                )
-            (next_position,) = self._db.execute(
-                "SELECT COALESCE(MAX(position), -1) + 1 FROM tuples "
-                "WHERE relation = ?",
-                (name,),
-            ).fetchone()
-            for etuple in upserts:
-                key_json = _key_text(etuple.key())
-                row_json = json.dumps(_tuple_to_json(etuple))
-                cursor = self._db.execute(
-                    "UPDATE tuples SET row_json = ? "
-                    "WHERE relation = ? AND key_json = ?",
-                    (row_json, name, key_json),
-                )
-                if cursor.rowcount == 0:
-                    self._db.execute(
-                        "INSERT INTO tuples "
-                        "(relation, partition, position, row_json, key_json) "
-                        "VALUES (?, 0, ?, ?, ?)",
-                        (name, next_position, row_json, key_json),
-                    )
-                    next_position += 1
-            for key in removed:
-                self._db.execute(
-                    "DELETE FROM tuples WHERE relation = ? AND key_json = ?",
-                    (name, _key_text(key)),
-                )
             self._bump_catalog_version()
 
     # -- database-level operations ------------------------------------------

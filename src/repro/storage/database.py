@@ -100,23 +100,6 @@ class Database:
         :class:`CatalogError` when no backend is attached.
         """
         self._require_backend().save_database(self, partitions=partitions)
-        self._publish_remote_shards()
-
-    def _publish_remote_shards(self) -> None:
-        """Register the persisted relations with a locality-aware executor.
-
-        After a full persist the catalog is the ground truth, so a
-        remote executor with shard-resident workers (``publish_relation``
-        hook) learns every relation's current version; in-process
-        executors have no such hook and this is a no-op.
-        """
-        from repro.exec.executors import get_executor
-
-        publish = getattr(get_executor(), "publish_relation", None)
-        if publish is None:
-            return
-        for relation in self:
-            publish(relation)
 
     def reload(self) -> frozenset:
         """Re-read the attached store, refreshing changed relations.

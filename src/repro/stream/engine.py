@@ -41,10 +41,8 @@ from dataclasses import dataclass
 
 from repro.ds.kernel import STATS as KERNEL_STATS
 from repro.errors import StreamError, TotalConflictError
-from repro.exec import cost as _exec_cost
 from repro.exec.executors import get_executor, partition_count
 from repro.integration.merging import MergeReport, TupleMerger
-from repro.model.evidence import EvidenceSet
 from repro.integration.pipeline import coerce_reliability, discount_tuple
 from repro.model.etuple import ExtendedTuple
 from repro.model.membership import CERTAIN
@@ -140,14 +138,13 @@ def _refold_bucket(common, bucket):
 
     Module-level so the warm pool (:mod:`repro.exec.warmpool`) can
     pickle it by reference; ``common`` is the batch-constant
-    ``(merger, schema, order)`` triple (``order`` rides along for
-    symmetry with the in-process task, though the parts were already
-    selected in order by the driver).  Mirrors
+    ``(merger, schema)`` pair (the parts were already selected in
+    source order by the driver).  Mirrors
     :meth:`repro.stream.state.EntityState.refold` exactly -- same
     empty/conflict semantics, same combination count -- but operates on
     the shipped parts, so the state graph never crosses the pipe.
     """
-    merger, schema, _order = common
+    merger, schema = common
     baseline = KERNEL_STATS.snapshot()
     combinations = 0
     states = []
@@ -600,16 +597,12 @@ class StreamEngine:
             for key in touched
             if (entity := self._state.get(key)) is not None and entity.dirty
         ]
-        # Describe the batch to the cost model (entity/source/focal shape
-        # sampled from the dirty set) so ``auto`` mode prices the actual
-        # refold workload rather than the defaults.
-        with _exec_cost.workload(**self._workload_hint(dirty)):
-            n = partition_count(len(dirty))
-            if n > 1:
-                self._refold_partitioned(dirty, order, n)
-            else:
-                for entity in dirty:
-                    self._refold(entity, order)
+        n = partition_count(len(dirty))
+        if n > 1:
+            self._refold_partitioned(dirty, order, n)
+        else:
+            for entity in dirty:
+                self._refold(entity, order)
         refold_done = time.perf_counter() if profiling else 0.0
         for key in touched:
             entity = self._state.get(key)
@@ -687,18 +680,6 @@ class StreamEngine:
             self._published_once = True
             self._stats.publishes += 1
             self._db.add(relation, replace=True)
-        # Feed the executor's shard-locality ledger (if the executor has
-        # one) with this flush's precise dirty keys, so shard-resident
-        # remote workers receive an O(delta) sync instead of a snapshot
-        # before the next key-only scatter.  Quiet flushes no-op inside
-        # the manager.
-        publish = getattr(get_executor(), "publish_relation", None)
-        if publish is not None:
-            publish(
-                relation,
-                changed=tuple(delta.inserted) + tuple(delta.updated),
-                removed=delta.removed,
-            )
         if profiling:
             done = time.perf_counter()
             profile = FlushProfile(
@@ -791,110 +772,42 @@ class StreamEngine:
         self._stats.kernel_combinations += delta.kernel_combinations
         self._stats.fallback_combinations += delta.fallback_combinations
 
-    def _workload_hint(self, dirty) -> dict:
-        """Sample the dirty set into :func:`repro.exec.cost.workload` kwargs.
-
-        A small prefix sample (the dirty list is already in stable
-        sorted-key order) estimates the average source count and the
-        largest focal-set size per entity -- the two inputs the cost
-        model cannot observe from global counters.  Sampling keeps the
-        hint O(1) per flush regardless of batch size.
-        """
-        if not dirty:
-            return {}
-        sample = dirty[:8]
-        sources = sum(
-            len(entity.contributions) for entity in sample
-        ) / len(sample)
-        focal_sizes = []
-        for entity in sample:
-            largest = 0
-            for contribution in entity.contributions.values():
-                for _name, value in contribution.discounted.items():
-                    if isinstance(value, EvidenceSet):
-                        largest = max(largest, len(value.mass_function))
-            if largest:
-                focal_sizes.append(largest)
-        hint = {"entities": len(dirty), "sources": sources}
-        if focal_sizes:
-            hint["focal"] = sum(focal_sizes) / len(focal_sizes)
-        return hint
-
     def _refold_partitioned(self, dirty, order, n: int) -> None:
         """Drain the pending re-folds as per-partition merge batches.
 
-        Thread tasks re-fold the (disjoint) entities in place; process
-        tasks re-fold forked copies and ship the resulting state back,
-        which the parent commits.  Either way each entity's fold is the
-        identical ``merge_entity`` computation the serial path runs, so
-        the committed states are exact.  Kernel-vs-fallback attribution:
-        in-process executors are measured around the whole batch (the
-        engine is single-driver, so the process-wide delta is exactly
-        this batch); process pools measure inside each child and the
-        deltas are summed.
+        Each task re-folds its entities' shipped parts and returns the
+        resulting states, which the engine commits; each entity's fold
+        is the identical ``merge_entity`` computation the serial path
+        runs, so the committed states are exact.  Kernel-vs-fallback
+        attribution: a batch run inline is measured around the whole
+        batch (the engine is single-driver, so the process-wide delta is
+        exactly this batch); pool workers measure inside each child and
+        the deltas are summed.
 
         A ``raise``-policy :class:`TotalConflictError` is re-raised
         after the successfully re-folded entities' state and counters
         are committed; entities whose fresh state was not committed
         simply stay dirty and re-fold at the next flush, exactly as the
         serial path leaves later entities unfolded after a mid-loop
-        raise.  (Counter increments performed by concurrent worker
-        threads inside the evidence kernel may undercount slightly --
-        the counters are observability-only.)
+        raise.
         """
-        executor = get_executor()
         buckets: list[list] = [[] for _ in range(n)]
         for entity in dirty:
             buckets[partition_index(entity.key, n)].append(entity)
-        buckets = [bucket for bucket in buckets if bucket]
-        merger, schema = self._merger, self._schema
-
+        # Compact task encoding: ship each entity's surviving parts
+        # rather than the EntityState graph, with the merger and schema
+        # pickled once for the whole batch.  Each outcome tags the
+        # worker pid so kernel attribution below can tell child work
+        # from inline work.
+        payloads = [
+            [(entity.key, entity.parts(order)) for entity in bucket]
+            for bucket in buckets
+            if bucket
+        ]
         batch_baseline = KERNEL_STATS.snapshot()
-        if executor.kind in ("process", "auto", "remote"):
-            # Compact task encoding for the warm pool: ship each
-            # entity's surviving parts rather than the EntityState
-            # graph, with the merger/schema/order pickled once for the
-            # whole batch.  Each outcome tags the worker pid so kernel
-            # attribution below can tell child work from inline work.
-            payloads = [
-                [(entity.key, entity.parts(order)) for entity in bucket]
-                for bucket in buckets
-            ]
-            outcomes = executor.map_encoded(
-                _refold_bucket, (merger, schema, order), payloads
-            )
-        else:
-
-            def task(bucket):
-                baseline = KERNEL_STATS.snapshot()
-                combinations = 0
-                states = []
-                error = None
-                for entity in bucket:
-                    try:
-                        combinations += entity.refold(merger, schema, order)
-                    except TotalConflictError as exc:
-                        error = exc
-                        break
-                    states.append(
-                        (
-                            entity.key,
-                            entity.combined,
-                            entity.conflicted,
-                            list(entity.fold_conflicts),
-                        )
-                    )
-                delta = KERNEL_STATS.since(baseline)
-                return (
-                    states,
-                    combinations,
-                    delta.kernel_combinations,
-                    delta.fallback_combinations,
-                    error,
-                    os.getpid(),
-                )
-
-            outcomes = executor.map(task, buckets)
+        outcomes = get_executor().map(
+            _refold_bucket, (self._merger, self._schema), payloads
+        )
         errors = []
         own_pid = os.getpid()
         from_children = False

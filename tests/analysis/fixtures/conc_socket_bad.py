@@ -16,9 +16,7 @@ def ship_named(pool, address):
 def ship_lambda(pool, host, port):
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.connect((host, port))
-    return pool.map_encoded(
-        lambda common, item: sock.send(item), None, [b"a"]
-    )
+    return pool.map(lambda common, item: sock.send(item), None, [b"a"])
 
 
 def ship_with_bound(pool, address):

@@ -1,9 +1,9 @@
 """CONC003 fixture: the same shapes, done safely.
 
 The task carries the *address* and connects on the worker side; the
-only socket handed to a dispatch goes to a plain thread-pool
-``.submit``, which shares the address space and is out of CONC003's
-scope by design.
+only sockets handed to a dispatch go to a plain thread-pool
+``.submit`` or two-operand ``.map``, which share the address space and
+are out of CONC003's scope by design.
 """
 
 import socket
@@ -26,4 +26,5 @@ def thread_local_use(pool, address):
 
     # a thread pool shares the address space: handing it a socket is
     # legitimate, and .submit is not a wire dispatch
+    pool.map(task, [b"b"])
     return pool.submit(task, b"a")

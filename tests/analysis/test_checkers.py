@@ -103,8 +103,9 @@ class TestConcChecker:
         result = analyze([tmp_path], checkers=[ConcChecker()])
         rules = rules_of(result)
         # the assigned socket into submit_batch, the lambda capture into
-        # map_encoded, and the with-bound socket into submit_batch (by
-        # keyword) -- three CONC003s, and nothing misfiled as CONC002
+        # the three-operand executor map, and the with-bound socket into
+        # submit_batch (by keyword) -- three CONC003s, and nothing
+        # misfiled as CONC002
         assert rules == ["CONC003", "CONC003", "CONC003"]
         messages = [f.message for f in result.findings]
         assert any("connection" in message for message in messages)

@@ -4,14 +4,15 @@ import os
 import subprocess
 import sys
 
+from pathlib import Path
+
 import pytest
 
-from repro.errors import ExecutionError, RelationError
+from repro.errors import ConfigError, ExecutionError, RelationError
 from repro.exec import (
     EXECUTOR_KINDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     configure,
     current_config,
     describe_physical,
@@ -21,10 +22,48 @@ from repro.exec import (
     partition_count,
     partition_index,
 )
+from repro.exec import executors
 from repro.exec.executors import _inside_task
 from repro.exec.rewrite import default_pipeline
 from repro.datasets.restaurants import table_ra
 from repro.model.relation import ExtendedRelation
+
+
+#: The repository root (the subprocess tests import ``src/repro``).
+ROOT = Path(__file__).resolve().parents[2]
+
+
+# Module-level tasks: the process executor pickles them by reference.
+
+
+def _square(common, item):
+    return item * item
+
+
+def _boom(common, item):
+    if item == 5:
+        raise ValueError("task 5 failed")
+    return item
+
+
+def _pid(common, item):
+    return os.getpid()
+
+
+def _nested(common, item):
+    """Fan out again from inside a task; report where the inner ran."""
+    return os.getpid(), set(get_executor().map(_pid, None, range(4)))
+
+
+@pytest.fixture
+def unresolved_config():
+    """Clear the resolved configuration so the environment is re-read."""
+    saved = executors._config, executors._executor
+    executors._config, executors._executor = None, None
+    try:
+        yield
+    finally:
+        executors._config, executors._executor = saved
 
 
 class TestConfiguration:
@@ -37,13 +76,13 @@ class TestConfiguration:
 
     def test_configure_switches_executor_kinds(self):
         with executor_scope():
-            assert configure(executor="thread", workers=3).kind == "thread"
-            assert isinstance(get_executor(), ThreadExecutor)
             assert configure(executor="process", workers=2).kind == "process"
             assert isinstance(get_executor(), ProcessExecutor)
+            assert configure(executor="serial").kind == "serial"
+            assert isinstance(get_executor(), SerialExecutor)
 
     def test_partitions_default_to_workers(self):
-        with executor_scope(executor="thread", workers=5):
+        with executor_scope(executor="process", workers=5):
             assert current_config().effective_partitions() == 5
             assert partition_count(100) == 5
             # ... but never more partitions than entities.
@@ -51,7 +90,7 @@ class TestConfiguration:
             assert partition_count(1) == 1
 
     def test_explicit_partitions_override_workers(self):
-        with executor_scope(executor="thread", workers=2, partitions=7):
+        with executor_scope(executor="process", workers=2, partitions=7):
             assert partition_count(100) == 7
 
     def test_serial_with_explicit_partitions_still_partitions(self):
@@ -66,10 +105,19 @@ class TestConfiguration:
         with pytest.raises(ExecutionError):
             configure(partitions=0)
 
+    def test_configure_rejects_unknown_kind_naming_valid_ones(self):
+        with pytest.raises(ConfigError) as excinfo:
+            configure(executor="distributed")
+        message = str(excinfo.value)
+        for kind in EXECUTOR_KINDS:
+            assert kind in message
+        # the process-global configuration must be untouched by the failure
+        assert get_executor().kind in EXECUTOR_KINDS
+
     def test_describe_mentions_kind_workers_partitions(self):
-        with executor_scope(executor="thread", workers=4) as config:
+        with executor_scope(executor="process", workers=4) as config:
             text = config.describe()
-            assert "thread" in text and "4 worker(s)" in text
+            assert "process" in text and "4 worker(s)" in text
             assert "4 partition(s)" in text
 
     def test_env_variables_choose_the_executor(self):
@@ -80,16 +128,16 @@ class TestConfiguration:
         )
         env = dict(
             os.environ,
-            REPRO_EXECUTOR="thread",
+            REPRO_EXECUTOR="process",
             REPRO_WORKERS="3",
             REPRO_PARTITIONS="5",
             PYTHONPATH="src",
         )
         output = subprocess.run(
             [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, check=True, cwd="/root/repo",
+            env=env, capture_output=True, text=True, check=True, cwd=ROOT,
         ).stdout.split()
-        assert output == ["thread", "3", "5"]
+        assert output == ["process", "3", "5"]
 
     def test_malformed_env_surfaces_as_clean_error_not_at_import(self):
         """A bad REPRO_* variable must not make the package unimportable;
@@ -107,55 +155,91 @@ class TestConfiguration:
         result = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, check=True,
-            cwd="/root/repo",
+            cwd=ROOT,
         )
         assert "clean error: REPRO_WORKERS must be an integer" in result.stdout
 
     def test_all_kinds_are_constructible(self):
+        assert EXECUTOR_KINDS == ("serial", "process")
         for kind in EXECUTOR_KINDS:
             with executor_scope(executor=kind, workers=2):
                 assert get_executor().kind == kind
+
+
+class TestRemovedKnobs:
+    """The removed tiers and their variables fail loudly, never silently."""
+
+    @pytest.mark.parametrize("kind", ("thread", "auto", "remote"))
+    def test_removed_kind_via_configure(self, kind):
+        with executor_scope():
+            with pytest.raises(ConfigError) as excinfo:
+                configure(executor=kind)
+        message = str(excinfo.value)
+        assert "removed" in message
+        assert "'serial'" in message and "'process'" in message
+
+    @pytest.mark.parametrize("kind", ("thread", "auto", "remote"))
+    def test_removed_kind_via_env(self, kind, monkeypatch, unresolved_config):
+        monkeypatch.setenv("REPRO_EXECUTOR", kind)
+        with pytest.raises(ConfigError) as excinfo:
+            current_config()
+        message = str(excinfo.value)
+        assert "REPRO_EXECUTOR" in message and "removed" in message
+        assert "'serial'" in message and "'process'" in message
+
+    @pytest.mark.parametrize(
+        "name",
+        (
+            "REPRO_WORKERS_ADDRS",
+            "REPRO_REMOTE_THRESHOLD",
+            "REPRO_REMOTE_LOCALITY",
+            "REPRO_WARM_POOL",
+        ),
+    )
+    def test_removed_variables_are_rejected(
+        self, name, monkeypatch, unresolved_config
+    ):
+        monkeypatch.setenv(name, "1")
+        with pytest.raises(ConfigError, match=name):
+            current_config()
+        # An empty value configures nothing and is accepted.
+        monkeypatch.setenv(name, "")
+        assert current_config().kind in EXECUTOR_KINDS
 
 
 class TestExecutors:
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_map_preserves_order(self, kind):
         with executor_scope(executor=kind, workers=3):
-            result = get_executor().map(lambda x: x * x, range(17))
+            result = get_executor().map(_square, None, range(17))
             assert result == [x * x for x in range(17)]
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_map_propagates_exceptions(self, kind):
-        def boom(x):
-            if x == 5:
-                raise ValueError("task 5 failed")
-            return x
-
         with executor_scope(executor=kind, workers=3):
             with pytest.raises(ValueError, match="task 5"):
-                get_executor().map(boom, range(8))
+                get_executor().map(_boom, None, range(8))
 
     def test_nested_fan_out_runs_inline(self):
         """A batch issued from inside a task must not re-enter the pool."""
-        with executor_scope(executor="thread", workers=2):
+        with executor_scope(executor="process", workers=2):
             stats = exec_stats()
             baseline = stats.parallel_batches
-
-            def outer(x):
-                inner = get_executor().map(lambda y: y + 1, range(4))
-                return sum(inner) + x
-
-            result = get_executor().map(outer, range(6))
-            assert result == [sum(range(1, 5)) + x for x in range(6)]
+            result = get_executor().map(_nested, None, range(6))
+            for outer_pid, inner_pids in result:
+                # The inner batch ran in the outer task's own process.
+                assert outer_pid != os.getpid()
+                assert inner_pids == {outer_pid}
             # Only the outer batch fanned out.
             assert stats.parallel_batches == baseline + 1
 
     def test_single_item_batches_run_inline(self):
-        with executor_scope(executor="thread", workers=4):
+        with executor_scope(executor="process", workers=4):
             stats = exec_stats()
-            before = stats.parallel_batches
-            assert get_executor().map(lambda x: x, [42]) == [42]
-            assert stats.parallel_batches == before
+            before = stats.parallel_batches, stats.inline_batches
+            assert get_executor().map(_pid, None, [42]) == [os.getpid()]
+            assert stats.parallel_batches == before[0]
+            assert stats.inline_batches == before[1] + 1
 
     def test_inside_task_guard_nests(self):
         assert partition_count(100) >= 1
@@ -241,5 +325,5 @@ class TestPhysicalLowering:
         db.add(table_ra())
         plan = db.session().plan("SELECT rname FROM RA WHERE rating IS {ex}")
         text = describe_physical(plan)
-        assert "partition input" in text
+        assert "tuple-wise, one pass" in text
         assert "Scan RA" in text

@@ -1,17 +1,18 @@
 """Property tests: any executor x any partition count == serial, exactly.
 
 The acceptance bar of the partitioned physical layer: for random
-relations, random partition counts in 1..8 and all four executors
-(including the cost-model-driven ``auto``),
-every algebra operation, ``Federation.integrate`` and stream
-interleavings must produce *exactly* the serial single-partition result
--- same tuples in the same order, exact Fractions exactly, floats
-bit-for-bit -- including the total-conflict fallback paths, where no
-fold order is canonical but the implementation promises the serial one.
+relations, random partition counts in 1..8 and both executors (serial
+partitioned inline, process on the warm pool), every algebra
+operation, ``Federation.integrate`` and stream interleavings must
+produce *exactly* the serial single-partition result -- same tuples in
+the same order, exact Fractions exactly, floats bit-for-bit --
+including the total-conflict fallback paths, where no fold order is
+canonical but the implementation promises the serial one.
 
 Baselines are always computed under a forced serial/1-partition scope so
-the suite stays meaningful when CI runs it with ``REPRO_EXECUTOR``
-pointing at a pool.
+the suite stays meaningful when it runs with ``REPRO_EXECUTOR`` pointing
+at the process pool.  The dispatch tests at the end check that the
+process executor really reaches the warm pool from every fan-out site.
 """
 
 import random
@@ -31,14 +32,15 @@ from repro.algebra.union import union_with_report
 from repro.datasets.generators import SyntheticConfig, synthetic_pair
 from repro.datasets.restaurants import table_ra
 from repro.errors import TotalConflictError
-from repro.exec import executor_scope
+from repro.exec import executor_scope, get_executor
+from repro.obs import registry
 from repro.integration import Federation, TupleMerger
 from repro.model.domain import EnumeratedDomain
 from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.stream import StreamEngine
 
-EXECUTORS = ("serial", "thread", "process", "auto")
+EXECUTORS = ("serial", "process")
 
 #: One executor per hypothesis example (drawn), every partition count
 #: 1..8 checked inside the example.
@@ -320,11 +322,11 @@ def test_query_plans_equal_serial_through_session(executor):
                 assert _identical(session.execute(query), baseline)
 
 
-# -- the remote executor ------------------------------------------------------
+# -- the process executor reaches the warm pool ----------------------------
 
 
-def _remote_federation(n_sources: int = 3, n_tuples: int = 30) -> Federation:
-    """A deterministic multi-source federation for the remote tests."""
+def _federation(n_sources: int = 3, n_tuples: int = 30) -> Federation:
+    """A deterministic multi-source federation for the dispatch tests."""
     from repro.datasets.generators import synthetic_relation
 
     federation = Federation(TupleMerger(on_conflict="vacuous"))
@@ -344,92 +346,109 @@ def _remote_federation(n_sources: int = 3, n_tuples: int = 30) -> Federation:
     return federation
 
 
-@pytest.mark.parametrize("cluster_size", (1, 2, 4))
-def test_federation_remote_cluster_equals_serial(cluster_size, remote_env):
-    """Bit-for-bit serial equality across 1-, 2- and 4-worker clusters."""
-    from repro.exec.remote import spawn_local_cluster
+class _Dispatches:
+    """Counts warm-pool dispatches made inside the ``with`` block."""
 
-    federation = _remote_federation()
+    def __enter__(self):
+        self._counter = registry().counter("exec.warmpool.dispatches")
+        self._before = self._counter.value
+        return self
+
+    def __exit__(self, *exc_info):
+        self.count = self._counter.value - self._before
+        return False
+
+
+def _process_scope():
+    return executor_scope(executor="process", workers=2, partitions=4)
+
+
+def test_federation_integrate_dispatches_to_the_warm_pool():
+    federation = _federation()
     with _serial_baseline():
         expected, expected_report = federation.integrate(name="F")
-    with spawn_local_cluster(cluster_size) as cluster:
-        with remote_env(cluster.addr_spec):
-            with executor_scope(
-                executor="remote", workers=cluster_size, partitions=4
-            ):
-                actual, report = federation.integrate(name="F")
+    with _process_scope(), _Dispatches() as dispatches:
+        actual, report = federation.integrate(name="F")
+    assert dispatches.count == 1
     assert _identical(actual, expected)
-    assert len(report.steps) == len(expected_report.steps)
     assert report.total_conflicts == expected_report.total_conflicts
 
 
-def test_remote_union_and_plans_equal_serial(remote_cluster, remote_env):
-    """Algebra ops and query plans stay exact when sharded over the wire."""
+def test_integrate_entities_dispatches_to_the_warm_pool():
+    federation = _federation()
+    keys = [("e0",), ("e7",), ("absent",), ("e3",), ("e12",), ("e29",)]
+    with _serial_baseline():
+        expected = [federation.integrate_entity(key) for key in keys]
+    with _process_scope(), _Dispatches() as dispatches:
+        actual = federation.integrate_entities(keys)
+    assert dispatches.count == 1
+    assert actual == expected
+
+
+def test_union_dispatches_to_the_warm_pool():
     config = SyntheticConfig(
         n_tuples=25, overlap=0.5, conflict=0.5, ignorance=0.6, seed=99
     )
     left, right = synthetic_pair(config)
     with _serial_baseline():
-        union_base, _ = union_with_report(left, right, on_conflict="vacuous")
-    with remote_env(remote_cluster.addr_spec):
-        with executor_scope(executor="remote", workers=2, partitions=4):
-            merged, _ = union_with_report(left, right, on_conflict="vacuous")
-    assert _identical(merged, union_base)
+        expected, _ = union_with_report(left, right, on_conflict="vacuous")
+    with _process_scope(), _Dispatches() as dispatches:
+        merged, _ = union_with_report(left, right, on_conflict="vacuous")
+    assert dispatches.count == 1
+    assert _identical(merged, expected)
 
 
-def test_stream_flush_remote_equals_serial(remote_cluster, remote_env):
-    """A streamed event sequence re-folds identically over the wire."""
+def test_stream_flush_dispatches_to_the_warm_pool():
+    from repro.datasets.generators import synthetic_relation
+
+    config = SyntheticConfig(
+        n_tuples=12, conflict=0.6, ignorance=1.0, overlap=1.0, seed=4242
+    )
+    pools = {
+        name: tuple(synthetic_relation(config, name))
+        for name in ("s0", "s1", "s2")
+    }
 
     def run():
-        rng = random.Random(4242)
-        config = SyntheticConfig(
-            n_tuples=12, conflict=0.6, ignorance=1.0, overlap=1.0, seed=4242
-        )
-        from repro.datasets.generators import synthetic_relation
-
-        pools = {
-            name: tuple(synthetic_relation(config, name))
-            for name in ("s0", "s1", "s2")
-        }
-        schema = pools["s0"][0].schema
         engine = StreamEngine(
-            schema, name="F", merger=TupleMerger(on_conflict="vacuous")
+            pools["s0"][0].schema,
+            name="F",
+            merger=TupleMerger(on_conflict="vacuous"),
         )
-        for _ in range(60):
-            source = rng.choice(sorted(pools))
-            engine.upsert(source, rng.choice(pools[source]))
-            if rng.random() < 0.2:
-                engine.flush()
+        for name, etuples in pools.items():
+            for etuple in etuples:
+                engine.upsert(name, etuple)
+        engine.flush()
+        # Re-asserting a source's tuples dirties its entities: the next
+        # flush re-folds them from scratch.
+        for etuple in pools["s0"]:
+            engine.upsert("s0", etuple)
         engine.flush()
         return engine.relation
 
     with _serial_baseline():
         expected = run()
-    with remote_env(remote_cluster.addr_spec):
-        with executor_scope(executor="remote", workers=2, partitions=4):
-            actual = run()
+    with _process_scope(), _Dispatches() as dispatches:
+        actual = run()
+    assert dispatches.count == 1
     assert _identical(actual, expected)
 
 
-def test_federation_remote_equals_serial_under_worker_death(remote_env):
-    """Killing a worker mid-integration must not change a single bit."""
-    from repro.exec import get_executor
-    from repro.exec.remote import spawn_local_cluster
-
-    federation = _remote_federation(n_tuples=40)
-    with _serial_baseline():
-        expected, _ = federation.integrate(name="F")
-    with spawn_local_cluster(2) as cluster:
-        with remote_env(cluster.addr_spec):
-            with executor_scope(executor="remote", workers=2, partitions=4):
-                # Warm the connections, then pull a worker out from
-                # under the next integrate: its chunks must re-scatter
-                # to the survivor without reordering anything.
-                get_executor().map(_remote_probe, range(4))
-                cluster.kill_worker(0)
-                actual, _ = federation.integrate(name="F")
-    assert _identical(actual, expected)
+def _scaled(common, item):
+    _handle, factor = common
+    return item * factor
 
 
-def _remote_probe(item):
-    return item
+def test_unpicklable_common_runs_inline_with_the_serial_result():
+    fallbacks = registry().counter("exec.warmpool.fallbacks")
+    dispatches = registry().counter("exec.warmpool.dispatches")
+    items = list(range(7))
+    with open(__file__) as handle:  # file handles do not pickle
+        with _serial_baseline():
+            expected = get_executor().map(_scaled, (handle, 3), items)
+        before = fallbacks.value, dispatches.value
+        with _process_scope():
+            actual = get_executor().map(_scaled, (handle, 3), items)
+    assert actual == expected == [3 * item for item in items]
+    assert fallbacks.value == before[0] + 1
+    assert dispatches.value == before[1]

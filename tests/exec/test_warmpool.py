@@ -3,8 +3,8 @@
 The equivalence suite already proves warm-pool results are bit-for-bit
 serial; these tests pin the *mechanics*: one fork paid across many
 batches, unpicklable payloads declined before dispatch, exceptions
-propagated, order preserved, and the process-global registry handing
-out one pool per worker count.
+propagated, order preserved, the process-global registry handing out
+one pool per worker count, and the process executor dispatching there.
 """
 
 import multiprocessing
@@ -13,7 +13,12 @@ import os
 import pytest
 
 from repro.exec import warmpool
-from repro.exec.executors import ProcessExecutor, executor_scope, get_executor
+from repro.exec.executors import (
+    EXECUTOR_KINDS,
+    ProcessExecutor,
+    executor_scope,
+    get_executor,
+)
 from repro.obs import registry
 
 
@@ -114,40 +119,18 @@ class TestPoolRegistry:
         assert warmpool.get_pool(2) is not None
 
 
-class TestMapEncoded:
+class TestProcessDispatch:
     def test_process_executor_routes_through_the_warm_pool(self):
         dispatches = registry().counter("exec.warmpool.dispatches")
-        executor = ProcessExecutor(workers=2, warm=True)
+        executor = ProcessExecutor(workers=2)
         before = dispatches.value
         items = list(range(12))
-        assert executor.map_encoded(_scale, 4, items) == [
-            4 * x for x in items
-        ]
+        assert executor.map(_scale, 4, items) == [4 * x for x in items]
         assert dispatches.value == before + 1
-
-    def test_warm_flag_off_uses_fork_per_batch(self):
-        dispatches = registry().counter("exec.warmpool.dispatches")
-        executor = ProcessExecutor(workers=2, warm=False)
-        before = dispatches.value
-        assert executor.map_encoded(_scale, 2, [1, 2, 3]) == [2, 4, 6]
-        assert dispatches.value == before
-
-    def test_unpicklable_common_falls_back_transparently(self):
-        executor = ProcessExecutor(workers=2, warm=True)
-        handle = open(os.devnull)  # noqa: SIM115 -- deliberately unpicklable
-        try:
-            # common cannot pickle; the fork path inherits it by memory
-            # and the batch still completes with exact results.
-            result = executor.map_encoded(
-                lambda common, item: item * 2, handle, [1, 2, 3]
-            )
-        finally:
-            handle.close()
-        assert result == [2, 4, 6]
 
     def test_every_executor_kind_agrees(self):
         items = list(range(9))
         expected = [5 * x for x in items]
-        for kind in ("serial", "thread", "process", "auto"):
+        for kind in EXECUTOR_KINDS:
             with executor_scope(executor=kind, workers=2):
-                assert get_executor().map_encoded(_scale, 5, items) == expected
+                assert get_executor().map(_scale, 5, items) == expected

@@ -23,7 +23,7 @@ QUERY = (
 )
 
 #: (executor, workers) configurations the profile must agree across.
-SCOPES = (("serial", 1), ("thread", 4), ("process", 2))
+SCOPES = (("serial", 1), ("process", 2))
 
 
 @pytest.fixture
@@ -73,7 +73,6 @@ class TestExplainAnalyze:
             assert all(
                 node.wall_seconds >= 0.0 for node in profile.nodes()
             )
-        assert shapes["thread"] == shapes["serial"]
         assert shapes["process"] == shapes["serial"]
 
     def test_profile_bypasses_the_result_cache(self, db):

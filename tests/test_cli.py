@@ -327,7 +327,7 @@ class TestStream:
                 "--schema", "RA", "--workers", "3", "--save", str(pooled_out),
             )
             assert status == 0
-            assert "executor: thread, 3 worker(s)" in output
+            assert "executor: process, 3 worker(s)" in output
         serial_db = read_database(serial_out)
         pooled_db = read_database(pooled_out)
         assert pooled_db.get("integrated").same_tuples(

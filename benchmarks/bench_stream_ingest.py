@@ -11,9 +11,9 @@ Both paths produce the identical relation (asserted here and verified
 property-based in ``tests/stream``).
 
 O(delta) holds for persistence too: a one-entity stream flush against
-the SQLite backend writes a small fraction of the full-relation payload
-(``storage.sqlite.bytes_written`` scales with the *changed* hash
-shards, not the relation size).
+the SQLite backend writes exactly that entity's row
+(``storage.sqlite.bytes_written`` counts the changed rows' payload, not
+the relation size).
 """
 
 import os
@@ -23,10 +23,9 @@ import pytest
 
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.integration import Federation, TupleMerger
-from repro.model.relation import partition_index
 from repro.obs import registry
 from repro.storage import open_backend
-from repro.storage.backends.sqlite import STREAM_SHARDS
+from repro.storage.backends.sqlite import _key_text
 from repro.stream import StreamEngine
 
 #: Entities per source; every entity appears in all three sources, so
@@ -39,7 +38,7 @@ DELTA = 16
 #: (measured ~17x on quiet hardware); shared CI runners set a looser
 #: floor via the environment so scheduler noise cannot fail the build.
 RATIO_FLOOR = float(os.environ.get("STREAM_BENCH_RATIO_FLOOR", "10"))
-#: Stream relation size for the dirty-shard byte measurements.
+#: Stream relation size for the flush byte measurements.
 N_STREAM_ENTITIES = 512
 
 
@@ -175,24 +174,25 @@ def test_dirty_shard_flush_bytes_scale_with_the_delta(
         before = bytes_written.value
         engine.flush()
         full = bytes_written.value - before
-        # Re-assert one entity with a second source: one dirty shard.
+        # Re-assert one entity with a second source: one changed row.
         engine.upsert("b", etuples[0])
         before = bytes_written.value
         engine.flush()
         delta = bytes_written.value - before
+        key_json = _key_text(etuples[0].key())
+        (row_json,) = backend._db.execute(
+            "SELECT row_json FROM tuples WHERE relation = 's0' AND key_json = ?",
+            (key_json,),
+        ).fetchone()
         loaded = backend.load_relation("s0")
         assert loaded == engine.relation
         assert list(loaded.keys()) == list(engine.relation.keys())
-    shard_fraction = len(
-        [e for e in etuples if partition_index(e.key(), STREAM_SHARDS) == 0]
-    ) / len(etuples)
     print(
         f"\nflush payload: full {full:,} B, one-entity delta {delta:,} B "
-        f"({delta / full:.1%} of full; one shard holds ~{shard_fraction:.1%})"
+        f"({delta / full:.2%} of full)"
     )
     bench_record("full_flush_bytes", full)
     bench_record("dirty_flush_bytes", delta)
     bench_record("dirty_vs_full_fraction", delta / full)
-    # One changed entity dirties one of the 16 shards: the write must be
-    # a small fraction of the relation payload, not O(relation).
-    assert 0 < delta < full / 4
+    # One changed entity writes exactly its own row, not O(relation).
+    assert delta == len(row_json) + len(key_json)

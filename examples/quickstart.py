@@ -176,18 +176,18 @@ def main() -> None:
         f"spawns={pool['exec.warmpool.spawns']}"
     )
     print(f"back to the default: {current_config().describe()}")
-    # Persistence is adaptive too: sqlite stream flushes rewrite only
-    # the hash shards the batch touched (bytes written scale with the
-    # *delta*, watch storage.sqlite.bytes_written), quiet flushes skip
-    # the backend entirely, and REPRO_AUTOCOMPACT=1 keeps a log:
-    # journal bounded by compacting once it outgrows its last compact
-    # size (`repro compact DB` does the same on demand).
+    # Persistence is adaptive too: sqlite stream flushes write only
+    # the rows the batch changed, addressed by entity key (bytes written
+    # scale with the *delta*, watch storage.sqlite.bytes_written), quiet
+    # flushes skip the backend entirely, and REPRO_AUTOCOMPACT=1 keeps a
+    # log: journal bounded by compacting once it outgrows its last
+    # compact size (`repro compact DB` does the same on demand).
     print()
 
     # Persistence & backends.  Storage locations are URLs -- `json:`
     # (one human-readable file per database, the historical format),
     # `sqlite:` (one row per tuple: single relations load without
-    # parsing the rest, partition layouts persist per tuple), `log:`
+    # parsing the rest), `log:`
     # (append-only JSONL journal) -- or bare paths resolved by the
     # REPRO_STORAGE environment variable and the file extension.  Every
     # engine round-trips relations bit-for-bit: exact Fractions stay

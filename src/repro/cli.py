@@ -21,9 +21,8 @@ else JSON).
     Print the catalog, or one relation as a table.
 
 ``repro convert SRC DST``
-    Migrate a database between any two backend locations
-    (``--partitions N`` re-shards the persisted tuple layout on the
-    way).
+    Migrate a database between any two backend locations.  Relations
+    are written flat, in tuple order, whatever layout the source held.
 
 ``repro compact DB``
     Fold an append-only ``log:`` store's history into its live
@@ -141,13 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     convert.add_argument("source", help="source location (URL or path)")
     convert.add_argument("destination", help="destination location (URL or path)")
-    convert.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-shard the persisted tuple layout into N hash partitions",
-    )
 
     repl = commands.add_parser(
         "repl", help="interactive query loop (cached session) over a database"
@@ -357,22 +349,13 @@ def _command_convert(args: argparse.Namespace, out) -> int:
             f"convert needs two distinct locations, got {source.url()} "
             f"twice"
         )
-    if args.partitions is not None and args.partitions < 1:
-        raise ReproError(
-            f"--partitions must be >= 1, got {args.partitions}"
-        )
     with source, destination:
         db = source.load_database()
-        destination.save_database(db, partitions=args.partitions)
+        destination.save_database(db)
         tuples = sum(len(relation) for relation in db)
-        sharding = (
-            f" in {args.partitions} partitions"
-            if args.partitions is not None and args.partitions > 1
-            else ""
-        )
         print(
             f"converted {len(db)} relations ({tuples} tuples) from "
-            f"{source.url()} to {destination.url()}{sharding}",
+            f"{source.url()} to {destination.url()}",
             file=out,
         )
     return 0

@@ -217,9 +217,9 @@ class SerialExecutor(Executor):
 class ProcessExecutor(Executor):
     """Fan batches out over the warm persistent process pool.
 
-    The pool (:mod:`repro.exec.warmpool`) is shared per worker count
-    and outlives any one executor, so the fork is paid once per
-    process, not per batch.
+    The pool (:mod:`repro.exec.warmpool`) is process-global and
+    outlives any one executor, so the fork is paid once per worker
+    count change, not per batch.
     """
 
     kind = "process"

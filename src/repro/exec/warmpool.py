@@ -16,9 +16,10 @@ and ships work to them as **compact encoded payloads**:
 Payloads that cannot pickle (closures, open handles) are detected *in
 the driver* before anything is dispatched: :meth:`WarmPool.submit_batch`
 returns ``None`` and the :class:`~repro.exec.executors.ProcessExecutor`
-runs the batch inline.  The pool is process-global and deliberately
+runs the batch inline.  There is one pool per process: it deliberately
 survives ``executor_scope`` -- staying warm across scopes is the point
--- and is reaped at interpreter exit.  Dispatch activity surfaces as the
+-- is replaced when a scope asks for a different worker count, and is
+reaped at interpreter exit.  Dispatch activity surfaces as the
 ``exec.warmpool.*`` metrics.
 
 Fork safety note (the CONC002 lint rule patrols this): tasks submitted
@@ -72,12 +73,13 @@ def _invoke_chunk(common_blob: bytes, chunk_blob: bytes):
 
 
 class WarmPool:
-    """A lazily-forked, persistent worker pool (one per worker count)."""
+    """A lazily-forked, persistent worker pool of a fixed size."""
 
     def __init__(self, workers: int):
         self.workers = int(workers)
         self._lock = threading.Lock()
         self._pool = None
+        self._retired = False
 
     def _ensure_pool(self):
         """Fork the workers on first use (caller holds the lock)."""
@@ -114,6 +116,11 @@ class WarmPool:
             "exec.warmpool.dispatch", tasks=len(items), chunks=len(chunk_blobs)
         ):
             with self._lock:
+                if self._retired:
+                    # Replaced by a pool of another size while this
+                    # caller held it: run inline rather than re-fork.
+                    _FALLBACKS.inc()
+                    return None
                 pool = self._ensure_pool()
                 try:
                     handles = [
@@ -160,40 +167,52 @@ class WarmPool:
         with self._lock:
             self._close_pool()
 
+    def retire(self) -> None:
+        """Terminate the workers for good, once any batch in flight is
+        done; later submits run inline."""
+        with self._lock:
+            self._retired = True
+            self._close_pool()
+
     def __repr__(self) -> str:
         state = "warm" if self._pool is not None else "cold"
         return f"WarmPool({self.workers} worker(s), {state})"
 
 
-#: Process-global pools keyed by worker count, guarded by the lock: the
-#: whole point is reusing forked workers across executor scopes.
-_POOLS: dict[int, WarmPool] = {}
-_POOLS_LOCK = threading.Lock()
+#: The process-global pool, guarded by the lock: the whole point is
+#: reusing forked workers across executor scopes.
+_POOL: WarmPool | None = None
+_POOL_LOCK = threading.Lock()
 
 
 def get_pool(workers: int) -> WarmPool | None:
-    """The shared warm pool for *workers*, or ``None`` without ``fork``."""
+    """The shared warm pool sized *workers*, or ``None`` without ``fork``.
+
+    A request for another size retires the current pool first (waiting
+    for its batch in flight), so at most one pool's workers are alive.
+    """
+    global _POOL
     try:
         import multiprocessing
 
         multiprocessing.get_context("fork")
     except (ImportError, ValueError):
         return None
-    with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            pool = WarmPool(workers)
-            _POOLS[workers] = pool
-    return pool
+    with _POOL_LOCK:
+        if _POOL is None or _POOL.workers != workers:
+            if _POOL is not None:
+                _POOL.retire()
+            _POOL = WarmPool(workers)
+        return _POOL
 
 
 def shutdown() -> None:
-    """Terminate every warm pool (idempotent; registered at exit)."""
-    with _POOLS_LOCK:
-        pools = list(_POOLS.values())
-        _POOLS.clear()
-    for pool in pools:
-        pool.close()
+    """Terminate the warm pool (idempotent; registered at exit)."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.retire()
 
 
 atexit.register(shutdown)

@@ -58,7 +58,9 @@ storage.<scheme>.saves                  counter    save_relation/save_database c
 storage.<scheme>.loads                  counter    load_database calls per engine
 storage.<scheme>.point_loads            counter    load_relation point reads per engine
 storage.<scheme>.write_batches          counter    stream write_batch calls per engine
-storage.<scheme>.bytes_written          counter    bytes on disk after mutating calls (delta)
+storage.<scheme>.bytes_written          counter    bytes on disk after mutating calls (delta);
+                                                   SQLite stream flushes count the payload bytes
+                                                   of the rows they write
 storage.<scheme>.save_seconds           histogram  save-side call latency
 storage.<scheme>.load_seconds           histogram  load-side call latency
 storage.<scheme>.file_bytes             gauge      current on-disk size of the last-touched store

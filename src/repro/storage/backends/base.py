@@ -11,7 +11,7 @@ interchangeable:
   versions keep loading);
 * :class:`repro.storage.backends.sqlite.SqliteBackend` -- one row per
   extended tuple; relations load individually without touching the rest
-  of the database, and hash-partition layouts persist per tuple;
+  of the database, and stream flushes write only the changed rows;
 * :class:`repro.storage.backends.log.LogBackend` -- an append-only JSONL
   journal (relation snapshots + streaming write-ahead records) with
   compaction.
@@ -203,7 +203,9 @@ class StorageBackend(abc.ABC):
     def catalog(self) -> dict[str, dict]:
         """Per-relation metadata: ``{name: {"tuples": n, "partitions": p}}``.
 
-        ``partitions`` is the persisted shard count (0 = flat layout).
+        Every writer stores relations flat (``partitions`` 0);
+        ``partitions`` reports the hash-shard count a store written by an
+        older version may still hold.  Such stores load unchanged.
         """
 
     # -- relation-level operations ------------------------------------------
@@ -219,17 +221,16 @@ class StorageBackend(abc.ABC):
         with self._instrument("load_relation", "point_loads", False):
             return self._load_relation(name)
 
-    def save_relation(self, relation, partitions: int | None = None) -> None:
+    def save_relation(self, relation) -> None:
         """Insert or replace one relation (creating the store if absent).
 
-        With *partitions* ``> 1`` the tuples persist in their stable
-        CRC32 hash shards (:func:`repro.model.relation.partition_index`),
-        so a reloaded relation re-partitions into the identical layout.
-        Bumps the catalog version.
+        The tuples are stored in the relation's own order, so a reloaded
+        relation splits into the same ``relation.partitions(n)`` shards
+        as the saved one.  Bumps the catalog version.
         """
         self._require_open()
         with self._instrument("save_relation", "saves", True):
-            self._save_relation(relation, partitions)
+            self._save_relation(relation)
 
     def delete_relation(self, name: str) -> None:
         """Remove one stored relation; bumps the catalog version."""
@@ -253,7 +254,7 @@ class StorageBackend(abc.ABC):
         database._version = max(database._version, self.catalog_version())
         return database
 
-    def save_database(self, database, partitions: int | None = None) -> None:
+    def save_database(self, database) -> None:
         """Persist the whole *database* (replacing the stored catalog).
 
         Relations stored earlier but absent from *database* are removed.
@@ -261,7 +262,7 @@ class StorageBackend(abc.ABC):
         """
         self._require_open()
         with self._instrument("save_database", "saves", True):
-            self._save_database(database, partitions)
+            self._save_database(database)
 
     # -- streaming durability -----------------------------------------------
 
@@ -286,14 +287,15 @@ class StorageBackend(abc.ABC):
         The base behavior is snapshot durability: save the relation and
         record the watermark.  An empty batch only advances the
         watermark -- a periodic flush on a quiet stream must not rewrite
-        the whole relation.  The log backend appends the events
-        themselves instead -- a true write-ahead log whose replay
-        rebuilds the engine exactly.
+        the whole relation.  The SQLite backend writes only the rows
+        the batch changed, addressed by their entity key.  The log
+        backend appends the events themselves instead -- a true
+        write-ahead log whose replay rebuilds the engine exactly.
         """
         self._require_open()
         with self._instrument("write_batch", "write_batches", True):
             if not delta.is_empty() or self._stream_watermark(name) is None:
-                self._save_relation(relation, None)
+                self._save_relation(relation)
             self._set_stream_watermark(name, delta.watermark)
 
     def stream_watermark(self, name: str) -> int | None:
@@ -308,7 +310,7 @@ class StorageBackend(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def _save_relation(self, relation, partitions: int | None) -> None:
+    def _save_relation(self, relation) -> None:
         ...
 
     @abc.abstractmethod
@@ -320,7 +322,7 @@ class StorageBackend(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def _save_database(self, database, partitions: int | None) -> None:
+    def _save_database(self, database) -> None:
         ...
 
     @abc.abstractmethod

@@ -104,9 +104,9 @@ class JsonBackend(StorageBackend):
                 return relation_from_json(entry)
         raise self._missing_relation(name)
 
-    def _save_relation(self, relation, partitions: int | None) -> None:
+    def _save_relation(self, relation) -> None:
         document = self._read_or_empty()
-        entry = relation_to_json(relation, partitions=partitions)
+        entry = relation_to_json(relation)
         entries = document.get("relations", [])
         for index, existing in enumerate(entries):
             if existing["schema"]["name"] == relation.name:
@@ -131,9 +131,9 @@ class JsonBackend(StorageBackend):
     def _load_database(self):
         return database_from_json(self._read_document())
 
-    def _save_database(self, database, partitions: int | None) -> None:
+    def _save_database(self, database) -> None:
         document = self._read_or_empty()
-        fresh = database_to_json(database, partitions=partitions)
+        fresh = database_to_json(database)
         fresh["catalog_version"] = document.get("catalog_version", 0)
         if "streams" in document:
             fresh["streams"] = document["streams"]

@@ -58,6 +58,8 @@ from repro.obs.registry import registry as _metrics_registry
 from repro.storage.backends.base import StorageBackend
 from repro.storage.serialization import (
     FORMAT_VERSION,
+    _atom_from_json,
+    _atom_to_json,
     _number_from_json,
     _number_to_json,
     _tuple_from_json,
@@ -269,13 +271,13 @@ class LogBackend(StorageBackend):
             raise self._missing_relation(name)
         return relation_from_json(document)
 
-    def _save_relation(self, relation, partitions: int | None) -> None:
+    def _save_relation(self, relation) -> None:
         meta = self._current_meta()
         meta["catalog_version"] += 1
         self._append(
             {
                 "record": "relation",
-                "document": relation_to_json(relation, partitions=partitions),
+                "document": relation_to_json(relation),
             },
             self._meta_record(meta),
         )
@@ -313,7 +315,7 @@ class LogBackend(StorageBackend):
             }
         )
 
-    def _save_database(self, database, partitions: int | None) -> None:
+    def _save_database(self, database) -> None:
         if self.exists():
             meta, relations = self._catalog_state()
             stale = set(relations) - set(database.names())
@@ -325,7 +327,7 @@ class LogBackend(StorageBackend):
         records.extend(
             {
                 "record": "relation",
-                "document": relation_to_json(relation, partitions=partitions),
+                "document": relation_to_json(relation),
             }
             for relation in database
         )
@@ -585,15 +587,13 @@ class LogBackend(StorageBackend):
 # -- write-ahead event codec -------------------------------------------------
 #
 # Upserts persist the *coerced* tuple in the lossless row codec of
-# repro.storage.serialization (exact Fractions, shortest-repr floats);
-# retract keys reuse the tagged-atom encoding of repro.stream.connectors,
-# reliabilities the fraction-string number codec -- the same conventions
-# as JSONL event files, so WAL records stay human-readable.
+# repro.storage.serialization (exact Fractions, shortest-repr floats),
+# retract keys its tagged-atom encoding, reliabilities its
+# fraction-string number codec -- the same conventions as JSONL event
+# files, so WAL records stay human-readable.
 
 
 def _encode_wal_event(event: tuple) -> dict:
-    from repro.stream.connectors import _atom_to_json
-
     kind = event[0]
     if kind == "upsert":
         _, source, etuple = event
@@ -616,8 +616,6 @@ def _encode_wal_event(event: tuple) -> dict:
 
 
 def _apply_wal_event(engine, document: dict) -> None:
-    from repro.stream.connectors import _atom_from_json
-
     op = document.get("op")
     try:
         if op == "upsert":

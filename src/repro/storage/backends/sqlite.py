@@ -7,33 +7,38 @@ Layout (three tables, created lazily on first write):
     ``catalog_version`` (bumped by every mutating save) and per-stream
     watermarks (``stream:<name>:watermark``).
 ``relations(name, position, partitions, schema_json)``
-    One row per relation: catalog position (stable load order), the
-    persisted shard count (0 = flat) and the schema document.
-``tuples(relation, partition, position, row_json)``
+    One row per relation: catalog position (stable load order), a
+    hash-shard count (always 0 when written now) and the schema
+    document.
+``tuples(relation, partition, position, row_json, key_json)``
     One row per extended tuple.  ``row_json`` is the same lossless
     tuple document the JSON backend stores (exact fractions as
     ``"1/3"``, floats via shortest ``repr``), ``position`` the tuple's
-    serial order in the relation, and ``partition`` its stable CRC32
-    hash shard (:func:`repro.model.relation.partition_index`) when the
-    relation was saved partitioned.
+    order in the relation and ``key_json`` the canonical JSON identity
+    of its entity key, indexed by ``tuples_by_key``.  Writers leave
+    ``partition`` at 0.
+
+Stores written by older versions load unchanged: a relation with
+``partitions > 1`` reads its rows shard by shard (``partition``, then
+``position``), and rows stamped with a hash shard under
+``partitions = 0`` read in ``position`` order like any other.
 
 The payoff over the monolithic JSON file is *selective* deserialization:
 :meth:`load_relation` reads exactly one relation's rows through an
-indexed scan -- the rest of the database is never parsed -- and a
-relation saved with ``partitions=n`` reloads through
-:meth:`ExtendedRelation.from_partitions` into the identical shard
-layout, so a sharded engine resumes without re-hashing mismatches.
+indexed scan -- the rest of the database is never parsed.
 
-Streaming durability is **O(delta)**: :meth:`SqliteBackend.write_batch`
-stamps a stream's rows into :data:`STREAM_SHARDS` stable CRC32 hash
-shards (plus a ``key_json`` identity column) on the first flush, and
-every later flush rewrites only the shards holding the batch's
-inserted/updated/removed entities -- bytes written scale with the
-*changed* partitions, not the relation size (metered by the
-``storage.sqlite.bytes_written`` counter).  Changes the shard layout
-cannot express exactly (an entity resurrected mid-order, rows from an
-older layout) fall back to a full stamped rewrite, so the reloaded
-relation always equals the stream's published relation bit for bit.
+Stream flushes write only the rows the batch changed:
+:meth:`SqliteBackend.write_batch` deletes the removed keys, updates
+``row_json`` of the updated keys and appends the inserted keys past the
+last stored position, every row addressed by ``key_json``.  Bytes
+written scale with the number of changed entities (metered by the
+``storage.sqlite.bytes_written`` counter).  A change that cannot be
+written row by row -- the stream's first flush, a deleted or
+hash-sharded stored relation, a mid-order insert, an inserted key that
+already has a row, a key-less row, an update or delete that misses its
+row -- rewrites the whole relation instead, so the reloaded relation
+always equals the stream's published relation bit for bit, in the same
+order.
 """
 
 from __future__ import annotations
@@ -43,23 +48,19 @@ import sqlite3
 import time
 
 from repro.errors import SerializationError
-from repro.model.relation import ExtendedRelation, partition_index
+from repro.model.relation import ExtendedRelation
 from repro.obs import tracing
 from repro.obs.registry import registry as _metrics_registry
 from repro.storage.backends.base import StorageBackend
 from repro.storage.database import Database
 from repro.storage.serialization import (
     FORMAT_VERSION,
+    _atom_to_json,
     _tuple_from_json,
     _tuple_to_json,
     schema_from_json,
     schema_to_json,
 )
-
-#: Hash-shard count for stream relations: fine enough that a small
-#: batch touches a small fraction of the rows, coarse enough that a
-#: full rewrite stays a handful of multi-row inserts.
-STREAM_SHARDS = 16
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -85,8 +86,6 @@ CREATE INDEX IF NOT EXISTS tuples_by_key ON tuples (relation, key_json);
 
 def _key_text(key: tuple) -> str:
     """Canonical JSON identity of an entity key (stable across runs)."""
-    from repro.stream.connectors import _atom_to_json
-
     return json.dumps([_atom_to_json(part) for part in key])
 
 
@@ -151,11 +150,11 @@ class SqliteBackend(StorageBackend):
         self._db.commit()
 
     def _ensure_key_column(self) -> None:
-        """Migrate pre-shard stores: add the ``key_json`` column once.
+        """Migrate stores predating ``key_json``: add the column once.
 
-        Rows written before the migration keep ``NULL`` keys; the
-        dirty-shard path detects them and falls back to a full stamped
-        rewrite, after which the layout is current.
+        Rows written before the migration keep ``NULL`` keys; the next
+        stream flush detects them and rewrites the whole relation, after
+        which every row carries its key.
         """
         if getattr(self, "_key_column_ok", False):
             return
@@ -243,26 +242,18 @@ class SqliteBackend(StorageBackend):
         if row is None:
             raise self._missing_relation(name)
         schema_json, partitions = row
+        # Relations an older version saved hash-sharded load shard by
+        # shard, which is the order they were saved in.
+        order = "partition, position" if partitions > 1 else "position"
         try:
             schema = schema_from_json(json.loads(schema_json))
             rows = self._db.execute(
-                "SELECT partition, row_json FROM tuples "
-                "WHERE relation = ? ORDER BY position",
+                f"SELECT row_json FROM tuples WHERE relation = ? ORDER BY {order}",
                 (name,),
             )
-            if partitions and partitions > 1:
-                shards: list[list] = [[] for _ in range(partitions)]
-                for partition, row_json in rows:
-                    shards[partition].append(
-                        _tuple_from_json(json.loads(row_json), schema)
-                    )
-                return ExtendedRelation.from_partitions(
-                    schema,
-                    [ExtendedRelation(schema, shard) for shard in shards],
-                )
             tuples = [
                 _tuple_from_json(json.loads(row_json), schema)
-                for _, row_json in rows
+                for (row_json,) in rows
             ]
             return ExtendedRelation(schema, tuples)
         except json.JSONDecodeError as exc:
@@ -270,24 +261,18 @@ class SqliteBackend(StorageBackend):
                 f"corrupt row for relation {name!r} in {self.url()}: {exc}"
             ) from exc
 
-    def _save_relation(self, relation, partitions: int | None) -> None:
+    def _save_relation(self, relation) -> None:
         self._ensure_store()
         self._check_format()
         with self._db:
-            self._insert_relation(relation, partitions)
+            self._insert_relation(relation)
             self._bump_catalog_version()
 
-    def _insert_relation(
-        self, relation, partitions: int | None, stream_shards: int | None = None
-    ) -> int:
-        """Write one relation inside the caller's transaction.
+    def _insert_relation(self, relation) -> int:
+        """Write one whole relation inside the caller's transaction.
 
-        With *stream_shards* the rows are stamped for the dirty-shard
-        stream layout instead: partition = the key's stable hash shard,
-        ``key_json`` = the key's identity, while ``relations.partitions``
-        stays 0 so :meth:`_load_relation` reads the flat
-        ``ORDER BY position`` path (global order is authoritative).
-        Returns the serialized payload bytes written.
+        Replaces every stored row of the relation; returns the payload
+        bytes written.
         """
         row = self._db.execute(
             "SELECT position FROM relations WHERE name = ?", (relation.name,)
@@ -299,14 +284,12 @@ class SqliteBackend(StorageBackend):
                 "SELECT COALESCE(MAX(position), -1) + 1 FROM relations"
             ).fetchone()
             position = row[0]
-        sharded = partitions is not None and partitions > 1
-        n = partitions if sharded else 0
         self._db.execute(
             "INSERT INTO relations (name, position, partitions, schema_json) "
-            "VALUES (?, ?, ?, ?) ON CONFLICT (name) DO UPDATE SET "
+            "VALUES (?, ?, 0, ?) ON CONFLICT (name) DO UPDATE SET "
             "partitions = excluded.partitions, "
             "schema_json = excluded.schema_json",
-            (relation.name, position, n, json.dumps(schema_to_json(relation.schema))),
+            (relation.name, position, json.dumps(schema_to_json(relation.schema))),
         )
         self._db.execute(
             "DELETE FROM tuples WHERE relation = ?", (relation.name,)
@@ -314,22 +297,13 @@ class SqliteBackend(StorageBackend):
         rows = []
         written = 0
         for index, etuple in enumerate(relation):
-            key = etuple.key()
             row_json = json.dumps(_tuple_to_json(etuple))
-            if stream_shards:
-                shard = partition_index(key, stream_shards)
-            else:
-                shard = partition_index(key, n) if sharded else 0
-            # Every row is key-stamped (not just stream layouts): the
-            # identity column is what point loads and O(delta) upserts
-            # address rows by.
-            key_json = _key_text(key)
+            key_json = _key_text(etuple.key())
             written += len(row_json) + len(key_json)
-            rows.append((relation.name, shard, index, row_json, key_json))
+            rows.append((relation.name, index, row_json, key_json))
         self._db.executemany(
-            "INSERT INTO tuples "
-            "(relation, partition, position, row_json, key_json) "
-            "VALUES (?, ?, ?, ?, ?)",
+            "INSERT INTO tuples (relation, position, row_json, key_json) "
+            "VALUES (?, ?, ?, ?)",
             rows,
         )
         return written
@@ -360,7 +334,7 @@ class SqliteBackend(StorageBackend):
                 database._install(self._load_relation(name))
         return database
 
-    def _save_database(self, database, partitions: int | None) -> None:
+    def _save_database(self, database) -> None:
         self._ensure_store()
         self._check_format()
         with self._db:
@@ -378,25 +352,25 @@ class SqliteBackend(StorageBackend):
                     "DELETE FROM tuples WHERE relation = ?", (stale,)
                 )
             for relation in database:
-                self._insert_relation(relation, partitions)
+                self._insert_relation(relation)
             self._set_meta("name", database.name)
             self._bump_catalog_version()
 
     # -- streaming durability -----------------------------------------------
 
     def write_batch(self, name: str, delta, events, relation) -> None:
-        """Persist one flushed micro-batch with O(delta) row writes.
+        """Persist one flushed micro-batch, writing only the changed rows.
 
-        The first flush stamps the whole relation into
-        :data:`STREAM_SHARDS` hash shards (recorded in the
-        ``stream:<name>:shards`` meta key); later flushes rewrite only
-        the shards containing the batch's changed entities, so bytes
-        written scale with the changed partitions rather than the
-        relation size.  Quiet batches advance the watermark only.
-        Metering is manual (the base ``_instrument`` counts file growth,
-        which in-place SQLite page rewrites do not show):
-        ``storage.sqlite.bytes_written`` counts the serialized payload
-        bytes of the rows actually inserted.
+        Removed keys are deleted, updated keys get their new
+        ``row_json``, and inserted keys -- which must form the suffix of
+        the relation's order -- are appended past the last stored
+        position, every row addressed by ``key_json``.  The stream's
+        first flush, and any change that cannot be written row by row,
+        rewrites the whole relation.  Quiet batches advance the
+        watermark only.  Metering is manual (the base ``_instrument``
+        counts file growth, which in-place SQLite page rewrites do not
+        show): ``storage.sqlite.bytes_written`` counts the serialized
+        ``row_json`` + ``key_json`` bytes of the rows written.
         """
         self._require_open()
         registry = _metrics_registry()
@@ -417,112 +391,88 @@ class SqliteBackend(StorageBackend):
     def _write_batch(self, name: str, delta, relation) -> int:
         self._ensure_store()
         self._check_format()
-        shards_meta = self._meta(f"stream:{name}:shards")
-        if delta.is_empty() and shards_meta is not None:
+        first = self._meta(f"stream:{name}:watermark") is None
+        if delta.is_empty() and not first:
             with self._db:
                 self._set_meta(f"stream:{name}:watermark", int(delta.watermark))
             return 0
         with self._db:
-            if shards_meta is None:
-                written = self._insert_relation(
-                    relation, None, stream_shards=STREAM_SHARDS
-                )
-                self._set_meta(f"stream:{name}:shards", STREAM_SHARDS)
-            else:
-                shards = int(shards_meta)
-                written = self._write_dirty_shards(relation, shards, delta)
-                if written is None:
-                    # The shard layout cannot express this change
-                    # exactly: rewrite the whole relation stamped.
-                    written = self._insert_relation(
-                        relation, None, stream_shards=shards
-                    )
+            written = None if first else self._write_changed_rows(relation, delta)
+            if written is None:
+                written = self._insert_relation(relation)
             self._set_meta(f"stream:{name}:watermark", int(delta.watermark))
             self._bump_catalog_version()
         return written
 
-    def _write_dirty_shards(self, relation, shards: int, delta) -> int | None:
-        """Rewrite only the hash shards the batch touched.
+    def _write_changed_rows(self, relation, delta) -> int | None:
+        """Write the batch's changed rows by key, inside the caller's
+        transaction.
 
-        Returns the payload bytes written, or ``None`` when the
-        incremental layout cannot represent the change exactly (rows
-        predating the ``key_json`` migration, an entity re-inserted
-        mid-order, or stored rows that disagree with the relation) --
-        the caller then falls back to a full stamped rewrite.  Global
-        tuple order is the exactness contract: surviving rows keep
-        their stored positions, and inserted entities are only assigned
-        past-the-end positions when they really form a suffix of the
-        relation's order.
+        Returns the payload bytes written, or ``None`` when the change
+        cannot be written row by row; the caller then rewrites the whole
+        relation in the same transaction, so rows already touched here
+        are replaced too.  Surviving rows keep their stored positions,
+        which is what keeps the global tuple order exact.
         """
-        inserted = set(delta.inserted)
-        changed = inserted | set(delta.updated) | set(delta.removed)
-        dirty = sorted(
-            {partition_index(key, shards) for key in sorted(changed, key=repr)}
-        )
-        placeholders = ", ".join("?" for _ in dirty)
-        stored: dict[str, tuple[int, str]] = {}
-        rows_query = self._db.execute(
-            f"SELECT key_json, position, row_json FROM tuples "
-            f"WHERE relation = ? AND partition IN ({placeholders})",
-            (relation.name, *dirty),
-        )
-        for key_json, position, row_json in rows_query:
-            if key_json is None:
-                return None
-            stored[key_json] = (position, row_json)
-        order = [etuple.key() for etuple in relation]
-        index_of = {key: index for index, key in enumerate(order)}
-        last_survivor = max(
-            (
-                index
-                for key, index in index_of.items()
-                if key not in inserted
-            ),
-            default=-1,
-        )
-        if any(
-            index_of.get(key, -1) <= last_survivor for key in delta.inserted
-        ):
+        name = relation.name
+        db = self._db
+        stored = db.execute(
+            "SELECT partitions FROM relations WHERE name = ?", (name,)
+        ).fetchone()
+        # Old relations stored hash-sharded load shard by shard, so an
+        # appended row would land out of order.
+        if stored is None or stored[0] > 1:
             return None
-        (next_position,) = self._db.execute(
+        keys = relation.keys()
+        inserted = keys[len(keys) - len(delta.inserted):]
+        if set(inserted) != set(delta.inserted):
+            return None  # a mid-order insert
+        # An inserted key that already has a row would be stored twice;
+        # key-less rows (written before ``key_json`` existed) hide that.
+        if db.execute(
+            "SELECT 1 FROM tuples WHERE relation = ? AND key_json IS NULL",
+            (name,),
+        ).fetchone():
+            return None
+        inserted_texts = [_key_text(key) for key in inserted]
+        for key_json in inserted_texts:
+            if db.execute(
+                "SELECT 1 FROM tuples WHERE relation = ? AND key_json = ?",
+                (name, key_json),
+            ).fetchone():
+                return None
+        removed = [(name, _key_text(key)) for key in delta.removed]
+        deleted = db.executemany(
+            "DELETE FROM tuples WHERE relation = ? AND key_json = ?", removed
+        ).rowcount
+        if deleted != len(removed):
+            return None
+        written = 0
+        updates = []
+        for key in delta.updated:
+            row_json = json.dumps(_tuple_to_json(relation.get(key)))
+            key_json = _key_text(key)
+            written += len(row_json) + len(key_json)
+            updates.append((row_json, name, key_json))
+        changed = db.executemany(
+            "UPDATE tuples SET row_json = ? WHERE relation = ? AND key_json = ?",
+            updates,
+        ).rowcount
+        if changed != len(updates):
+            return None
+        (next_position,) = db.execute(
             "SELECT COALESCE(MAX(position), -1) + 1 FROM tuples "
             "WHERE relation = ?",
-            (relation.name,),
+            (name,),
         ).fetchone()
-        updated = set(delta.updated)
-        dirty_set = set(dirty)
         rows = []
-        written = 0
-        for etuple in relation:
-            key = etuple.key()
-            if partition_index(key, shards) not in dirty_set:
-                continue
-            key_json = _key_text(key)
-            if key in inserted:
-                # Inserted keys form the relation's suffix (checked
-                # above), so they take past-the-end positions in order.
-                position = next_position + (
-                    index_of[key] - (last_survivor + 1)
-                )
-                row_json = json.dumps(_tuple_to_json(etuple))
-            else:
-                entry = stored.get(key_json)
-                if entry is None:
-                    return None
-                position, row_json = entry
-                if key in updated:
-                    row_json = json.dumps(_tuple_to_json(etuple))
+        for offset, (key, key_json) in enumerate(zip(inserted, inserted_texts)):
+            row_json = json.dumps(_tuple_to_json(relation.get(key)))
             written += len(row_json) + len(key_json)
-            rows.append((relation.name, partition_index(key, shards), position, row_json, key_json))
-        self._db.execute(
-            f"DELETE FROM tuples "
-            f"WHERE relation = ? AND partition IN ({placeholders})",
-            (relation.name, *dirty),
-        )
-        self._db.executemany(
-            "INSERT INTO tuples "
-            "(relation, partition, position, row_json, key_json) "
-            "VALUES (?, ?, ?, ?, ?)",
+            rows.append((name, next_position + offset, row_json, key_json))
+        db.executemany(
+            "INSERT INTO tuples (relation, position, row_json, key_json) "
+            "VALUES (?, ?, ?, ?)",
             rows,
         )
         return written

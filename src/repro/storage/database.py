@@ -92,14 +92,12 @@ class Database:
         """
         self._backend = backend
 
-    def persist(self, partitions: int | None = None) -> None:
+    def persist(self) -> None:
         """Write the whole catalog through the attached backend.
 
-        With *partitions* the tuples persist in their stable hash-shard
-        layout (reloading re-partitions identically).  Raises
-        :class:`CatalogError` when no backend is attached.
+        Raises :class:`CatalogError` when no backend is attached.
         """
-        self._require_backend().save_database(self, partitions=partitions)
+        self._require_backend().save_database(self)
 
     def reload(self) -> frozenset:
         """Re-read the attached store, refreshing changed relations.

@@ -58,6 +58,25 @@ def _number_from_json(value) -> object:
     return value
 
 
+def _atom_to_json(value) -> object:
+    """Encode a key part or attribute scalar.
+
+    Unlike memberships/reliabilities (always numeric, serialized as
+    ``"n/d"`` strings), keys and values may be genuine text -- so exact
+    fractions are tagged rather than stringified, keeping ``"1/2"`` the
+    text distinguishable from the number one half.
+    """
+    if isinstance(value, Fraction):
+        return {"fraction": f"{value.numerator}/{value.denominator}"}
+    return value
+
+
+def _atom_from_json(value) -> object:
+    if isinstance(value, dict) and set(value) == {"fraction"}:
+        return Fraction(value["fraction"])
+    return value
+
+
 # -- domains -----------------------------------------------------------------
 
 
@@ -249,79 +268,50 @@ def _tuple_from_json(row: dict, schema: RelationSchema) -> ExtendedTuple:
     return ExtendedTuple(schema, values, membership)
 
 
-def relation_to_json(
-    relation: ExtendedRelation, partitions: int | None = None
-) -> dict:
-    """Serialize a relation (schema + tuples) to JSON-able structures.
-
-    With *partitions* ``> 1`` the tuples are stored as the relation's
-    hash shards (:meth:`ExtendedRelation.partitions`) under
-    ``tuple_partitions`` instead of a flat ``tuples`` list.  The layout
-    survives the round trip: the loader reassembles the shards through
-    :meth:`ExtendedRelation.from_partitions`, so a reloaded relation
-    re-partitions into exactly the shards that were saved -- a sharded
-    engine can restore its partition layout without re-hashing
-    mismatches.
-    """
-    document = {
+def relation_to_json(relation: ExtendedRelation) -> dict:
+    """Serialize a relation (schema + tuples) to JSON-able structures."""
+    return {
         "format_version": FORMAT_VERSION,
         "schema": schema_to_json(relation.schema),
+        "tuples": [_tuple_to_json(etuple) for etuple in relation],
     }
-    if partitions is not None and partitions > 1:
-        document["partitions"] = int(partitions)
-        document["tuple_partitions"] = [
-            [_tuple_to_json(etuple) for etuple in shard]
-            for shard in relation.partitions(partitions)
-        ]
-    else:
-        document["tuples"] = [_tuple_to_json(etuple) for etuple in relation]
-    return document
 
 
 def tuple_count(document: dict) -> int:
-    """The number of tuples a relation document holds (either layout)."""
+    """The number of tuples a relation document holds (flat or sharded)."""
     if "tuple_partitions" in document:
         return sum(len(shard) for shard in document["tuple_partitions"])
     return len(document.get("tuples", []))
 
 
 def relation_from_json(document: dict) -> ExtendedRelation:
-    """Deserialize a relation (flat or partitioned layout)."""
+    """Deserialize a relation.
+
+    Documents written by older versions may hold the tuples as hash
+    shards under ``tuple_partitions``; those still load, concatenated
+    shard by shard.
+    """
     if document.get("format_version") != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported format version {document.get('format_version')!r}"
         )
     schema = schema_from_json(document["schema"])
     if "tuple_partitions" in document:
-        shards = [
-            ExtendedRelation(
-                schema, [_tuple_from_json(row, schema) for row in rows]
-            )
-            for rows in document["tuple_partitions"]
-        ]
-        return ExtendedRelation.from_partitions(schema, shards)
-    tuples = [_tuple_from_json(row, schema) for row in document["tuples"]]
-    return ExtendedRelation(schema, tuples)
+        rows = [row for shard in document["tuple_partitions"] for row in shard]
+    else:
+        rows = document["tuples"]
+    return ExtendedRelation(schema, [_tuple_from_json(row, schema) for row in rows])
 
 
 # -- databases --------------------------------------------------------------------
 
 
-def database_to_json(
-    database: Database, partitions: int | None = None
-) -> dict:
-    """Serialize a whole database.
-
-    *partitions* applies the partition-sharded tuple layout (see
-    :func:`relation_to_json`) to every relation.
-    """
+def database_to_json(database: Database) -> dict:
+    """Serialize a whole database."""
     return {
         "format_version": FORMAT_VERSION,
         "name": database.name,
-        "relations": [
-            relation_to_json(relation, partitions=partitions)
-            for relation in database
-        ],
+        "relations": [relation_to_json(relation) for relation in database],
     }
 
 
@@ -348,13 +338,9 @@ def database_from_json(document: dict) -> Database:
 # -- file helpers --------------------------------------------------------------------
 
 
-def save_relation(
-    relation: ExtendedRelation, path, partitions: int | None = None
-) -> None:
-    """Write a relation to a JSON file (optionally hash-partitioned)."""
-    Path(path).write_text(
-        json.dumps(relation_to_json(relation, partitions=partitions), indent=2)
-    )
+def save_relation(relation: ExtendedRelation, path) -> None:
+    """Write a relation to a JSON file."""
+    Path(path).write_text(json.dumps(relation_to_json(relation), indent=2))
 
 
 def _read_json_document(path) -> dict:

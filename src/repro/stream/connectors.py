@@ -23,32 +23,17 @@ from __future__ import annotations
 import json
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from repro.errors import StreamError
 from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
-from repro.storage.serialization import _number_from_json, _number_to_json
-
-
-def _atom_to_json(value) -> object:
-    """Encode a key part or attribute scalar.
-
-    Unlike memberships/reliabilities (always numeric, serialized as
-    ``"n/d"`` strings), keys and values may be genuine text -- so exact
-    fractions are tagged rather than stringified, keeping ``"1/2"`` the
-    text distinguishable from the number one half.
-    """
-    if isinstance(value, Fraction):
-        return {"fraction": f"{value.numerator}/{value.denominator}"}
-    return value
-
-
-def _atom_from_json(value) -> object:
-    if isinstance(value, dict) and set(value) == {"fraction"}:
-        return Fraction(value["fraction"])
-    return value
+from repro.storage.serialization import (
+    _atom_from_json,
+    _atom_to_json,
+    _number_from_json,
+    _number_to_json,
+)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 The equivalence suite already proves warm-pool results are bit-for-bit
 serial; these tests pin the *mechanics*: one fork paid across many
 batches, unpicklable payloads declined before dispatch, exceptions
-propagated, order preserved, the process-global registry handing out
-one pool per worker count, and the process executor dispatching there.
+propagated, order preserved, one process-global pool that a new worker
+count replaces, and the process executor dispatching there.
 """
 
 import multiprocessing
@@ -110,6 +110,29 @@ class TestPoolRegistry:
     def test_one_shared_pool_per_worker_count(self):
         assert warmpool.get_pool(2) is warmpool.get_pool(2)
         assert warmpool.get_pool(2) is not warmpool.get_pool(3)
+
+    def test_a_new_worker_count_retires_the_old_pool(self):
+        old = warmpool.get_pool(2)
+        assert old.submit_batch(_scale, 1, [1, 2]) == [1, 2]
+        assert warmpool.get_pool(3) is not old
+        assert "cold" in repr(old)
+        # A caller still holding the retired pool runs inline instead of
+        # forking it again.
+        fallbacks = registry().counter("exec.warmpool.fallbacks")
+        before = fallbacks.value
+        assert old.submit_batch(_scale, 1, [1, 2]) is None
+        assert fallbacks.value == before + 1
+        assert "cold" in repr(old)
+
+    def test_scopes_at_several_sizes_leave_one_pool_alive(self):
+        items = list(range(16))
+        for workers in (2, 4, 8):
+            with executor_scope(executor="process", workers=workers):
+                assert get_executor().map(_scale, 1, items) == items
+        try:
+            assert len(multiprocessing.active_children()) <= 8
+        finally:
+            warmpool.shutdown()
 
     def test_shutdown_is_idempotent(self):
         warmpool.get_pool(2)

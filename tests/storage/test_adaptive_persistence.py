@@ -1,13 +1,14 @@
-"""O(delta) persistence: sqlite dirty shards and log autocompaction.
+"""O(delta) persistence: sqlite key-addressed rows and log autocompaction.
 
-The exactness contract is absolute -- whatever the incremental layout
+The exactness contract is absolute -- whatever the incremental write
 does, ``load_relation`` must return the stream's published relation bit
-for bit, same tuple order -- while the *cost* contract is what this PR
-adds: sqlite flush bytes scale with the changed hash shards, not the
-relation size, and an autocompacting journal stays bounded under a
-steady update load.
+for bit, same tuple order -- and the *cost* contract is exact too: a
+sqlite flush writes the payload bytes of the changed rows and nothing
+else, and an autocompacting journal stays bounded under a steady update
+load.
 """
 
+import json
 import sqlite3
 
 import pytest
@@ -18,10 +19,11 @@ from repro.model.attribute import Attribute
 from repro.model.domain import EnumeratedDomain, TextDomain
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
-from repro.model.relation import ExtendedRelation
+from repro.model.relation import ExtendedRelation, partition_index
 from repro.model.schema import RelationSchema
 from repro.obs import registry
 from repro.storage import open_backend
+from repro.storage.backends.sqlite import _key_text
 from repro.stream import StreamEngine
 from repro.stream.changelog import BatchDelta
 
@@ -66,7 +68,31 @@ def _bytes_written():
     return registry().counter("storage.sqlite.bytes_written").value
 
 
+def _row_bytes(backend, relation: str, *keys) -> int:
+    """The stored ``row_json`` + ``key_json`` bytes of *keys*' rows."""
+    total = 0
+    for key in keys:
+        key_json = _key_text((key,))
+        (row_json,) = backend._db.execute(
+            "SELECT row_json FROM tuples WHERE relation = ? AND key_json = ?",
+            (relation, key_json),
+        ).fetchone()
+        total += len(row_json) + len(key_json)
+    return total
+
+
+def _seeded(backend, schema, count: int):
+    """An engine whose first (full) flush stored *count* entities."""
+    engine = _engine(backend, schema)
+    for index in range(count):
+        engine.upsert("a", _etuple(schema, f"entity-{index:03d}", "red"))
+    engine.flush()
+    return engine
+
+
 class TestSqliteDirtyShards:
+    """Stream flushes write only the rows they changed, by key."""
+
     def test_flush_cycles_reload_exactly(self, tmp_path):
         """Inserts, updates and removals through many flushes: the store
         equals the published relation after every one of them."""
@@ -105,29 +131,47 @@ class TestSqliteDirtyShards:
     def test_flush_bytes_scale_with_changed_shards_not_relation_size(
         self, tmp_path
     ):
+        """A one-entity update writes exactly that row's payload."""
         schema = _schema()
         with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
-            engine = _engine(backend, schema)
-            for index in range(64):
-                engine.upsert(
-                    "a", _etuple(schema, f"entity-{index:03d}", "red")
-                )
-            before = _bytes_written()
-            engine.flush()
-            full = _bytes_written() - before
-            assert full > 0
-            # One updated entity dirties one of the 16 hash shards: the
-            # flush rewrites ~1/16th of the rows, nowhere near the full
-            # relation payload.
+            engine = _seeded(backend, schema, 64)
             engine.upsert("a", _etuple(schema, "entity-000", "green"))
             before = _bytes_written()
             engine.flush()
-            delta = _bytes_written() - before
-            assert 0 < delta < full / 4
+            assert _bytes_written() - before == _row_bytes(
+                backend, "R", "entity-000"
+            )
+            _assert_exact_reload(backend, engine)
+
+    def test_pure_removal_writes_zero_payload_bytes(self, tmp_path):
+        schema = _schema()
+        with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
+            engine = _seeded(backend, schema, 64)
+            engine.retract("a", ("entity-007",))
+            engine.retract("a", ("entity-063",))
+            before = _bytes_written()
+            delta = engine.flush()
+            assert len(delta.removed) == 2
+            assert _bytes_written() == before
+            _assert_exact_reload(backend, engine)
+
+    def test_suffix_insert_writes_exactly_the_inserted_rows(self, tmp_path):
+        schema = _schema()
+        with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
+            engine = _seeded(backend, schema, 64)
+            fresh = ("late-1", "late-2", "late-3")
+            for key in fresh:
+                engine.upsert("a", _etuple(schema, key, "blue"))
+            before = _bytes_written()
+            delta = engine.flush()
+            assert delta.inserted == tuple((key,) for key in fresh)
+            assert _bytes_written() - before == _row_bytes(
+                backend, "R", *fresh
+            )
             _assert_exact_reload(backend, engine)
 
     def test_quiet_batch_writes_zero_payload_bytes(self, tmp_path):
-        """An empty delta against a stamped stream advances the
+        """An empty delta against a stored stream advances the
         watermark without touching a single row."""
         relation = table_ra()
         with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
@@ -235,27 +279,29 @@ class TestSqliteDirtyShards:
     def test_null_key_rows_force_one_full_rewrite_then_go_incremental(
         self, tmp_path
     ):
-        """Rows written by a non-stream save carry NULL keys; the first
-        dirty-shard attempt detects them, rewrites stamped, and the
-        *next* flush is incremental again."""
+        """Rows without a ``key_json`` (written before the column
+        existed) cannot be addressed by key: the first flush detects
+        them, rewrites the whole relation keyed, and the *next* flush
+        writes one row again."""
         relation = table_ra()
         keys = list(relation.keys())
         with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
-            backend.save_relation(relation)  # flat rows: key_json NULL
-            # Forge the stream marker an interrupted migration would
-            # leave behind: shards recorded, rows unstamped.
+            backend.save_relation(relation)
             with backend._db:
-                backend._set_meta("stream:RA:shards", 16)
+                backend._db.execute("UPDATE tuples SET key_json = NULL")
+                backend._set_meta("stream:RA:watermark", 6)
             update = BatchDelta(
                 batch=1,
-                watermark=1,
+                watermark=7,
                 events=1,
                 inserted=(),
                 updated=(keys[0],),
                 removed=(),
                 conflicted=(),
             )
+            before = _bytes_written()
             backend.write_batch("RA", update, [], relation)
+            full = _bytes_written() - before
             loaded = backend.load_relation("RA")
             assert loaded == relation
             assert list(loaded.keys()) == keys
@@ -264,13 +310,16 @@ class TestSqliteDirtyShards:
                 "WHERE relation = 'RA' AND key_json IS NULL"
             ).fetchone()[0]
             assert nulls == 0
-            # Now stamped: a one-entity update stays O(delta).
+            assert full == sum(
+                _row_bytes(backend, "RA", *key) for key in keys
+            )
+            # Now keyed: a one-entity update writes that row only.
             before = _bytes_written()
             backend.write_batch(
                 "RA",
                 BatchDelta(
                     batch=2,
-                    watermark=2,
+                    watermark=8,
                     events=1,
                     inserted=(),
                     updated=(keys[0],),
@@ -280,14 +329,117 @@ class TestSqliteDirtyShards:
                 [],
                 relation,
             )
-            delta = _bytes_written() - before
-            full = sum(
-                len(row)
-                for (row,) in backend._db.execute(
-                    "SELECT row_json FROM tuples WHERE relation = 'RA'"
-                )
+            assert _bytes_written() - before == _row_bytes(
+                backend, "RA", *keys[0]
             )
-            assert 0 < delta < full
+
+    @pytest.mark.parametrize("key_less", [False, True])
+    def test_fresh_engine_over_stored_rows_rewrites(self, tmp_path, key_less):
+        """A fresh engine re-inserting entities that already have rows
+        (keyed, or key-less so the key lookup cannot see them) rewrites
+        the relation rather than append duplicates."""
+        schema = _schema()
+        path = f"sqlite:{tmp_path / 'r.sqlite'}"
+        with open_backend(path) as backend:
+            _seeded(backend, schema, 3)
+            if key_less:
+                with backend._db:
+                    backend._db.execute("UPDATE tuples SET key_json = NULL")
+        with open_backend(path) as backend:
+            engine = _seeded(backend, schema, 3)
+            _assert_exact_reload(backend, engine)
+
+    @pytest.mark.parametrize("change", ["update", "retract"])
+    def test_a_change_that_misses_its_row_rewrites(self, tmp_path, change):
+        """Rows replaced behind the stream's back (here: a save of two of
+        its four entities) make the keyed update or delete come back
+        short, and the flush rewrites the whole relation."""
+        schema = _schema()
+        with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
+            engine = _seeded(backend, schema, 4)
+            backend.save_relation(
+                ExtendedRelation(schema, list(engine.relation)[:2])
+            )
+            if change == "update":
+                engine.upsert("a", _etuple(schema, "entity-003", "blue"))
+            else:
+                engine.retract("a", ("entity-003",))
+            engine.flush()
+            _assert_exact_reload(backend, engine)
+
+    def test_hash_sharded_relation_is_rewritten_flat(self, tmp_path):
+        """A relation an older version re-saved in ``partitions = 3``
+        hash shards loads shard by shard, so rows appended by key would
+        land out of order: the next flush rewrites it flat instead."""
+        schema = _schema()
+        with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
+            engine = _seeded(backend, schema, 6)
+            with backend._db:
+                backend._db.execute("UPDATE relations SET partitions = 3")
+                for key in engine.relation.keys():
+                    backend._db.execute(
+                        "UPDATE tuples SET partition = ? WHERE key_json = ?",
+                        (partition_index(key, 3), _key_text(key)),
+                    )
+            engine.upsert("a", _etuple(schema, "late-1", "blue"))
+            engine.flush()
+            _assert_exact_reload(backend, engine)
+            assert backend.catalog()["R"]["partitions"] == 0
+
+    def test_insert_after_the_relation_was_deleted_rewrites_it(
+        self, tmp_path
+    ):
+        """The watermark outlives ``delete_relation``: a pure-insert
+        flush then has no stored relation to append to, and writes the
+        whole relation back."""
+        schema = _schema()
+        with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
+            engine = _seeded(backend, schema, 4)
+            backend.delete_relation("R")
+            engine.upsert("a", _etuple(schema, "late-1", "blue"))
+            delta = engine.flush()
+            assert delta.inserted == (("late-1",),) and not delta.updated
+            _assert_exact_reload(backend, engine)
+
+    def test_sixteen_shard_stream_store_keeps_taking_flushes(self, tmp_path):
+        """A stream store stamped by an older version -- rows in 16 CRC32
+        hash shards, a ``stream:<name>:shards`` meta key -- keeps taking
+        row-by-row flushes and reloads exactly, in order."""
+        schema = _schema()
+        path = tmp_path / "r.sqlite"
+        with open_backend(f"sqlite:{path}") as backend:
+            engine = _seeded(backend, schema, 40)
+            with backend._db:
+                for (key_json,) in backend._db.execute(
+                    "SELECT key_json FROM tuples"
+                ).fetchall():
+                    key = tuple(json.loads(key_json))
+                    backend._db.execute(
+                        "UPDATE tuples SET partition = ? WHERE key_json = ?",
+                        (partition_index(key, 16), key_json),
+                    )
+                backend._set_meta("stream:R:shards", 16)
+            stamped = backend._db.execute(
+                "SELECT COUNT(*) FROM tuples WHERE partition != 0"
+            ).fetchone()[0]
+            assert stamped > 0
+            engine.upsert("a", _etuple(schema, "entity-005", "blue"))
+            engine.retract("a", ("entity-011",))
+            engine.upsert("a", _etuple(schema, "late-1", "green"))
+            before = _bytes_written()
+            engine.flush()
+            assert _bytes_written() - before == _row_bytes(
+                backend, "R", "entity-005", "late-1"
+            )
+            _assert_exact_reload(backend, engine)
+            # Untouched rows were not rewritten: their shards stay.
+            assert backend._db.execute(
+                "SELECT COUNT(*) FROM tuples WHERE partition != 0"
+            ).fetchone()[0] >= stamped - 2
+        with open_backend(f"sqlite:{path}") as reopened:
+            loaded = reopened.load_relation("R")
+            assert loaded == engine.relation
+            assert list(loaded.keys()) == list(engine.relation.keys())
 
 
 class TestLogAutocompaction:

@@ -256,6 +256,71 @@ class TestSqliteBackend:
         assert relation == table_m_a()
         assert decoded == ["M_A"] * len(table_m_a())
 
+    def test_hash_sharded_relation_from_an_older_version_loads(
+        self, tmp_path
+    ):
+        """Older versions could store a relation in ``partitions = 3``
+        hash shards.  Such a store, written here with raw SQL, loads
+        shard by shard; the next save stores it flat."""
+        import sqlite3
+
+        from repro.model.relation import partition_index
+        from repro.storage.serialization import _tuple_to_json, schema_to_json
+
+        relation = table_ra()
+        path = tmp_path / "old.sqlite"
+        connection = sqlite3.connect(str(path))
+        connection.executescript(
+            """
+            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+            CREATE TABLE relations (
+                name TEXT PRIMARY KEY, position INTEGER NOT NULL,
+                partitions INTEGER NOT NULL DEFAULT 0,
+                schema_json TEXT NOT NULL
+            );
+            CREATE TABLE tuples (
+                relation TEXT NOT NULL, partition INTEGER NOT NULL DEFAULT 0,
+                position INTEGER NOT NULL, row_json TEXT NOT NULL,
+                key_json TEXT, PRIMARY KEY (relation, position)
+            );
+            INSERT INTO meta VALUES ('format_version', '1');
+            INSERT INTO meta VALUES ('name', 'db');
+            INSERT INTO meta VALUES ('catalog_version', '1');
+            """
+        )
+        connection.execute(
+            "INSERT INTO relations VALUES ('RA', 0, 3, ?)",
+            (json.dumps(schema_to_json(relation.schema)),),
+        )
+        connection.executemany(
+            "INSERT INTO tuples (relation, partition, position, row_json) "
+            "VALUES ('RA', ?, ?, ?)",
+            [
+                (
+                    partition_index(etuple.key(), 3),
+                    position,
+                    json.dumps(_tuple_to_json(etuple)),
+                )
+                for position, etuple in enumerate(relation)
+            ],
+        )
+        connection.commit()
+        connection.close()
+        sharded_order = [
+            key for shard in relation.partitions(3) for key in shard.keys()
+        ]
+        assert sharded_order != list(relation.keys())
+        with open_backend(f"sqlite:{path}") as backend:
+            assert backend.catalog()["RA"] == {"tuples": 6, "partitions": 3}
+            loaded = backend.load_relation("RA")
+            assert list(loaded.keys()) == sharded_order
+            assert loaded.same_tuples(relation)
+            backend.save_relation(relation)
+            assert backend.catalog()["RA"] == {"tuples": 6, "partitions": 0}
+            assert list(backend.load_relation("RA").keys()) == list(
+                relation.keys()
+            )
+
     def test_corrupt_store_is_clean_error(self, tmp_path):
         path = tmp_path / "garbage.sqlite"
         path.write_bytes(b"this is not a sqlite database")

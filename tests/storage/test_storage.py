@@ -180,31 +180,44 @@ class TestRelationSerialization:
 
 
 class TestPartitionedSerialization:
-    def test_partitioned_layout_round_trips(self):
+    def test_legacy_tuple_partitions_document_loads(self):
+        """Older versions could save a relation as hash shards under
+        ``tuple_partitions``; such a hand-written document still loads,
+        shard after shard."""
         relation = table_ra()
-        document = relation_to_json(relation, partitions=3)
-        assert document["partitions"] == 3
-        assert len(document["tuple_partitions"]) == 3
-        assert "tuples" not in document
+        flat = relation_to_json(relation)
+        rows = flat["tuples"]
+        document = {
+            "format_version": flat["format_version"],
+            "schema": flat["schema"],
+            "partitions": 2,
+            "tuple_partitions": [rows[3:], rows[:3]],
+        }
         recovered = relation_from_json(document)
+        keys = list(relation.keys())
+        assert list(recovered.keys()) == keys[3:] + keys[:3]
         assert recovered.same_tuples(relation)
 
     def test_partition_layout_is_preserved(self, tmp_path):
-        """A reloaded partitioned relation re-shards into exactly the
-        shards that were saved (same shard membership, same order)."""
+        """A reloaded relation re-shards into exactly the shards of the
+        saved one (same shard membership, same order): the flat layout
+        keeps the global order, which fixes every shard's order."""
         relation = table_ra()
         path = tmp_path / "ra.json"
-        save_relation(relation, path, partitions=4)
+        save_relation(relation, path)
         recovered = load_relation(path)
+        assert list(recovered.keys()) == list(relation.keys())
         saved_shards = relation.partitions(4)
         loaded_shards = recovered.partitions(4)
         for saved, loaded in zip(saved_shards, loaded_shards):
             assert list(saved.keys()) == list(loaded.keys())
             assert saved.same_tuples(loaded)
 
-    def test_single_partition_uses_flat_layout(self):
-        document = relation_to_json(table_ra(), partitions=1)
-        assert "tuples" in document and "partitions" not in document
+    def test_saves_use_the_flat_layout(self):
+        document = relation_to_json(table_ra())
+        assert "tuples" in document
+        assert "partitions" not in document
+        assert "tuple_partitions" not in document
 
 
 class TestDatabaseSerialization:

@@ -506,17 +506,16 @@ class TestConvert:
         for name in source.names():
             assert converted.get(name) == source.get(name)
 
-    def test_repartitions_on_the_way(self, demo_db, tmp_path):
+    def test_partitions_option_is_gone(self, demo_db, tmp_path, capsys):
         destination = tmp_path / "out.jsonl"
-        status, output = run_cli(
-            "convert", str(demo_db), f"log:{destination}", "--partitions", "3"
-        )
-        assert status == 0
-        assert "in 3 partitions" in output
-        from repro.storage import open_backend
-
-        with open_backend(f"log:{destination}") as backend:
-            assert backend.catalog()["RA"]["partitions"] == 3
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "convert", str(demo_db), f"log:{destination}",
+                "--partitions", "3",
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partitions" in capsys.readouterr().err
+        assert not destination.exists()
 
     def test_same_location_rejected(self, demo_db, capsys):
         status, _ = run_cli("convert", str(demo_db), str(demo_db))

@@ -15,9 +15,15 @@ Asserted: the SQLite point-load beats the full-JSON-parse point-load by
 >= 5x at 10k tuples (``STORAGE_BENCH_RATIO_FLOOR`` relaxes the bar on
 noisy shared runners).  Every timed load is also equality-checked
 against the source relations -- speed never trades away exactness.
+
+``fresh_store_save_ms`` times a save that creates a new SQLite store
+(240 tuples, the size of the end-to-end benchmark's integrated
+relation) and asserts that each such save is one transaction: exactly
+one ``COMMIT`` in the connection's SQL trace.
 """
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -107,4 +113,39 @@ def test_backend_scaling(workload, tmp_path_factory, capsys, bench_record):
         assert ratio >= RATIO_FLOOR, (
             f"sqlite point-load only {ratio:.1f}x over the full JSON "
             f"parse at {n} tuples (need >= {RATIO_FLOOR}x)"
+        )
+
+
+FRESH_STORE_TUPLES = 240
+FRESH_STORE_SAVES = 7
+
+
+def test_fresh_store_save_is_one_transaction(tmp_path, capsys, bench_record):
+    relation = synthetic_relation(
+        SyntheticConfig(n_tuples=FRESH_STORE_TUPLES, seed=17, exact=False), "F"
+    )
+    db = Database("fresh")
+    db.add(relation)
+    seconds = []
+    for index in range(FRESH_STORE_SAVES):
+        url = f"sqlite:{tmp_path / f'fresh-{index}.sqlite'}"
+        statements: list[str] = []
+        with resolve_backend(url) as backend:
+            backend._db.set_trace_callback(statements.append)
+            started = time.perf_counter()
+            backend.save_database(db)
+            seconds.append(time.perf_counter() - started)
+            backend._db.set_trace_callback(None)
+            assert backend.load_relation("F") == relation
+        commits = sum(
+            1 for statement in statements
+            if statement.lstrip().upper().startswith("COMMIT")
+        )
+        assert commits == 1, f"fresh-store save ran {commits} COMMITs"
+    median_ms = statistics.median(seconds) * 1e3
+    bench_record("fresh_store_save_ms", median_ms)
+    with capsys.disabled():
+        print(
+            f"\nfresh sqlite store save ({FRESH_STORE_TUPLES} tuples): "
+            f"{median_ms:.1f}ms median of {FRESH_STORE_SAVES}, one COMMIT each"
         )

@@ -21,6 +21,26 @@ the merged evidence keeps its compiled (bitmask) state, so the n-ary
 folds built on :meth:`TupleMerger.merge_pair` / :meth:`merge_entity`
 (the federation's tree fold, the stream engine's per-entity cache)
 never re-derive masks between combinations.
+
+Validation policy
+-----------------
+A merged tuple is built directly, without the :class:`ExtendedTuple`
+constructor, when its trust can be shown.  Both source tuples' schemas
+must list the result schema's attributes in the same order, which
+makes their values already coerced against the result's domains and
+flags.  Every non-key attribute must also have gone through
+:class:`EvidentialMethod`.  Then the key is the left tuple's validated
+key, and each kernel result is already bound to the left attribute's
+domain.  A certain attribute holds definite evidence on both sides.
+Dempster's rule keeps two equal definite values definite, and two
+different ones conflict totally, which takes the ``on_conflict`` path:
+raise, or drop the tuple (only an uncertain attribute falls back to
+ignorance).  Left-only and right-only tuples are copied under the
+result schema by sharing their values under the same condition.
+Everything else keeps the full constructor: a non-evidential method
+(its result is arbitrary evidence) and a source schema whose
+attributes are reordered or differ.  The membership pair always comes
+from the checked ``F`` rule.
 """
 
 from __future__ import annotations
@@ -38,6 +58,42 @@ from repro.integration.methods import (
     IntegrationMethod,
     get_method,
 )
+
+
+class _SameLayout:
+    """Which tuple schemas list *schema*'s attributes in the same order.
+
+    A tuple of such a schema holds values already coerced and checked
+    against *schema*'s domains and flags, so results built from it can
+    skip the constructor.  One merge call sees few distinct schemas;
+    each is compared once (an attribute-wise comparison costs several
+    microseconds) and the answer is kept with the schema object.
+    """
+
+    __slots__ = ("_attributes", "_seen")
+
+    def __init__(self, schema):
+        self._attributes = schema.attributes
+        self._seen: dict[int, tuple] = {}
+
+    def __call__(self, source) -> bool:
+        entry = self._seen.get(id(source))
+        if entry is None or entry[0] is not source:
+            attributes = source.attributes
+            entry = (
+                source,
+                attributes is self._attributes or attributes == self._attributes,
+            )
+            self._seen[id(source)] = entry
+        return entry[1]
+
+
+def _copy_under(schema, etuple: ExtendedTuple, same_layout) -> ExtendedTuple:
+    """*etuple* under the result *schema*, sharing its values when its
+    own schema has *schema*'s layout."""
+    if same_layout(etuple.schema):
+        return etuple._derive(schema, None, etuple.membership)
+    return ExtendedTuple(schema, dict(etuple.items()), etuple.membership)
 
 
 @dataclass
@@ -136,6 +192,7 @@ class TupleMerger:
         )
         report = MergeReport()
         merged: list[ExtendedTuple] = []
+        same_layout = _SameLayout(schema)
 
         for left_key, right_key in matching.pairs:
             l_tuple = left.get(left_key)
@@ -146,19 +203,18 @@ class TupleMerger:
                     f"{left_key!r} / {right_key!r}"
                 )
             report.matched.append((left_key, right_key))
-            result = self._merge_pair(l_tuple, r_tuple, schema, report)
+            result = self._merge_pair(
+                l_tuple, r_tuple, schema, report, same_layout
+            )
             if result is not None:
                 merged.append(result)
 
-        def rebuilt(etuple: ExtendedTuple) -> ExtendedTuple:
-            return ExtendedTuple(schema, dict(etuple.items()), etuple.membership)
-
         for key in matching.left_only:
             report.left_only.append(key)
-            merged.append(rebuilt(left.get(key)))
+            merged.append(_copy_under(schema, left.get(key), same_layout))
         for key in matching.right_only:
             report.right_only.append(key)
-            merged.append(rebuilt(right.get(key)))
+            merged.append(_copy_under(schema, right.get(key), same_layout))
         return ExtendedRelation(schema, merged, on_unsupported="drop"), report
 
     def merge_pair(
@@ -188,7 +244,7 @@ class TupleMerger:
             schema = left.schema
         if report is None:
             report = MergeReport()
-        return self._merge_pair(left, right, schema, report)
+        return self._merge_pair(left, right, schema, report, _SameLayout(schema))
 
     def merge_entity(
         self,
@@ -210,25 +266,27 @@ class TupleMerger:
             schema = items[0].schema
         if report is None:
             report = MergeReport()
-        accumulated = ExtendedTuple(
-            schema, dict(items[0].items()), items[0].membership
-        )
+        same_layout = _SameLayout(schema)
+        accumulated = _copy_under(schema, items[0], same_layout)
         for nxt in items[1:]:
             if nxt.key() != accumulated.key():
                 raise IntegrationError(
                     f"merge_entity needs tuples of one entity, got keys "
                     f"{accumulated.key()!r} and {nxt.key()!r}"
                 )
-            accumulated = self._merge_pair(accumulated, nxt, schema, report)
+            accumulated = self._merge_pair(
+                accumulated, nxt, schema, report, same_layout
+            )
             if accumulated is None:
                 return None
         return accumulated
 
-    def _merge_pair(self, l_tuple, r_tuple, schema, report):
+    def _merge_pair(self, l_tuple, r_tuple, schema, report, same_layout):
         key = l_tuple.key()
         values: dict[str, object] = dict(
             zip(schema.key_names, key)
         )
+        evidential = True
         for attr_name in schema.nonkey_names:
             attribute = schema.attribute(attr_name)
             method = self.method_for(attr_name)
@@ -250,6 +308,7 @@ class TupleMerger:
                 else:
                     values[attr_name] = combined
             else:
+                evidential = False
                 try:
                     values[attr_name] = method.combine(
                         left_value, right_value, attribute
@@ -278,6 +337,16 @@ class TupleMerger:
             report.conflicts.append(
                 ConflictRecord(key, "(sn,sp)", membership_kappa, False)
             )
+        if (
+            evidential
+            and same_layout(l_tuple.schema)
+            and same_layout(r_tuple.schema)
+        ):
+            # Every value is the left key or Dempster's result on the
+            # left attribute's domain; a certain attribute's definite
+            # operands combine to a definite value or took the
+            # on_conflict path above (see the module docstring).
+            return l_tuple._derive(schema, values, membership)
         return ExtendedTuple(schema, values, membership)
 
     def _handle_total_conflict(self, attribute, key, left_value, right_value, report):

@@ -14,6 +14,23 @@
 
 The result bundles the integrated relation with the merge report and the
 intermediate preprocessed relations for inspection.
+
+Validation policy
+-----------------
+Discounting changes only what it computes.  :func:`discount_tuple`
+shares the source tuple's already-coerced values and key, as
+:meth:`~repro.model.etuple.ExtendedTuple.with_membership` does, and
+replaces the uncertain evidence, which still goes through
+:class:`EvidenceSet` (the frame and domain checks run on every
+discounted value).  The discounted membership pair still goes through
+the :class:`TupleMembership` constructor, range check and float clamp
+included, but once per distinct ``(sn, sp)`` pair of a relation, not
+once per tuple: sources hold few distinct pairs (most tuples are
+certain), and the pair is keyed with its types because ``Fraction(1)``
+and ``1.0`` hash equal yet discount to different types.  When the
+schema passed in disagrees with the tuple's own schema on which
+attributes are uncertain, the result goes through the full
+:class:`ExtendedTuple` constructor instead.
 """
 
 from __future__ import annotations
@@ -22,9 +39,12 @@ from dataclasses import dataclass
 
 from repro.errors import IntegrationError
 from repro.ds.discounting import discount
+from repro.ds.mass import coerce_mass_value
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
+from repro.model.membership import TupleMembership
 from repro.model.relation import ExtendedRelation
+from repro.obs import tracing
 from repro.integration.correspondence import SchemaMapping
 from repro.integration.entity_identification import KeyMatcher, TupleMatching
 from repro.integration.merging import MergeReport, TupleMerger
@@ -48,8 +68,6 @@ def coerce_reliability(value, error_class=IntegrationError):
     The one validation shared by the batch paths (pipeline, federation)
     and the streaming engine; *error_class* picks the layer's exception.
     """
-    from repro.ds.mass import coerce_mass_value
-
     reliability = coerce_mass_value(value)
     if not 0 <= reliability <= 1:
         raise error_class(f"reliability must lie in [0, 1], got {value!r}")
@@ -64,21 +82,40 @@ def discount_tuple(etuple: ExtendedTuple, schema, reliability) -> ExtendedTuple:
     becomes ``sn' = r * sn`` and ``sp' = 1 - r * (1 - sp)`` -- mass moves
     from both committed hypotheses toward ignorance.
     """
-    from repro.ds.mass import coerce_mass_value
-    from repro.model.membership import TupleMembership
+    return _discount(etuple, schema, coerce_mass_value(reliability), {})
 
-    reliability = coerce_mass_value(reliability)
-    values = dict(etuple.items())
+
+def _discount(etuple: ExtendedTuple, schema, reliability, memberships: dict):
+    """:func:`discount_tuple` for a coerced *reliability*.
+
+    *memberships* memoizes the discounted membership per typed
+    ``(sn, sp)`` pair across one relation: ``Fraction(1)`` and ``1.0``
+    hash equal but discount to different types, so the key holds the
+    types too.
+    """
+    tm = etuple.membership
+    sn, sp = tm.sn, tm.sp
+    pair = (type(sn), sn, type(sp), sp)
+    membership = memberships.get(pair)
+    if membership is None:
+        membership = memberships[pair] = TupleMembership(
+            reliability * sn, 1 - reliability * (1 - sp)
+        )
+    names = schema.uncertain_names
+    own = etuple.schema.uncertain_names
     # Uncertain attributes are never keys, so each holds an EvidenceSet.
-    for name in schema.uncertain_names:
-        value = values[name]
-        values[name] = EvidenceSet(
+    discounted = {}
+    for name in names:
+        value = etuple.value(name)
+        discounted[name] = EvidenceSet(
             discount(value.mass_function, reliability), value.domain
         )
-    tm = etuple.membership
-    membership = TupleMembership(
-        reliability * tm.sn, 1 - reliability * (1 - tm.sp)
-    )
+    if own is names or own == names:
+        return etuple._derive(etuple.schema, discounted, membership)
+    # *schema* disagrees with the tuple's own schema on which attributes
+    # are uncertain: let the constructor decide what it accepts.
+    values = dict(etuple.items())
+    values.update(discounted)
     return ExtendedTuple(etuple.schema, values, membership)
 
 
@@ -88,11 +125,15 @@ def _discount_relation(relation: ExtendedRelation, reliability) -> ExtendedRelat
     Tuples whose discounted membership loses all necessary support
     (``sn' = 0``) are dropped, per CWA_ER.
     """
-    return ExtendedRelation(
-        relation.schema,
-        [discount_tuple(t, relation.schema, reliability) for t in relation],
-        on_unsupported="drop",
-    )
+    schema = relation.schema
+    reliability = coerce_mass_value(reliability)
+    memberships: dict = {}
+    with tracing.span("integration.discount", relation=relation.name):
+        return ExtendedRelation(
+            schema,
+            [_discount(t, schema, reliability, memberships) for t in relation],
+            on_unsupported="drop",
+        )
 
 
 class IntegrationPipeline:

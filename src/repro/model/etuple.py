@@ -29,7 +29,10 @@ the membership pair is always range-checked.  The attribute-name check
 is one set comparison; the detailed unknown/missing message is only
 built when it fails.  :meth:`ExtendedTuple.with_membership` (what
 selection builds per kept tuple) shares the already-coerced values and
-key of its source and checks only the new membership.
+key of its source and checks only the new membership.  Discounting and
+tuple merging derive their results the same way, through the unchecked
+``_derive``, where they can prove what the constructor would check (see
+:mod:`repro.integration.pipeline` and :mod:`repro.integration.merging`).
 """
 
 from __future__ import annotations
@@ -184,6 +187,30 @@ class ExtendedTuple:
         copy._values = self._values
         copy._key = self._key
         copy._membership = _coerce_membership(membership)
+        return copy
+
+    def _derive(self, schema, replacements, membership) -> "ExtendedTuple":
+        """A copy under *schema* with *replacements* swapped in, unchecked.
+
+        The trusted counterpart of the constructor for outputs of the
+        algebra.  The caller proves what the constructor would check:
+        *schema* lists this tuple's attributes in the same order (so the
+        key and every value not replaced stay valid), each replacement
+        is what the constructor would store unchanged (this tuple's own
+        key value, or evidence already bound to the attribute's domain
+        that a certain attribute would accept), and *membership* is a
+        :class:`TupleMembership`.  With no replacements the copy shares
+        this tuple's values dict.
+        """
+        copy = object.__new__(ExtendedTuple)
+        copy._schema = schema
+        if replacements:
+            copy._values = values = dict(self._values)
+            values.update(replacements)
+        else:
+            copy._values = self._values
+        copy._key = self._key
+        copy._membership = membership
         return copy
 
     def with_values(self, replacements: Mapping[str, object]) -> "ExtendedTuple":

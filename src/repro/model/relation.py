@@ -121,26 +121,6 @@ class ExtendedRelation:
                 tuples.append(ExtendedTuple(schema, values, membership))
         return cls(schema, tuples, on_unsupported)
 
-    @classmethod
-    def from_partitions(
-        cls,
-        schema: RelationSchema,
-        parts: Iterable["ExtendedRelation"],
-        on_unsupported: str = "raise",
-    ) -> "ExtendedRelation":
-        """Reassemble one relation from key-disjoint sub-relations.
-
-        The inverse of :meth:`partitions`: tuples concatenate in part
-        order (each part keeps its internal order), and the constructor
-        re-enforces both invariants -- CWA_ER (per *on_unsupported*) and
-        unique definite keys, so overlapping parts fail loudly instead
-        of silently last-writer-wins.
-        """
-        tuples: list[ExtendedTuple] = []
-        for part in parts:
-            tuples.extend(part)
-        return cls(schema, tuples, on_unsupported)
-
     # -- accessors ------------------------------------------------------------------
 
     @property
@@ -190,16 +170,12 @@ class ExtendedRelation:
         makes per-entity operations (union, intersection, federation
         merges) decomposable per shard.  Each shard preserves this
         relation's relative tuple order and CWA_ER policy; shards may be
-        empty.  :meth:`from_partitions` is the inverse.
+        empty.
 
         >>> from repro.datasets.restaurants import table_ra
         >>> parts = table_ra().partitions(3)
         >>> sum(len(part) for part in parts)
         6
-        >>> merged = ExtendedRelation.from_partitions(
-        ...     table_ra().schema, parts)
-        >>> merged.same_tuples(table_ra())
-        True
         """
         if n < 1:
             raise RelationError(f"partition count must be >= 1, got {n!r}")

@@ -124,6 +124,8 @@ class JsonBackend(StorageBackend):
         if len(kept) == len(entries):
             raise self._missing_relation(name)
         document["relations"] = kept
+        # The stream's next flush must be a first flush again.
+        document.get("streams", {}).pop(name, None)
         self._bump_and_write(document)
 
     # -- database-level operations ------------------------------------------

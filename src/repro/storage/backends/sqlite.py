@@ -1,6 +1,7 @@
 """SQLite engine: one row per extended tuple, relations load individually.
 
-Layout (three tables, created lazily on first write):
+Layout (three tables, created inside the transaction of the first
+write, so a new store appears whole or not at all):
 
 ``meta(key, value)``
     ``format_version``, ``name`` (the database name),
@@ -33,7 +34,9 @@ Stream flushes write only the rows the batch changed:
 last stored position, every row addressed by ``key_json``.  Bytes
 written scale with the number of changed entities (metered by the
 ``storage.sqlite.bytes_written`` counter).  A change that cannot be
-written row by row -- the stream's first flush, a deleted or
+written row by row -- the stream's first flush (also the first after
+:meth:`delete_relation`, which drops the stream's watermark with the
+rows), a stored relation that a whole-database save dropped, a
 hash-sharded stored relation, a mid-order insert, an inserted key that
 already has a row, a key-less row, an update or delete that misses its
 row -- rewrites the whole relation instead, so the reloaded relation
@@ -62,27 +65,27 @@ from repro.storage.serialization import (
     schema_to_json,
 )
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
+_SCHEMA = (
+    """CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS relations (
+)""",
+    """CREATE TABLE IF NOT EXISTS relations (
     name        TEXT PRIMARY KEY,
     position    INTEGER NOT NULL,
     partitions  INTEGER NOT NULL DEFAULT 0,
     schema_json TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS tuples (
+)""",
+    """CREATE TABLE IF NOT EXISTS tuples (
     relation TEXT    NOT NULL,
     partition INTEGER NOT NULL DEFAULT 0,
     position INTEGER NOT NULL,
     row_json TEXT    NOT NULL,
     key_json TEXT,
     PRIMARY KEY (relation, position)
-);
-CREATE INDEX IF NOT EXISTS tuples_by_key ON tuples (relation, key_json);
-"""
+)""",
+    "CREATE INDEX IF NOT EXISTS tuples_by_key ON tuples (relation, key_json)",
+)
 
 def _key_text(key: tuple) -> str:
     """Canonical JSON identity of an entity key (stable across runs)."""
@@ -134,12 +137,24 @@ class SqliteBackend(StorageBackend):
             raise SerializationError(f"no database at {self.url()}")
 
     def _ensure_store(self) -> None:
-        """Create tables + default metadata on first write."""
+        """Create tables + default metadata inside the caller's write.
+
+        Called first inside the ``with self._db`` block of every write.
+        A new store's tables, index and meta rows join that write's
+        transaction (SQLite DDL is transactional), so the first save is
+        one ``BEGIN ... COMMIT`` and a failed one leaves no store behind.
+        """
         if self._has_store():
             self._ensure_key_column()
             return
-        self._db.executescript(_SCHEMA)
-        self._db.executemany(
+        db = self._db
+        # The sqlite3 module opens transactions implicitly only before
+        # DML; begin explicitly so the DDL joins the transaction.
+        if not db.in_transaction:
+            db.execute("BEGIN")
+        for statement in _SCHEMA:
+            db.execute(statement)
+        db.executemany(
             "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
             [
                 ("format_version", str(FORMAT_VERSION)),
@@ -147,7 +162,6 @@ class SqliteBackend(StorageBackend):
                 ("catalog_version", "0"),
             ],
         )
-        self._db.commit()
 
     def _ensure_key_column(self) -> None:
         """Migrate stores predating ``key_json``: add the column once.
@@ -262,9 +276,9 @@ class SqliteBackend(StorageBackend):
             ) from exc
 
     def _save_relation(self, relation) -> None:
-        self._ensure_store()
-        self._check_format()
         with self._db:
+            self._ensure_store()
+            self._check_format()
             self._insert_relation(relation)
             self._bump_catalog_version()
 
@@ -317,6 +331,10 @@ class SqliteBackend(StorageBackend):
             if not deleted:
                 raise self._missing_relation(name)
             self._db.execute("DELETE FROM tuples WHERE relation = ?", (name,))
+            # The stream's next flush must be a first flush again.
+            self._db.execute(
+                "DELETE FROM meta WHERE key = ?", (f"stream:{name}:watermark",)
+            )
             self._bump_catalog_version()
 
     # -- database-level operations ------------------------------------------
@@ -335,9 +353,9 @@ class SqliteBackend(StorageBackend):
         return database
 
     def _save_database(self, database) -> None:
-        self._ensure_store()
-        self._check_format()
         with self._db:
+            self._ensure_store()
+            self._check_format()
             stored = {
                 name
                 for (name,) in self._db.execute("SELECT name FROM relations")
@@ -389,14 +407,13 @@ class SqliteBackend(StorageBackend):
         registry.gauge(f"{prefix}.file_bytes").set(self._file_bytes())
 
     def _write_batch(self, name: str, delta, relation) -> int:
-        self._ensure_store()
-        self._check_format()
-        first = self._meta(f"stream:{name}:watermark") is None
-        if delta.is_empty() and not first:
-            with self._db:
-                self._set_meta(f"stream:{name}:watermark", int(delta.watermark))
-            return 0
         with self._db:
+            self._ensure_store()
+            self._check_format()
+            first = self._meta(f"stream:{name}:watermark") is None
+            if delta.is_empty() and not first:
+                self._set_meta(f"stream:{name}:watermark", int(delta.watermark))
+                return 0
             written = None if first else self._write_changed_rows(relation, delta)
             if written is None:
                 written = self._insert_relation(relation)
@@ -478,8 +495,8 @@ class SqliteBackend(StorageBackend):
         return written
 
     def _set_stream_watermark(self, name: str, watermark: int) -> None:
-        self._ensure_store()
         with self._db:
+            self._ensure_store()
             self._set_meta(f"stream:{name}:watermark", int(watermark))
 
     def _stream_watermark(self, name: str) -> int | None:

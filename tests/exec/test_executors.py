@@ -260,7 +260,9 @@ class TestPartitioning:
             parts = relation.partitions(n)
             assert len(parts) == n
             assert sum(len(part) for part in parts) == len(relation)
-            rebuilt = ExtendedRelation.from_partitions(relation.schema, parts)
+            rebuilt = ExtendedRelation(
+                relation.schema, [etuple for part in parts for etuple in part]
+            )
             assert rebuilt.same_tuples(relation)
 
     def test_partitions_are_key_disjoint(self):
@@ -282,13 +284,6 @@ class TestPartitioning:
                 assert partition_index(key, n) == index
             for key in right_parts[index].keys():
                 assert partition_index(key, n) == index
-
-    def test_from_partitions_rejects_overlapping_parts(self):
-        relation = table_ra()
-        with pytest.raises(RelationError, match="duplicate key"):
-            ExtendedRelation.from_partitions(
-                relation.schema, [relation, relation]
-            )
 
     def test_partition_count_validation(self):
         with pytest.raises(RelationError):

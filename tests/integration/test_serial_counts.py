@@ -10,7 +10,14 @@ serial fold must
   operand is a float;
 * validate each mass function a kernel operation produces exactly once
   (:func:`repro.ds.mass.validate_mass_total`), and make exactly as many
-  validation calls in total as it always has.
+  validation calls in total as it always has;
+* re-coerce no attribute value while discounting and merging, and
+  range-check one discounted membership per distinct typed ``(sn, sp)``
+  pair of a source, not one per tuple.
+
+Persisting the integrated relation to a new SQLite store is one
+transaction (one ``COMMIT``), and a first save that fails leaves no
+store behind.
 
 On a fixed exact relation of ``N`` tuples, the extended selection must
 
@@ -35,7 +42,9 @@ from repro.algebra.select import select_eager
 from repro.algebra.thresholds import sn_at_least
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.ds import combination, discounting, kernel, mass
+from repro.errors import SerializationError
 from repro.exec.executors import executor_scope
+from repro.integration.pipeline import _discount_relation
 from repro.model import etuple as etuple_module
 from repro.model.membership import TupleMembership
 from repro.storage.backends import create_database
@@ -284,3 +293,98 @@ def test_loading_validates_every_stored_evidence_value(monkeypatch, tmp_path):
         database.close()
     assert len(loaded) == READ_TUPLES
     assert counts["validates"] == READ_TUPLES * EVIDENCE_PER_TUPLE
+
+
+# -- trusted discount and merge, one-transaction persist ------------------------
+
+
+def _typed_pair(membership) -> tuple:
+    sn, sp = membership.sn, membership.sp
+    return (type(sn), sn, type(sp), sp)
+
+
+def test_discount_and_merge_coerce_no_value(monkeypatch):
+    """Discounting and merging build their tuples from values the
+    sources already coerced: the whole fold makes no
+    ``_coerce_value`` call."""
+    sources = golden_sources(11, exact=False)
+    counts = {"coerced": 0}
+    monkeypatch.setattr(
+        etuple_module,
+        "_coerce_value",
+        _counting(counts, "coerced", etuple_module._coerce_value),
+    )
+    with executor_scope(executor="serial", workers=1, partitions=None):
+        relation, _ = integrate(sources, FLOAT_RELIABILITIES)
+    assert len(relation) > 0
+    assert counts["coerced"] == 0
+
+
+@pytest.mark.parametrize("reliability", [0.9, Fraction(4, 5)])
+def test_discount_builds_one_membership_per_typed_pair(monkeypatch, reliability):
+    """``_discount_relation`` range-checks each distinct ``(sn, sp)``
+    pair once -- ``Fraction(1)`` and ``1.0`` count as two pairs."""
+    _, s1, _ = golden_sources(11, exact=False)
+    distinct = {_typed_pair(etuple.membership) for etuple in s1}
+    assert (Fraction, Fraction(1), Fraction, Fraction(1)) in distinct
+    assert 1 < len(distinct) < len(s1)
+    counts = {"memberships": 0}
+    monkeypatch.setattr(
+        TupleMembership,
+        "__init__",
+        _counting(counts, "memberships", TupleMembership.__init__),
+    )
+    discounted = _discount_relation(s1, reliability)
+    assert counts["memberships"] == len(distinct)
+    assert len(discounted) == len(s1)
+
+
+def _fresh_store_persist(tmp_path, relation):
+    """Persist *relation* to a new SQLite store; return the SQL traced."""
+    statements: list[str] = []
+    database = create_database(f"sqlite:{tmp_path / 'fresh.db'}", "fresh")
+    try:
+        database.backend._db.set_trace_callback(statements.append)
+        database.add(relation)
+        database.persist()
+    finally:
+        database.close()
+    return statements
+
+
+def test_fresh_store_persist_is_one_transaction(tmp_path):
+    relation, _ = integrate(golden_sources(11, exact=False), FLOAT_RELIABILITIES)
+    statements = _fresh_store_persist(tmp_path, relation)
+    verbs = [statement.split(None, 1)[0].upper() for statement in statements]
+    assert verbs.count("COMMIT") == 1
+    assert verbs.count("BEGIN") == 1
+    # The tables are created inside that transaction.
+    assert verbs.index("BEGIN") < verbs.index("CREATE") < verbs.index("COMMIT")
+    database = Database.open(f"sqlite:{tmp_path / 'fresh.db'}")
+    try:
+        assert database.get("F") == relation
+    finally:
+        database.close()
+
+
+def test_failed_first_save_leaves_no_store(monkeypatch, tmp_path):
+    """A first save that fails mid-write rolls the new tables back with
+    it: the location still holds no database."""
+    from repro.storage.backends.sqlite import SqliteBackend
+
+    relation, _ = integrate(golden_sources(11, exact=False), FLOAT_RELIABILITIES)
+    url = f"sqlite:{tmp_path / 'failed.db'}"
+
+    def failing(self, relation):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(SqliteBackend, "_insert_relation", failing)
+    database = create_database(url, "failed")
+    database.add(relation)
+    try:
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            database.persist()
+    finally:
+        database.close()
+    with pytest.raises(SerializationError, match="no database"):
+        Database.open(url)

@@ -1,11 +1,13 @@
-"""Property tests for the constructions selection trusts.
+"""Property tests for the constructions the algebra trusts.
 
 Selection builds one membership per tuple without re-checking it: the
 ``F_TM`` product of two valid pairs, and the tuple copy that carries it
 (:meth:`ExtendedTuple.with_membership`).  The exact range check itself
-runs on integer numerators and denominators.  Each must agree with the
-checked construction it replaces, in value and in type, over exact,
-float, mixed, zero, one and subnormal components.
+runs on integer numerators and denominators.  Discounting
+(:func:`discount_tuple`) and tuple merging (:class:`TupleMerger`) build
+their result tuples from the source tuples' already-coerced values.
+Each must agree with the checked construction it replaces, in value and
+in type, over exact, float, mixed, zero, one and subnormal components.
 """
 
 from __future__ import annotations
@@ -14,12 +16,24 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.datasets.generators import SyntheticConfig, synthetic_relation
-from repro.errors import MembershipError
+from repro.datasets.generators import (
+    SyntheticConfig,
+    synthetic_pair,
+    synthetic_relation,
+)
+from repro.ds.discounting import discount
+from repro.ds.mass import coerce_mass_value
+from repro.errors import MembershipError, RelationError
+from repro.integration import TupleMerger
+from repro.integration.methods import IntegrationMethod
+from repro.integration.pipeline import _discount_relation, discount_tuple
 from repro.model.etuple import ExtendedTuple
+from repro.model.evidence import EvidenceSet
 from repro.model.membership import TupleMembership
+from repro.model.relation import ExtendedRelation
+from repro.model.schema import RelationSchema
 
 SUBNORMALS = [5e-324, 1e-310, 2.2250738585072009e-308]
 
@@ -139,3 +153,241 @@ class TestWithMembership:
         before = dict(tuples[3].items()), tuples[3].membership
         tuples[3].with_membership(TupleMembership("1/4", "1/2"))
         assert (dict(tuples[3].items()), tuples[3].membership) == before
+
+
+# -- discounting and merging --------------------------------------------------
+
+#: Reliabilities: exact, float, and the borders in both types.
+reliabilities = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=20),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([Fraction(0), Fraction(1), 0.0, 1.0, Fraction(9, 10), 0.9]),
+)
+
+
+@st.composite
+def relations(draw):
+    """An exact, float or mixed synthetic relation.  A mixed one
+    alternates exact tuples with their float copies, so ``Fraction(1)``
+    memberships sit beside ``1.0`` ones."""
+    config = SyntheticConfig(
+        n_tuples=draw(st.integers(min_value=1, max_value=12)),
+        uncertain_membership=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    relation = synthetic_relation(config, "S")
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if kind == "float":
+        return relation.to_float()
+    if kind == "mixed":
+        floated = relation.to_float()
+        return ExtendedRelation(
+            relation.schema,
+            [
+                floated.get(etuple.key()) if index % 2 else etuple
+                for index, etuple in enumerate(relation)
+            ],
+        )
+    return relation
+
+
+def checked_discount(etuple, schema, reliability):
+    """The discount rebuilt through the full constructor."""
+    reliability = coerce_mass_value(reliability)
+    values = dict(etuple.items())
+    for name in schema.uncertain_names:
+        value = values[name]
+        values[name] = EvidenceSet(
+            discount(value.mass_function, reliability), value.domain
+        )
+    tm = etuple.membership
+    membership = TupleMembership(
+        reliability * tm.sn, 1 - reliability * (1 - tm.sp)
+    )
+    return ExtendedTuple(etuple.schema, values, membership)
+
+
+def spelled(etuple) -> tuple:
+    """Everything a tuple holds, each number with its type."""
+
+    def number(value):
+        return (type(value).__name__, value.hex() if isinstance(value, float) else value)
+
+    values = []
+    for name, value in etuple.items():
+        if isinstance(value, EvidenceSet):
+            masses = sorted(
+                (repr(element), number(mass)) for element, mass in value.items()
+            )
+            values.append((name, value.domain, tuple(masses)))
+        else:
+            values.append((name, type(value).__name__, value))
+    membership = etuple.membership
+    return (
+        etuple.schema.names,
+        tuple((type(part).__name__, part) for part in etuple.key()),
+        tuple(values),
+        number(membership.sn),
+        number(membership.sp),
+    )
+
+
+def assert_same_relation(actual, expected):
+    assert actual.schema == expected.schema
+    assert list(actual.keys()) == list(expected.keys())
+    assert [spelled(t) for t in actual] == [spelled(t) for t in expected]
+
+
+class TestTrustedDiscount:
+    @settings(max_examples=60, deadline=None)
+    @given(relation=relations(), reliability=reliabilities)
+    def test_tuple_equals_the_checked_construction(self, relation, reliability):
+        for etuple in relation:
+            trusted = discount_tuple(etuple, relation.schema, reliability)
+            checked = checked_discount(etuple, relation.schema, reliability)
+            assert spelled(trusted) == spelled(checked)
+            assert trusted.key() == checked.key()
+            assert trusted.schema is etuple.schema
+
+    @settings(max_examples=60, deadline=None)
+    @given(relation=relations(), reliability=reliabilities)
+    def test_relation_memo_keeps_membership_types(self, relation, reliability):
+        expected = ExtendedRelation(
+            relation.schema,
+            [checked_discount(t, relation.schema, reliability) for t in relation],
+            on_unsupported="drop",
+        )
+        assert_same_relation(_discount_relation(relation, reliability), expected)
+
+    def test_fraction_one_and_float_one_discount_apart(self):
+        relation = synthetic_relation(
+            SyntheticConfig(n_tuples=2, uncertain_membership=0.0, seed=3), "S"
+        )
+        first, second = relation
+        relation = ExtendedRelation(
+            relation.schema,
+            [first, second.with_membership(TupleMembership(1.0, 1.0))],
+        )
+        discounted = _discount_relation(relation, Fraction(1, 2))
+        exact, rounded = (t.membership for t in discounted)
+        assert exact.as_tuple() == (Fraction(1, 2), Fraction(1))
+        assert type(exact.sn) is Fraction and type(rounded.sn) is float
+
+    def test_schema_disagreeing_on_uncertainty_is_still_checked(self):
+        relation = synthetic_relation(SyntheticConfig(n_tuples=1, seed=5), "S")
+        etuple = next(iter(relation))
+        # "label" is certain in the tuple's own schema.
+        wider = RelationSchema(
+            "S",
+            [
+                attribute
+                if attribute.name != "label"
+                else type(attribute)(
+                    "label", attribute.domain, uncertain=True
+                )
+                for attribute in relation.schema.attributes
+            ],
+        )
+        with pytest.raises(RelationError, match="is certain"):
+            discount_tuple(etuple, wider, Fraction(1, 2))
+
+
+class DempsterOutsideTheFastPath(IntegrationMethod):
+    """Dempster's rule, but not an :class:`EvidentialMethod`."""
+
+    name = "dempster-checked"
+
+    def combine(self, left, right, attribute):
+        return left.combine(right)
+
+
+def reordered(relation):
+    """*relation* under a schema listing its attributes in reverse."""
+    schema = RelationSchema(
+        relation.schema.name, tuple(reversed(relation.schema.attributes))
+    )
+    return ExtendedRelation(
+        schema,
+        [ExtendedTuple(schema, dict(t.items()), t.membership) for t in relation],
+    )
+
+
+@st.composite
+def merge_inputs(draw):
+    config = SyntheticConfig(
+        n_tuples=draw(st.integers(min_value=1, max_value=10)),
+        overlap=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        conflict=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        uncertain_membership=draw(st.sampled_from([0.0, 0.5])),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    left, right = synthetic_pair(config, "L", "R")
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if kind == "float":
+        left, right = left.to_float(), right.to_float()
+    elif kind == "mixed":
+        right = right.to_float()
+    return left, right, draw(st.sampled_from(["vacuous", "drop"]))
+
+
+class TestTrustedMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=merge_inputs())
+    def test_reordered_right_schema_gives_the_same_relation(self, inputs):
+        left, right, policy = inputs
+        merger = TupleMerger(on_conflict=policy)
+        trusted, _ = merger.merge(left, right)
+        checked, _ = merger.merge(left, reordered(right))
+        assert_same_relation(trusted, checked)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        inputs=merge_inputs(),
+        attribute=st.sampled_from(["category", "score", "label"]),
+    )
+    def test_non_evidential_method_gives_the_same_relation(
+        self, inputs, attribute
+    ):
+        left, right, policy = inputs
+        trusted, _ = TupleMerger(on_conflict=policy).merge(left, right)
+        checked, _ = TupleMerger(
+            methods={attribute: DempsterOutsideTheFastPath()},
+            on_conflict=policy,
+        ).merge(left, right)
+        assert_same_relation(trusted, checked)
+
+    def test_non_evidential_result_is_still_checked(self):
+        """A mixture of two different labels is not definite, and the
+        certain ``label`` attribute still rejects it."""
+        left, right = synthetic_pair(
+            SyntheticConfig(n_tuples=3, overlap=1.0, seed=9), "L", "R"
+        )
+        relabelled = ExtendedRelation(
+            right.schema,
+            [
+                t.with_values({"label": f"other-{index}"})
+                for index, t in enumerate(right)
+            ],
+        )
+        merger = TupleMerger(methods={"label": "mixture"}, on_conflict="vacuous")
+        with pytest.raises(RelationError, match="is certain"):
+            merger.merge(left, relabelled)
+
+    def test_copies_share_values_only_under_the_same_layout(self):
+        left, right = synthetic_pair(
+            SyntheticConfig(n_tuples=6, overlap=0.5, seed=9), "L", "R"
+        )
+        merged, report = TupleMerger(on_conflict="vacuous").merge(left, right)
+        for key in report.left_only:
+            assert merged.get(key)._values is left.get(key)._values
+        for key in report.right_only:
+            assert merged.get(key)._values is right.get(key)._values
+        merged, report = TupleMerger(on_conflict="vacuous").merge(
+            left, reordered(right)
+        )
+        for key in report.right_only:
+            copy = merged.get(key)
+            assert copy.schema.names == left.schema.names
+            assert copy == ExtendedTuple(
+                merged.schema, dict(right.get(key).items()), copy.membership
+            )

@@ -22,7 +22,7 @@ from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation, partition_index
 from repro.model.schema import RelationSchema
 from repro.obs import registry
-from repro.storage import open_backend
+from repro.storage import Database, open_backend
 from repro.storage.backends.sqlite import _key_text
 from repro.stream import StreamEngine
 from repro.stream.changelog import BatchDelta
@@ -389,13 +389,34 @@ class TestSqliteDirtyShards:
     def test_insert_after_the_relation_was_deleted_rewrites_it(
         self, tmp_path
     ):
-        """The watermark outlives ``delete_relation``: a pure-insert
-        flush then has no stored relation to append to, and writes the
-        whole relation back."""
+        """``delete_relation`` drops the watermark with the rows, so the
+        next flush is a first flush and writes the whole relation
+        back."""
         schema = _schema()
         with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
             engine = _seeded(backend, schema, 4)
             backend.delete_relation("R")
+            assert backend.stream_watermark("R") is None
+            engine.upsert("a", _etuple(schema, "late-1", "blue"))
+            delta = engine.flush()
+            assert delta.inserted == (("late-1",),) and not delta.updated
+            _assert_exact_reload(backend, engine)
+
+    def test_insert_after_a_database_save_dropped_the_relation_rewrites_it(
+        self, tmp_path
+    ):
+        """A whole-database save without the stream's relation deletes
+        its rows but keeps the watermark: a pure-insert flush then has
+        no stored relation to append to, and writes the whole relation
+        back."""
+        schema = _schema()
+        with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
+            engine = _seeded(backend, schema, 4)
+            other = Database("db")
+            other.add(table_ra())
+            backend.save_database(other)
+            assert backend.list_relations() == ("RA",)
+            assert backend.stream_watermark("R") is not None
             engine.upsert("a", _etuple(schema, "late-1", "blue"))
             delta = engine.flush()
             assert delta.inserted == (("late-1",),) and not delta.updated

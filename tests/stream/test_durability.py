@@ -29,6 +29,7 @@ from repro.integration import Federation, TupleMerger
 from repro.model.evidence import EvidenceSet
 from repro.storage import Database, open_backend
 from repro.stream import StreamEngine
+from repro.stream.changelog import BatchDelta
 
 RELIABILITIES = (1, Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -288,6 +289,32 @@ class TestSnapshotDurability:
         with open_backend(url) as reopened:
             assert reopened.stream_watermark("R") == 6
             assert len(reopened.load_relation("R")) == 6
+
+    @pytest.mark.parametrize("scheme", ["json", "sqlite"])
+    def test_delete_relation_forgets_the_watermark(self, scheme, tmp_path):
+        """The watermark goes with the deleted relation, so the next
+        write_batch is a first flush: even a batch that changed nothing
+        stores the whole relation again."""
+        url = f"{scheme}:{tmp_path / 'snap'}"
+        with open_backend(url) as backend:
+            engine = durable_engine(backend, table_ra().schema)
+            for etuple in table_ra():
+                engine.upsert("daily", etuple)
+            engine.flush()
+            backend.delete_relation("R")
+            assert backend.stream_watermark("R") is None
+            quiet = BatchDelta(
+                batch=2,
+                watermark=engine.watermark,
+                events=0,
+                inserted=(),
+                updated=(),
+                removed=(),
+                conflicted=(),
+            )
+            backend.write_batch("R", quiet, [], engine.relation)
+            assert backend.stream_watermark("R") == engine.watermark
+            assert backend.load_relation("R") == engine.relation
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,7 +6,7 @@
 #   make test-sqlite    the same suite with SQLite as the default backend
 #   make bench          run the benchmark harness (timings + assertions)
 #   make bench-stream   incremental-vs-recompute ingestion benchmark
-#   make bench-kernel   kernel-vs-frozenset combination benchmark
+#   make bench-kernel   evidence kernel vs the frozenset test oracle
 #   make bench-query    selection, session-cache and planner benchmarks
 #                       (the exact query path's own assertions)
 #   make bench-parallel federation/stream scaling across warm-pool

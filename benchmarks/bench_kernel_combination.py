@@ -1,16 +1,17 @@
-"""Kernel-path vs frozenset-path Dempster combination.
+"""The evidence kernel's Dempster combination vs the frozenset oracle.
 
 The compact evidence kernel (:mod:`repro.ds.kernel`) encodes focal
-elements of an enumerated frame as int bitmasks, so the pairwise
-intersections of Dempster's rule become bitwise-ANDs with no per-pair
-set allocation and no frozenset hashing.  This bench pins the claim the
-kernel exists for: on float masses (the large-scale configuration; with
-exact Fractions the bigint arithmetic dominates both paths) a
-combination over an enumerated frame must run >= 5x faster than the
-same combination forced onto the frozenset path.
+elements as int bitmasks, so the pairwise intersections of Dempster's
+rule become bitwise-ANDs with no per-pair set allocation and no
+frozenset hashing.  This bench pins the claim the kernel exists for: on
+float masses (the large-scale configuration; with exact Fractions the
+bigint arithmetic dominates both) a combination over an enumerated
+frame must run >= 5x faster than the textbook frozenset loop of the
+test oracle (``tests/ds/oracle.py``).
 
-Both paths produce identical results -- asserted here and verified
-property-based in ``tests/ds/test_kernel.py``.
+Both produce identical results -- asserted here, over a frame and over
+an open domain, and verified property-based in
+``tests/ds/test_kernel.py``.
 """
 
 import os
@@ -20,14 +21,15 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ds import MassFunction, combine, combine_all, kernel_disabled
+from repro.ds import MassFunction, combine, combine_all
 from repro.ds.frame import OMEGA, FrameOfDiscernment
+from tests.ds import oracle
 
 UNIVERSE = [f"v{i:02d}" for i in range(24)]
 FRAME = FrameOfDiscernment("universe", UNIVERSE)
 #: Focal elements per operand (the rule is quadratic in this).
 N_FOCAL = 16
-#: Required kernel-vs-frozenset speedup on float masses.  Asserted at
+#: Required kernel-vs-oracle speedup on float masses.  Asserted at
 #: full strength locally; shared CI runners set a looser floor via the
 #: environment so scheduler noise cannot fail the build.
 RATIO_FLOOR = float(os.environ.get("KERNEL_BENCH_RATIO_FLOOR", "5"))
@@ -61,14 +63,22 @@ def operands():
     return m1, m2
 
 
-def test_equivalence_of_the_two_paths(operands):
-    """Sanity: the kernel changes the representation, not the result."""
+def _oracle_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
+    combined, _ = oracle.combine_with_conflict(m1, m2)
+    return combined
+
+
+def test_equivalence_with_the_oracle(operands):
+    """Sanity: the kernel changes the representation, not the result --
+    over the enumerated frame and over an open domain (the same
+    evidence without its frame, compiled over the atoms it mentions)."""
     m1, m2 = operands
-    on_kernel = combine(m1, m2)
-    with kernel_disabled():
-        on_sets = combine(m1, m2)
-    assert dict(on_kernel.items()) == dict(on_sets.items())
-    assert on_kernel.is_compiled and not on_sets.is_compiled
+    open_pair = (m1.with_frame(None), m2.with_frame(None))
+    for left, right in ((m1, m2), open_pair):
+        on_kernel = combine(left, right)
+        expected = _oracle_combine(left, right)
+        assert list(on_kernel.items()) == list(expected.items())
+        assert on_kernel.is_compiled and on_kernel.frame == left.frame
 
 
 def test_kernel_path_combination(benchmark, operands):
@@ -77,10 +87,9 @@ def test_kernel_path_combination(benchmark, operands):
     assert abs(float(sum(v for _, v in combined.items())) - 1.0) < 1e-9
 
 
-def test_frozenset_path_combination(benchmark, operands):
+def test_oracle_combination(benchmark, operands):
     m1, m2 = operands
-    with kernel_disabled():
-        combined = benchmark(combine, m1, m2)
+    combined = benchmark(_oracle_combine, m1, m2)
     assert abs(float(sum(v for _, v in combined.items())) - 1.0) < 1e-9
 
 
@@ -101,15 +110,15 @@ def test_kernel_chain_fold(benchmark):
 
 
 def test_kernel_beats_frozenset_5x(operands, bench_record):
-    """The acceptance bar: >= 5x on float masses over an enumerated
-    frame (RATIO_FLOOR relaxes it on noisy shared runners)."""
+    """The acceptance bar: >= 5x over the frozenset oracle on float
+    masses over an enumerated frame (RATIO_FLOOR relaxes it on noisy
+    shared runners)."""
     m1, m2 = operands
 
     kernel_time = min(_timed(lambda: combine(m1, m2)) for _ in range(7))
-    with kernel_disabled():
-        frozenset_time = min(
-            _timed(lambda: combine(m1, m2)) for _ in range(7)
-        )
+    frozenset_time = min(
+        _timed(lambda: _oracle_combine(m1, m2)) for _ in range(7)
+    )
     ratio = frozenset_time / kernel_time
     print(
         f"\nkernel {kernel_time * 1e6:.1f} us vs "

@@ -128,11 +128,11 @@ def main() -> None:
     # domain, its frame is interned -- each value gets a bit position --
     # and focal elements become int bitmasks, so Dempster's pairwise
     # intersections are bitwise-ANDs instead of frozenset operations.
-    # Compilation is lazy (the first combination or belief query
-    # triggers it) and purely representational: results are identical,
-    # exact Fractions stay exact.  Evidence over unenumerable domains
-    # (open text, numerics) transparently uses the symbolic fallback
-    # path.  Inspect any value via `is_compiled`:
+    # Evidence over open domains (text, numerics) compiles the same way
+    # over the values it mentions, plus a residual bit for the rest of
+    # the domain.  Compilation is lazy (the first combination or belief
+    # query triggers it) and purely representational: exact Fractions
+    # stay exact.  Inspect any value via `is_compiled`:
     sample = next(iter(engine.relation))
     rating = sample.evidence("rating")
     print(f"{sample.key()[0]} rating evidence compiled? {rating.is_compiled}")
@@ -248,7 +248,7 @@ def main() -> None:
 
     # EXPLAIN ANALYZE: run a query once, uncached, and get the plan
     # back annotated per node with wall time, exact row counts and the
-    # kernel-vs-fallback combination split (repl: `:profile Q`).
+    # number of evidence combinations (repl: `:profile Q`).
     profile = db.session().explain_analyze(
         "SELECT rname, rating FROM (RA UNION RB BY (rname)) "
         "WHERE rating IS {ex} WITH SN >= 0.5"

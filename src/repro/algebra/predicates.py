@@ -25,11 +25,10 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable
 
 from repro.errors import PredicateError
-from repro.ds.kernel import kernel_enabled
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
 from repro.model.membership import SupportPair
-from repro.algebra.support import is_support, normalize_theta, theta_support
+from repro.algebra.support import normalize_theta, theta_support
 
 
 class Predicate(ABC):
@@ -212,24 +211,20 @@ class IsPredicate(Predicate):
         return self._values
 
     def support(self, etuple: ExtendedTuple) -> SupportPair:
-        evidence = etuple.evidence(self._attribute)
-        mass_function = evidence.mass_function
-        if kernel_enabled() and mass_function.frame is not None:
-            compiled = mass_function.compiled()
-            interned = compiled.interned
-            query_mask = self._mask_cache.get(interned)
-            if query_mask is None:
-                query_mask = interned.mask_of(self._values)
-                if len(self._mask_cache) >= 8:
-                    # A predicate normally meets one frame per attribute;
-                    # more means frames are being re-interned (cache
-                    # churn) -- drop stale entries rather than pin dead
-                    # InternedFrame objects forever.
-                    self._mask_cache.clear()
-                self._mask_cache[interned] = query_mask
-            sn, sp = compiled.bel_pls(query_mask)
-            return SupportPair(sn, sp)
-        return is_support(evidence, self._values)
+        compiled = etuple.evidence(self._attribute).mass_function.compiled()
+        interned = compiled.interned
+        query_mask = self._mask_cache.get(interned)
+        if query_mask is None:
+            query_mask = interned.query_mask(self._values)
+            if len(self._mask_cache) >= 8:
+                # A predicate normally meets one frame per attribute;
+                # more means open-domain atom tables or re-interned
+                # frames -- drop stale entries rather than pin dead
+                # InternedFrame objects forever.
+                self._mask_cache.clear()
+            self._mask_cache[interned] = query_mask
+        sn, sp = compiled.bel_pls(query_mask)
+        return SupportPair(sn, sp)
 
     def attributes(self) -> frozenset[str]:
         return frozenset({self._attribute})

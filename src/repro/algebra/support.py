@@ -63,8 +63,8 @@ def normalize_theta(op: str) -> str:
 def is_support(evidence: EvidenceSet, values: Iterable) -> SupportPair:
     """Support of ``A is {c1..cn}``: ``(Bel, Pls)`` of the value set.
 
-    Over an enumerated frame both bounds come from one subset-mask pass
-    of the compiled evidence kernel (see :mod:`repro.ds.kernel`).
+    Both bounds come from one subset-mask pass of the compiled evidence
+    kernel (see :mod:`repro.ds.kernel`).
 
     >>> from repro.model import EvidenceSet
     >>> es = EvidenceSet("[si^0.5, hu^0.25, Ω^0.25]")

@@ -36,7 +36,7 @@ else JSON).
     ``:profile Q`` executes Q and prints the EXPLAIN ANALYZE profile
     (per-node wall times and row counts, see
     :meth:`repro.session.Session.explain_analyze`), ``:stats`` the
-    session counters plus the evidence-kernel path counters
+    session counters plus the evidence-kernel counters
     (:mod:`repro.ds.kernel`), the physical executor / partition
     configuration and fan-out counters (:mod:`repro.exec`), the storage
     backend and the full metrics registry (:mod:`repro.obs`),
@@ -56,7 +56,7 @@ else JSON).
     Replay a JSONL event file (see :mod:`repro.stream.connectors`)
     through a :class:`repro.stream.StreamEngine` using REL's schema,
     publish the integrated relation into the catalog, and report
-    throughput, the kernel-vs-fallback combination split and the
+    throughput, the evidence combination count and the
     per-batch changelog.  ``--workers N`` fans the flush re-folds out
     over N warm pool processes (:mod:`repro.exec`; ``--executor
     serial|process`` picks the executor explicitly);
@@ -543,8 +543,7 @@ def _command_stream(args: argparse.Namespace, out) -> int:
         )
         stats = engine.stats()
         print(
-            f"evidence combinations: {stats.kernel_combinations} on the "
-            f"kernel path, {stats.fallback_combinations} on the fallback path",
+            f"evidence combinations: {stats.kernel_combinations}",
             file=out,
         )
         print(

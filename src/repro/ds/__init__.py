@@ -30,10 +30,7 @@ from repro.ds.kernel import (
     KernelStats,
     compile_mass_function,
     intern_frame,
-    kernel_disabled,
-    kernel_enabled,
     kernel_stats,
-    set_kernel_enabled,
 )
 from repro.ds.belief import (
     belief,
@@ -49,8 +46,6 @@ from repro.ds.combination import (
     conflict,
     conjunctive,
     disjunctive,
-    intersect_focal,
-    union_focal,
     weight_of_conflict,
 )
 from repro.ds.discounting import discount
@@ -87,18 +82,13 @@ __all__ = [
     "KernelStats",
     "compile_mass_function",
     "intern_frame",
-    "kernel_disabled",
-    "kernel_enabled",
     "kernel_stats",
-    "set_kernel_enabled",
     "combine",
     "combine_all",
     "combine_with_conflict",
     "conflict",
     "conjunctive",
     "disjunctive",
-    "intersect_focal",
-    "union_focal",
     "weight_of_conflict",
     "discount",
     "condition",

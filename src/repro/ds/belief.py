@@ -18,34 +18,22 @@ Focal element :data:`~repro.ds.frame.OMEGA` is a subset of ``A`` only when
 mass function carries an enumerated frame; without one, OMEGA is treated
 as a *strict* superset of any concrete ``A`` -- it contributes to ``Pls``
 but never to ``Bel``.  That matches the paper's use of OMEGA for
-nonbelief.
+nonbelief.  Every measure runs on the compiled kernel
+(:mod:`repro.ds.kernel`), where an open domain's OMEGA carries a
+residual bit no finite query holds.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from repro.ds.frame import FocalElement, is_omega
-from repro.ds.kernel import kernel_enabled
 from repro.ds.mass import MassFunction, Numeric, coerce_focal_element
 
 
-def _resolve_query(m: MassFunction, subset: object) -> FocalElement:
-    """Normalize a queried subset, canonicalizing against the frame."""
-    element = coerce_focal_element(subset)
-    if m.frame is not None and not is_omega(element):
-        element = m.frame.canonicalize(element)
-    return element
-
-
 def _compiled_query(m: MassFunction, subset: object):
-    """``(compiled, query mask)`` when the kernel path applies, else
-    ``None``.  Out-of-frame query values raise the same
-    :class:`~repro.errors.DomainError` frame canonicalization would."""
-    if not kernel_enabled() or m.frame is None:
-        return None
+    """``(compiled, query mask)``.  Out-of-frame query values raise the
+    same :class:`~repro.errors.DomainError` frame canonicalization
+    would."""
     compiled = m.compiled()
-    return compiled, compiled.interned.mask_of(coerce_focal_element(subset))
+    return compiled, compiled.interned.query_mask(coerce_focal_element(subset))
 
 
 def belief(m: MassFunction, subset: object) -> Numeric:
@@ -57,22 +45,8 @@ def belief(m: MassFunction, subset: object) -> Numeric:
     >>> m_bel
     Fraction(5, 6)
     """
-    kernel_query = _compiled_query(m, subset)
-    if kernel_query is not None:
-        compiled, query_mask = kernel_query
-        return compiled.bel(query_mask)
-    query = _resolve_query(m, subset)
-    total: Numeric = Fraction(0)
-    for element, value in m.items():
-        if is_omega(element):
-            contained = is_omega(query)
-        elif is_omega(query):
-            contained = True
-        else:
-            contained = element <= query
-        if contained:
-            total = total + value
-    return total
+    compiled, query_mask = _compiled_query(m, subset)
+    return compiled.bel(query_mask)
 
 
 def plausibility(m: MassFunction, subset: object) -> Numeric:
@@ -83,20 +57,8 @@ def plausibility(m: MassFunction, subset: object) -> Numeric:
     >>> plausibility(m, {"ca", "hu", "si"})
     Fraction(1, 1)
     """
-    kernel_query = _compiled_query(m, subset)
-    if kernel_query is not None:
-        compiled, query_mask = kernel_query
-        return compiled.pls(query_mask)
-    query = _resolve_query(m, subset)
-    total: Numeric = Fraction(0)
-    for element, value in m.items():
-        if is_omega(element) or is_omega(query):
-            intersects = True  # focal elements and queries are non-empty
-        else:
-            intersects = not element.isdisjoint(query)
-        if intersects:
-            total = total + value
-    return total
+    compiled, query_mask = _compiled_query(m, subset)
+    return compiled.pls(query_mask)
 
 
 def doubt(m: MassFunction, subset: object) -> Numeric:
@@ -111,22 +73,8 @@ def commonality(m: MassFunction, subset: object) -> Numeric:
     rule (combination multiplies commonalities); exposed for analysis and
     tests.
     """
-    kernel_query = _compiled_query(m, subset)
-    if kernel_query is not None:
-        compiled, query_mask = kernel_query
-        return compiled.commonality(query_mask)
-    query = _resolve_query(m, subset)
-    total: Numeric = Fraction(0)
-    for element, value in m.items():
-        if is_omega(element):
-            covers = True
-        elif is_omega(query):
-            covers = False
-        else:
-            covers = query <= element
-        if covers:
-            total = total + value
-    return total
+    compiled, query_mask = _compiled_query(m, subset)
+    return compiled.commonality(query_mask)
 
 
 def uncertainty_interval(m: MassFunction, subset: object) -> tuple[Numeric, Numeric]:
@@ -134,10 +82,7 @@ def uncertainty_interval(m: MassFunction, subset: object) -> tuple[Numeric, Nume
 
     This is the support interval the paper's selection operation assigns
     to an ``is``-predicate (Section 3.1.1): ``sn = Bel``, ``sp = Pls``.
-    On the kernel path both bounds come from one subset-mask pass.
+    Both bounds come from one subset-mask pass.
     """
-    kernel_query = _compiled_query(m, subset)
-    if kernel_query is not None:
-        compiled, query_mask = kernel_query
-        return compiled.bel_pls(query_mask)
-    return belief(m, subset), plausibility(m, subset)
+    compiled, query_mask = _compiled_query(m, subset)
+    return compiled.bel_pls(query_mask)

@@ -27,15 +27,16 @@ Also provided:
   conflict mass instead of raising, the entry point the integration
   layers fold through.
 
-Path dispatch
--------------
-When both operands carry the same enumerated frame, combination runs on
-the compiled evidence kernel (:mod:`repro.ds.kernel`): focal elements
-become int bitmasks and the pairwise intersections bitwise-ANDs, with
-the arithmetic (and hence the results, bit for bit) unchanged.  Mass
-functions without a frame -- symbolic OMEGA over an unenumerable domain
--- fall back to the frozenset path transparently.  :data:`KERNEL_STATS`
-counts combinations per path.
+The engine
+----------
+Every operator runs on the compiled evidence kernel
+(:mod:`repro.ds.kernel`): focal elements become int bitmasks and the
+pairwise intersections bitwise-ANDs, with the arithmetic of the
+textbook frozenset loop (and hence its results, bit for bit).  Operands
+over an enumerated frame share the frame's bit assignment; open-domain
+operands (text, numbers) are compiled over the atoms they mention, with
+bits only the symbolic OMEGA carries.  :data:`KERNEL_STATS` counts the
+combinations.
 """
 
 from __future__ import annotations
@@ -44,84 +45,32 @@ import math
 from collections.abc import Iterable
 
 from repro.errors import MassFunctionError, TotalConflictError
-from repro.ds.frame import OMEGA, FocalElement, FrameOfDiscernment, is_omega
+from repro.ds.frame import FocalElement
 from repro.ds.kernel import (
     STATS as KERNEL_STATS,
+    align,
     combine_compiled,
     conjunctive_compiled,
     disjunctive_compiled,
-    kernel_enabled,
 )
 from repro.ds.mass import MassFunction, Numeric
 
 
-def intersect_focal(x: FocalElement, y: FocalElement) -> FocalElement | None:
-    """Intersection of two focal elements; ``None`` encodes the empty set.
+def _compiled_pair(m1: MassFunction, m2: MassFunction):
+    """Both operands compiled onto one bit assignment.
 
-    :data:`OMEGA` behaves as the absorbing whole frame: ``OMEGA & y = y``.
+    Two frames must agree; an open-domain operand meeting a framed one
+    is compiled against the frame (see :func:`repro.ds.kernel.align`).
     """
-    if is_omega(x):
-        return y if not is_omega(y) else OMEGA
-    if is_omega(y):
-        return x
-    both = x & y
-    return both if both else None
-
-
-def union_focal(x: FocalElement, y: FocalElement) -> FocalElement:
-    """Union of two focal elements (OMEGA absorbs everything)."""
-    if is_omega(x) or is_omega(y):
-        return OMEGA
-    return x | y
-
-
-def _merged_frame(
-    m1: MassFunction, m2: MassFunction
-) -> FrameOfDiscernment | None:
-    """The common frame of two mass functions, validating agreement."""
     if m1.frame is not None and m2.frame is not None:
         if m1.frame is not m2.frame and m1.frame != m2.frame:
             raise MassFunctionError(
                 f"cannot combine evidence over different frames "
                 f"{m1.frame.name!r} and {m2.frame.name!r}"
             )
-        return m1.frame
-    return m1.frame or m2.frame
-
-
-def _kernel_pair(m1: MassFunction, m2: MassFunction):
-    """The compiled operands when the kernel path applies, else ``None``.
-
-    The kernel requires both operands to carry the (already validated
-    equal) enumerated frame; symbolic mass functions stay on the
-    frozenset path.
-    """
-    if not kernel_enabled():
-        return None
-    if m1.frame is None or m2.frame is None:
-        return None
-    return m1.compiled(), m2.compiled()
-
-
-def _conjunctive_sets(
-    m1: MassFunction, m2: MassFunction
-) -> tuple[dict[FocalElement, Numeric], Numeric]:
-    """The frozenset-path conjunctive loop (fallback and reference)."""
-    pooled: dict[FocalElement, Numeric] = {}
-    kappa: Numeric = 0  # int seed: float workloads stay on float arithmetic
-    for x, mass_x in m1.items():
-        for y, mass_y in m2.items():
-            product = mass_x * mass_y
-            if product == 0:
-                continue
-            meet = intersect_focal(x, y)
-            if meet is None:
-                kappa = kappa + product
-            elif meet in pooled:
-                pooled[meet] = pooled[meet] + product
-            else:
-                pooled[meet] = product
-    return pooled, kappa
+    pair = align(m1.compiled(), m2.compiled())
+    KERNEL_STATS.bump("kernel_combinations")
+    return pair
 
 
 def conjunctive(
@@ -133,21 +82,10 @@ def conjunctive(
     to their pooled mass and *kappa* is the mass that fell on the empty
     set (the conflict between the sources).
     """
-    _merged_frame(m1, m2)  # validates frame agreement
-    pair = _kernel_pair(m1, m2)
-    if pair is not None:
-        KERNEL_STATS.bump("kernel_combinations")
-        pooled_masks, kappa = conjunctive_compiled(*pair)
-        element_of = pair[0].interned.element_of
-        return (
-            {
-                element_of(mask): value
-                for mask, value in pooled_masks.items()
-            },
-            kappa,
-        )
-    KERNEL_STATS.bump("fallback_combinations")
-    return _conjunctive_sets(m1, m2)
+    a, b = _compiled_pair(m1, m2)
+    pooled, kappa = conjunctive_compiled(a, b)
+    element_of = a.interned.element_of
+    return {element_of(mask): value for mask, value in pooled.items()}, kappa
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> Numeric:
@@ -181,26 +119,14 @@ def combine_with_conflict(
     conflict instead of raising.
 
     This is the fold step the integration layers (extended union, tuple
-    merging, streaming) use: on the kernel path the returned mass
-    function stays compiled, so a chain of combinations never decodes or
-    re-interns intermediate states.
+    merging, streaming) use: the returned mass function stays compiled,
+    so a chain of combinations never decodes or re-interns intermediate
+    states.
     """
-    frame = _merged_frame(m1, m2)
-    pair = _kernel_pair(m1, m2)
-    if pair is not None:
-        KERNEL_STATS.bump("kernel_combinations")
-        compiled, kappa = combine_compiled(*pair)
-        if compiled is None:
-            return None, kappa
-        return MassFunction._from_compiled(compiled), kappa
-    KERNEL_STATS.bump("fallback_combinations")
-    pooled, kappa = _conjunctive_sets(m1, m2)
-    if not pooled:
+    compiled, kappa = combine_compiled(*_compiled_pair(m1, m2))
+    if compiled is None:
         return None, kappa
-    if kappa:
-        remaining = 1 - kappa
-        pooled = {element: value / remaining for element, value in pooled.items()}
-    return MassFunction(pooled, frame), kappa
+    return MassFunction._from_compiled(compiled), kappa
 
 
 def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -249,21 +175,6 @@ def disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     produces conflict, and never sharpens belief -- an extension beyond
     the paper, exposed for the baseline comparison benchmarks.
     """
-    frame = _merged_frame(m1, m2)
-    pair = _kernel_pair(m1, m2)
-    if pair is not None:
-        KERNEL_STATS.bump("kernel_combinations")
-        return MassFunction._from_compiled(disjunctive_compiled(*pair))
-    KERNEL_STATS.bump("fallback_combinations")
-    pooled: dict[FocalElement, Numeric] = {}
-    for x, mass_x in m1.items():
-        for y, mass_y in m2.items():
-            product = mass_x * mass_y
-            if product == 0:
-                continue
-            join = union_focal(x, y)
-            if join in pooled:
-                pooled[join] = pooled[join] + product
-            else:
-                pooled[join] = product
-    return MassFunction(pooled, frame)
+    return MassFunction._from_compiled(
+        disjunctive_compiled(*_compiled_pair(m1, m2))
+    )

@@ -10,6 +10,11 @@ The paper itself treats both component databases as fully reliable; the
 integration layer exposes discounting so a deployment can down-weight a
 source known to be stale or noisy before tuple merging, which is the
 standard evidential-reasoning treatment of differential source quality.
+
+Discounting runs on the compiled evidence kernel
+(:mod:`repro.ds.kernel`), for enumerated frames and open domains alike,
+so the streaming engine's per-source re-discounting keeps its states
+compiled.
 """
 
 from __future__ import annotations
@@ -17,19 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.errors import MassFunctionError
-from repro.ds.frame import OMEGA, FocalElement, is_omega
-from repro.ds.kernel import discount_compiled, kernel_enabled
-from repro.ds.mass import MassFunction, Numeric, coerce_mass_value
+from repro.ds.kernel import discount_compiled
+from repro.ds.mass import MassFunction, coerce_mass_value
 
 
 def discount(m: MassFunction, reliability: object) -> MassFunction:
     """Discount *m* by the given source *reliability*.
 
-    Runs on the compiled evidence kernel when *m* carries an enumerated
-    frame (see :mod:`repro.ds.kernel`), so the streaming engine's
-    per-source re-discounting keeps its states compiled.
-
-    >>> from repro.ds import MassFunction
+    >>> from repro.ds import MassFunction, OMEGA
     >>> m = MassFunction({"ex": 1})
     >>> discounted = discount(m, "4/5")
     >>> discounted[{"ex"}], discounted[OMEGA]
@@ -40,17 +40,7 @@ def discount(m: MassFunction, reliability: object) -> MassFunction:
         raise MassFunctionError(f"reliability must lie in [0, 1], got {r!r}")
     if r == 1:
         return m
-    if kernel_enabled() and m.frame is not None:
-        return MassFunction._from_compiled(discount_compiled(m.compiled(), r))
-    discounted: dict[FocalElement, Numeric] = {}
-    ignorance: Numeric = 1 - r
-    for element, value in m.items():
-        if is_omega(element):
-            ignorance = ignorance + r * value
-        else:
-            discounted[element] = r * value
-    discounted[OMEGA] = ignorance
-    return MassFunction(discounted, m.frame)
+    return MassFunction._from_compiled(discount_compiled(m.compiled(), r))
 
 
 def discount_all(

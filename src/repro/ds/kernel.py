@@ -1,50 +1,56 @@
-"""Compact evidence kernel: interned frames and bitmask focal elements.
+"""Compact evidence kernel: the one engine behind every evidence operation.
 
 Every operation the paper defines -- Dempster's rule (Section 2.2),
 belief/plausibility selection (Section 3.1.1), the extended union
 (Section 3.2) -- bottoms out in pairwise intersections of focal
-elements.  The default representation (``frozenset`` keys in a dict)
-pays hash-set costs per pair; this module compiles a mass function over
-an *enumerated* frame into a form where those set operations are single
-machine-word instructions:
+elements.  This module runs all of them on bitmasks:
 
-* :class:`InternedFrame` assigns each frame value a bit position, so a
-  focal element becomes an ``int`` bitmask and the whole frame (OMEGA)
-  the all-ones mask;
+* :class:`InternedFrame` assigns each value a bit position, so a focal
+  element becomes an ``int`` bitmask and the whole frame (OMEGA) the
+  all-ones mask.  Over an enumerated frame there is one bit per frame
+  value.  An open domain (text, numbers, anything) has no frame, so its
+  evidence is compiled over the *atoms* the operation mentions -- both
+  operands of a combination, or the mass function and the query of a
+  belief measure -- plus two bits that, among focal elements, only OMEGA
+  carries: the *query* bit stands for values a query names that no
+  focal element does, the *residual* bit for the rest of the domain.
+  So ``OMEGA & X == X`` for every concrete ``X``, OMEGA is never a
+  subset of a finite query, and it meets every non-empty one -- the
+  semantics of the symbolic :data:`~repro.ds.frame.OMEGA`;
 * :class:`CompiledMass` stores the mass function as parallel
   ``(mask, mass)`` tuples in the library's canonical focal order;
 * combination, discounting, belief and plausibility then run as
-  bitwise-AND/OR + popcount loops with no per-pair set allocation.
+  bitwise-AND/OR loops with no per-pair set allocation.
 
-The kernel changes the *representation*, never the arithmetic: masses
-stay :class:`fractions.Fraction` (exact) or ``float`` exactly as in
-:mod:`repro.ds.mass`, every loop visits pairs in the same canonical
-order as the frozenset path, and results are therefore identical --
-bit-for-bit, including float round-off -- to the uncompiled path (the
-property-based test-suite asserts this).  Coercion and validation are
-*not* re-implemented here: compilation always starts from an already
-validated :class:`~repro.ds.mass.MassFunction` (whose constructor owns
-:func:`~repro.ds.mass.coerce_mass_value`), and result totals are
-re-checked through the shared
+Bits follow sorted-``repr`` order, so a mask's sort key is
+order-isomorphic to :func:`repro.ds.mass._focal_sort_key`, every loop
+visits pairs in the canonical focal order, and results -- exact
+Fractions and float round-off alike -- equal the textbook frozenset
+loops bit for bit (the property-based test-suite checks the kernel
+against such a reference implementation).  Coercion and validation
+are *not* re-implemented here: compilation always starts from an
+already validated :class:`~repro.ds.mass.MassFunction` (whose
+constructor owns :func:`~repro.ds.mass.coerce_mass_value`), and result
+totals are re-checked through the shared
 :func:`~repro.ds.mass.validate_mass_total` (the one
 ``FLOAT_SUM_TOLERANCE`` check in the library).
 
-Dispatch lives in :mod:`repro.ds.combination`, :mod:`repro.ds.belief`
-and :mod:`repro.ds.discounting`: when both operands carry the same
-enumerated frame the kernel path runs, otherwise the symbolic
-frozenset path (which handles unenumerable domains and the symbolic
-OMEGA) is used.  :func:`set_kernel_enabled` / :func:`kernel_disabled`
-turn the kernel off globally -- used by the equivalence tests and the
-``bench_kernel_combination`` benchmark -- and :data:`STATS` counts how
-many combinations ran on each path (surfaced by ``repro repl``'s
-``:stats`` and the streaming throughput report).
+A mass function caches its compiled form, and equal frames or equal
+atom sets intern to one shared :class:`InternedFrame`, so a pair whose
+operands mention the same atoms is combined without re-mapping
+(:func:`align`).  Atoms that compare equal but differ in type (``1``,
+``1.0``, ``True``; ``2.5`` and ``Fraction(5, 2)``) share a bit within
+one table but not a table: atom tables are keyed by type and ``repr``
+unless every atom is a ``str``, so an operand decodes to its own
+values whatever the process compiled before.  :data:`STATS` counts
+combinations and compilations (surfaced by ``repro repl``'s ``:stats``
+and the streaming throughput report).
 """
 
 from __future__ import annotations
 
 import threading
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -58,48 +64,40 @@ from repro.obs.registry import registry as _metrics_registry
 _ZERO = Fraction(0)
 
 
-# -- path selection and observability -----------------------------------------
+# -- observability ------------------------------------------------------------
 
 
 @dataclass
 class KernelStats:
-    """A point-in-time snapshot of kernel vs fallback usage.
+    """A point-in-time snapshot of kernel usage.
 
-    ``kernel_combinations`` / ``fallback_combinations`` count pairwise
-    combination operations (Dempster, conjunctive, disjunctive) by the
-    path they executed on; ``compilations`` counts mass functions
-    compiled to kernel form.  The live process-wide counters are
-    :data:`STATS` (a :class:`LiveKernelStats`); this dataclass is the
-    immutable value :meth:`LiveKernelStats.snapshot` and
+    ``kernel_combinations`` counts pairwise combination operations
+    (Dempster, conjunctive, disjunctive); ``compilations`` counts mass
+    functions compiled to kernel form.  The live process-wide counters
+    are :data:`STATS` (a :class:`LiveKernelStats`); this dataclass is
+    the immutable value :meth:`LiveKernelStats.snapshot` and
     :meth:`LiveKernelStats.since` hand out.
     """
 
     kernel_combinations: int = 0
-    fallback_combinations: int = 0
     compilations: int = 0
 
     def snapshot(self) -> "KernelStats":
         """An immutable-by-convention copy of the current counters."""
-        return KernelStats(
-            self.kernel_combinations,
-            self.fallback_combinations,
-            self.compilations,
-        )
+        return KernelStats(self.kernel_combinations, self.compilations)
 
     def since(self, baseline: "KernelStats") -> "KernelStats":
         """The counter deltas accumulated after *baseline* was taken."""
         return KernelStats(
             self.kernel_combinations - baseline.kernel_combinations,
-            self.fallback_combinations - baseline.fallback_combinations,
             self.compilations - baseline.compilations,
         )
 
     def summary(self) -> str:
         """One-line human-readable digest."""
         return (
-            f"kernel: {self.kernel_combinations} combination(s) on the "
-            f"kernel path, {self.fallback_combinations} on the fallback "
-            f"path, {self.compilations} compilation(s)"
+            f"kernel: {self.kernel_combinations} combination(s), "
+            f"{self.compilations} compilation(s)"
         )
 
 
@@ -116,7 +114,7 @@ class LiveKernelStats:
     :meth:`snapshot`/:meth:`since` return :class:`KernelStats` values.
     """
 
-    _FIELDS = ("kernel_combinations", "fallback_combinations", "compilations")
+    _FIELDS = ("kernel_combinations", "compilations")
 
     def __init__(self):
         self._counters = ThreadLocalCounters(self._FIELDS)
@@ -124,10 +122,6 @@ class LiveKernelStats:
     @property
     def kernel_combinations(self) -> int:
         return self._counters.total("kernel_combinations")
-
-    @property
-    def fallback_combinations(self) -> int:
-        return self._counters.total("fallback_combinations")
 
     @property
     def compilations(self) -> int:
@@ -172,73 +166,65 @@ def kernel_stats() -> KernelStats:
     return STATS
 
 
-_enabled = True
-
-
-def kernel_enabled() -> bool:
-    """``True`` when compiled evidence kernels may be used."""
-    return _enabled
-
-
-def set_kernel_enabled(flag: bool) -> bool:
-    """Globally enable/disable the kernel path; returns the prior state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-@contextmanager
-def kernel_disabled():
-    """Context manager forcing the frozenset fallback path.
-
-    Used by the equivalence property tests and benchmarks to compute
-    reference results on the symbolic path.
-    """
-    previous = set_kernel_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernel_enabled(previous)
-
-
 # -- interned frames ----------------------------------------------------------
 
 
 class InternedFrame:
-    """A frame of discernment with each value assigned a bit position.
+    """A bit assignment: each value of a frame or atom set gets a bit.
 
-    Bit positions follow the frame's deterministic iteration order
-    (values sorted by ``repr``), so two independently interned copies of
-    equal frames produce identical masks, and a mask's ascending bit
-    positions enumerate its members in the same order the library's
+    Built from a :class:`FrameOfDiscernment` it is a *frame table*: one
+    bit per frame value, OMEGA the all-ones mask, and values outside the
+    frame raise the frame's :class:`~repro.errors.DomainError`.  Built
+    from a ``frozenset`` of atoms it is an *atom table* for open-domain
+    evidence (:attr:`frame` is ``None``): one bit per atom, then the
+    query bit and the residual bit that only OMEGA carries (see the
+    module docstring).
+
+    Bit positions follow the values sorted by ``repr``, so two
+    independently interned copies of equal frames (or of equal atom sets
+    with the same types) produce identical masks, and a mask's ascending
+    bit positions enumerate its members in the same order the library's
     canonical focal-element sort uses.
     """
 
     __slots__ = (
         "_frame",
+        "_atoms",
         "_bit_by_value",
         "_value_by_bit",
         "_omega",
+        "_query_bit",
         "_sort_keys",
         "_renderings",
     )
 
-    def __init__(self, frame: FrameOfDiscernment):
-        self._frame = frame
-        ordered = sorted(frame.values, key=repr)
+    def __init__(self, source: FrameOfDiscernment | frozenset):
+        if isinstance(source, FrameOfDiscernment):
+            self._frame = source
+            self._atoms = source.values
+        else:
+            self._frame = None
+            self._atoms = source
+        ordered = sorted(self._atoms, key=repr)
         self._bit_by_value = {value: bit for bit, value in enumerate(ordered)}
         self._value_by_bit = ordered
-        self._omega = (1 << len(ordered)) - 1
+        width = len(ordered) if self._frame is not None else len(ordered) + 2
+        self._omega = (1 << width) - 1
+        self._query_bit = 1 << len(ordered)
         # Per-mask caches (see sort_key / rendered_members), bounded and
         # written under _INTERN_LOCK like the interning cache itself.
         self._sort_keys: dict[int, tuple] = {}
         self._renderings: dict[int, tuple | None] = {}
 
     @property
-    def frame(self) -> FrameOfDiscernment:
-        """The underlying enumerated frame."""
+    def frame(self) -> FrameOfDiscernment | None:
+        """The underlying enumerated frame; ``None`` for an atom table."""
         return self._frame
+
+    @property
+    def atoms(self) -> frozenset:
+        """The values that have a bit of their own."""
+        return self._atoms
 
     @property
     def omega_mask(self) -> int:
@@ -249,12 +235,13 @@ class InternedFrame:
         return len(self._value_by_bit)
 
     def mask_of(self, element: FocalElement) -> int:
-        """Encode a focal element (or query subset) as a bitmask.
+        """Encode a focal element as a bitmask.
 
-        :data:`OMEGA` and the full concrete value set both encode to
-        :attr:`omega_mask` -- the same canonicalization
+        :data:`OMEGA` encodes to :attr:`omega_mask`, and so does the
+        full value set of a frame table -- the same canonicalization
         :meth:`FrameOfDiscernment.canonicalize` performs.  Values
-        outside the frame raise the frame's own :class:`DomainError`.
+        outside a frame raise the frame's own :class:`DomainError`;
+        every member of an atom-table element must be one of its atoms.
         """
         if is_omega(element):
             return self._omega
@@ -264,8 +251,25 @@ class InternedFrame:
             for value in element:
                 mask |= 1 << bits[value]
         except (KeyError, TypeError):
-            self._frame.resolve(element)  # raises the canonical DomainError
+            if self._frame is not None:
+                self._frame.resolve(element)  # raises the canonical DomainError
             raise
+        return mask
+
+    def query_mask(self, subset: FocalElement) -> int:
+        """Encode a belief-measure query as a bitmask.
+
+        Like :meth:`mask_of`, except that an atom table encodes the
+        values it has no bit for as the query bit: no focal element but
+        OMEGA holds them, so one bit stands for all of them.
+        """
+        if self._frame is not None or is_omega(subset):
+            return self.mask_of(subset)
+        mask = 0
+        bits = self._bit_by_value
+        for value in subset:
+            bit = bits.get(value)
+            mask |= self._query_bit if bit is None else 1 << bit
         return mask
 
     def element_of(self, mask: int) -> FocalElement:
@@ -281,7 +285,7 @@ class InternedFrame:
         return frozenset(members)
 
     def sort_key(self, mask: int):
-        """Canonical focal ordering key, matching the frozenset path.
+        """Canonical focal ordering key, matching the frozenset order.
 
         Ascending bit positions enumerate members in sorted-``repr``
         order, so ``(size, positions)`` is order-isomorphic to the
@@ -322,19 +326,20 @@ class InternedFrame:
         return rendered
 
     def __repr__(self) -> str:
-        return (
-            f"InternedFrame({self._frame.name!r}, "
-            f"{len(self._value_by_bit)} bits)"
-        )
+        name = "atoms" if self._frame is None else repr(self._frame.name)
+        return f"InternedFrame({name}, {len(self._value_by_bit)} bits)"
 
 
-#: Interned frames, keyed by (equal) frames so every relation sharing a
-#: domain shares one bit assignment.  Bounded: interning is a cache, not
-#: an identity requirement (bit order is a pure function of the value
-#: set), so clearing it is always safe.  Writes are guarded by
-#: :data:`_INTERN_LOCK`: compilation runs inside executor worker threads,
-#: and the evict-then-insert sequence must not interleave.
-_INTERNED: dict[FrameOfDiscernment, InternedFrame] = {}
+#: Interned tables, keyed by (equal) frames or by :func:`_atoms_key`, so
+#: every relation sharing a domain, and every pair of open-domain
+#: operands mentioning the same atoms, shares one bit assignment.
+#: Bounded: interning is a cache, not an identity requirement (bit order
+#: is a pure function of the values, and :func:`align` compares layouts,
+#: not table identity), so clearing it is always safe.
+#: Writes are guarded by :data:`_INTERN_LOCK`: compilation runs inside
+#: executor worker threads, and the evict-then-insert sequence must not
+#: interleave.
+_INTERNED: dict[FrameOfDiscernment | frozenset, InternedFrame] = {}
 _INTERN_LIMIT = 4096
 _INTERN_LOCK = threading.Lock()
 
@@ -348,18 +353,43 @@ def _cache_put(cache: dict, key, value) -> None:
         cache[key] = value
 
 
-def intern_frame(frame: FrameOfDiscernment) -> InternedFrame:
-    """The shared :class:`InternedFrame` for *frame* (interning cache)."""
-    interned = _INTERNED.get(frame)
+def _intern(source: FrameOfDiscernment | frozenset, key) -> InternedFrame:
+    interned = _INTERNED.get(key)
     if interned is None:
         with _INTERN_LOCK:
-            interned = _INTERNED.get(frame)
+            interned = _INTERNED.get(key)
             if interned is None:
                 if len(_INTERNED) >= _INTERN_LIMIT:
                     _INTERNED.clear()
-                interned = InternedFrame(frame)
-                _INTERNED[frame] = interned
+                interned = InternedFrame(source)
+                _INTERNED[key] = interned
     return interned
+
+
+def _atoms_key(atoms: frozenset):
+    """The interning key of an atom table.
+
+    Equal atoms of different types (``1``, ``1.0``, ``True``) have
+    different ``repr``s, so they decode differently and can sort to
+    different bits: keyed by value alone, a table would carry whichever
+    was interned first.  Strings are the one common atom type whose
+    equal values always share type and ``repr``, so an all-``str`` atom
+    set is its own key.
+    """
+    for atom in atoms:
+        if type(atom) is not str:
+            return frozenset([(type(value), repr(value)) for value in atoms])
+    return atoms
+
+
+def intern_frame(frame: FrameOfDiscernment) -> InternedFrame:
+    """The shared frame table for *frame* (interning cache)."""
+    return _intern(frame, frame)
+
+
+def intern_atoms(atoms: frozenset) -> InternedFrame:
+    """The shared atom table for the open-domain values *atoms*."""
+    return _intern(atoms, _atoms_key(atoms))
 
 
 # -- compiled mass functions --------------------------------------------------
@@ -439,47 +469,111 @@ class CompiledMass:
         return _ZERO if total is None else total
 
     def __repr__(self) -> str:
+        frame = self.interned.frame
         return (
-            f"CompiledMass({self.interned.frame.name!r}, "
+            f"CompiledMass({'atoms' if frame is None else repr(frame.name)}, "
             f"{len(self.masks)} focal, "
             f"{'exact' if self.is_exact() else 'float'})"
         )
 
 
 def compile_mass_function(m) -> CompiledMass:
-    """Compile a frame-carrying :class:`MassFunction` to kernel form.
+    """Compile a :class:`MassFunction` to kernel form.
 
-    Compilation starts from ``m.items()`` -- already coerced through
-    :func:`~repro.ds.mass.coerce_mass_value` and validated by the
-    ``MassFunction`` constructor, and iterated in canonical focal order
-    -- so the kernel re-implements neither coercion nor validation.
+    A mass function with a frame compiles over the frame's table, one
+    without over the table of the atoms its focal elements mention.
+    Compilation starts from the mass function's masses -- already
+    coerced through :func:`~repro.ds.mass.coerce_mass_value` and
+    validated by the ``MassFunction`` constructor -- in canonical focal
+    order, so the kernel re-implements neither coercion nor validation.
     """
-    frame = m.frame
-    if frame is None:
-        raise ValueError("cannot compile a mass function without a frame")
-    interned = intern_frame(frame)
+    masses = m._mass_dict()
+    elements = m.focal_elements()
+    if m.frame is not None:
+        interned = intern_frame(m.frame)
+    else:
+        # OMEGA sorts last; the atoms are the members of the rest.
+        concrete = elements[:-1] if elements[-1] is OMEGA else elements
+        if len(concrete) == 1:
+            interned = intern_atoms(concrete[0])
+        else:
+            interned = intern_atoms(frozenset().union(*concrete))
     mask_of = interned.mask_of
-    masks = []
-    values = []
-    for element, value in m.items():
-        masks.append(mask_of(element))
-        values.append(value)
     STATS.bump("compilations")
-    return CompiledMass(interned, tuple(masks), tuple(values))
+    return CompiledMass(
+        interned,
+        tuple([mask_of(element) for element in elements]),
+        tuple([masses[element] for element in elements]),
+    )
+
+
+def align(a: CompiledMass, b: CompiledMass) -> tuple[CompiledMass, CompiledMass]:
+    """Put two operands of one combination on one bit assignment.
+
+    Operands over tables with the same layout (equal frames, or equal
+    atom sets) already share their masks and are returned as they are.
+    An open-domain operand meeting a framed one is re-mapped onto the frame
+    (its values must lie in the frame: the frame's :class:`DomainError`
+    otherwise), and two open-domain operands onto the table of the union
+    of their atoms, where an atom of *a* stands for an equal atom of *b*.
+    The caller checks that two frames agree.
+    """
+    left, right = a.interned, b.interned
+    if left is right:
+        return a, b
+    if left.frame is not None or right.frame is not None:
+        if left.frame is None:
+            return _remap(a, right), b
+        if right.frame is None or not _same_layout(left, right):
+            return a, _remap(b, left)
+        return a, b
+    if _same_layout(left, right):
+        return a, b
+    table = intern_atoms(left.atoms | right.atoms)
+    return (
+        a if _same_layout(left, table) else _remap(a, table),
+        b if _same_layout(right, table) else _remap(b, table),
+    )
+
+
+def _same_layout(left: InternedFrame, right: InternedFrame) -> bool:
+    """Whether every bit of two tables stands for equal values.
+
+    Equal value *sets* are not enough: ``{2.5, 3}`` and
+    ``{Fraction(5, 2), 3}`` are equal, but their ``repr`` orders put the
+    two halves at different bits (equal frames interned apart, after the
+    cache was cleared, can differ the same way).
+    """
+    return left is right or left._value_by_bit == right._value_by_bit
+
+
+def _remap(compiled: CompiledMass, target: InternedFrame) -> CompiledMass:
+    """*compiled* with each mask re-encoded on *target*.
+
+    The source's canonical order carries over: bits of a superset of
+    atoms keep their relative order, and OMEGA stays last.
+    """
+    element_of = compiled.interned.element_of
+    mask_of = target.mask_of
+    return CompiledMass(
+        target,
+        tuple(mask_of(element_of(mask)) for mask in compiled.masks),
+        compiled.values,
+    )
 
 
 def _canonical(interned: InternedFrame, pooled: dict) -> CompiledMass:
     """Order pooled ``{mask: mass}`` results canonically and validate.
 
     The canonical order makes chained kernel combinations visit pairs in
-    exactly the order the frozenset path would, so even float results
-    stay bit-identical across the two paths; validation reuses the
-    shared :func:`~repro.ds.mass.validate_mass_total` check.
+    exactly the order a frozenset loop over ``items()`` would, so even
+    float results are bit-identical to it; validation reuses the shared
+    :func:`~repro.ds.mass.validate_mass_total` check.
     """
-    order = sorted(pooled, key=interned.sort_key)
-    values = tuple(pooled[mask] for mask in order)
+    order = tuple(sorted(pooled, key=interned.sort_key))
+    values = tuple([pooled[mask] for mask in order])
     validate_mass_total(values)
-    return CompiledMass(interned, tuple(order), values)
+    return CompiledMass(interned, order, values)
 
 
 # -- combination kernels ------------------------------------------------------
@@ -552,11 +646,10 @@ def disjunctive_compiled(a: CompiledMass, b: CompiledMass) -> CompiledMass:
 def discount_compiled(compiled: CompiledMass, reliability) -> CompiledMass:
     """Shafer discounting on a compiled mass (*reliability* < 1, coerced).
 
-    Mirrors :func:`repro.ds.discounting.discount` operation for
-    operation: focal masses scale by ``r`` (zeros dropped, as the
+    Focal masses scale by ``r`` (zeros dropped, as the
     ``MassFunction`` constructor would), the rest joins the ignorance on
-    OMEGA.  Canonical order is preserved because OMEGA already sorts
-    last.
+    OMEGA, in the order the textbook loop over ``items()`` adds them.
+    Canonical order is preserved because OMEGA already sorts last.
     """
     omega = compiled.interned.omega_mask
     masks = []

@@ -27,8 +27,8 @@ one) is reused as-is, without a second check, and so are the results
 of kernel operations (:mod:`repro.ds.kernel`), each of which is
 validated exactly once, when it is produced.  The kernel's canonical
 sort of pooled results is kept even though validation does not need
-it: chained float combinations are bit-identical to the frozenset path
-only when every fold visits pairs in the same canonical order.
+it: chained float combinations equal the textbook frozenset loops bit
+for bit only when every fold visits pairs in the same canonical order.
 """
 
 from __future__ import annotations
@@ -77,12 +77,17 @@ def validate_mass_total(values) -> None:
     The single total-mass check of the library: the ``MassFunction``
     constructor and the compiled evidence kernel
     (:mod:`repro.ds.kernel`) both validate through it, so the
-    ``FLOAT_SUM_TOLERANCE`` policy lives in exactly one place.
+    ``FLOAT_SUM_TOLERANCE`` policy lives in exactly one place.  *values*
+    is a sized collection; one value is its own sum (``0 + x`` has the
+    value and type of ``x``), which spares the common definite mass
+    function a list copy and a ``sum`` call.
     """
-    values = list(values)
     if not values:
         raise MassFunctionError("a mass function needs at least one focal element")
-    total = sum(values)
+    if len(values) == 1:
+        (total,) = values
+    else:
+        total = sum(values)
     # Masses are Fractions or floats, and a single float operand makes
     # the sum a float: the sum's type says whether every mass is exact.
     if isinstance(total, Fraction):
@@ -251,7 +256,8 @@ class MassFunction:
         chain of kernel combinations (the integration fold, the stream
         engine's per-entity state) never decodes intermediates.  The
         compiled values are already validated by the kernel operation
-        that produced them.
+        that produced them.  The frame is the table's frame: ``None``
+        for open-domain evidence.
         """
         self = object.__new__(cls)
         self._masses = None
@@ -264,21 +270,17 @@ class MassFunction:
         """``True`` when the compiled kernel form is attached.
 
         Compilation happens lazily, on the first operation (combination,
-        belief query, discounting) that runs while an enumerated frame
-        is attached; mass functions over unenumerable domains are never
-        compiled and always use the symbolic frozenset path.
+        belief query, discounting) that needs it, and the form is cached;
+        results of kernel operations are born compiled.
         """
         return self._compiled is not None
 
     def compiled(self):
         """The kernel :class:`~repro.ds.kernel.CompiledMass`, compiling
-        lazily; ``None`` when no enumerated frame is attached."""
+        lazily: over the enumerated frame when one is attached, else
+        over the atoms the focal elements mention."""
         if self._compiled is None:
-            if self._frame is None:
-                return None
-            from repro.ds.kernel import compile_mass_function
-
-            self._compiled = compile_mass_function(self)
+            self._compiled = _kernel.compile_mass_function(self)
         return self._compiled
 
     def _mass_dict(self) -> dict:
@@ -528,3 +530,8 @@ class MassFunction:
 def _validate_total(masses: dict) -> None:
     """Check that masses sum to one (exactly, or within float tolerance)."""
     validate_mass_total(masses.values())
+
+
+# The kernel imports this module, so it is bound last; compiling through
+# a module attribute keeps an import statement off every compilation.
+from repro.ds import kernel as _kernel  # noqa: E402

@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 
 from repro.errors import IntegrationError, TotalConflictError
-from repro.ds.combination import union_focal
+from repro.ds.combination import disjunctive
 from repro.ds.frame import is_omega
 from repro.ds.mass import MassFunction
 from repro.model.attribute import Attribute
@@ -197,13 +197,10 @@ class DisjunctiveMethod(IntegrationMethod):
     name = "disjunctive"
 
     def combine(self, left, right, attribute):
-        pooled: dict = {}
-        for x, mass_x in left.items():
-            for y, mass_y in right.items():
-                join = union_focal(x, y)
-                pooled[join] = pooled.get(join, 0) + mass_x * mass_y
-        frame = left.mass_function.frame or right.mass_function.frame
-        return EvidenceSet(MassFunction(pooled, frame), attribute.domain)
+        return EvidenceSet(
+            disjunctive(left.mass_function, right.mass_function),
+            attribute.domain,
+        )
 
 
 #: Registry of methods by name.

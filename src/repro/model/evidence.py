@@ -148,12 +148,13 @@ class EvidenceSet:
     def compile(self) -> "EvidenceSet":
         """Eagerly compile to the kernel form; returns ``self``.
 
-        A no-op for unenumerable domains (no frame to intern), and for
-        evidence that is already compiled.  Loading a database compiles
-        every enumerated evidence set up front, so queries and merges
-        start on the fast path immediately.
+        A no-op for evidence that is already compiled, and for evidence
+        over an open domain, which compiles on its first operation.
+        Loading a database compiles every enumerated evidence set up
+        front, so queries and merges start on the kernel immediately.
         """
-        self._mass.compiled()
+        if self._mass.frame is not None:
+            self._mass.compiled()
         return self
 
     def is_definite(self) -> bool:

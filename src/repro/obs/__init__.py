@@ -18,8 +18,7 @@ catalogue:
 ======================================  =========  ==================================================
 name                                    kind       meaning
 ======================================  =========  ==================================================
-kernel.kernel_combinations              counter    Dempster combinations on the bitmask kernel path
-kernel.fallback_combinations            counter    combinations on the symbolic frozenset fallback
+kernel.kernel_combinations              counter    pairwise evidence combinations (bitmask kernel)
 kernel.compilations                     counter    mass functions compiled to kernel form
 exec.parallel_batches                   counter    Executor.map batches run on pool workers
 exec.inline_batches                     counter    batches run inline (serial/nested/small/fallback)
@@ -48,8 +47,7 @@ stream.publishes                        counter    flushes that published into a
 stream.empty_flush_skips                counter    quiet flushes that skipped the backend entirely
 stream.combinations                     counter    pairwise Dempster combinations performed
 stream.refolds                          counter    entity refolds performed
-stream.kernel_combinations              counter    stream combinations on the kernel path
-stream.fallback_combinations            counter    stream combinations on the fallback path
+stream.kernel_combinations              counter    stream evidence combinations on the kernel
 stream.ingest_lag_events                gauge      events buffered but not yet flushed
 stream.watermark_age_seconds            gauge      seconds since the watermark last advanced
 stream.source.<name>.events             counter    events ingested from one named source

@@ -2,8 +2,8 @@
 
 :class:`QueryProfile` is what :meth:`Session.explain_analyze` returns:
 the optimized plan annotated node-by-node with wall time, exact
-input/output row counts, partition fan-out and the kernel-vs-fallback
-combination split.  Row counts are deterministic (the serial-
+input/output row counts, partition fan-out and the kernel combination
+count.  Row counts are deterministic (the serial-
 equivalence contract makes them identical under every executor);
 timings are wall-clock and asserted by tests only as present/positive.
 
@@ -31,7 +31,6 @@ class NodeProfile:
     parallel_batches: int
     tasks: int
     kernel_combinations: int
-    fallback_combinations: int
     children: tuple["NodeProfile", ...] = ()
 
     @property
@@ -59,13 +58,8 @@ class NodeProfile:
                 f"partitions={self.partitions} "
                 f"batches={self.parallel_batches} tasks={self.tasks}"
             )
-        combinations = self.kernel_combinations + self.fallback_combinations
-        if combinations:
-            parts.append(
-                f"combine={combinations} "
-                f"(kernel={self.kernel_combinations} "
-                f"fallback={self.fallback_combinations})"
-            )
+        if self.kernel_combinations:
+            parts.append(f"combine={self.kernel_combinations}")
         lines = ["  ".join(parts)]
         for child in self.children:
             lines.append(child.describe(indent + 1))
@@ -83,7 +77,6 @@ class NodeProfile:
             "parallel_batches": self.parallel_batches,
             "tasks": self.tasks,
             "kernel_combinations": self.kernel_combinations,
-            "fallback_combinations": self.fallback_combinations,
             "children": [child.to_json() for child in self.children],
         }
 

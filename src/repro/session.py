@@ -261,9 +261,9 @@ class Session:
         work.  Each :class:`~repro.obs.profile.NodeProfile` carries the
         node's wall time, exact input/output row counts (identical
         under every executor, by the serial-equivalence contract),
-        partition fan-out, and the kernel-vs-fallback combination split
+        partition fan-out, and the evidence combination count
         (combination counters bumped inside forked process-pool workers
-        stay in the children, so the split can undercount under the
+        stay in the children, so the count can undercount under the
         process executor; row counts and timings are always measured in
         this process).  The session's caches and stats are untouched.
         """
@@ -310,7 +310,6 @@ class Session:
             ),
             tasks=exec_after.tasks - exec_baseline.tasks,
             kernel_combinations=kernel_delta.kernel_combinations,
-            fallback_combinations=kernel_delta.fallback_combinations,
             children=tuple(child_profiles),
         )
         return result, profile

@@ -138,7 +138,13 @@ class JsonBackend(StorageBackend):
         fresh = database_to_json(database)
         fresh["catalog_version"] = document.get("catalog_version", 0)
         if "streams" in document:
-            fresh["streams"] = document["streams"]
+            # Watermarks of streams whose relation the save drops go too.
+            kept = set(database.names())
+            fresh["streams"] = {
+                name: watermark
+                for name, watermark in document["streams"].items()
+                if name in kept
+            }
         self._bump_and_write(fresh)
 
     def _bump_and_write(self, document: dict) -> None:

@@ -369,6 +369,11 @@ class SqliteBackend(StorageBackend):
                 self._db.execute(
                     "DELETE FROM tuples WHERE relation = ?", (stale,)
                 )
+                # As in _delete_relation: the stream starts over.
+                self._db.execute(
+                    "DELETE FROM meta WHERE key = ?",
+                    (f"stream:{stale}:watermark",),
+                )
             for relation in database:
                 self._insert_relation(relation)
             self._set_meta("name", database.name)

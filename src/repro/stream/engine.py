@@ -58,10 +58,8 @@ from repro.stream.state import Contribution, MergeState
 class StreamStats:
     """Counters a :class:`StreamEngine` accumulates.
 
-    ``kernel_combinations`` / ``fallback_combinations`` attribute each
-    evidence combination this engine performed to the compiled-kernel or
-    frozenset path (see :mod:`repro.ds.kernel`); attributes over
-    unenumerable domains account for the fallback share.
+    ``kernel_combinations`` counts the evidence combinations this engine
+    performed on the compiled kernel (see :mod:`repro.ds.kernel`).
     """
 
     upserts: int = 0
@@ -73,7 +71,6 @@ class StreamStats:
     combinations: int = 0
     refolds: int = 0
     kernel_combinations: int = 0
-    fallback_combinations: int = 0
 
     @property
     def events(self) -> int:
@@ -87,9 +84,8 @@ class StreamStats:
             f"{self.retractions} retractions, "
             f"{self.reliability_updates} reliability updates), "
             f"{self.flushes} flushes, {self.combinations} combinations, "
-            f"{self.refolds} refolds; evidence combinations: "
-            f"{self.kernel_combinations} kernel-path, "
-            f"{self.fallback_combinations} fallback"
+            f"{self.refolds} refolds; "
+            f"{self.kernel_combinations} evidence combinations"
         )
 
 
@@ -168,7 +164,6 @@ def _refold_bucket(common, bucket):
         states,
         combinations,
         delta.kernel_combinations,
-        delta.fallback_combinations,
         error,
         os.getpid(),
     )
@@ -751,7 +746,7 @@ class StreamEngine:
     def _refold(self, entity, order, count_refold: bool = True) -> None:
         """Refold one entity, attributing evidence-combination counts.
 
-        The kernel-vs-fallback split comes from diffing the process-wide
+        The kernel combination count comes from diffing the process-wide
         :data:`repro.ds.kernel.STATS` counters around the refold, which
         attributes exactly this engine's combinations as long as the
         engine is driven from one thread (the engine's general
@@ -767,10 +762,9 @@ class StreamEngine:
             self._stats.refolds += 1
 
     def _attribute_kernel_usage(self, baseline) -> None:
-        """Add the kernel/fallback counter deltas since *baseline*."""
+        """Add the kernel combinations made since *baseline*."""
         delta = KERNEL_STATS.since(baseline)
         self._stats.kernel_combinations += delta.kernel_combinations
-        self._stats.fallback_combinations += delta.fallback_combinations
 
     def _refold_partitioned(self, dirty, order, n: int) -> None:
         """Drain the pending re-folds as per-partition merge batches.
@@ -778,7 +772,7 @@ class StreamEngine:
         Each task re-folds its entities' shipped parts and returns the
         resulting states, which the engine commits; each entity's fold
         is the identical ``merge_entity`` computation the serial path
-        runs, so the committed states are exact.  Kernel-vs-fallback
+        runs, so the committed states are exact.  Kernel combination
         attribution: a batch run inline is measured around the whole
         batch (the engine is single-driver, so the process-wide delta is
         exactly this batch); pool workers measure inside each child and
@@ -811,9 +805,7 @@ class StreamEngine:
         errors = []
         own_pid = os.getpid()
         from_children = False
-        for states, combinations, kernel_delta, fallback_delta, error, pid in (
-            outcomes
-        ):
+        for states, combinations, kernel_delta, error, pid in outcomes:
             self._stats.combinations += combinations
             self._stats.refolds += len(states)
             if pid != own_pid:
@@ -821,7 +813,6 @@ class StreamEngine:
                 # parent's process-wide counters never saw that work.
                 from_children = True
                 self._stats.kernel_combinations += kernel_delta
-                self._stats.fallback_combinations += fallback_delta
             for key, combined, conflicted, fold_conflicts in states:
                 entity = self._state.get(key)
                 entity.combined = combined

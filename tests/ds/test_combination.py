@@ -15,11 +15,10 @@ from repro.ds.combination import (
     conflict,
     conjunctive,
     disjunctive,
-    intersect_focal,
-    union_focal,
     weight_of_conflict,
 )
 from tests.conftest import mass_functions
+from tests.ds.oracle import intersect_focal, union_focal
 
 
 @pytest.fixture

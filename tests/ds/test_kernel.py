@@ -1,16 +1,22 @@
-"""The compact evidence kernel: equivalence with the frozenset path.
+"""The compact evidence kernel: equivalence with the frozenset oracle.
 
-The kernel (:mod:`repro.ds.kernel`) is a pure representation change --
-interned frames, bitmask focal elements -- so every operation must
-return *identical* results to the symbolic frozenset path: exact
-Fractions exactly equal, floats bit-for-bit equal (both paths visit
-pairs in the canonical focal order, so even round-off matches).  The
-Hypothesis properties here drive random frames, random mass functions
-(including OMEGA focal elements and total-conflict pairs) through
-combine / conjunctive / disjunctive / discount / bel / pls on both
-paths and assert equality.
+The kernel (:mod:`repro.ds.kernel`) is the library's one evidence
+engine -- interned frames and atom tables, bitmask focal elements -- so
+every operation must return *identical* results to the textbook
+frozenset loops of :mod:`tests.ds.oracle`: exact Fractions exactly
+equal, floats bit-for-bit equal (both visit pairs in the canonical
+focal order, so even round-off matches).  The Hypothesis properties
+here drive random enumerated frames and open domains (string, integer
+and mixed atoms), random mass functions (OMEGA focal elements,
+total-conflict pairs, mixed Fraction/float masses) and queries naming
+values the evidence never mentions through Dempster, conjunctive,
+disjunctive, discount, Bel/Pls/Q and chained folds, and assert
+equality.  The mixed pool holds equal atoms of different types (``1``,
+``1.0``, ``True``): one bit stands for all of them, so there results
+are compared as dicts (see :func:`aliased`).
 """
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -29,205 +35,289 @@ from repro.ds import (
     discount,
     intern_frame,
     kernel,
-    kernel_disabled,
-    kernel_enabled,
     kernel_stats,
 )
 from repro.ds.belief import belief, commonality, plausibility, uncertainty_interval
 from repro.ds.frame import FrameOfDiscernment
-from repro.ds.kernel import CompiledMass, InternedFrame
+from repro.ds.kernel import CompiledMass, InternedFrame, align, intern_atoms
 from repro.ds.mass import _focal_sort_key
 from repro.ds.notation import format_atom
-from repro.errors import DomainError, MassFunctionError, TotalConflictError
+from repro.errors import DomainError, MassFunctionError, ReproError
+from tests.ds import oracle
 
 
 # -- strategies ---------------------------------------------------------------
 
 VALUE_POOL = [f"v{i:02d}" for i in range(16)]
 
+#: Atom pools of the open domains and frames the properties draw from.
+ATOM_POOLS = {
+    "str": [f"v{i:02d}" for i in range(8)],
+    "int": list(range(8)),
+    # Equal atoms of different types (1, 1.0, True; 2.5, Fraction(5, 2))
+    # share a bit within a table but must not share a table.
+    "mixed": ["a", "b", 1, 2, 2.5, "2.5", -3, "Ω", 1.0, True, Fraction(5, 2)],
+}
+
+#: Values no drawn mass function ever mentions (query-only values).
+UNMENTIONED = ["zz", 99, 7.25]
+
+
+ALL_KINDS = ("exact", "float", "mixed")
+
 
 @st.composite
-def frames(draw):
-    size = draw(st.integers(min_value=2, max_value=9))
-    return FrameOfDiscernment("hyp", VALUE_POOL[:size])
+def weights(draw, count, kinds=ALL_KINDS):
+    """Normalized exact, float or mixed Fraction/float weights."""
+    raw = [draw(st.integers(min_value=1, max_value=9)) for _ in range(count)]
+    total = sum(raw)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "exact":
+        return [Fraction(w, total) for w in raw]
+    if kind == "float":
+        return [w / total for w in raw]
+    return [
+        Fraction(w, total) if draw(st.booleans()) else w / total for w in raw
+    ]
 
 
 @st.composite
-def mass_functions(draw, frame, exact=True):
-    """A random mass function over *frame*, possibly with OMEGA focal."""
-    values = sorted(frame.values)
-    n_focal = draw(st.integers(min_value=1, max_value=5))
+def masses_over(draw, values, frame=None, kinds=ALL_KINDS):
+    """A random mass function whose focal elements draw from *values*."""
+    n_focal = draw(st.integers(min_value=1, max_value=4))
     elements = []
     if draw(st.booleans()):
         elements.append(OMEGA)
     while len(elements) < n_focal:
         members = draw(
-            st.frozensets(
-                st.sampled_from(values), min_size=1, max_size=len(values)
-            )
+            st.frozensets(st.sampled_from(values), min_size=1, max_size=3)
         )
         if members not in elements:
             elements.append(members)
-    weights = [
-        draw(st.integers(min_value=1, max_value=9)) for _ in elements
-    ]
-    total = sum(weights)
-    if exact:
-        masses = {e: Fraction(w, total) for e, w in zip(elements, weights)}
-    else:
-        masses = {e: w / total for e, w in zip(elements, weights)}
-    return MassFunction(masses, frame)
+    masses = draw(weights(len(elements), kinds))
+    return MassFunction(dict(zip(elements, masses)), frame)
 
 
 @st.composite
-def framed_pairs(draw, exact=True):
-    frame = draw(frames())
-    return (
-        draw(mass_functions(frame, exact=exact)),
-        draw(mass_functions(frame, exact=exact)),
+def domains(draw):
+    """``(frame or None, values)``: an enumerated frame or an open domain."""
+    pool = ATOM_POOLS[draw(st.sampled_from(sorted(ATOM_POOLS)))]
+    values = pool[: draw(st.integers(min_value=1, max_value=len(pool)))]
+    if draw(st.booleans()):
+        return FrameOfDiscernment("hyp", values), values
+    return None, values
+
+
+@st.composite
+def evidence_pairs(draw, kinds=ALL_KINDS):
+    """Two operands: both framed, both open, or one of each (mixed)."""
+    frame, values = draw(domains())
+    first = draw(masses_over(values, frame, kinds))
+    second_frame = frame if draw(st.booleans()) else None
+    second = draw(masses_over(values, second_frame, kinds))
+    return (first, second) if draw(st.booleans()) else (second, first)
+
+
+@st.composite
+def queries(draw, values):
+    """A query: OMEGA, or values from the domain and maybe unmentioned ones."""
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return OMEGA
+    members = draw(
+        st.frozensets(st.sampled_from(values), max_size=len(values))
+    ) | draw(st.frozensets(st.sampled_from(UNMENTIONED), max_size=2))
+    return members or frozenset(values[:1])
+
+
+# -- comparison helpers -------------------------------------------------------
+
+
+def same_number(a, b) -> bool:
+    """Equal in value, type and (for floats) bits."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def same_items(a, b) -> bool:
+    """Equal ``(element, mass)`` sequences, masses by :func:`same_number`."""
+    a, b = list(a), list(b)
+    return len(a) == len(b) and all(
+        x == y and same_number(u, v) for (x, u), (y, v) in zip(a, b)
     )
 
 
-def both_paths(operation):
-    """Run *operation* on the kernel path and the frozenset path.
+def close_number(a, b) -> bool:
+    """Equal in type and value; floats within a few units of round-off."""
+    if isinstance(a, float) and type(a) is type(b):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+    return same_number(a, b)
 
-    Fresh inputs are built by each call of *operation* via the factory
-    argument pattern below, so no compiled state leaks between runs;
-    exceptions are captured so raising behaviour can be compared too.
+
+def aliased(*sources: MassFunction) -> bool:
+    """Whether *sources* mention equal atoms of different types.
+
+    ``1``, ``1.0`` and ``True`` (or ``2.5`` and ``Fraction(5, 2)``) are
+    one value, so the kernel gives them one bit and a result names the
+    left operand's atom.  Results are then equal to the frozenset loops'
+    as dicts, but their canonical order -- by ``repr`` -- can differ, and
+    a later fold can add float products in a different order.
     """
-
-    def run():
-        try:
-            return ("ok", operation())
-        except TotalConflictError:
-            return ("total-conflict", None)
-        except MassFunctionError as exc:
-            return ("mass-error", str(exc))
-
-    kernel_result = run()
-    with kernel_disabled():
-        fallback_result = run()
-    return kernel_result, fallback_result
+    seen: dict = {}
+    for m in sources:
+        for element in m.focal_elements():
+            if element is OMEGA:
+                continue
+            for atom in element:
+                first = seen.setdefault(atom, atom)
+                if type(first) is not type(atom) or repr(first) != repr(atom):
+                    return True
+    return False
 
 
-def assert_same_mass(a: MassFunction, b: MassFunction):
-    assert dict(a.items()) == dict(b.items())
-    # Exactness class must match too: a Fraction must not degrade.
-    for (_, va), (_, vb) in zip(a.items(), b.items()):
-        assert type(va) is type(vb)
+def outcome(operation, *args):
+    """``("ok", value)`` or ``("error", exception class)``."""
+    try:
+        return "ok", operation(*args)
+    except ReproError as exc:
+        return "error", type(exc)
 
 
-# -- equivalence properties ---------------------------------------------------
+def assert_same_mass(
+    a: MassFunction, b: MassFunction, *, unordered=False, same=same_number
+):
+    """Equal items in canonical order (in any order when *unordered*,
+    masses compared by *same*) and the same frame."""
+    if unordered:
+        got, want = dict(a.items()), dict(b.items())
+        assert got.keys() == want.keys()
+        assert all(same(got[element], want[element]) for element in want)
+    else:
+        assert same_items(a.items(), b.items())
+    assert a.frame == b.frame
+
+
+# -- equivalence with the oracle ----------------------------------------------
+
+
+def assert_dempster_matches(pair):
+    kind, got = outcome(combine_with_conflict, *pair)
+    want_kind, want = outcome(oracle.combine_with_conflict, *pair)
+    assert kind == want_kind
+    if kind == "error":
+        assert got is want
+        return
+    (result, kappa), (expected, expected_kappa) = got, want
+    assert same_number(kappa, expected_kappa)
+    if expected is None:
+        assert result is None
+    else:
+        assert result.is_compiled
+        assert result.frame == (pair[0].frame or pair[1].frame)
+        assert_same_mass(result, expected, unordered=aliased(*pair))
 
 
 class TestPathEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(framed_pairs(exact=True))
+    """The kernel path against the oracle path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(evidence_pairs(kinds=("exact",)))
     def test_combine_exact(self, pair):
-        m1, m2 = pair
-        kernel_out, fallback_out = both_paths(lambda: combine(m1, m2))
-        assert kernel_out[0] == fallback_out[0]
-        if kernel_out[0] == "ok":
-            assert kernel_out[1].is_compiled
-            assert_same_mass(kernel_out[1], fallback_out[1])
+        assert_dempster_matches(pair)
 
-    @settings(max_examples=60, deadline=None)
-    @given(framed_pairs(exact=False))
+    @settings(max_examples=100, deadline=None)
+    @given(evidence_pairs(kinds=("float", "mixed")))
     def test_combine_float_bit_exact(self, pair):
-        """Floats too: both paths add products in the same order."""
-        m1, m2 = pair
-        kernel_out, fallback_out = both_paths(lambda: combine(m1, m2))
-        assert kernel_out[0] == fallback_out[0]
-        if kernel_out[0] == "ok":
-            assert_same_mass(kernel_out[1], fallback_out[1])
+        """Floats too: both add products in the same order."""
+        assert_dempster_matches(pair)
 
-    @settings(max_examples=50, deadline=None)
-    @given(framed_pairs(exact=True))
+    @settings(max_examples=100, deadline=None)
+    @given(evidence_pairs())
     def test_conjunctive(self, pair):
-        m1, m2 = pair
-        (_, (pooled_k, kappa_k)), (_, (pooled_f, kappa_f)) = both_paths(
-            lambda: conjunctive(m1, m2)
-        )
-        assert pooled_k == pooled_f
-        assert kappa_k == kappa_f
+        kind, got = outcome(conjunctive, *pair)
+        want_kind, want = outcome(oracle.conjunctive, *pair)
+        assert kind == want_kind
+        if kind == "ok":
+            assert same_items(got[0].items(), want[0].items())
+            assert same_number(got[1], want[1])
 
-    @settings(max_examples=50, deadline=None)
-    @given(framed_pairs(exact=True))
+    @settings(max_examples=100, deadline=None)
+    @given(evidence_pairs())
     def test_disjunctive(self, pair):
-        m1, m2 = pair
-        kernel_out, fallback_out = both_paths(lambda: disjunctive(m1, m2))
-        assert_same_mass(kernel_out[1], fallback_out[1])
+        kind, got = outcome(disjunctive, *pair)
+        want_kind, want = outcome(oracle.disjunctive, *pair)
+        assert kind == want_kind
+        if kind == "ok":
+            assert_same_mass(got, want, unordered=aliased(*pair))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        framed_pairs(exact=True),
+        domains().flatmap(lambda d: masses_over(d[1], d[0])),
         st.integers(min_value=0, max_value=10),
+        st.booleans(),
     )
-    def test_discount(self, pair, tenths):
-        m, _ = pair
-        reliability = Fraction(tenths, 10)
-        kernel_out, fallback_out = both_paths(
-            lambda: discount(m, reliability)
+    def test_discount(self, m, tenths, as_float):
+        reliability = tenths / 10 if as_float else Fraction(tenths, 10)
+        assert_same_mass(
+            discount(m, reliability), oracle.discount(m, reliability)
         )
-        assert_same_mass(kernel_out[1], fallback_out[1])
 
-    @settings(max_examples=60, deadline=None)
-    @given(frames().flatmap(
-        lambda frame: st.tuples(
-            mass_functions(frame),
-            st.one_of(
-                st.just(OMEGA),
-                st.frozensets(
-                    st.sampled_from(sorted(frame.values)),
-                    min_size=1,
-                    max_size=len(frame.values),
-                ),
-            ),
+    @settings(max_examples=150, deadline=None)
+    @given(
+        domains().flatmap(
+            lambda d: st.tuples(masses_over(d[1], d[0]), queries(d[1]))
         )
-    ))
+    )
     def test_bel_pls_commonality(self, case):
         m, query = case
-        for measure in (belief, plausibility, commonality):
-            kernel_out, fallback_out = both_paths(lambda: measure(m, query))
-            assert kernel_out == fallback_out
-        kernel_out, fallback_out = both_paths(
-            lambda: uncertainty_interval(m, query)
+        for measure, reference in (
+            (belief, oracle.belief),
+            (plausibility, oracle.plausibility),
+            (commonality, oracle.commonality),
+        ):
+            kind, got = outcome(measure, m, query)
+            want_kind, want = outcome(reference, m, query)
+            assert kind == want_kind
+            assert same_number(got, want) if kind == "ok" else got is want
+        kind, got = outcome(uncertainty_interval, m, query)
+        if kind == "ok":
+            assert same_number(got[0], oracle.belief(m, query))
+            assert same_number(got[1], oracle.plausibility(m, query))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        domains().flatmap(
+            lambda d: st.lists(masses_over(d[1], d[0]), min_size=2, max_size=5)
         )
-        assert kernel_out == fallback_out
+    )
+    def test_chained_combination_stays_compiled(self, sources):
+        """A fold over compiled states equals the frozenset fold (bit for
+        bit unless equal atoms of different types reorder the results)."""
+        unordered = aliased(*sources)
+        same = close_number if unordered else same_number
+        result, expected = sources[0], sources[0]
+        for m in sources[1:]:
+            result, _ = combine_with_conflict(result, m)
+            expected, _ = oracle.combine_with_conflict(expected, m)
+            assert (result is None) == (expected is None)
+            if expected is None:
+                return
+            assert_same_mass(result, expected, unordered=unordered, same=same)
+        assert result.is_compiled
 
     def test_total_conflict_both_paths(self):
-        frame = FrameOfDiscernment("f", ["a", "b"])
-        m1 = MassFunction({"a": 1}, frame)
-        m2 = MassFunction({"b": 1}, frame)
-        kernel_out, fallback_out = both_paths(lambda: combine(m1, m2))
-        assert kernel_out[0] == fallback_out[0] == "total-conflict"
-        combined, kappa = combine_with_conflict(m1, m2)
-        assert combined is None and kappa == 1
+        for frame in (FrameOfDiscernment("f", ["a", "b"]), None):
+            m1 = MassFunction({"a": 1}, frame)
+            m2 = MassFunction({"b": 1}, frame)
+            assert combine_with_conflict(m1, m2) == (None, 1)
+            assert oracle.combine_with_conflict(m1, m2) == (None, 1)
 
     def test_omega_only_is_identity(self):
-        frame = FrameOfDiscernment("f", ["a", "b", "c"])
-        vacuous = MassFunction({OMEGA: 1}, frame)
-        m = MassFunction({"a": "1/2", OMEGA: "1/2"}, frame)
-        combined = combine(m, vacuous)
-        assert_same_mass(combined, m)
-
-    @settings(max_examples=30, deadline=None)
-    @given(framed_pairs(exact=True), framed_pairs(exact=True))
-    def test_chained_combination_stays_compiled(self, pair_a, pair_b):
-        """A fold over compiled states equals the frozenset fold."""
-        sources = [*pair_a, *pair_b]
-
-        def fold():
-            result = sources[0]
-            for m in sources[1:]:
-                result = combine(result, m)
-            return result
-
-        kernel_out, fallback_out = both_paths(fold)
-        assert kernel_out[0] == fallback_out[0]
-        if kernel_out[0] == "ok":
-            assert kernel_out[1].is_compiled
-            assert_same_mass(kernel_out[1], fallback_out[1])
+        for frame in (FrameOfDiscernment("f", ["a", "b", "c"]), None):
+            vacuous = MassFunction({OMEGA: 1}, frame)
+            m = MassFunction({"a": "1/2", OMEGA: "1/2"}, frame)
+            assert_same_mass(combine(m, vacuous), m)
+            assert_same_mass(combine(vacuous, m), m)
 
 
 # -- compilation mechanics ----------------------------------------------------
@@ -242,10 +332,135 @@ class TestCompilation:
         assert m.is_compiled and isinstance(compiled, CompiledMass)
         assert m.compiled() is compiled  # cached
 
-    def test_no_frame_never_compiles(self):
+    def test_mixed_fraction_float_masses_compile_and_combine(self):
+        """Mixed Fraction/float inputs equal the oracle (tolerance from
+        FLOAT_SUM_TOLERANCE), over a frame and over an open domain."""
+        for frame in (FrameOfDiscernment("f", ["a", "b", "c"]), None):
+            mixed = MassFunction(
+                {"a": Fraction(1, 2), ("b", "c"): 0.25, OMEGA: 0.25}, frame
+            )
+            other = MassFunction({"a": 0.5, OMEGA: Fraction(1, 2)}, frame)
+            assert_same_mass(
+                combine(mixed, other),
+                oracle.combine_with_conflict(mixed, other)[0],
+            )
+
+    def test_open_domain_compiles_over_its_atoms(self):
+        m = MassFunction({"a": "1/2", ("a", "b"): "1/4", OMEGA: "1/4"})
+        compiled = m.compiled()
+        assert m.compiled() is compiled  # cached
+        table = compiled.interned
+        assert table.frame is None and table.atoms == {"a", "b"}
+        # Two atom bits, then the query and residual bits only OMEGA has.
+        assert compiled.masks == (0b0001, 0b0011, 0b1111)
+        assert table.element_of(table.omega_mask) is OMEGA
+        assert table.element_of(0b0011) == frozenset({"a", "b"})
+
+    def test_open_results_keep_no_frame(self):
+        m1 = MassFunction({"a": "1/2", OMEGA: "1/2"})
+        m2 = MassFunction({("a", "b"): "1/3", OMEGA: "2/3"})
+        for result in (combine(m1, m2), disjunctive(m1, m2), discount(m1, "1/2")):
+            assert result.is_compiled and result.frame is None
+            assert result.compiled().interned.frame is None
+
+    def test_equal_atom_sets_share_one_table(self):
+        assert intern_atoms(frozenset({"x", "y"})) is intern_atoms(
+            frozenset({"y", "x"})
+        )
+        a = MassFunction.definite("item-7").compiled()
+        b = MassFunction({"item-7": 0.5, OMEGA: 0.5}).compiled()
+        assert a.interned is b.interned
+        aligned = align(a, b)
+        assert aligned[0] is a and aligned[1] is b  # no re-mapping
+
+    def test_equal_atoms_of_other_types_keep_their_own_tables(self):
+        """Decoding never depends on what the process compiled before."""
+        exact = MassFunction({Fraction(5, 2): "1/2", 3: "1/2"}).compiled()
+        floats = MassFunction({2.5: 0.5, 3: 0.5}).compiled()
+        assert exact.interned is not floats.interned
+        MassFunction({1: 0.5, OMEGA: 0.5}).compiled()
+        discounted = discount(MassFunction({1.0: 1.0}), 0.5)
+        assert [type(value) for value in discounted.focal_elements()[0]] == [float]
+        assert discounted.compiled().interned.rendered_members(
+            discounted.compiled().masks[0]
+        ) == ("1.0",)
+
+    @pytest.mark.parametrize("clear", [False, True])
+    def test_equal_atoms_at_other_bits_are_re_mapped(self, clear):
+        """{1.0, 5} and {True, 5} are equal sets whose ``repr`` orders put
+        the two values at opposite bits: combined unaligned, {5} would
+        pool with {True}.  Clearing the interning cache between the two
+        compilations (as a full cache or unpickled states do) changes
+        nothing."""
+        left = MassFunction({5: "3/4", 1.0: "1/4"})
+        right = MassFunction({True: "1/3", 5: "2/3"})
+        left.compiled()
+        if clear:
+            kernel._INTERNED.clear()
+        right.compiled()
+        result, kappa = combine_with_conflict(left, right)
+        assert kappa == Fraction(5, 12)
+        assert result[{5}] == Fraction(6, 7) and result[{1}] == Fraction(1, 7)
+        expected, expected_kappa = oracle.combine_with_conflict(left, right)
+        assert kappa == expected_kappa
+        assert_same_mass(result, expected, unordered=True)
+
+    def test_equal_frames_interned_apart_are_re_mapped(self):
+        """The same hazard on frames: equal frames whose values differ in
+        type, interned apart, lay their values out differently."""
+        left = MassFunction(
+            {5: "3/4", 1.0: "1/4"}, FrameOfDiscernment("f", [1.0, 5])
+        )
+        left.compiled()
+        kernel._INTERNED.clear()
+        right = MassFunction(
+            {True: "1/3", 5: "2/3"}, FrameOfDiscernment("f", [True, 5])
+        )
+        right.compiled()
+        result, kappa = combine_with_conflict(left, right)
+        assert kappa == Fraction(5, 12)
+        assert result[{5}] == Fraction(6, 7) and result[{1}] == Fraction(1, 7)
+
+    def test_tables_interned_twice_meet_without_re_mapping(self):
+        first = MassFunction({2.5: 0.5, 3: 0.5}).compiled()
+        kernel._INTERNED.clear()
+        second = MassFunction({3: 0.25, 2.5: 0.75}).compiled()
+        assert first.interned is not second.interned
+        aligned = align(first, second)
+        assert aligned[0] is first and aligned[1] is second
+
+    def test_different_atom_sets_meet_on_their_union(self):
+        a = MassFunction({"a": "1/2", OMEGA: "1/2"}).compiled()
+        b = MassFunction({"b": "1/2", OMEGA: "1/2"}).compiled()
+        left, right = align(a, b)
+        assert left.interned is right.interned
+        assert left.interned.atoms == {"a", "b"}
+        assert left.interned.element_of(left.masks[0]) == frozenset({"a"})
+        assert right.interned.element_of(right.masks[0]) == frozenset({"b"})
+
+    def test_open_omega_is_never_inside_a_finite_query(self):
         m = MassFunction({"a": "1/2", OMEGA: "1/2"})
-        assert m.compiled() is None
-        assert not m.is_compiled
+        # {a, zz} names every atom plus a value the evidence never does:
+        # still a finite set, so OMEGA is not a subset of it.
+        assert belief(m, {"a", "zz"}) == Fraction(1, 2)
+        assert plausibility(m, {"zz"}) == Fraction(1, 2)
+        assert commonality(m, {"a", "zz"}) == Fraction(1, 2)
+        assert belief(m, OMEGA) == plausibility(m, OMEGA) == 1
+
+    def test_mixed_pair_compiles_against_the_frame(self):
+        frame = FrameOfDiscernment("f", ["a", "b", "c"])
+        framed = MassFunction({"a": "1/2", OMEGA: "1/2"}, frame)
+        whole = MassFunction({("a", "b", "c"): "1/2", "b": "1/2"})
+        combined = combine(framed, whole)
+        assert combined.frame == frame
+        # The frameless set naming the whole frame is the frame's OMEGA.
+        assert combined[OMEGA] == Fraction(1, 3)
+        assert_same_mass(combined, oracle.combine_with_conflict(framed, whole)[0])
+        outside = MassFunction({"zzz": "1/2", "a": "1/2"})
+        with pytest.raises(DomainError):
+            combine(framed, outside)
+        with pytest.raises(DomainError):
+            combine(outside, framed)
 
     def test_interning_shares_bit_assignment(self):
         f1 = FrameOfDiscernment("f", ["a", "b", "c"])
@@ -267,6 +482,8 @@ class TestCompilation:
         interned = intern_frame(FrameOfDiscernment("f", ["a", "b"]))
         with pytest.raises(DomainError):
             interned.mask_of(frozenset({"zzz"}))
+        with pytest.raises(DomainError):
+            interned.query_mask(frozenset({"zzz"}))
 
     def test_compiled_result_is_lazy_but_faithful(self):
         frame = FrameOfDiscernment("f", ["a", "b", "c"])
@@ -279,29 +496,17 @@ class TestCompilation:
         assert sum(value for _, value in combined.items()) == 1
 
     def test_compilation_reuses_mass_function_coercion(self):
-        """Satellite: no re-implemented coercion -- strings, ints and
-        Fractions flow through coerce_mass_value before compilation."""
+        """No re-implemented coercion: strings, ints and Fractions flow
+        through coerce_mass_value before compilation."""
         frame = FrameOfDiscernment("f", ["a", "b"])
         m = MassFunction({"a": "1/3", "b": Fraction(1, 3), ("a", "b"): "1/3"}, frame)
         compiled = compile_mass_function(m)
         assert all(isinstance(v, Fraction) for v in compiled.values)
         assert compiled.is_exact()
 
-    def test_mixed_fraction_float_masses_compile_and_combine(self):
-        """Satellite regression: mixed Fraction/float inputs behave
-        identically on both paths (tolerance from FLOAT_SUM_TOLERANCE)."""
-        frame = FrameOfDiscernment("f", ["a", "b", "c"])
-        mixed = MassFunction(
-            {"a": Fraction(1, 2), ("b", "c"): 0.25, OMEGA: 0.25}, frame
-        )
-        other = MassFunction({"a": 0.5, OMEGA: Fraction(1, 2)}, frame)
-        kernel_out, fallback_out = both_paths(lambda: combine(mixed, other))
-        assert kernel_out[0] == fallback_out[0] == "ok"
-        assert_same_mass(kernel_out[1], fallback_out[1])
-
     def test_float_sum_tolerance_shared_with_kernel(self):
-        """A drifted-but-in-tolerance float total passes both paths; a
-        genuinely broken one fails both with the same error."""
+        """A drifted-but-in-tolerance float total compiles; a genuinely
+        broken one fails at construction."""
         frame = FrameOfDiscernment("f", ["a", "b"])
         within = MassFunction({"a": 0.5 + 4e-10, OMEGA: 0.5}, frame)
         assert within.compiled() is not None
@@ -319,13 +524,8 @@ class TestCompilation:
         assert not clone.is_compiled
         assert clone.compiled() is not None
 
-    def test_kernel_disabled_context(self):
-        assert kernel_enabled()
-        with kernel_disabled():
-            assert not kernel_enabled()
-        assert kernel_enabled()
-
     def test_stats_count_paths(self):
+        """Framed and open-domain evidence both combine on the kernel."""
         stats = kernel_stats()
         frame = FrameOfDiscernment("f", ["a", "b"])
         framed = MassFunction({"a": "1/2", OMEGA: "1/2"}, frame)
@@ -334,8 +534,7 @@ class TestCompilation:
         combine(framed, framed)
         combine(bare, bare)
         delta = stats.since(before)
-        assert delta.kernel_combinations == 1
-        assert delta.fallback_combinations == 1
+        assert delta.kernel_combinations == 2
         assert "kernel" in stats.summary()
 
 

@@ -195,7 +195,6 @@ class TestGlobalCatalogue:
         names = registry().names()
         for expected in (
             "kernel.kernel_combinations",
-            "kernel.fallback_combinations",
             "kernel.compilations",
             "exec.parallel_batches",
             "exec.inline_batches",
@@ -208,6 +207,9 @@ class TestGlobalCatalogue:
             "stream.watermark_age_seconds",
         ):
             assert expected in names
+        # One combination engine: there is no fallback counter to report.
+        assert "kernel.fallback_combinations" not in names
+        assert "stream.fallback_combinations" not in names
 
     def test_instrument_kinds_are_stable(self):
         reg = registry()

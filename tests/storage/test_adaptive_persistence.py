@@ -405,10 +405,10 @@ class TestSqliteDirtyShards:
     def test_insert_after_a_database_save_dropped_the_relation_rewrites_it(
         self, tmp_path
     ):
-        """A whole-database save without the stream's relation deletes
-        its rows but keeps the watermark: a pure-insert flush then has
-        no stored relation to append to, and writes the whole relation
-        back."""
+        """A store written before whole-database saves dropped the
+        watermarks of the relations they dropped can hold a watermark
+        without its relation: a pure-insert flush then has no stored
+        relation to append to, and writes the whole relation back."""
         schema = _schema()
         with open_backend(f"sqlite:{tmp_path / 'r.sqlite'}") as backend:
             engine = _seeded(backend, schema, 4)
@@ -416,6 +416,8 @@ class TestSqliteDirtyShards:
             other.add(table_ra())
             backend.save_database(other)
             assert backend.list_relations() == ("RA",)
+            with backend._db:  # the stale watermark an older save kept
+                backend._set_meta("stream:R:watermark", engine.watermark)
             assert backend.stream_watermark("R") is not None
             engine.upsert("a", _etuple(schema, "late-1", "blue"))
             delta = engine.flush()

@@ -316,6 +316,35 @@ class TestSnapshotDurability:
             assert backend.stream_watermark("R") == engine.watermark
             assert backend.load_relation("R") == engine.relation
 
+    @pytest.mark.parametrize("scheme", ["json", "sqlite"])
+    def test_database_save_dropping_the_relation_forgets_the_watermark(
+        self, scheme, tmp_path
+    ):
+        """A whole-database save that no longer holds the stream's
+        relation drops its watermark too; the watermarks of the
+        relations it keeps stay."""
+        url = f"{scheme}:{tmp_path / 'snap'}"
+        with open_backend(url) as backend:
+            for name in ("R", "K"):
+                engine = StreamEngine(
+                    table_ra().schema,
+                    name=name,
+                    backend=backend,
+                    merger=TupleMerger(on_conflict="vacuous"),
+                )
+                for etuple in table_ra():
+                    engine.upsert("daily", etuple)
+                engine.flush()
+            kept = Database("d")
+            kept.add(backend.load_relation("K"))
+            backend.save_database(kept)
+            assert backend.list_relations() == ("K",)
+            assert backend.stream_watermark("R") is None
+            assert backend.stream_watermark("K") == 6
+        with open_backend(url) as reopened:
+            assert reopened.stream_watermark("R") is None
+            assert reopened.stream_watermark("K") == 6
+
 
 @settings(max_examples=15, deadline=None)
 @given(

@@ -61,19 +61,18 @@ class TestIngestion:
         assert engine.stats().combinations == before + 1
         assert engine.stats().refolds == 0
 
-    def test_stats_split_combinations_by_evidence_path(self, schema):
-        """Enumerated attributes (speciality, best_dish, rating) combine
-        on the compiled kernel; open-domain attributes (street, bldg_no,
-        phone) fall back to the frozenset path.  RA/RB share 5 matched
-        entities, so each path sees 5 x 3 evidence combinations."""
+    def test_stats_count_every_combination_on_the_kernel(self, schema):
+        """Enumerated attributes (speciality, best_dish, rating) and
+        open-domain ones (street, bldg_no, phone) all combine on the
+        compiled kernel.  RA/RB share 5 matched entities, so the kernel
+        sees 5 x 6 evidence combinations."""
         engine = StreamEngine(schema, name="R")
         feed(engine, "daily", table_ra())
         feed(engine, "tribune", table_rb())
         engine.flush()
         stats = engine.stats()
-        assert stats.kernel_combinations == 15
-        assert stats.fallback_combinations == 15
-        assert "kernel-path" in stats.summary()
+        assert stats.kernel_combinations == 30
+        assert "30 evidence combinations" in stats.summary()
 
     def test_upsert_accepts_values_mapping(self):
         small = RelationSchema(

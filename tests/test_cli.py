@@ -176,9 +176,9 @@ class TestRepl:
         assert "Scan RA" in output
         # The second run of the identical query is a result-cache hit.
         assert "1 result hits" in output
-        # :stats also reports the evidence-kernel path counters and the
+        # :stats also reports the evidence-kernel counters and the
         # physical executor / partition configuration.
-        assert "kernel path" in output
+        assert "kernel: " in output and "combination(s)" in output
         assert "executor:" in output
         assert "partition(s)" in output
 
@@ -299,11 +299,10 @@ class TestStream:
         assert "watermark 11" in output
         assert "6 tuples" in output
         assert "batch 1" in output and "batch 2" in output
-        # The throughput report splits combinations by evidence path:
-        # enumerated attributes (rating, speciality) ride the kernel,
-        # open text attributes account for the fallback share.
-        assert "on the kernel path" in output
-        assert "on the fallback path" in output
+        # The throughput report counts the evidence combinations, all on
+        # the kernel: 5 matched entities x 6 attributes, enumerated and
+        # open text alike.
+        assert "evidence combinations: 30" in output
         # ... and names the physical executor configuration.
         assert "executor:" in output
 
@@ -463,7 +462,6 @@ class TestStats:
         payload = json.loads(output)
         for name in (
             "kernel.kernel_combinations",
-            "kernel.fallback_combinations",
             "exec.tasks",
             "session.queries",
             "session.plans_built",
@@ -472,6 +470,10 @@ class TestStats:
         ):
             assert name in payload
         assert payload["session.queries"] >= 1
+        # The union's 5 x 6 combinations, open-domain ones included, all
+        # count as kernel combinations (the registry is process-wide).
+        assert payload["kernel.kernel_combinations"] >= 30
+        assert "kernel.fallback_combinations" not in payload
         # Storage I/O of the demo-database load is accounted per scheme.
         assert any(name.startswith("storage.") for name in payload)
         # Histogram values arrive as structured objects.

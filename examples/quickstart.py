@@ -178,10 +178,9 @@ def main() -> None:
     print(f"back to the default: {current_config().describe()}")
     # Persistence is adaptive too: sqlite stream flushes write only
     # the rows the batch changed, addressed by entity key (bytes written
-    # scale with the *delta*, watch storage.sqlite.bytes_written), quiet
-    # flushes skip the backend entirely, and REPRO_AUTOCOMPACT=1 keeps a
-    # log: journal bounded by compacting once it outgrows its last
-    # compact size (`repro compact DB` does the same on demand).
+    # scale with the *delta*, watch storage.sqlite.bytes_written), and
+    # quiet flushes skip the backend entirely.  A log: journal grows
+    # until `repro compact DB` folds its history away.
     print()
 
     # Persistence & backends.  Storage locations are URLs -- `json:`
@@ -190,9 +189,11 @@ def main() -> None:
     # parsing the rest), `log:`
     # (append-only JSONL journal) -- or bare paths resolved by the
     # REPRO_STORAGE environment variable and the file extension.  Every
-    # engine round-trips relations bit-for-bit: exact Fractions stay
-    # exact, floats survive via shortest repr, tuple order and domains
-    # are preserved.  Pick json for portability and small catalogs,
+    # engine stores rows through one codec and round-trips relations
+    # bit-for-bit: exact masses, memberships and scalar values stay
+    # Fractions, floats survive via shortest repr, tuple order and
+    # domains are preserved.  (Bracket notation rendered for display,
+    # as relation_to_events writes it, rounds float masses.)  Pick json for portability and small catalogs,
     # sqlite for point reads into big catalogs, log for audit trails
     # and durable streams.
     with tempfile.TemporaryDirectory() as scratch:

@@ -59,6 +59,22 @@ def is_omega(element: object) -> bool:
     return element is OMEGA or isinstance(element, Omega)
 
 
+def typed_values_key(values: frozenset):
+    """A key for *values* that tells equal values of different types apart.
+
+    Equal values of different types (``1``, ``1.0``, ``True``) have
+    different ``repr``s, so they decode differently and can sort to
+    different bits: a kernel table keyed by value alone would carry
+    whichever was interned first.  Strings are the one common value type
+    whose equal values always share type and ``repr``, so an all-``str``
+    set is its own key.
+    """
+    for value in values:
+        if type(value) is not str:
+            return frozenset([(type(item), repr(item)) for item in values])
+    return values
+
+
 class FrameOfDiscernment:
     """An enumerated, finite frame of discernment.
 
@@ -76,13 +92,26 @@ class FrameOfDiscernment:
     3
     """
 
-    __slots__ = ("_name", "_values")
+    __slots__ = ("_name", "_values", "_typed_key")
 
     def __init__(self, name: str, values: Iterable):
         self._name = str(name)
         self._values = frozenset(values)
+        self._typed_key = None
         if not self._values:
             raise DomainError(f"frame {self._name!r} must contain at least one value")
+
+    @property
+    def typed_key(self) -> tuple:
+        """The name plus :func:`typed_values_key` of the values.
+
+        Unlike equality it tells ``{1, 2}`` from ``{1.0, 2}``; the
+        kernel interns frame tables by it.  Computed once per frame.
+        """
+        key = self._typed_key
+        if key is None:
+            key = self._typed_key = (self._name, typed_values_key(self._values))
+        return key
 
     @property
     def name(self) -> str:

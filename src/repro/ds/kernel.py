@@ -55,7 +55,13 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from repro.counters import ThreadLocalCounters
-from repro.ds.frame import OMEGA, FocalElement, FrameOfDiscernment, is_omega
+from repro.ds.frame import (
+    OMEGA,
+    FocalElement,
+    FrameOfDiscernment,
+    is_omega,
+    typed_values_key,
+)
 from repro.ds.mass import Numeric, validate_mass_total
 from repro.ds.notation import format_atom
 from repro.obs.registry import registry as _metrics_registry
@@ -330,16 +336,18 @@ class InternedFrame:
         return f"InternedFrame({name}, {len(self._value_by_bit)} bits)"
 
 
-#: Interned tables, keyed by (equal) frames or by :func:`_atoms_key`, so
-#: every relation sharing a domain, and every pair of open-domain
-#: operands mentioning the same atoms, shares one bit assignment.
+#: Interned tables, keyed by a frame's
+#: :attr:`~repro.ds.frame.FrameOfDiscernment.typed_key` or by the
+#: :func:`~repro.ds.frame.typed_values_key` of an atom set, so every
+#: relation sharing a domain, and every pair of open-domain operands
+#: mentioning the same atoms, shares one bit assignment.
 #: Bounded: interning is a cache, not an identity requirement (bit order
 #: is a pure function of the values, and :func:`align` compares layouts,
 #: not table identity), so clearing it is always safe.
 #: Writes are guarded by :data:`_INTERN_LOCK`: compilation runs inside
 #: executor worker threads, and the evict-then-insert sequence must not
 #: interleave.
-_INTERNED: dict[FrameOfDiscernment | frozenset, InternedFrame] = {}
+_INTERNED: dict[tuple | frozenset, InternedFrame] = {}
 _INTERN_LIMIT = 4096
 _INTERN_LOCK = threading.Lock()
 
@@ -366,30 +374,14 @@ def _intern(source: FrameOfDiscernment | frozenset, key) -> InternedFrame:
     return interned
 
 
-def _atoms_key(atoms: frozenset):
-    """The interning key of an atom table.
-
-    Equal atoms of different types (``1``, ``1.0``, ``True``) have
-    different ``repr``s, so they decode differently and can sort to
-    different bits: keyed by value alone, a table would carry whichever
-    was interned first.  Strings are the one common atom type whose
-    equal values always share type and ``repr``, so an all-``str`` atom
-    set is its own key.
-    """
-    for atom in atoms:
-        if type(atom) is not str:
-            return frozenset([(type(value), repr(value)) for value in atoms])
-    return atoms
-
-
 def intern_frame(frame: FrameOfDiscernment) -> InternedFrame:
     """The shared frame table for *frame* (interning cache)."""
-    return _intern(frame, frame)
+    return _intern(frame, frame.typed_key)
 
 
 def intern_atoms(atoms: frozenset) -> InternedFrame:
     """The shared atom table for the open-domain values *atoms*."""
-    return _intern(atoms, _atoms_key(atoms))
+    return _intern(atoms, typed_values_key(atoms))
 
 
 # -- compiled mass functions --------------------------------------------------

@@ -482,19 +482,30 @@ class MassFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MassFunction):
             return NotImplemented
-        return self._resolved_masses() == other._resolved_masses()
+        # An unframed OMEGA is the whole domain, whatever it is: against
+        # a framed mass function it resolves in that frame.  So evidence
+        # decoded without its schema equals the framed original.
+        mine = self._frame if self._frame is not None else other._frame
+        theirs = other._frame if other._frame is not None else self._frame
+        return self._resolved_masses(mine) == other._resolved_masses(theirs)
 
-    def _resolved_masses(self) -> dict:
-        """Masses with OMEGA resolved to the concrete frame when known,
-        so that equality is insensitive to OMEGA canonicalization."""
-        if self._frame is None or OMEGA not in self._mass_dict():
-            return self._mass_dict()
-        resolved = dict(self._mass_dict())
-        resolved[frozenset(self._frame.values)] = resolved.pop(OMEGA)
+    def _resolved_masses(self, frame: FrameOfDiscernment | None) -> dict:
+        """Masses with OMEGA resolved to the values of *frame* when known
+        (and not a focal element already), so that equality is
+        insensitive to OMEGA canonicalization."""
+        masses = self._mass_dict()
+        if frame is None or OMEGA not in masses or frame.values in masses:
+            return masses
+        resolved = dict(masses)
+        resolved[frame.values] = resolved.pop(OMEGA)
         return resolved
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._resolved_masses().items()))
+        # Equality may match OMEGA with a concrete set (whichever frame
+        # resolves it), so the hash reads only what every resolution
+        # keeps: the number of focal elements and their masses.
+        masses = self._mass_dict()
+        return hash((len(masses), frozenset(masses.values())))
 
     @classmethod
     def _from_state(

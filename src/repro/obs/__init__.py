@@ -62,7 +62,6 @@ storage.<scheme>.bytes_written          counter    bytes on disk after mutating 
 storage.<scheme>.save_seconds           histogram  save-side call latency
 storage.<scheme>.load_seconds           histogram  load-side call latency
 storage.<scheme>.file_bytes             gauge      current on-disk size of the last-touched store
-storage.log.autocompactions             counter    journal compactions triggered by REPRO_AUTOCOMPACT
 ======================================  =========  ==================================================
 
 ``<scheme>`` is the backend scheme (``json``/``sqlite``/``log``);

@@ -3,9 +3,9 @@
 * :mod:`repro.storage.database` -- an in-memory database of extended
   relations with a catalog, the execution target of the query layer;
   ``Database.open(url)``/``persist()`` bind it to a storage backend;
-* :mod:`repro.storage.serialization` -- the lossless JSON codec for
-  relations and databases (exact fractions serialize as ``"1/3"``),
-  shared by every backend;
+* :mod:`repro.storage.serialization` -- the one JSON codec for
+  relations, databases, stored rows and stream events, shared by every
+  backend and by JSONL event files;
 * :mod:`repro.storage.backends` -- the :class:`StorageBackend` engines
   behind URL-style locations: ``json:`` (one file per database),
   ``sqlite:`` (one row per tuple, relations load individually),

@@ -17,10 +17,11 @@ interchangeable:
   compaction.
 
 **Equivalence is the contract.**  Whatever the engine, ``load(save(x))``
-reproduces relations bit-for-bit: exact Fractions stay exact, floats
-round-trip through ``repr``, tuple order and schema domains survive, and
-evidence over enumerated domains comes back compiled onto the kernel
-fast path.  All engines serialize tuples through the same codec
+reproduces relations bit-for-bit: exact Fractions stay exact (masses,
+memberships and scalar values alike), floats round-trip through
+``repr``, tuple order and schema domains survive, and evidence over
+enumerated domains comes back compiled onto the kernel fast path.  All
+engines serialize tuples through the same codec
 (:mod:`repro.storage.serialization`); a backend only decides *where*
 the documents live and *how much* of them a given operation reads.
 
@@ -35,10 +36,11 @@ fingerprinted against an older incarnation of the catalog.
 Streaming durability: :meth:`write_batch` persists one flushed
 :class:`~repro.stream.changelog.BatchDelta`.  The base implementation
 snapshots the integrated relation and records the watermark (crash
-recovery = reload the relation, resume from the watermark); the log
-backend overrides it with true write-ahead event records whose replay
-reproduces the engine's state exactly (see
-:meth:`repro.storage.backends.log.LogBackend.recover_stream`).
+recovery = reload the relation, resume from the watermark); the SQLite
+backend writes only the changed rows.  The log backend instead appends
+the batch's events, encoded as JSONL event files encode them, and its
+:meth:`~repro.storage.backends.log.LogBackend.recover_stream` replays
+them into the same state the engine had at its last flush.
 """
 
 from __future__ import annotations
@@ -279,10 +281,12 @@ class StorageBackend(abc.ABC):
         """Persist one flushed micro-batch of the stream *name*.
 
         *delta* is the :class:`~repro.stream.changelog.BatchDelta` just
-        published, *events* the write-ahead records accepted since the
-        previous flush (``("upsert", source, etuple)`` /
-        ``("retract", source, key)`` / ``("reliability", source, value)``
-        triples), *relation* the integrated relation.
+        published, *events* the events accepted since the previous
+        flush (:class:`~repro.storage.serialization.UpsertEvent` holding
+        the coerced tuple's values,
+        :class:`~repro.storage.serialization.RetractEvent`,
+        :class:`~repro.storage.serialization.ReliabilityEvent`),
+        *relation* the integrated relation.
 
         The base behavior is snapshot durability: save the relation and
         record the watermark.  An empty batch only advances the

@@ -8,7 +8,7 @@ One self-describing JSON record per line, discriminated by ``record``:
     {"record": "relation", "document": {"format_version": 1, "schema": {...}, "tuples": [...]}}
     {"record": "drop", "name": "RA"}
     {"record": "stream", "stream": "R", "schema": {...}, "on_conflict": "vacuous"}
-    {"record": "event", "stream": "R", "event": {"op": "upsert", "source": "daily", "row": {...}}}
+    {"record": "event", "stream": "R", "event": {"op": "upsert", "source": "daily", "values": {...}, "membership": [...]}}
     {"record": "batch", "stream": "R", "batch": 2, "watermark": 12, "inserted": 6, "updated": 0, "removed": 0, "conflicted": 0}
 
 Catalog semantics are last-writer-wins: a ``relation`` record supersedes
@@ -20,15 +20,16 @@ growth until :meth:`LogBackend.compact` folds history away.
 
 Streaming durability is the native strength: a
 :class:`~repro.stream.engine.StreamEngine` attached to this backend gets
-a true write-ahead log.  Each flush appends the batch's accepted events
-(``upsert`` rows in the lossless tuple codec of
-:mod:`repro.storage.serialization`; ``retract``/``reliability`` in the
-:mod:`repro.stream.connectors` encoding) followed by a ``batch`` record
-carrying the watermark.  :meth:`recover_stream` replays those records
-through a fresh engine -- Dempster folds are deterministic, so the
-recovered relation, per-source snapshots and watermark equal the
-pre-crash state *exactly* (events accepted after the last flush were
-never durable and are correctly absent).  A torn tail (a partially
+a true write-ahead log.  Each flush appends the batch's accepted events,
+encoded by :func:`~repro.storage.serialization.event_to_json` exactly
+as a JSONL event file encodes them (an upsert holds the coerced tuple,
+its ``values`` in the stored-row encoding), followed by a ``batch``
+record carrying the watermark.  :meth:`recover_stream` decodes those
+records with :func:`~repro.storage.serialization.event_from_json` and
+replays them through a fresh engine -- Dempster folds are
+deterministic, so the recovered relation, per-source snapshots and
+watermark equal the pre-crash state *exactly* (events accepted after
+the last flush were never durable and are correctly absent).  A torn tail (a partially
 written final line, or events with no closing ``batch`` record) is
 discarded, never misread.
 
@@ -36,15 +37,8 @@ Compaction preserves both roles: live relations keep only their latest
 snapshot, and each stream's event history is folded into its final
 per-source snapshots (re-emitted in registration order, so replay
 reproduces the same registration-order fold) plus one ``batch`` record
-with the original watermark.
-
-Auto-compaction (off by default) bounds the unbounded growth:
-``REPRO_AUTOCOMPACT=1`` compacts whenever the journal grows past 4x its
-last compacted size (any other numeric value sets that growth ratio,
-e.g. ``REPRO_AUTOCOMPACT=2.5``), gated by a
-``REPRO_AUTOCOMPACT_MIN_BYTES`` floor (default 65536) so small journals
-never churn.  Compactions triggered this way are counted by the
-``storage.log.autocompactions`` metric.
+with the original watermark.  Journals written by earlier versions,
+whose upsert records hold a stored ``row``, still recover.
 """
 
 from __future__ import annotations
@@ -53,45 +47,19 @@ import json
 import os
 from pathlib import Path
 
-from repro.errors import SerializationError
-from repro.obs.registry import registry as _metrics_registry
+from repro.errors import SerializationError, StreamError
 from repro.storage.backends.base import StorageBackend
 from repro.storage.serialization import (
     FORMAT_VERSION,
-    _atom_from_json,
-    _atom_to_json,
-    _number_from_json,
-    _number_to_json,
-    _tuple_from_json,
-    _tuple_to_json,
     database_from_json,
+    event_from_json,
+    event_to_json,
     relation_from_json,
     relation_to_json,
     schema_from_json,
     schema_to_json,
     tuple_count,
 )
-
-
-def _autocompact_ratio() -> float | None:
-    """The growth ratio from ``REPRO_AUTOCOMPACT`` (None = disabled)."""
-    raw = os.environ.get("REPRO_AUTOCOMPACT", "").strip().lower()
-    if raw in ("", "0", "false", "no", "off"):
-        return None
-    if raw in ("1", "true", "yes", "on"):
-        return 4.0
-    try:
-        # A compaction at ratio <= 1 would re-trigger on every append.
-        return max(float(raw), 1.1)
-    except ValueError:
-        return 4.0
-
-
-def _autocompact_min_bytes() -> int:
-    try:
-        return int(os.environ.get("REPRO_AUTOCOMPACT_MIN_BYTES", "65536"))
-    except ValueError:
-        return 65536
 
 
 class LogBackend(StorageBackend):
@@ -106,19 +74,8 @@ class LogBackend(StorageBackend):
         # a save does not re-parse the whole journal just to bump the
         # catalog version (single-writer, like the append handle itself).
         self._meta_cache: dict | None = None
-        self._autocompact = _autocompact_ratio()
-        self._min_compact_bytes = _autocompact_min_bytes()
-        # Size the journal had when last known compact; auto-compaction
-        # triggers on growth *relative to this*, so a naturally large
-        # database is not mistaken for accumulated history.
-        self._compact_baseline: int | None = None
 
     # -- lifecycle ----------------------------------------------------------
-
-    def _do_open(self) -> None:
-        self._compact_baseline = (
-            self._file_bytes() if self.exists() else None
-        )
 
     def _do_close(self) -> None:
         if self._handle is not None:
@@ -282,7 +239,6 @@ class LogBackend(StorageBackend):
             self._meta_record(meta),
         )
         self._meta_cache = meta
-        self._maybe_autocompact()
 
     def _delete_relation(self, name: str) -> None:
         meta, relations = self._catalog_state()
@@ -334,7 +290,6 @@ class LogBackend(StorageBackend):
         records.append(self._meta_record(meta))
         self._append(*records)
         self._meta_cache = meta
-        self._maybe_autocompact()
 
     # -- streaming durability (the write-ahead log) -------------------------
 
@@ -381,7 +336,7 @@ class LogBackend(StorageBackend):
             {
                 "record": "event",
                 "stream": name,
-                "event": _encode_wal_event(event),
+                "event": event_to_json(event),
             }
             for event in events
         ]
@@ -398,7 +353,6 @@ class LogBackend(StorageBackend):
             }
         )
         self._append(*records)
-        self._maybe_autocompact()
 
     def _set_stream_watermark(self, name: str, watermark: int) -> None:
         self._append(
@@ -463,6 +417,7 @@ class LogBackend(StorageBackend):
         """
         self._require_open()
         from repro.integration.merging import TupleMerger
+        from repro.stream.connectors import apply_event
         from repro.stream.engine import StreamEngine
 
         header = self._stream_header(name)
@@ -485,8 +440,14 @@ class LogBackend(StorageBackend):
             if kind == "event":
                 pending.append(record["event"])
             elif kind == "batch":
-                for event in pending:
-                    _apply_wal_event(engine, event)
+                for document in pending:
+                    try:
+                        event = event_from_json(document)
+                    except StreamError as exc:
+                        raise SerializationError(
+                            f"{self.url()}: bad write-ahead record: {exc}"
+                        ) from exc
+                    apply_event(engine, event)
                 pending = []
                 # Trust the recorded watermark over the replay count:
                 # compaction re-emits snapshots, not original events.
@@ -527,37 +488,11 @@ class LogBackend(StorageBackend):
         )
         os.replace(replacement, self._path)
         after = self._path.stat().st_size
-        self._compact_baseline = after
         return {
             "records": len(records),
             "bytes_before": before,
             "bytes_after": after,
         }
-
-    def _maybe_autocompact(self) -> None:
-        """Compact when the journal outgrew its last compact size.
-
-        Called after every mutating append; a no-op unless
-        ``REPRO_AUTOCOMPACT`` enabled it (see the module docstring).
-        The first triggering-eligible append just records the baseline,
-        so growth is always measured against a size this process
-        actually observed.
-        """
-        if self._autocompact is None:
-            return
-        size = self._file_bytes()
-        if self._compact_baseline is None:
-            self._compact_baseline = size
-            return
-        if size < self._min_compact_bytes:
-            return
-        if size < self._autocompact * max(self._compact_baseline, 1):
-            return
-        self.compact()
-        _metrics_registry().counter(
-            "storage.log.autocompactions",
-            "journal compactions triggered by REPRO_AUTOCOMPACT growth",
-        ).inc()
 
     def _compacted_stream_records(self, name: str) -> list[dict]:
         header = self._stream_header(name)
@@ -569,7 +504,7 @@ class LogBackend(StorageBackend):
             {
                 "record": "event",
                 "stream": name,
-                "event": _encode_wal_event(event),
+                "event": event_to_json(event),
             }
             for event in engine.snapshot_events()
         )
@@ -582,55 +517,3 @@ class LogBackend(StorageBackend):
             }
         )
         return records
-
-
-# -- write-ahead event codec -------------------------------------------------
-#
-# Upserts persist the *coerced* tuple in the lossless row codec of
-# repro.storage.serialization (exact Fractions, shortest-repr floats),
-# retract keys its tagged-atom encoding, reliabilities its
-# fraction-string number codec -- the same conventions as JSONL event
-# files, so WAL records stay human-readable.
-
-
-def _encode_wal_event(event: tuple) -> dict:
-    kind = event[0]
-    if kind == "upsert":
-        _, source, etuple = event
-        return {"op": "upsert", "source": source, "row": _tuple_to_json(etuple)}
-    if kind == "retract":
-        _, source, key = event
-        return {
-            "op": "retract",
-            "source": source,
-            "key": [_atom_to_json(part) for part in key],
-        }
-    if kind == "reliability":
-        _, source, value = event
-        return {
-            "op": "reliability",
-            "source": source,
-            "value": _number_to_json(value),
-        }
-    raise SerializationError(f"cannot journal stream event {event!r}")
-
-
-def _apply_wal_event(engine, document: dict) -> None:
-    op = document.get("op")
-    try:
-        if op == "upsert":
-            etuple = _tuple_from_json(document["row"], engine.schema)
-            engine.upsert(document["source"], etuple)
-        elif op == "retract":
-            engine.retract(
-                document["source"],
-                tuple(_atom_from_json(part) for part in document["key"]),
-            )
-        elif op == "reliability":
-            engine.set_reliability(
-                document["source"], _number_from_json(document["value"])
-            )
-        else:
-            raise SerializationError(f"unknown WAL op {op!r}")
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed WAL {op!r} record: {exc}") from exc

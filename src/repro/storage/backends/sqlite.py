@@ -12,11 +12,13 @@ write, so a new store appears whole or not at all):
     hash-shard count (always 0 when written now) and the schema
     document.
 ``tuples(relation, partition, position, row_json, key_json)``
-    One row per extended tuple.  ``row_json`` is the same lossless
-    tuple document the JSON backend stores (exact fractions as
-    ``"1/3"``, floats via shortest ``repr``), ``position`` the tuple's
-    order in the relation and ``key_json`` the canonical JSON identity
-    of its entity key, indexed by ``tuples_by_key``.  Writers leave
+    One row per extended tuple.  ``row_json`` is the same tuple
+    document the JSON backend stores
+    (:func:`~repro.storage.serialization.tuple_to_json`), ``position``
+    the tuple's order in the relation and ``key_json`` the canonical
+    JSON identity of its entity key
+    (:func:`~repro.storage.serialization.key_to_json`), indexed by
+    ``tuples_by_key``.  Writers leave
     ``partition`` at 0.
 
 Stores written by older versions load unchanged: a relation with
@@ -58,11 +60,11 @@ from repro.storage.backends.base import StorageBackend
 from repro.storage.database import Database
 from repro.storage.serialization import (
     FORMAT_VERSION,
-    _atom_to_json,
-    _tuple_from_json,
-    _tuple_to_json,
+    key_to_json,
     schema_from_json,
     schema_to_json,
+    tuple_from_json,
+    tuple_to_json,
 )
 
 _SCHEMA = (
@@ -89,7 +91,7 @@ _SCHEMA = (
 
 def _key_text(key: tuple) -> str:
     """Canonical JSON identity of an entity key (stable across runs)."""
-    return json.dumps([_atom_to_json(part) for part in key])
+    return json.dumps(key_to_json(key))
 
 
 class SqliteBackend(StorageBackend):
@@ -266,7 +268,7 @@ class SqliteBackend(StorageBackend):
                 (name,),
             )
             tuples = [
-                _tuple_from_json(json.loads(row_json), schema)
+                tuple_from_json(json.loads(row_json), schema)
                 for (row_json,) in rows
             ]
             return ExtendedRelation(schema, tuples)
@@ -311,7 +313,7 @@ class SqliteBackend(StorageBackend):
         rows = []
         written = 0
         for index, etuple in enumerate(relation):
-            row_json = json.dumps(_tuple_to_json(etuple))
+            row_json = json.dumps(tuple_to_json(etuple))
             key_json = _key_text(etuple.key())
             written += len(row_json) + len(key_json)
             rows.append((relation.name, index, row_json, key_json))
@@ -472,7 +474,7 @@ class SqliteBackend(StorageBackend):
         written = 0
         updates = []
         for key in delta.updated:
-            row_json = json.dumps(_tuple_to_json(relation.get(key)))
+            row_json = json.dumps(tuple_to_json(relation.get(key)))
             key_json = _key_text(key)
             written += len(row_json) + len(key_json)
             updates.append((row_json, name, key_json))
@@ -489,7 +491,7 @@ class SqliteBackend(StorageBackend):
         ).fetchone()
         rows = []
         for offset, (key, key_json) in enumerate(zip(inserted, inserted_texts)):
-            row_json = json.dumps(_tuple_to_json(relation.get(key)))
+            row_json = json.dumps(tuple_to_json(relation.get(key)))
             written += len(row_json) + len(key_json)
             rows.append((name, next_position + offset, row_json, key_json))
         db.executemany(

@@ -1,25 +1,36 @@
-"""Lossless JSON serialization of extended relations and databases.
+"""The one JSON codec: relations, databases, stored rows and stream events.
 
-Design choices:
+Every path that writes a value to be parsed again encodes it here:
+the JSON file, SQLite rows and key columns, the log backend's relation
+snapshots and write-ahead records, and JSONL event files.
 
-* evidence sets serialize in the paper's bracket notation (exact
-  fractions as ``1/3``), so serialized relations are human-readable and
-  re-parse losslessly;
-* memberships serialize as ``[sn, sp]`` strings with the same exactness;
-* schemas serialize structurally (domains included), so a relation file
+* A row and an upsert event share one ``values`` encoding
+  (:func:`values_to_json`): evidence sets as ``{"evidence": ...}`` in
+  the paper's bracket notation when every mass is exact, otherwise as
+  ``{"evidence_items": [...]}`` mass by mass (float masses as JSON
+  numbers, exact masses of mixed evidence as ``"n/d"`` strings);
+  exact scalars tagged as ``{"fraction": "n/d"}``, so the text ``"1/2"``
+  stays distinguishable from the number one half; other scalars as
+  themselves.
+* Memberships are ``[sn, sp]`` pairs and reliabilities plain numbers,
+  with exact values as ``"n/d"`` strings (they are never text).
+* Schemas serialize structurally (domains included), so a relation file
   is self-contained.
 
-Floats round-trip through ``repr`` (shortest-repr guarantees equality);
-exactness of Fractions is preserved verbatim.
+Floats round-trip through ``repr`` (shortest-repr guarantees equality).
+Readers accept everything earlier versions wrote: untagged row scalars,
+bracket-string evidence in event files, and write-ahead ``"row"``
+upserts.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError, StreamError
 from repro.ds.frame import OMEGA, is_omega
 from repro.ds.mass import MassFunction
 from repro.ds.notation import format_atom, parse_atom, parse_number
@@ -44,6 +55,7 @@ FORMAT_VERSION = 1
 
 
 def _number_to_json(value) -> object:
+    """A membership, reliability or mass: exact values as ``"n/d"``."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return value
@@ -58,23 +70,26 @@ def _number_from_json(value) -> object:
     return value
 
 
-def _atom_to_json(value) -> object:
-    """Encode a key part or attribute scalar.
-
-    Unlike memberships/reliabilities (always numeric, serialized as
-    ``"n/d"`` strings), keys and values may be genuine text -- so exact
-    fractions are tagged rather than stringified, keeping ``"1/2"`` the
-    text distinguishable from the number one half.
-    """
-    if isinstance(value, Fraction):
-        return {"fraction": f"{value.numerator}/{value.denominator}"}
-    return value
+def _fraction_tag(value: Fraction) -> dict:
+    """An exact scalar, tagged so it never reads back as text."""
+    return {"fraction": f"{value.numerator}/{value.denominator}"}
 
 
 def _atom_from_json(value) -> object:
-    if isinstance(value, dict) and set(value) == {"fraction"}:
-        return Fraction(value["fraction"])
+    """Decode one scalar; a ``{"fraction": "n/d"}`` tag is exact."""
+    if type(value) is dict and len(value) == 1 and "fraction" in value:
+        return _number_from_json(value["fraction"])
     return value
+
+
+def key_to_json(key: tuple) -> list:
+    """An entity key as a JSON list of tagged scalars."""
+    return [_fraction_tag(part) if isinstance(part, Fraction) else part for part in key]
+
+
+def key_from_json(document: list) -> tuple:
+    """Inverse of :func:`key_to_json`."""
+    return tuple([_atom_from_json(part) for part in document])
 
 
 # -- domains -----------------------------------------------------------------
@@ -164,16 +179,18 @@ def schema_from_json(document: dict) -> RelationSchema:
         raise SerializationError(f"schema document missing field {exc}") from exc
 
 
-# -- evidence -------------------------------------------------------------------
+# -- values and rows ------------------------------------------------------------
 
 
 def _evidence_to_json(evidence: EvidenceSet) -> dict:
     """Serialize one evidence set.
 
     Exact (Fraction) evidence uses the paper's human-readable bracket
-    notation.  Float evidence is stored structurally, mass by mass:
-    re-encoding each float as an exact fraction would make the masses
-    sum to something other than exactly 1 and fail re-validation.
+    notation.  Float or mixed evidence is stored structurally, mass by
+    mass: re-encoding each float as an exact fraction would make the
+    masses sum to something other than exactly 1 and fail re-validation.
+    Float masses are JSON numbers; the exact masses of mixed evidence
+    are ``"n/d"`` strings, so every mass keeps its type.
     """
     mass_function = evidence.mass_function
     if mass_function.is_exact():
@@ -187,7 +204,9 @@ def _evidence_to_json(evidence: EvidenceSet) -> dict:
             "evidence_items": [
                 {
                     "element": _rendering_to_json(rendered_members(mask)),
-                    "mass": float(value),
+                    # Fraction is an ABC subclass: test the common float
+                    # type first, so float evidence skips its isinstance.
+                    "mass": value if type(value) is float else _number_to_json(value),
                 }
                 for mask, value in zip(compiled.masks, compiled.values)
             ]
@@ -198,7 +217,8 @@ def _evidence_to_json(evidence: EvidenceSet) -> dict:
             rendered = None
         else:
             rendered = sorted(format_atom(member) for member in element)
-        items.append({"element": rendered, "mass": float(value)})
+        mass = value if type(value) is float else _number_to_json(value)
+        items.append({"element": rendered, "mass": mass})
     return {"evidence_items": items}
 
 
@@ -214,7 +234,9 @@ def _evidence_from_json(document: dict, domain) -> EvidenceSet:
     (:mod:`repro.ds.kernel`) as it is loaded: the schema's domains
     deserialize to equal frames, which intern to one shared bit
     assignment per attribute, so a reloaded database is immediately
-    back on the compiled fast path for queries and merges.
+    back on the compiled fast path for queries and merges.  Without a
+    *domain* (an event file names no schema) the evidence is unbound;
+    the stream engine binds it to its attribute's domain on ingress.
     """
     if "evidence" in document:
         return EvidenceSet.parse(document["evidence"], domain).compile()
@@ -225,47 +247,168 @@ def _evidence_from_json(document: dict, domain) -> EvidenceSet:
             element: object = OMEGA
         else:
             element = frozenset(parse_atom(member) for member in rendered)
-        masses[element] = masses.get(element, 0.0) + item["mass"]
+        mass = _number_from_json(item["mass"])
+        masses[element] = masses[element] + mass if element in masses else mass
     frame = domain.frame() if domain is not None and domain.is_enumerable else None
     return EvidenceSet(MassFunction(masses, frame), domain).compile()
 
 
-# -- relations -----------------------------------------------------------------
-
-
-def _tuple_to_json(etuple: ExtendedTuple) -> dict:
-    """Serialize one tuple's values + membership."""
+def values_to_json(items) -> dict:
+    """Encode ``(attribute name, value)`` pairs: a row's or an upsert's
+    ``values`` (see the module docstring)."""
     values: dict[str, object] = {}
-    for name, value in etuple.items():
+    for name, value in items:
         if isinstance(value, EvidenceSet):
             values[name] = _evidence_to_json(value)
+        elif isinstance(value, Fraction):
+            values[name] = _fraction_tag(value)
         else:
-            values[name] = _number_to_json(value) if isinstance(
-                value, Fraction
-            ) else value
+            values[name] = value
+    return values
+
+
+def values_from_json(document: dict, schema: RelationSchema | None = None) -> dict:
+    """Decode a ``values`` object.
+
+    Evidence binds to the attribute's domain in *schema*; without one it
+    decodes unbound.  Any other JSON object (a mass mapping in an event
+    file) is kept as it is.
+    """
+    values: dict[str, object] = {}
+    for name, value in document.items():
+        if type(value) is dict:
+            if "evidence" in value or "evidence_items" in value:
+                domain = None if schema is None else schema.attribute(name).domain
+                value = _evidence_from_json(value, domain)
+            else:
+                value = _atom_from_json(value)
+        values[name] = value
+    return values
+
+
+def tuple_to_json(etuple: ExtendedTuple) -> dict:
+    """Serialize one tuple's values + membership."""
+    membership = etuple.membership
     return {
-        "values": values,
+        "values": values_to_json(etuple.items()),
         "membership": [
-            _number_to_json(etuple.membership.sn),
-            _number_to_json(etuple.membership.sp),
+            _number_to_json(membership.sn),
+            _number_to_json(membership.sp),
         ],
     }
 
 
-def _tuple_from_json(row: dict, schema: RelationSchema) -> ExtendedTuple:
+def tuple_from_json(row: dict, schema: RelationSchema) -> ExtendedTuple:
     """Deserialize one tuple against its schema."""
-    values: dict[str, object] = {}
-    for name, value in row["values"].items():
-        if isinstance(value, dict) and (
-            "evidence" in value or "evidence_items" in value
-        ):
-            attribute = schema.attribute(name)
-            values[name] = _evidence_from_json(value, attribute.domain)
-        else:
-            values[name] = value
     sn, sp = row["membership"]
     membership = TupleMembership(_number_from_json(sn), _number_from_json(sp))
-    return ExtendedTuple(schema, values, membership)
+    return ExtendedTuple(schema, values_from_json(row["values"], schema), membership)
+
+
+# -- stream events -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UpsertEvent:
+    """Assert (or re-assert) one tuple of a source."""
+
+    source: str
+    values: dict
+    membership: tuple | None = None
+
+
+@dataclass(frozen=True)
+class RetractEvent:
+    """Withdraw a source's assertion about one entity."""
+
+    source: str
+    key: tuple
+
+
+@dataclass(frozen=True)
+class ReliabilityEvent:
+    """Change a source's reliability."""
+
+    source: str
+    reliability: object
+
+
+@dataclass(frozen=True)
+class FlushEvent:
+    """Close the current micro-batch."""
+
+
+Event = UpsertEvent | RetractEvent | ReliabilityEvent | FlushEvent
+
+
+def event_to_json(event: Event) -> dict:
+    """Serialize one event to a JSON-compatible document."""
+    if isinstance(event, UpsertEvent):
+        document: dict = {
+            "op": "upsert",
+            "source": event.source,
+            "values": values_to_json(event.values.items()),
+        }
+        if event.membership is not None:
+            sn, sp = event.membership
+            document["membership"] = [_number_to_json(sn), _number_to_json(sp)]
+        return document
+    if isinstance(event, RetractEvent):
+        return {
+            "op": "retract",
+            "source": event.source,
+            "key": key_to_json(event.key),
+        }
+    if isinstance(event, ReliabilityEvent):
+        return {
+            "op": "reliability",
+            "source": event.source,
+            "value": _number_to_json(event.reliability),
+        }
+    if isinstance(event, FlushEvent):
+        return {"op": "flush"}
+    raise StreamError(f"cannot serialize event {event!r}")
+
+
+def event_from_json(document: dict) -> Event:
+    """Deserialize one event document.
+
+    Write-ahead journals of earlier versions stored an upsert as a
+    ``"row"`` (a stored row's document) instead of ``values`` plus
+    ``membership``; those still decode.
+    """
+    if not isinstance(document, dict):
+        raise StreamError(f"event must be a JSON object, got {document!r}")
+    op = document.get("op")
+    try:
+        if op == "upsert":
+            row = document.get("row", document)
+            membership = row.get("membership")
+            if membership is not None:
+                sn, sp = membership
+                membership = (_number_from_json(sn), _number_from_json(sp))
+            return UpsertEvent(
+                source=document["source"],
+                values=values_from_json(row["values"]),
+                membership=membership,
+            )
+        if op == "retract":
+            return RetractEvent(
+                source=document["source"], key=key_from_json(document["key"])
+            )
+        if op == "reliability":
+            return ReliabilityEvent(
+                source=document["source"],
+                reliability=_number_from_json(document["value"]),
+            )
+        if op == "flush":
+            return FlushEvent()
+    except (AttributeError, KeyError, TypeError, ValueError, ReproError) as exc:
+        raise StreamError(f"malformed {op!r} event: {exc}") from exc
+    raise StreamError(f"unknown event op {op!r}")
+
+
+# -- relations -----------------------------------------------------------------
 
 
 def relation_to_json(relation: ExtendedRelation) -> dict:
@@ -273,7 +416,7 @@ def relation_to_json(relation: ExtendedRelation) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "schema": schema_to_json(relation.schema),
-        "tuples": [_tuple_to_json(etuple) for etuple in relation],
+        "tuples": [tuple_to_json(etuple) for etuple in relation],
     }
 
 
@@ -300,7 +443,7 @@ def relation_from_json(document: dict) -> ExtendedRelation:
         rows = [row for shard in document["tuple_partitions"] for row in shard]
     else:
         rows = document["tuples"]
-    return ExtendedRelation(schema, [_tuple_from_json(row, schema) for row in rows])
+    return ExtendedRelation(schema, [tuple_from_json(row, schema) for row in rows])
 
 
 # -- databases --------------------------------------------------------------------

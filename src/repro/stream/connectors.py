@@ -1,4 +1,4 @@
-"""Event connectors: JSONL encoding and replay of source streams.
+"""Event connectors: JSONL event files and their replay.
 
 One event per line, self-describing via ``op``:
 
@@ -11,11 +11,15 @@ One event per line, self-describing via ``op``:
     {"op": "reliability", "source": "daily", "value": "4/5"}
     {"op": "flush"}
 
-Evidence values use the paper's bracket notation (parsed by
-:class:`repro.model.evidence.EvidenceSet`), numbers serialize exactly
-(fractions as ``"1/3"`` strings), and memberships are ``[sn, sp]``
-pairs -- the same conventions as :mod:`repro.storage.serialization`, so
-event files are human-readable and round-trip losslessly.
+The events and their JSON encoding live in
+:mod:`repro.storage.serialization`, the one codec stored rows and the
+log backend's write-ahead records use too: an upsert's ``values`` are
+encoded exactly as a stored row's, so an upsert carrying
+:class:`~repro.model.evidence.EvidenceSet` values or exact scalars reads
+back equal in value and type.  A value may also be bracket-notation
+text (``"[gd^1/4, avg^3/4]"``), which the engine parses against the
+attribute's domain; :func:`relation_to_events` writes that form, which
+is display text and does not round-trip float masses (see there).
 """
 
 from __future__ import annotations
@@ -29,119 +33,22 @@ from repro.errors import StreamError
 from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.storage.serialization import (
-    _atom_from_json,
-    _atom_to_json,
-    _number_from_json,
-    _number_to_json,
+    Event,
+    FlushEvent,
+    ReliabilityEvent,
+    RetractEvent,
+    UpsertEvent,
+    event_from_json,
+    event_to_json,
 )
-
-
-@dataclass(frozen=True)
-class UpsertEvent:
-    """Assert (or re-assert) one tuple of a source."""
-
-    source: str
-    values: dict
-    membership: tuple | None = None
-
-
-@dataclass(frozen=True)
-class RetractEvent:
-    """Withdraw a source's assertion about one entity."""
-
-    source: str
-    key: tuple
-
-
-@dataclass(frozen=True)
-class ReliabilityEvent:
-    """Change a source's reliability."""
-
-    source: str
-    reliability: object
-
-
-@dataclass(frozen=True)
-class FlushEvent:
-    """Close the current micro-batch."""
-
-
-Event = UpsertEvent | RetractEvent | ReliabilityEvent | FlushEvent
-
-
-def event_to_json(event: Event) -> dict:
-    """Serialize one event to a JSON-compatible document."""
-    if isinstance(event, UpsertEvent):
-        document: dict = {
-            "op": "upsert",
-            "source": event.source,
-            "values": {
-                name: _atom_to_json(value)
-                for name, value in event.values.items()
-            },
-        }
-        if event.membership is not None:
-            sn, sp = event.membership
-            document["membership"] = [_number_to_json(sn), _number_to_json(sp)]
-        return document
-    if isinstance(event, RetractEvent):
-        return {
-            "op": "retract",
-            "source": event.source,
-            "key": [_atom_to_json(part) for part in event.key],
-        }
-    if isinstance(event, ReliabilityEvent):
-        return {
-            "op": "reliability",
-            "source": event.source,
-            "value": _number_to_json(event.reliability),
-        }
-    if isinstance(event, FlushEvent):
-        return {"op": "flush"}
-    raise StreamError(f"cannot serialize event {event!r}")
-
-
-def event_from_json(document: dict) -> Event:
-    """Deserialize one event document."""
-    if not isinstance(document, dict):
-        raise StreamError(f"event must be a JSON object, got {document!r}")
-    op = document.get("op")
-    try:
-        if op == "upsert":
-            membership = document.get("membership")
-            if membership is not None:
-                sn, sp = membership
-                membership = (_number_from_json(sn), _number_from_json(sp))
-            return UpsertEvent(
-                source=document["source"],
-                values={
-                    name: _atom_from_json(value)
-                    for name, value in document["values"].items()
-                },
-                membership=membership,
-            )
-        if op == "retract":
-            return RetractEvent(
-                source=document["source"],
-                key=tuple(
-                    _atom_from_json(part) for part in document["key"]
-                ),
-            )
-        if op == "reliability":
-            return ReliabilityEvent(
-                source=document["source"],
-                reliability=_number_from_json(document["value"]),
-            )
-        if op == "flush":
-            return FlushEvent()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise StreamError(f"malformed {op!r} event: {exc}") from exc
-    raise StreamError(f"unknown event op {op!r}")
 
 
 def write_events(events, path) -> int:
     """Write events as JSONL; returns the number of lines written."""
-    lines = [json.dumps(event_to_json(event)) for event in events]
+    try:
+        lines = [json.dumps(event_to_json(event)) for event in events]
+    except (TypeError, ValueError) as exc:
+        raise StreamError(f"cannot encode event: {exc}") from exc
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
 
@@ -170,6 +77,19 @@ def relation_to_events(relation: ExtendedRelation, source: str):
 
     Handy for turning an existing table into a replayable stream:
     evidence sets render in bracket notation, keys as scalars.
+
+    The notation is display text: :meth:`EvidenceSet.format` rounds
+    float masses to 3 decimals, and those decimals parse back as exact
+    fractions that need not sum to one, so float evidence does not
+    survive the trip (exact evidence does).  Passing the
+    :class:`EvidenceSet` itself through, which the event codec encodes
+    losslessly, is the open step of making every re-parsed path
+    lossless.  The output stays as it is until the stream path has
+    headroom for it: a prototype raised the end-to-end ``stream``
+    workload's accepted ratio from 0.78 to 1.0, but moved its p50
+    latency from 13.1 to 15.0 ms (+14.5 %), its throughput from 3167 to
+    2684 events/s and its stored bytes per row from 722 to 812 (seed
+    4242, three alternating 10 s pairs on a 2-core host).
     """
     events = []
     for etuple in relation:

@@ -50,8 +50,9 @@ from repro.model.relation import ExtendedRelation, partition_index
 from repro.obs import tracing
 from repro.obs.profile import FlushProfile
 from repro.obs.registry import registry as _metrics_registry
+from repro.storage.serialization import ReliabilityEvent, RetractEvent, UpsertEvent
 from repro.stream.changelog import BatchDelta, ChangeLog
-from repro.stream.state import Contribution, MergeState
+from repro.stream.state import Contribution, MergeState, fold_parts
 
 
 @dataclass
@@ -129,16 +130,24 @@ _metrics_registry().gauge(
 )
 
 
+def _upsert_event(source: str, etuple: ExtendedTuple) -> UpsertEvent:
+    """The upsert event that re-asserts *etuple* (coerced values)."""
+    membership = etuple.membership
+    return UpsertEvent(
+        source, dict(etuple.items()), (membership.sn, membership.sp)
+    )
+
+
 def _refold_bucket(common, bucket):
     """Re-fold one shipped partition of ``(key, parts)`` pairs.
 
     Module-level so the warm pool (:mod:`repro.exec.warmpool`) can
     pickle it by reference; ``common`` is the batch-constant
     ``(merger, schema)`` pair (the parts were already selected in
-    source order by the driver).  Mirrors
-    :meth:`repro.stream.state.EntityState.refold` exactly -- same
-    empty/conflict semantics, same combination count -- but operates on
-    the shipped parts, so the state graph never crosses the pipe.
+    source order by the engine).  Each entity folds through
+    :func:`~repro.stream.state.fold_parts`, as
+    :meth:`~repro.stream.state.EntityState.refold` does, but on the
+    shipped parts, so the state graph never crosses the pipe.
     """
     merger, schema = common
     baseline = KERNEL_STATS.snapshot()
@@ -146,19 +155,15 @@ def _refold_bucket(common, bucket):
     states = []
     error = None
     for key, parts in bucket:
-        if not parts:
-            states.append((key, None, False, []))
-            continue
-        report = MergeReport()
         try:
-            merged = merger.merge_entity(parts, schema, report)
+            combined, conflicted, conflicts, used = fold_parts(
+                merger, schema, parts
+            )
         except TotalConflictError as exc:
             error = exc
             break
-        combinations += len(parts) - 1
-        states.append(
-            (key, merged, merged is None, list(report.conflicts))
-        )
+        combinations += used
+        states.append((key, combined, conflicted, conflicts))
     delta = KERNEL_STATS.since(baseline)
     return (
         states,
@@ -269,7 +274,7 @@ class StreamEngine:
         self._source_counters: dict[tuple, object] = {}
         self._profile_batches = bool(profile_batches)
         self._backend = None
-        self._wal: list[tuple] = []
+        self._wal: list = []
         self._durable_once = False
         if backend is not None:
             backend.begin_stream(
@@ -360,7 +365,7 @@ class StreamEngine:
         event.
         """
         self._register(name, reliability)
-        self._journal("reliability", name, self._sources[name].reliability)
+        self._journal(ReliabilityEvent(name, self._sources[name].reliability))
 
     def _register(self, name: str, reliability: object = 1) -> None:
         """Registration without journaling (auto-registration: the
@@ -449,7 +454,8 @@ class StreamEngine:
                     entity.dirty = was_dirty
                     self._count_source(source, "conflicts")
                     raise
-        self._journal("upsert", source, etuple)
+        if self._backend is not None:
+            self._journal(_upsert_event(source, etuple))
         self._seq += 1
         self._touched.add(key)
         self._stats.upserts += 1
@@ -477,7 +483,7 @@ class StreamEngine:
             entity.dirty = True
         else:
             self._state.discard_if_empty(key)
-        self._journal("retract", source, key)
+        self._journal(RetractEvent(source, key))
         self._seq += 1
         self._touched.add(key)
         self._stats.retractions += 1
@@ -501,7 +507,7 @@ class StreamEngine:
         if state is None:
             self._register(source, reliability)
             self._journal(
-                "reliability", source, self._sources[source].reliability
+                ReliabilityEvent(source, self._sources[source].reliability)
             )
             self._seq += 1
             self._stats.reliability_updates += 1
@@ -543,7 +549,7 @@ class StreamEngine:
                         self._state.get(key), order, count_refold=False
                     )
                 raise
-        self._journal("reliability", source, new)
+        self._journal(ReliabilityEvent(source, new))
         self._seq += 1
         self._stats.reliability_updates += 1
         self._count_source(source, "events")
@@ -693,11 +699,12 @@ class StreamEngine:
             object.__setattr__(delta, "profile", profile)
         return delta
 
-    def snapshot_events(self) -> list[tuple]:
+    def snapshot_events(self) -> list:
         """The minimal event sequence rebuilding this engine's state.
 
-        Replaying the returned ``(kind, source, payload)`` triples
-        through a fresh engine reproduces the current sources (order and
+        Replaying the returned events (see
+        :func:`~repro.stream.connectors.apply_event`) through a fresh
+        engine reproduces the current sources (order and
         reliability), every per-source contribution, the entity order of
         the integrated relation and hence -- folds being deterministic
         -- the relation itself.  This is what
@@ -707,8 +714,8 @@ class StreamEngine:
         raw tuples in first-arrival entity order, each entity's sources
         in registration order.
         """
-        events: list[tuple] = [
-            ("reliability", name, state.reliability)
+        events: list = [
+            ReliabilityEvent(name, state.reliability)
             for name, state in self._sources.items()
         ]
         for entity in self._state:
@@ -716,13 +723,13 @@ class StreamEngine:
                 entity.contributions, key=self._source_index.__getitem__
             ):
                 events.append(
-                    ("upsert", source, entity.contributions[source].raw)
+                    _upsert_event(source, entity.contributions[source].raw)
                 )
         return events
 
     # -- internals ----------------------------------------------------------
 
-    def _journal(self, kind: str, source: str, payload) -> None:
+    def _journal(self, event) -> None:
         """Buffer one accepted event for the backend's write-ahead log.
 
         Called only after the event fully succeeded (rolled-back
@@ -730,7 +737,7 @@ class StreamEngine:
         sees exactly the accepted event sequence.
         """
         if self._backend is not None:
-            self._wal.append((kind, source, payload))
+            self._wal.append(event)
 
     def _count_source(self, source: str, kind: str) -> None:
         """Bump the ``stream.source.<name>.<kind>`` registry counter."""

@@ -33,6 +33,21 @@ from repro.integration.merging import MergeReport, TupleMerger
 from repro.model.etuple import ExtendedTuple
 
 
+def fold_parts(merger: TupleMerger, schema, parts) -> tuple:
+    """Fold one entity's discounted *parts*, in order.
+
+    Returns ``(combined, conflicted, conflict records, combinations)``:
+    no parts fold to nothing, and a total conflict whose policy drops
+    the entity folds to ``None`` with ``conflicted`` set.  A ``raise``
+    policy's :class:`~repro.errors.TotalConflictError` propagates.
+    """
+    if not parts:
+        return None, False, [], 0
+    report = MergeReport()
+    merged = merger.merge_entity(parts, schema, report)
+    return merged, merged is None, list(report.conflicts), len(parts) - 1
+
+
 @dataclass
 class Contribution:
     """One source's current evidence about one entity."""
@@ -101,24 +116,11 @@ class EntityState:
         publishing the stale cached fold) and its conflict records are
         untouched.
         """
-        parts = self.parts(order)
-        if not parts:
-            self.combined = None
-            self.conflicted = False
-            self.dirty = False
-            self.fold_conflicts = []
-            return 0
-        report = MergeReport()
-        merged = merger.merge_entity(parts, schema, report)
+        self.combined, self.conflicted, self.fold_conflicts, used = fold_parts(
+            merger, schema, self.parts(order)
+        )
         self.dirty = False
-        self.fold_conflicts = list(report.conflicts)
-        if merged is None:
-            self.combined = None
-            self.conflicted = True
-        else:
-            self.combined = merged
-            self.conflicted = False
-        return len(parts) - 1
+        return used
 
     def __repr__(self) -> str:
         state = "conflicted" if self.conflicted else (

@@ -103,6 +103,15 @@ class TestFrameOfDiscernment:
         assert hash(f1) == hash(f2)
         assert f1 != f3
 
+    def test_typed_key_tells_value_types_apart(self):
+        ints = FrameOfDiscernment("f", [1, 2])
+        floats = FrameOfDiscernment("f", [1.0, 2])
+        assert ints == floats
+        assert ints.typed_key != floats.typed_key
+        assert ints.typed_key is ints.typed_key  # computed once
+        strings = FrameOfDiscernment("f", ["x", "y"])
+        assert strings.typed_key == ("f", strings.values)
+
     def test_membership_frame(self):
         assert MEMBERSHIP_FRAME.contains(True)
         assert MEMBERSHIP_FRAME.contains(False)

@@ -223,6 +223,16 @@ class TestEqualityAndOrdering:
         concrete = MassFunction({frozenset({"a", "b"}): 1})
         assert framed == concrete
 
+    def test_unframed_omega_resolves_in_the_other_frame(self):
+        """Evidence decoded without its schema equals the framed original."""
+        frame = FrameOfDiscernment("f", ["a", "b", "c"])
+        framed = MassFunction({"a": "1/2", OMEGA: "1/2"}, frame)
+        unframed = MassFunction({"a": "1/2", OMEGA: "1/2"})
+        assert framed == unframed and unframed == framed
+        assert hash(framed) == hash(unframed)
+        # With no frame on either side OMEGA is no concrete set.
+        assert unframed != MassFunction({"a": "1/2", ("a", "b", "c"): "1/2"})
+
     def test_focal_elements_deterministic_order(self):
         m = MassFunction({"b": "1/4", ("a", "c"): "1/4", "a": "1/4", OMEGA: "1/4"})
         elements = m.focal_elements()

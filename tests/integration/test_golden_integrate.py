@@ -9,7 +9,7 @@ back to ignorance) and hashes
   numerator/denominator, ``float.hex``), so a moved float bit or a
   float that turns exact (or back) changes the digest;
 * the merge reports' conflict records (kappa by the same spelling);
-* the JSON rows :func:`repro.storage.serialization._tuple_to_json`
+* the JSON rows :func:`repro.storage.serialization.tuple_to_json`
   writes for those tuples, exactly as the storage backends dump them.
 
 The float cases mix ``CERTAIN`` (exact ``Fraction``) memberships with
@@ -32,7 +32,7 @@ from repro.datasets.generators import SyntheticConfig, synthetic_pair
 from repro.ds.frame import is_omega
 from repro.integration import Federation, TupleMerger
 from repro.model.evidence import EvidenceSet
-from repro.storage.serialization import _tuple_to_json
+from repro.storage.serialization import tuple_to_json
 
 FLOAT_RELIABILITIES = (1, 0.9, 0.8)
 EXACT_RELIABILITIES = (1, Fraction(9, 10), Fraction(4, 5))
@@ -106,7 +106,7 @@ def digests(relation, report) -> tuple[str, str]:
         "\n".join(relation_lines(relation, report)).encode()
     ).hexdigest()
     rows = hashlib.sha256(
-        "\n".join(json.dumps(_tuple_to_json(etuple)) for etuple in relation).encode()
+        "\n".join(json.dumps(tuple_to_json(etuple)) for etuple in relation).encode()
     ).hexdigest()
     return output, rows
 

@@ -1,11 +1,10 @@
-"""O(delta) persistence: sqlite key-addressed rows and log autocompaction.
+"""O(delta) persistence: sqlite key-addressed rows and the log journal.
 
 The exactness contract is absolute -- whatever the incremental write
 does, ``load_relation`` must return the stream's published relation bit
 for bit, same tuple order -- and the *cost* contract is exact too: a
 sqlite flush writes the payload bytes of the changed rows and nothing
-else, and an autocompacting journal stays bounded under a steady update
-load.
+else.  A log journal appends until it is compacted on demand.
 """
 
 import json
@@ -473,65 +472,11 @@ class TestLogAutocompaction:
             [_etuple(schema, f"e{i}", COLOURS[rounds % 3]) for i in range(6)],
         )
 
-    def test_journal_stays_bounded_under_resaves(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOCOMPACT", "1.5")
-        monkeypatch.setenv("REPRO_AUTOCOMPACT_MIN_BYTES", "1")
-        compactions = registry().counter("storage.log.autocompactions")
-        before = compactions.value
-        with open_backend(f"log:{tmp_path / 'wal.jsonl'}") as backend:
-            backend.save_relation(self._relation(0))
-            single = backend._file_bytes()
-            for round_number in range(1, 30):
-                backend.save_relation(self._relation(round_number))
-            # An append-only journal would hold ~30 copies; compaction
-            # keeps it within the configured growth ratio of one.
-            assert backend._file_bytes() < 3 * single
-            assert compactions.value > before
-            final = backend.load_relation("R")
-        # The compacted journal still replays the exact final state.
-        with open_backend(f"log:{tmp_path / 'wal.jsonl'}") as reopened:
-            assert reopened.load_relation("R") == final
-
-    def test_disabled_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_AUTOCOMPACT", raising=False)
+    def test_disabled_by_default(self, tmp_path):
+        """Without an explicit compaction the journal keeps history."""
         with open_backend(f"log:{tmp_path / 'wal.jsonl'}") as backend:
             backend.save_relation(self._relation(0))
             single = backend._file_bytes()
             for round_number in range(1, 10):
                 backend.save_relation(self._relation(round_number))
             assert backend._file_bytes() > 5 * single  # history kept
-
-    def test_named_flag_values_and_floor(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOCOMPACT", "yes")
-        monkeypatch.setenv("REPRO_AUTOCOMPACT_MIN_BYTES", "10000000")
-        with open_backend(f"log:{tmp_path / 'wal.jsonl'}") as backend:
-            assert backend._autocompact == pytest.approx(4.0)
-            backend.save_relation(self._relation(0))
-            single = backend._file_bytes()
-            for round_number in range(1, 10):
-                backend.save_relation(self._relation(round_number))
-            # Under the byte floor nothing compacts, whatever the ratio.
-            assert backend._file_bytes() > 5 * single
-
-    def test_streamed_batches_autocompact_too(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_AUTOCOMPACT", "1.5")
-        monkeypatch.setenv("REPRO_AUTOCOMPACT_MIN_BYTES", "1")
-        schema = _schema()
-        with open_backend(f"log:{tmp_path / 'wal.jsonl'}") as backend:
-            engine = _engine(backend, schema)
-            for index in range(6):
-                engine.upsert("a", _etuple(schema, f"e{index}", "red"))
-            engine.flush()
-            single = backend._file_bytes()
-            for round_number in range(40):
-                engine.upsert(
-                    "a", _etuple(schema, "e0", COLOURS[round_number % 3])
-                )
-                engine.flush()
-            assert backend._file_bytes() < 4 * single
-            relation, watermark = engine.relation, engine.watermark
-        with open_backend(f"log:{tmp_path / 'wal.jsonl'}") as reopened:
-            recovered = reopened.recover_stream("R")
-            assert recovered.relation == relation
-            assert list(recovered.relation.keys()) == list(relation.keys())
-            assert recovered.watermark == watermark

@@ -243,14 +243,14 @@ class TestSqliteBackend:
             backend.save_database(db)
 
             decoded = []
-            original = sqlite_module._tuple_from_json
+            original = sqlite_module.tuple_from_json
 
             def counting(row, schema):
                 decoded.append(schema.name)
                 return original(row, schema)
 
             monkeypatch.setattr(
-                sqlite_module, "_tuple_from_json", counting
+                sqlite_module, "tuple_from_json", counting
             )
             relation = backend.load_relation("M_A")
         assert relation == table_m_a()
@@ -265,7 +265,7 @@ class TestSqliteBackend:
         import sqlite3
 
         from repro.model.relation import partition_index
-        from repro.storage.serialization import _tuple_to_json, schema_to_json
+        from repro.storage.serialization import schema_to_json, tuple_to_json
 
         relation = table_ra()
         path = tmp_path / "old.sqlite"
@@ -299,7 +299,7 @@ class TestSqliteBackend:
                 (
                     partition_index(etuple.key(), 3),
                     position,
-                    json.dumps(_tuple_to_json(etuple)),
+                    json.dumps(tuple_to_json(etuple)),
                 )
                 for position, etuple in enumerate(relation)
             ],

@@ -1,16 +1,12 @@
 # Tier-1 verify and friends, each as one command.
 #
-#   make test           run the test suite (tier-1 gate); tests/exec
-#                       runs every partitioned path under the serial
-#                       and process executors against the serial result
+#   make test           run the test suite (tier-1 gate)
 #   make test-sqlite    the same suite with SQLite as the default backend
 #   make bench          run the benchmark harness (timings + assertions)
 #   make bench-stream   incremental-vs-recompute ingestion benchmark
 #   make bench-kernel   evidence kernel vs the frozenset test oracle
 #   make bench-query    selection, session-cache and planner benchmarks
 #                       (the exact query path's own assertions)
-#   make bench-parallel federation/stream scaling across warm-pool
-#                       worker counts
 #   make bench-storage  save/load/point-load per storage backend
 #   make bench-e2e      the end-to-end benchmark's own tests plus a
 #                       5-second smoke run of every workload
@@ -23,7 +19,7 @@ PYTHON ?= python
 export PYTHONPATH := src:.:$(PYTHONPATH)
 
 .PHONY: test test-sqlite bench bench-stream bench-kernel bench-query \
-	bench-parallel bench-storage bench-e2e lint lint-analysis quickstart
+	bench-storage bench-e2e lint lint-analysis quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,9 +41,6 @@ bench-query:
 		benchmarks/bench_table2_selection.py \
 		benchmarks/bench_session_cache.py \
 		benchmarks/bench_query_planner.py -q
-
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallel_integration.py -q -s
 
 bench-storage:
 	$(PYTHON) -m pytest benchmarks/bench_storage_backends.py -q -s

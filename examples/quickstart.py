@@ -12,10 +12,9 @@ This walks the paper's core loop with the fluent lazy API:
    rule is associative), publishes on flush, and re-collects
    subscribed queries,
 5. inspect the compact evidence kernel that runs underneath it all,
-6. fan the same work out over a warm process pool: the physical
-   execution layer shards entity work into hash partitions, and either
-   executor (serial or process) at any partition count reproduces the
-   serial result exactly,
+6. look at the physical plan: the execution layer rewrites each query
+   and lowers every node onto a physical operator, run in one exact
+   serial pass,
 7. persist everything through a pluggable storage backend (json /
    sqlite / append-only log), with write-ahead durability for streams,
 8. watch it all through the unified telemetry layer (repro.obs):
@@ -143,39 +142,23 @@ def main() -> None:
     print(kernel_stats().summary())
     print()
 
-    # Execution & parallelism.  The integration semantics are
-    # per-entity (definite keys identify real-world entities; merges
-    # never mix entities), so the physical layer (repro.exec) can shard
-    # entity work into hash partitions and fan the partition tasks out
-    # over a warm process pool -- `configure(executor="process",
-    # workers=...)`, or the REPRO_EXECUTOR / REPRO_WORKERS environment
-    # variables, or `repro stream DB EVENTS --schema REL --workers 4` on
-    # the CLI.  The pool (repro.exec.warmpool) is forked once and every
-    # later batch ships as compact pickled chunks; a batch that cannot
-    # pickle runs inline (exec.warmpool.fallbacks).  The default stays
-    # serial; with either executor and any partition count the results
-    # are *identical* to the serial path (same tuples, same order, exact
-    # masses -- property-tested), so turning parallelism on is purely a
-    # performance decision.
-    from repro.exec import current_config, exec_stats, executor_scope
-    from repro.obs import registry as obs_registry
+    # Execution.  The paper's operators work per entity (definite keys
+    # identify real-world entities; merges never mix entities), so one
+    # serial pass is already exact.  The physical layer (repro.exec)
+    # rewrites each logical plan (selection fusion and pushdown,
+    # projection pruning) and lowers every node onto a physical
+    # operator; describe_physical shows the strategy each node runs
+    # with, as `repro query DB --explain` shows the logical plan.
+    from repro.exec import describe_physical
     from repro.session import Session
 
-    serial_union = integrated.collect()
-    with executor_scope(executor="process", workers=2) as config:
-        print(config.describe())  # also shown by `repro repl` :stats
-        # A fresh session, so the collect below really re-executes
-        # (the default session would serve its cached result).
-        parallel = Session(db).execute("RA UNION RB BY (rname)")
-        assert parallel.same_tuples(serial_union)
-        assert [t.key() for t in parallel] == [t.key() for t in serial_union]
-        print(exec_stats().summary())
-    pool = obs_registry().collect()
-    print(
-        f"  exec.warmpool.dispatches={pool['exec.warmpool.dispatches']} "
-        f"spawns={pool['exec.warmpool.spawns']}"
-    )
-    print(f"back to the default: {current_config().describe()}")
+    # A fresh session, so the query below really re-executes (the
+    # default session would serve its cached result).
+    session = Session(db)
+    print(describe_physical(session.plan("RA UNION RB BY (rname)")))
+    again = session.execute("RA UNION RB BY (rname)")
+    assert again.same_tuples(integrated.collect())
+    assert list(again.keys()) == list(integrated.collect().keys())
     # Persistence is adaptive too: sqlite stream flushes write only
     # the rows the batch changed, addressed by entity key (bytes written
     # scale with the *delta*, watch storage.sqlite.bytes_written), and
@@ -233,7 +216,7 @@ def main() -> None:
     # Observability & profiling.  Everything above was also *measured*:
     # each layer keeps thread-local counters and registers them with the
     # process-wide metrics registry (repro.obs), so one snapshot covers
-    # kernel combinations, executor fan-out, session caches, stream
+    # kernel combinations, session caches, stream
     # ingest and per-backend storage I/O.  The same data is exported by
     # `repro stats [DB] [--json|--prometheus]` and the repl's `:stats`.
     from repro import registry, span, tracing_scope
@@ -261,8 +244,8 @@ def main() -> None:
 
     # Structured tracing is off by default (zero cost on the hot path);
     # flip it on process-wide with REPRO_TRACE=1, `--trace-out FILE` on
-    # the CLI, or locally with a scope.  Spans nest parent/child and
-    # cross process-pool workers back to the dispatching call.
+    # the CLI, or locally with a scope.  Spans nest parent/child, one
+    # tree per driving thread.
     with tracing_scope():
         with span("quickstart.traced", step=9):
             db.session().execute("RA UNION RB BY (rname)")
@@ -285,16 +268,14 @@ def main() -> None:
     #            approximation.
     #   DETERM   no unordered-set iteration flows into returned or
     #            serialized order, and nothing time- or random-derived
-    #            reaches plan fingerprints -- the executor-equivalence
-    #            suite (PR 4, tests/exec/) asserts any executor at any
-    #            partition count reproduces the serial tuple order
-    #            bit-for-bit, which only holds if no code path depends
-    #            on PYTHONHASHSEED.
-    #   CONC     module-level mutable state written from
-    #            executor-reachable code must be locked or thread-local
-    #            (the kernel/exec STATS counters aggregate thread-local
-    #            cells), and process-pool closures must not capture
-    #            file handles, sqlite connections or locks across fork.
+    #            reaches plan fingerprints -- the golden digests
+    #            (tests/storage/test_golden_query.py and friends) pin
+    #            tuple order bit-for-bit, which only holds if no code
+    #            path depends on PYTHONHASHSEED.
+    #   CONC     module-level mutable state written from a function
+    #            must be locked or thread-local (the kernel's STATS
+    #            counters aggregate thread-local cells), since callers
+    #            may drive the library from several threads.
     #   BACKEND  every StorageBackend engine implements the full
     #            abstract surface, and every mutating save/delete hook
     #            bumps catalog_version -- the invariants behind the PR 5

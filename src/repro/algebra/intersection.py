@@ -16,16 +16,10 @@ cannot match anything.
 
 from __future__ import annotations
 
-from repro.exec.executors import partition_count
 from repro.model.etuple import ExtendedTuple
 from repro.model.relation import ExtendedRelation
 from repro.errors import OperationError
-from repro.algebra.union import (
-    CONFLICT_POLICIES,
-    UnionReport,
-    _merge_pair,
-    _merge_partitioned,
-)
+from repro.algebra.union import CONFLICT_POLICIES, UnionReport, _merge_pair
 
 
 def intersection(
@@ -60,13 +54,7 @@ def intersection_with_report(
     name: str | None = None,
     on_conflict: str = "raise",
 ) -> tuple[ExtendedRelation, UnionReport]:
-    """Extended intersection plus the conflict report.
-
-    Like the union, the matched-entity work shards into per-entity
-    partition tasks under a parallel executor (see
-    :func:`repro.algebra.union._merge_partitioned`); the serial result
-    is reproduced exactly either way.
-    """
+    """Extended intersection plus the conflict report."""
     if on_conflict not in CONFLICT_POLICIES:
         raise OperationError(
             f"on_conflict must be one of {CONFLICT_POLICIES}, got {on_conflict!r}"
@@ -75,22 +63,6 @@ def intersection_with_report(
     schema = left.schema.with_name(
         name if name is not None else f"{left.name}_intersect_{right.name}"
     )
-    n = partition_count(len(left) + len(right))
-    if n <= 1:
-        return _intersection_serial(left, right, schema, on_conflict)
-    return _merge_partitioned(
-        left, right, schema, on_conflict, n, _intersection_serial,
-        keep_unmatched=False,
-    )
-
-
-def _intersection_serial(
-    left: ExtendedRelation,
-    right: ExtendedRelation,
-    schema,
-    on_conflict: str,
-) -> tuple[ExtendedRelation, UnionReport]:
-    """The single-loop intersection core (also the per-partition body)."""
     report = UnionReport()
     merged_tuples: list[ExtendedTuple] = []
     for l_tuple in left:

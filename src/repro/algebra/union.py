@@ -28,13 +28,6 @@ the data administrators".  Three policies implement that action:
 
 :func:`union_with_report` additionally returns a :class:`UnionReport`
 with per-attribute conflict measures for the data administrator.
-
-The merge decomposes per entity (matching is on the definite key), so
-under a parallel executor (:mod:`repro.exec`) the loop shards into
-per-entity partition tasks via :func:`_merge_partitioned` -- both
-relations hash-partition on the key, each shard merges independently,
-and reassembly walks the serial iteration order, reproducing the serial
-relation, report and first-conflict error exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ from dataclasses import dataclass, field
 from repro.errors import TotalConflictError
 from repro.ds.combination import combine_with_conflict
 from repro.ds.mass import Numeric
-from repro.exec.executors import get_executor, partition_count
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
@@ -138,21 +130,6 @@ def union_with_report(
     schema = left.schema.with_name(
         name if name is not None else f"{left.name}_union_{right.name}"
     )
-    n = partition_count(len(left) + len(right))
-    if n <= 1:
-        return _union_serial(left, right, schema, on_conflict)
-    return _merge_partitioned(
-        left, right, schema, on_conflict, n, _union_serial, keep_unmatched=True
-    )
-
-
-def _union_serial(
-    left: ExtendedRelation,
-    right: ExtendedRelation,
-    schema,
-    on_conflict: str,
-) -> tuple[ExtendedRelation, UnionReport]:
-    """The single-loop union core (also the per-partition task body)."""
     report = UnionReport()
     merged_tuples: list[ExtendedTuple] = []
 
@@ -175,91 +152,6 @@ def _union_serial(
         if key not in left:
             report.right_only.append(key)
             merged_tuples.append(rebuilt(r_tuple))
-    return (
-        ExtendedRelation(schema, merged_tuples, on_unsupported="drop"),
-        report,
-    )
-
-
-def _merge_shard(common, pair):
-    """One shard of a partitioned merge (module-level: pool-shippable).
-
-    *common* is the per-batch constant ``(serial_core, schema,
-    on_conflict)``; total-conflict errors return as data so the
-    coordinator can pick the serial-order winner across shards.
-    """
-    serial_core, schema, on_conflict = common
-    try:
-        return serial_core(pair[0], pair[1], schema, on_conflict), None
-    except TotalConflictError as exc:
-        return None, exc
-
-
-def _merge_partitioned(
-    left: ExtendedRelation,
-    right: ExtendedRelation,
-    schema,
-    on_conflict: str,
-    n: int,
-    serial_core,
-    keep_unmatched: bool,
-) -> tuple[ExtendedRelation, UnionReport]:
-    """Shard a key-matched merge into per-entity partition tasks.
-
-    Both relations are hash-partitioned on the shared key, so each
-    entity's tuples land in the same shard and *serial_core* (the union
-    or intersection loop) runs per shard.  Reassembly walks the input
-    relations in their serial iteration order, so the merged relation
-    and every report list are identical to the serial result --
-    including which :class:`TotalConflictError` fires first under the
-    ``raise`` policy (errors are collected per shard and the one whose
-    entity comes earliest in left-iteration order wins).
-    """
-    pairs = list(zip(left.partitions(n), right.partitions(n)))
-    outcomes = get_executor().map(
-        _merge_shard, (serial_core, schema, on_conflict), pairs
-    )
-    errors = [exc for _, exc in outcomes if exc is not None]
-    if errors:
-        position = {key: index for index, key in enumerate(left.keys())}
-        fallback = len(position)
-        raise min(
-            errors,
-            key=lambda exc: position.get(
-                getattr(exc, "entity_key", None), fallback
-            ),
-        )
-
-    merged_by_key: dict[tuple, ExtendedTuple] = {}
-    conflicts_by_key: dict[tuple, list[ConflictRecord]] = {}
-    dropped: set[tuple] = set()
-    for (relation_part, report_part), _ in outcomes:
-        for etuple in relation_part:
-            merged_by_key[etuple.key()] = etuple
-        for record in report_part.conflicts:
-            conflicts_by_key.setdefault(record.key, []).append(record)
-        dropped.update(report_part.dropped)
-
-    report = UnionReport()
-    merged_tuples: list[ExtendedTuple] = []
-    for key in left.keys():
-        if key in right:
-            report.matched.append(key)
-            report.conflicts.extend(conflicts_by_key.get(key, ()))
-            if key in dropped:
-                report.dropped.append(key)
-        else:
-            report.left_only.append(key)
-        etuple = merged_by_key.get(key)
-        if etuple is not None:
-            merged_tuples.append(etuple)
-    for key in right.keys():
-        if key not in left:
-            report.right_only.append(key)
-            if keep_unmatched:
-                etuple = merged_by_key.get(key)
-                if etuple is not None:
-                    merged_tuples.append(etuple)
     return (
         ExtendedRelation(schema, merged_tuples, on_unsupported="drop"),
         report,
@@ -289,16 +181,12 @@ def _merge_pair(
             )
         if combined is None:
             if on_conflict == "raise":
-                error = TotalConflictError(
+                raise TotalConflictError(
                     f"total conflict on attribute {attr_name!r} of tuple "
                     f"{key!r}: "
                     f"{l_tuple.evidence(attr_name).format()} vs "
                     f"{r_tuple.evidence(attr_name).format()}"
                 )
-                # Which entity conflicted; partitioned merges use this
-                # to re-raise the serial-order-first error.
-                error.entity_key = key
-                raise error
             if on_conflict == "vacuous" and attribute.uncertain:
                 domain = attribute.domain
                 values[attr_name] = EvidenceSet.vacuous(domain)
@@ -313,12 +201,10 @@ def _merge_pair(
     if membership is None:
         report.conflicts.append(ConflictRecord(key, "(sn,sp)", membership_kappa, True))
         if on_conflict == "raise":
-            error = TotalConflictError(
+            raise TotalConflictError(
                 f"total conflict on membership of tuple {key!r}: "
                 f"{l_tuple.membership.format()} vs {r_tuple.membership.format()}"
             )
-            error.entity_key = key
-            raise error
         report.dropped.append(key)
         return None
     if membership_kappa != 0:

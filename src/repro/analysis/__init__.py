@@ -15,7 +15,7 @@ provides both endpoints:
 It also hosts :mod:`repro.analysis.lint` (reprolint), the repo's own
 invariant-enforcing static analyzer -- ``python -m repro.analysis``
 checks the source tree for exactness (EXACT), determinism (DETERM),
-thread/fork-safety (CONC) and storage-contract (BACKEND) violations.
+thread-safety (CONC) and storage-contract (BACKEND) violations.
 """
 
 from repro.analysis.decisions import CrispRow, DecisionPolicy, decide

@@ -2,9 +2,9 @@
 
 The library's correctness rests on invariants the paper's algebra
 demands but Python does not enforce: exact Fraction arithmetic on mass
-values, deterministic (serial-order, bit-for-bit) results across every
-executor and partition count, thread/fork safety of everything an
-executor can reach, and the ``StorageBackend`` contract.  The property
+values, deterministic (serial-order, bit-for-bit) results, thread
+safety of shared module-level state, and the ``StorageBackend``
+contract.  The property
 suites check these after the fact; this package checks them at the
 source level, before a violation ships:
 

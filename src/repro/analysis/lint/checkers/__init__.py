@@ -5,7 +5,7 @@
 * :class:`~repro.analysis.lint.checkers.determ.DetermChecker` -- DETERM:
   serial-order, bit-for-bit deterministic output;
 * :class:`~repro.analysis.lint.checkers.conc.ConcChecker` -- CONC:
-  thread/fork safety of executor-reachable code;
+  thread safety of shared module-level state;
 * :class:`~repro.analysis.lint.checkers.backend.BackendChecker` --
   BACKEND: the ``StorageBackend`` contract;
 * :class:`~repro.analysis.lint.checkers.obs.ObsChecker` -- OBS:

@@ -1,9 +1,10 @@
-"""CONC: fork/thread-safety of executor-reachable code.
+"""CONC: thread-safety of shared library code.
 
-The physical layer (:mod:`repro.exec`) ships partition tasks to a warm
-``fork`` process pool, and callers may drive it from several threads,
-so any module a task can reach is concurrent code whether it planned to
-be or not.  Three rules:
+Callers may drive the library from several threads at once (an
+application can run integrations and queries concurrently), so any
+module-level state the evidence kernel, algebra, integration, stream,
+storage or telemetry layers touch is concurrent whether it planned to
+be or not.  One rule:
 
 * **CONC001** -- a module-level mutable global (a container literal or
   constructed instance) written from inside a function without holding a
@@ -14,28 +15,6 @@ be or not.  Three rules:
   ``threading.Lock()`` global, or any name containing ``lock``) are
   considered guarded; ``threading.local()`` instances are thread-private
   by construction and exempt.
-* **CONC002** -- a closure captured into a process-pool task while
-  holding a fork-unsafe resource: a nested def/lambda that references an
-  enclosing variable bound from ``open(...)``, ``sqlite3.connect(...)``
-  or a ``threading`` lock (by assignment or as a ``with ... as`` target),
-  passed to ``.submit``/``.map``/``.apply_async``/``.imap*`` -- or to
-  the *long-lived* warm-pool dispatch ``.submit_batch``
-  (:mod:`repro.exec.warmpool`), where the hazard is worse: the workers
-  were forked long before the capture, so any handle state is stale in
-  the worker by construction, not merely racy.  Keyword arguments are
-  scanned as well as positional ones.  File offsets, sqlite connections
-  and held locks do not survive ``fork`` -- the child inherits corrupt
-  state.
-* **CONC003** -- a closure capturing a **socket** (``socket.socket``,
-  ``socket.create_connection``, ``socketpair``) shipped through an
-  encoded batch dispatch: the warm pool's ``.submit_batch`` or the
-  executor's three-operand ``.map(fn, common, items)``.  Those
-  dispatches cross the warm pool's process boundary by pickling the
-  task, and sockets do not pickle at all: the capture is a guaranteed
-  runtime failure (or a silent inline fallback), not merely a race.
-  Plain ``.submit`` and two-operand ``.map(fn, items)`` dispatches are
-  deliberately out of scope: a thread pool shares the address space,
-  where handing a socket to a task is legitimate.
 """
 
 from __future__ import annotations
@@ -69,39 +48,6 @@ _MUTATING_METHODS = {
     "setdefault",
     "update",
 }
-#: Pool-dispatch method names.  ``submit_batch`` is the warm persistent
-#: pool's entry point (repro.exec.warmpool): its submissions outlive any
-#: batch, so a captured handle is stale in the long-ago-forked worker by
-#: construction.
-_POOL_DISPATCH = {
-    "submit",
-    "map",
-    "apply",
-    "apply_async",
-    "imap",
-    "imap_unordered",
-    "submit_batch",
-}
-_FORK_UNSAFE_CONSTRUCTORS = {"open", "sqlite3.connect", "connect"}
-#: Socket constructors (CONC003).  ``socket.socket`` and a bare
-#: ``socket(...)`` both end in ``socket``; ``create_connection`` and
-#: ``socketpair`` are the stdlib's other two ways to mint one.
-_SOCKET_CONSTRUCTORS = {"socket", "create_connection", "socketpair"}
-
-
-def _is_wire_dispatch(call: ast.Call) -> bool:
-    """Whether *call* pickles its task across the warm pool's process
-    boundary -- where a captured socket is a guaranteed failure rather
-    than a race: ``submit_batch``, and ``map`` in its three-operand
-    ``(fn, common, items)`` executor form."""
-    if call.func.attr == "submit_batch":
-        return True
-    return call.func.attr == "map" and (
-        len(call.args) == 3
-        or any(keyword.arg == "common" for keyword in call.keywords)
-    )
-
-
 def _call_tail(node: ast.AST) -> str | None:
     """The last identifier of a called Name/Attribute (``threading.Lock``
     -> ``Lock``), or ``None``."""
@@ -189,7 +135,7 @@ class _ConcVisitor(ScopedVisitor):
             "CONC001",
             node,
             f"unsynchronized {what} of module-level mutable global "
-            f"{name!r} from executor-reachable code; guard with a lock "
+            f"{name!r} from a function; guard with a lock "
             f"or use thread-local counters",
             f"global-write:{name}",
         )
@@ -238,167 +184,8 @@ class _ConcVisitor(ScopedVisitor):
         self.generic_visit(node)
 
 
-class _ForkCaptureVisitor(ScopedVisitor):
-    """CONC002: per-function scan for fork-unsafe closure captures."""
-
-    def visit_FunctionDef(self, node):
-        self._scan_function(node)
-        super().visit_FunctionDef(node)
-
-    def visit_AsyncFunctionDef(self, node):
-        self._scan_function(node)
-        super().visit_AsyncFunctionDef(node)
-
-    @staticmethod
-    def _scope_nodes(func: ast.AST):
-        """Walk *func*'s own scope: stop at nested def/lambda boundaries."""
-        stack = list(ast.iter_child_nodes(func))
-        while stack:
-            node = stack.pop()
-            yield node
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _risky_origin(value: ast.AST) -> str | None:
-        """The constructor name when *value* builds a fork-unsafe handle."""
-        if not isinstance(value, ast.Call):
-            return None
-        name = dotted_name(value.func)
-        tail = name.split(".")[-1] if name else None
-        if (
-            name in _FORK_UNSAFE_CONSTRUCTORS
-            or tail in _FORK_UNSAFE_CONSTRUCTORS
-            or tail in _LOCK_CONSTRUCTORS
-        ):
-            return name or tail or "?"
-        return None
-
-    @staticmethod
-    def _socket_origin(value: ast.AST) -> str | None:
-        """The constructor name when *value* builds a socket (CONC003)."""
-        if not isinstance(value, ast.Call):
-            return None
-        name = dotted_name(value.func)
-        tail = name.split(".")[-1] if name else None
-        if tail in _SOCKET_CONSTRUCTORS:
-            return name or tail or "?"
-        return None
-
-    def _scan_function(self, func: ast.AST) -> None:
-        scope = list(self._scope_nodes(func))
-        risky: dict[str, str] = {}
-        sockets: dict[str, str] = {}
-        for statement in scope:
-            if isinstance(statement, ast.Assign):
-                for target in statement.targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    socket_origin = self._socket_origin(statement.value)
-                    if socket_origin is not None:
-                        sockets[target.id] = socket_origin
-                        continue
-                    origin = self._risky_origin(statement.value)
-                    if origin is not None:
-                        risky[target.id] = origin
-            elif isinstance(statement, (ast.With, ast.AsyncWith)):
-                # `with open(...) as handle:` binds the same fork-unsafe
-                # resource as an assignment would.
-                for item in statement.items:
-                    if not isinstance(item.optional_vars, ast.Name):
-                        continue
-                    socket_origin = self._socket_origin(item.context_expr)
-                    if socket_origin is not None:
-                        sockets[item.optional_vars.id] = socket_origin
-                        continue
-                    origin = self._risky_origin(item.context_expr)
-                    if origin is not None:
-                        risky[item.optional_vars.id] = origin
-        if not risky and not sockets:
-            return
-        tainted = {**risky, **sockets}
-        closures: dict[str, tuple[ast.AST, set[str]]] = {}
-        for inner in scope:
-            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                captured = {
-                    leaf.id
-                    for leaf in ast.walk(inner)
-                    if isinstance(leaf, ast.Name) and leaf.id in tainted
-                }
-                if captured:
-                    closures[inner.name] = (inner, captured)
-        for call in scope:
-            if not (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr in _POOL_DISPATCH
-            ):
-                continue
-            operands = list(call.args) + [
-                keyword.value for keyword in call.keywords
-            ]
-            for arg in operands:
-                if isinstance(arg, ast.Name) and arg.id in closures:
-                    _inner, captured = closures[arg.id]
-                    self._report_capture(call, arg.id, captured, risky, sockets)
-                elif isinstance(arg, ast.Lambda):
-                    captured = {
-                        leaf.id
-                        for leaf in ast.walk(arg)
-                        if isinstance(leaf, ast.Name) and leaf.id in tainted
-                    }
-                    if captured:
-                        self._report_capture(
-                            call, "<lambda>", captured, risky, sockets
-                        )
-
-    def _report_capture(
-        self,
-        call: ast.Call,
-        closure_name: str,
-        captured: set[str],
-        risky: dict[str, str],
-        sockets: dict[str, str],
-    ) -> None:
-        """One dispatch of one closure: emit CONC002 and/or CONC003."""
-        label = (
-            f"closure {closure_name!r}" if closure_name != "<lambda>"
-            else "lambda"
-        )
-        fork_unsafe = sorted(name for name in captured if name in risky)
-        if fork_unsafe:
-            resources = ", ".join(
-                f"{name} (from {risky[name]})" for name in fork_unsafe
-            )
-            self.report(
-                "CONC002",
-                call,
-                f"{label} captures fork-unsafe resource(s) {resources} "
-                f"and is dispatched to a worker pool; pass paths/keys "
-                f"and reopen in the task instead",
-                f"fork-capture:{closure_name}",
-            )
-        captured_sockets = sorted(name for name in captured if name in sockets)
-        if captured_sockets and _is_wire_dispatch(call):
-            resources = ", ".join(
-                f"{name} (from {sockets[name]})" for name in captured_sockets
-            )
-            self.report(
-                "CONC003",
-                call,
-                f"{label} captures socket(s) {resources} and is shipped "
-                f"through .{call.func.attr}(), which pickles the task "
-                f"across a process boundary; sockets never "
-                f"survive that hop -- pass the address and connect "
-                f"inside the task instead",
-                f"socket-capture:{closure_name}",
-            )
-
-
 class ConcChecker(Checker):
-    """Unsynchronized global writes and fork-unsafe pool captures."""
+    """Unsynchronized writes to module-level mutable globals."""
 
     name = "conc"
     paths = (
@@ -412,18 +199,12 @@ class ConcChecker(Checker):
     )
     rules = {
         "CONC001": "unsynchronized write to a module-level mutable global",
-        "CONC002": "fork-unsafe resource captured into a pool task",
-        "CONC003": "socket captured into a wire-shipped batch task",
     }
 
     def check(self, module: Module) -> list[Finding]:
         globals_ = _ModuleGlobals(module.tree)
-        findings: list[Finding] = []
-        if globals_.mutable:
-            visitor = _ConcVisitor(module, globals_)
-            visitor.visit(module.tree)
-            findings.extend(visitor.findings)
-        captures = _ForkCaptureVisitor(module)
-        captures.visit(module.tree)
-        findings.extend(captures.findings)
-        return findings
+        if not globals_.mutable:
+            return []
+        visitor = _ConcVisitor(module, globals_)
+        visitor.visit(module.tree)
+        return visitor.findings

@@ -1,10 +1,9 @@
 """DETERM: serial-order, bit-for-bit determinism of observable output.
 
-The PR 4 equivalence contract -- any executor x any partition count
-reproduces the serial result *exactly* -- and the PR 5 storage contract
--- ``load(save(x))`` is bit-for-bit -- both die the moment an output
-order rides on Python ``set`` iteration (hash-seed dependent across
-processes) or on wall-clock/randomness.  Two rules:
+Repeated runs reproduce the same result *exactly* (golden digests pin
+it), and ``load(save(x))`` is bit-for-bit; both die the moment an
+output order rides on Python ``set`` iteration (hash-seed dependent
+across processes) or on wall-clock/randomness.  Two rules:
 
 * **DETERM001** -- iterating a set (a ``set``/``frozenset`` literal,
   constructor call, set operator expression, or a local/`self.`

@@ -37,9 +37,8 @@ else JSON).
     (per-node wall times and row counts, see
     :meth:`repro.session.Session.explain_analyze`), ``:stats`` the
     session counters plus the evidence-kernel counters
-    (:mod:`repro.ds.kernel`), the physical executor / partition
-    configuration and fan-out counters (:mod:`repro.exec`), the storage
-    backend and the full metrics registry (:mod:`repro.obs`),
+    (:mod:`repro.ds.kernel`), the storage backend and the full metrics
+    registry (:mod:`repro.obs`),
     ``:tables`` the catalog, ``:open URL`` switches to another
     database, ``:persist`` writes the catalog back through the attached
     backend, and ``:quit`` (or EOF) exits.  ``--trace-out FILE``
@@ -50,20 +49,22 @@ else JSON).
     Dump the process metrics registry (:mod:`repro.obs`) -- as a human
     table, ``--json``, or ``--prometheus`` text exposition.  With a
     database and ``--query Q`` (repeatable), runs the queries first so
-    their kernel/executor/session activity shows in the dump.
+    their kernel/session activity shows in the dump.
 
 ``repro stream DB EVENTS --schema REL``
     Replay a JSONL event file (see :mod:`repro.stream.connectors`)
     through a :class:`repro.stream.StreamEngine` using REL's schema,
     publish the integrated relation into the catalog, and report
-    throughput, the evidence combination count and the
-    per-batch changelog.  ``--workers N`` fans the flush re-folds out
-    over N warm pool processes (:mod:`repro.exec`; ``--executor
-    serial|process`` picks the executor explicitly);
-    ``--durable URL`` journals every flushed batch through a storage
-    backend (a ``log:`` URL gives write-ahead recovery); ``--save OUT``
-    persists the resulting database, ``--show`` prints the integrated
-    table, ``--trace-out FILE`` traces the replay into FILE as JSONL.
+    throughput, the evidence combination count and the per-batch
+    changelog.  ``--durable URL`` journals every flushed batch through a
+    storage backend (a ``log:`` URL gives write-ahead recovery);
+    ``--save OUT`` persists the resulting database, ``--show`` prints
+    the integrated table, ``--trace-out FILE`` traces the replay into
+    FILE as JSONL.
+
+Every command runs serially in this process.  Environment variables
+of removed execution features (:data:`REMOVED_ENV`) are refused with a
+:class:`repro.errors.ConfigError` naming the variable.
 
 Exit status: 0 on success, 1 on any :class:`repro.errors.ReproError`
 (message on stderr), 2 on usage errors.
@@ -72,11 +73,12 @@ Exit status: 0 on success, 1 on any :class:`repro.errors.ReproError`
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from contextlib import contextmanager
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.storage.backends import (
     open_backend,
     open_database,
@@ -84,6 +86,29 @@ from repro.storage.backends import (
 )
 from repro.storage.database import Database
 from repro.storage.formatting import format_relation
+
+#: Environment variables of removed features: the executor, worker and
+#: partition settings of the deleted process pool, and the remote tier
+#: and warm-pool switches removed before it.
+REMOVED_ENV = (
+    "REPRO_EXECUTOR",
+    "REPRO_WORKERS",
+    "REPRO_PARTITIONS",
+    "REPRO_WORKERS_ADDRS",
+    "REPRO_REMOTE_THRESHOLD",
+    "REPRO_REMOTE_LOCALITY",
+    "REPRO_WARM_POOL",
+)
+
+
+def _refuse_removed_settings() -> None:
+    """Raise :class:`ConfigError` if a removed feature's variable is set."""
+    for name in REMOVED_ENV:
+        if os.environ.get(name, "").strip():
+            raise ConfigError(
+                f"{name} configures a removed feature (execution is "
+                f"serial only); unset it"
+            )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,20 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["raise", "vacuous", "drop"],
         default="vacuous",
         help="total-conflict policy (default: vacuous)",
-    )
-    stream.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan flush re-folds out over N workers (implies the process "
-        "executor unless --executor says otherwise)",
-    )
-    stream.add_argument(
-        "--executor",
-        choices=["serial", "process"],
-        default=None,
-        help="physical executor (default: REPRO_EXECUTOR or serial)",
     )
     stream.add_argument(
         "--durable",
@@ -440,13 +451,10 @@ def _command_repl(args: argparse.Namespace, out) -> int:
             try:
                 if text == ":stats":
                     from repro.ds.kernel import kernel_stats
-                    from repro.exec import current_config, exec_stats
                     from repro.obs import registry
 
                     print(session.stats().summary(), file=out)
                     print(kernel_stats().summary(), file=out)
-                    print(current_config().describe(), file=out)
-                    print(exec_stats().summary(), file=out)
                     backend = db.backend
                     print(
                         backend.describe()
@@ -500,15 +508,9 @@ def _command_repl(args: argparse.Namespace, out) -> int:
 def _command_stream(args: argparse.Namespace, out) -> int:
     import time
 
-    from repro.exec import configure, current_config, exec_stats
     from repro.integration.merging import TupleMerger
     from repro.stream import StreamEngine, read_events, replay
 
-    if args.executor is not None or args.workers is not None:
-        kind = args.executor
-        if kind is None and args.workers and args.workers > 1:
-            kind = "process"
-        configure(executor=kind, workers=args.workers)
     db = open_database(args.database)
     durable = open_backend(args.durable) if args.durable else None
     try:
@@ -544,10 +546,6 @@ def _command_stream(args: argparse.Namespace, out) -> int:
         stats = engine.stats()
         print(
             f"evidence combinations: {stats.kernel_combinations}",
-            file=out,
-        )
-        print(
-            f"{current_config().describe()}; {exec_stats().summary()}",
             file=out,
         )
         if durable is not None:
@@ -629,6 +627,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "stream": _command_stream,
     }
     try:
+        _refuse_removed_settings()
         return handlers[args.command](args, out)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Thread-safe process-wide counters for hot-path observability.
 
-The library keeps two process-wide counter objects -- the evidence
-kernel's :data:`repro.ds.kernel.STATS` and the physical layer's
-:data:`repro.exec.executors.STATS` -- that are bumped from whichever
-threads drive the library (an application may run integrations and
-queries on several threads at once).  A plain ``obj.field += 1``
+The library keeps process-wide counters -- the evidence kernel's
+:data:`repro.ds.kernel.STATS` and the metrics registry's instruments
+(:mod:`repro.obs.registry`) -- that are bumped from whichever threads
+drive the library (an application may run integrations and queries on
+several threads at once).  A plain ``obj.field += 1``
 is a read-modify-write and loses updates under concurrency, so exact
 counts -- which the regression tests assert -- cannot ride on bare
 attributes.
@@ -12,8 +12,7 @@ attributes.
 :class:`ThreadLocalCounters` makes the increment side lock-free: every
 thread bumps its own private cell, so the hot path never contends, and
 reads aggregate the cells under a registry lock.  A count observed
-*after* the bumping threads have been joined (or after an
-``Executor.map`` batch returned, which implies completion) is exact.
+*after* the bumping threads have been joined is exact.
 Reads that overlap live bumping see a momentarily stale but
 monotonically catching-up total -- the right trade-off for statistics
 counters on a hot path.
@@ -31,9 +30,8 @@ class ThreadLocalCounters:
     thread's private cell; :meth:`total`/:meth:`totals` aggregate every
     cell under the registry lock.  Cells are registered once per
     ``(thread, instance)`` pair and survive thread exit (totals must not
-    drop contributions of finished workers), so memory is bounded by the
-    number of distinct threads that ever bumped -- in practice the
-    executor pool size.
+    drop contributions of finished threads), so memory is bounded by the
+    number of distinct threads that ever bumped.
     """
 
     __slots__ = ("_fields", "_lock", "_cells", "_local")

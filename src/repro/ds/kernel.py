@@ -108,7 +108,7 @@ class KernelStats:
 
 
 class LiveKernelStats:
-    """The process-wide counters, safe to bump from executor workers.
+    """The process-wide counters, safe to bump from any thread.
 
     Combination and compilation may run on several caller threads at
     once, so increments go through
@@ -344,9 +344,9 @@ class InternedFrame:
 #: Bounded: interning is a cache, not an identity requirement (bit order
 #: is a pure function of the values, and :func:`align` compares layouts,
 #: not table identity), so clearing it is always safe.
-#: Writes are guarded by :data:`_INTERN_LOCK`: compilation runs inside
-#: executor worker threads, and the evict-then-insert sequence must not
-#: interleave.
+#: Writes are guarded by :data:`_INTERN_LOCK`: compilation may run on
+#: several caller threads at once, and the evict-then-insert sequence
+#: must not interleave.
 _INTERNED: dict[tuple | frozenset, InternedFrame] = {}
 _INTERN_LIMIT = 4096
 _INTERN_LOCK = threading.Lock()

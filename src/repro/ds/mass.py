@@ -514,10 +514,9 @@ class MassFunction:
         """Rebuild from pickled state without re-validating.
 
         The state came out of a live instance's :meth:`__reduce__`, so
-        the masses are already coerced, canonicalized and total-checked
-        -- repeating that work made unpickling ~5x slower than the
-        pickle itself, which dominated the cost of shipping evidence
-        batches to process-pool workers (:mod:`repro.exec.warmpool`).
+        the masses are already coerced, canonicalized and total-checked;
+        repeating that work would make unpickling and ``copy.deepcopy``
+        several times slower than the pickle itself.
         """
         self = object.__new__(cls)
         self._masses = masses
@@ -528,8 +527,8 @@ class MassFunction:
     def __reduce__(self):
         # Pickle/deepcopy through _from_state: the values were validated
         # at construction, and the compiled kernel form (interned frame,
-        # masks) is a cache, re-derived on demand, that must not be
-        # duplicated into the serialized state.
+        # masks) is a process-local cache, re-derived on demand, that
+        # must not be duplicated into the serialized state.
         return (MassFunction._from_state, (dict(self._mass_dict()), self._frame))
 
     def __repr__(self) -> str:

@@ -135,22 +135,19 @@ class PlanError(QueryError):
 
 
 class ExecutionError(ReproError):
-    """The physical execution layer was misconfigured (unknown executor
-    kind, invalid worker or partition count)."""
+    """The physical execution layer failed or was misconfigured."""
 
 
 class ConfigError(ExecutionError):
-    """An execution-layer configuration value is invalid.
+    """A configuration setting is invalid or names a removed feature.
 
-    Raised by :func:`repro.exec.configure` and the ``REPRO_EXECUTOR`` /
-    ``REPRO_WORKERS`` / ``REPRO_PARTITIONS`` environment parsing.  The
-    message names the accepted values (``serial|process``) so an
-    operator sees the fix, not just the failure.  Naming a removed
-    executor tier (``thread``, ``auto``, ``remote``) or setting a
-    variable of a removed feature (``REPRO_WORKERS_ADDRS``,
-    ``REPRO_REMOTE_THRESHOLD``, ``REPRO_REMOTE_LOCALITY``,
-    ``REPRO_WARM_POOL``) raises it too, with a message saying so.
-    Subclasses :class:`ExecutionError`, so existing handlers keep working.
+    The CLI raises it (exit status 1) when the environment sets a
+    variable of a removed feature -- the executor and partitioning
+    settings, the remote tier's addresses and thresholds, the
+    warm-pool switch -- and the message names the variable.  Execution
+    is serial only, so silently ignoring such a setting would run a
+    different setup than the operator asked for.  Subclasses
+    :class:`ExecutionError`, so existing handlers keep working.
     """
 
 

@@ -7,13 +7,10 @@ a physical operator that evaluates the node and wraps it in a
 
 * ``Scan`` / ``Literal`` -- catalog lookup / in-memory relation.
 * ``Select`` / ``Project`` / ``Rename`` / ``Product`` -- evaluated in
-  one pass.  Their per-tuple work is too cheap to repay shipping plans
-  and shards to worker processes.
+  one pass.
 * ``Union`` / ``Intersect`` -- delegated to the algebra's per-entity
   merge (:func:`repro.algebra.union.union_with_report` /
-  :func:`repro.algebra.intersection.intersection_with_report`), which
-  shards matched-entity work itself through the configured executor
-  and reassembles it in the exact serial order.
+  :func:`repro.algebra.intersection.intersection_with_report`).
 
 Entry points: :func:`run_plan` executes a whole plan tree (what
 :meth:`repro.query.plans.Plan.execute` delegates to), and
@@ -47,8 +44,8 @@ _OPERATORS: dict[type, tuple[str, str]] = {
     SelectPlan: ("select", "tuple-wise, one pass"),
     ProjectPlan: ("project", "tuple-wise, one pass"),
     RenamePlan: ("rename", "tuple-wise, one pass"),
-    UnionPlan: ("union", "per-entity merge tasks (in algebra.union)"),
-    IntersectPlan: ("intersect", "per-entity merge tasks (in algebra.union)"),
+    UnionPlan: ("union", "per-entity merge (in algebra.union)"),
+    IntersectPlan: ("intersect", "per-entity merge (in algebra.union)"),
     ProductPlan: ("product", "left-major nested loop"),
 }
 

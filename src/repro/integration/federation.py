@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrationError, TotalConflictError
-from repro.exec.executors import get_executor, partition_count
 from repro.model.relation import ExtendedRelation
 from repro.integration.merging import MergeReport, TupleMerger
 from repro.integration.pipeline import _discount_relation, coerce_reliability
@@ -93,84 +92,6 @@ def _tree_fold(
     return layer[0][1], steps
 
 
-def _integrate_shard(common, row):
-    """Fold one shard row: the per-partition task of the sharded fold.
-
-    Module-level and fully picklable so the batch can ship through
-    :meth:`Executor.map` to the warm process pool.  *common* is the
-    per-batch constant ``(merger, name, metas)`` where ``metas`` pairs
-    each source's name with its reliability, aligned with *row*'s
-    shards.  Returns ``((relation, steps), survivors, error)`` with
-    *error* carrying a mid-fold :class:`TotalConflictError` instead of
-    raising it, so which shard conflicts first stays
-    executor-independent.
-    """
-    merger, name, metas = common
-    layer = []
-    survivors = []
-    for (source_name, reliability), shard in zip(metas, row):
-        relation = (
-            shard
-            if reliability == 1
-            else _discount_relation(shard, reliability)
-        )
-        layer.append((source_name, relation))
-        survivors.append(frozenset(relation.keys()))
-    try:
-        relation, steps = _tree_fold(merger, layer, name)
-    except TotalConflictError as exc:
-        return None, survivors, exc
-    return (relation, steps), survivors, None
-
-
-def _integrate_entity(common, key):
-    """One point merge: the per-key task of ``integrate_entities``.
-
-    *common* is ``(federation, name)``; the federation (merger plus
-    sources) pickles once per batch, and the pool ships the keys in
-    contiguous chunks.
-    """
-    federation, name = common
-    return federation.integrate_entity(key, name=name)
-
-
-def _serial_fold_order(
-    source_orders: list[list[tuple]], dropped_per_step: list[set]
-) -> list[tuple]:
-    """Replay the tree fold over key sequences to recover serial order.
-
-    Each :meth:`TupleMerger.merge` step orders its output as: matched
-    tuples in left-iteration order (minus the keys that step dropped on
-    total conflict), then left-only tuples in left order, then
-    right-only tuples in right order.  Survival is per-entity, so the
-    key-level replay (fed with each step's actual dropped set from the
-    shard reports) reproduces the serial fold's final tuple order
-    without re-merging anything.
-    """
-    layer = [list(keys) for keys in source_orders]
-    step = 0
-    while len(layer) > 1:
-        merged_layer = []
-        for i in range(0, len(layer) - 1, 2):
-            left_keys, right_keys = layer[i], layer[i + 1]
-            dropped = dropped_per_step[step]
-            step += 1
-            left_set = set(left_keys)
-            right_set = set(right_keys)
-            out = [
-                key
-                for key in left_keys
-                if key in right_set and key not in dropped
-            ]
-            out.extend(key for key in left_keys if key not in right_set)
-            out.extend(key for key in right_keys if key not in left_set)
-            merged_layer.append(out)
-        if len(layer) % 2:
-            merged_layer.append(layer[-1])
-        layer = merged_layer
-    return layer[0]
-
-
 class Federation:
     """An n-way integration over union-compatible sources.
 
@@ -214,32 +135,9 @@ class Federation:
         the labels of the two operands being merged, so the
         administrator learns *which* sources (or merged groups of
         sources) were irreconcilable.
-
-        Under a parallel executor (:mod:`repro.exec`) the fold shards by
-        entity key: every source is hash-partitioned with the same
-        partition count, each shard runs the identical balanced-tree
-        fold over its slice of every source, and the shard results
-        reassemble into the exact serial relation -- same tuples, same
-        order (recovered by replaying the fold over key sequences),
-        same exact masses.  Per-step reports aggregate shard reports;
-        their *counts* match the serial fold exactly, while the order of
-        entries within a step's lists follows shard order.
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
-        n = (
-            partition_count(
-                max(len(source.relation) for source in self._sources)
-            )
-            if len(self._sources) > 1
-            else 1
-        )
-        if n > 1:
-            return self._integrate_partitioned(name, n)
-        return self._integrate_serial(name)
-
-    def _integrate_serial(self, name: str):
-        """The historical single-pass fold (also the raise-path oracle)."""
         report = FederationReport()
         layer = [
             (
@@ -255,79 +153,6 @@ class Federation:
         relation, steps = _tree_fold(self._merger, layer, name)
         report.steps.extend(steps)
         return relation, report
-
-    def _integrate_partitioned(
-        self, name: str, n: int
-    ) -> tuple[ExtendedRelation, FederationReport]:
-        """The sharded fold: per-partition tree folds, exact reassembly."""
-        sources = self._sources
-        shard_rows = list(
-            zip(*[source.relation.partitions(n) for source in sources])
-        )
-        common = (
-            self._merger,
-            name,
-            tuple((source.name, source.reliability) for source in sources),
-        )
-        outcomes = get_executor().map(_integrate_shard, common, shard_rows)
-        if any(error is not None for _, _, error in outcomes):
-            # A raise-policy conflict aborts the integration anyway, so
-            # re-run the serial fold to surface the exact error the
-            # serial path raises (same entity, same operand labels) --
-            # which shard found a conflict first is executor-dependent.
-            return self._integrate_serial(name)
-
-        report = FederationReport()
-        first_steps = outcomes[0][0][1]
-        dropped_per_step: list[set] = []
-        for j in range(len(first_steps)):
-            combined = MergeReport()
-            dropped: set = set()
-            for (_, steps), _, _ in outcomes:
-                part = steps[j][1]
-                combined.matched.extend(part.matched)
-                combined.left_only.extend(part.left_only)
-                combined.right_only.extend(part.right_only)
-                combined.conflicts.extend(part.conflicts)
-                combined.dropped.extend(part.dropped)
-                dropped.update(part.dropped)
-            dropped_per_step.append(dropped)
-            report.steps.append((first_steps[j][0], combined))
-
-        survivor_sets: list[set] = [set() for _ in sources]
-        merged_by_key: dict[tuple, object] = {}
-        schema = None
-        for (relation, _), survivors, _ in outcomes:
-            schema = relation.schema
-            for index, keys in enumerate(survivors):
-                survivor_sets[index] |= keys
-            for etuple in relation:
-                merged_by_key[etuple.key()] = etuple
-        source_orders = [
-            [
-                key
-                for key in source.relation.keys()
-                if key in survivor_sets[index]
-            ]
-            for index, source in enumerate(sources)
-        ]
-        tuples = []
-        for key in _serial_fold_order(source_orders, dropped_per_step):
-            etuple = merged_by_key.pop(key, None)
-            if etuple is not None:
-                tuples.append(etuple)
-        if merged_by_key:
-            # Exactness is the contract: a merged entity the key replay
-            # cannot place means the replay and the merge disagree --
-            # fail loudly rather than publish a silently re-ordered
-            # relation.
-            missing = sorted(map(repr, merged_by_key))[:5]
-            raise IntegrationError(
-                "internal error: the serial-order replay missed "
-                f"{len(merged_by_key)} merged entity(ies) "
-                f"({', '.join(missing)}...)"
-            )
-        return ExtendedRelation(schema, tuples, on_unsupported="drop"), report
 
     def integrate_entity(self, key: tuple, name: str = "federated"):
         """Merge only the tuples with the given *key*, on demand.
@@ -365,17 +190,10 @@ class Federation:
     ) -> list:
         """Batch point queries: :meth:`integrate_entity` for many keys.
 
-        Entity merges are independent, so the batch fans the per-key
-        work out through the configured executor
-        (:func:`repro.exec.get_executor`); small batches stay serial.  Returns one entry per input key, in input
-        order; each entry is exactly what :meth:`integrate_entity`
-        returns for that key (the merged tuple, or ``None``).
+        Returns one entry per input key, in input order; each entry is
+        exactly what :meth:`integrate_entity` returns for that key (the
+        merged tuple, or ``None``).
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
-        keys = [key if isinstance(key, tuple) else (key,) for key in keys]
-        if not keys:
-            return []
-        if partition_count(len(keys)) <= 1:
-            return [self.integrate_entity(key, name=name) for key in keys]
-        return get_executor().map(_integrate_entity, (self, name), keys)
+        return [self.integrate_entity(key, name=name) for key in keys]

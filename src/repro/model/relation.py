@@ -23,8 +23,6 @@ Relations are immutable; "mutators" return new relations.
 
 from __future__ import annotations
 
-import zlib
-
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.errors import RelationError
@@ -34,17 +32,6 @@ from repro.model.schema import RelationSchema
 
 #: Accepted values for the CWA_ER enforcement policy.
 UNSUPPORTED_POLICIES = ("raise", "drop", "allow")
-
-
-def partition_index(key: tuple, n: int) -> int:
-    """The hash partition (0..n-1) an entity *key* belongs to.
-
-    Deterministic across processes and runs (CRC32 of the key's
-    ``repr``, which is stable for the hashable value types keys hold --
-    unlike built-in ``hash``, which is salted per process for strings),
-    so forked workers, reloads and repeated runs agree on the sharding.
-    """
-    return zlib.crc32(repr(key).encode("utf-8")) % n
 
 
 class ExtendedRelation:
@@ -157,37 +144,6 @@ class ExtendedRelation:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    # -- partitioning -------------------------------------------------------------------
-
-    def partitions(self, n: int) -> tuple["ExtendedRelation", ...]:
-        """This relation as *n* key-sharded sub-relations.
-
-        A cheap hash-partitioned view: tuples are assigned to shards by
-        :func:`partition_index` of their definite key, so two
-        union-compatible relations partitioned with the same *n* place
-        every entity's tuples in the same shard -- the property that
-        makes per-entity operations (union, intersection, federation
-        merges) decomposable per shard.  Each shard preserves this
-        relation's relative tuple order and CWA_ER policy; shards may be
-        empty.
-
-        >>> from repro.datasets.restaurants import table_ra
-        >>> parts = table_ra().partitions(3)
-        >>> sum(len(part) for part in parts)
-        6
-        """
-        if n < 1:
-            raise RelationError(f"partition count must be >= 1, got {n!r}")
-        if n == 1:
-            return (self,)
-        buckets: list[list[ExtendedTuple]] = [[] for _ in range(n)]
-        for key, etuple in self._index.items():
-            buckets[partition_index(key, n)].append(etuple)
-        return tuple(
-            ExtendedRelation(self._schema, bucket, self._policy)
-            for bucket in buckets
-        )
 
     # -- derivations --------------------------------------------------------------------
 

@@ -20,14 +20,6 @@ name                                    kind       meaning
 ======================================  =========  ==================================================
 kernel.kernel_combinations              counter    pairwise evidence combinations (bitmask kernel)
 kernel.compilations                     counter    mass functions compiled to kernel form
-exec.parallel_batches                   counter    Executor.map batches run on pool workers
-exec.inline_batches                     counter    batches run inline (serial/nested/small/fallback)
-exec.tasks                              counter    items run on pool workers
-exec.warmpool.dispatches                counter    batches dispatched to the warm worker pool
-exec.warmpool.tasks                     counter    items shipped to warm workers
-exec.warmpool.spawns                    counter    warm pool (re)creations -- forks actually paid
-exec.warmpool.fallbacks                 counter    unpicklable or dead-pool batches run inline
-exec.warmpool.dispatch_seconds          histogram  warm-pool batch dispatch latency
 session.queries                         counter    queries executed, summed over live sessions
 session.plans_built                     counter    plans compiled (cache misses)
 session.plan_cache_hits                 counter    plan-cache hits
@@ -65,9 +57,10 @@ storage.<scheme>.file_bytes             gauge      current on-disk size of the l
 ======================================  =========  ==================================================
 
 ``<scheme>`` is the backend scheme (``json``/``sqlite``/``log``);
-``<name>`` is the caller-chosen stream source name.  Span names mirror
-the layer prefixes: ``session.execute``, ``physical.<op>``,
-``exec.map``, ``exec.warmpool.dispatch``, ``stream.flush``,
+``<name>`` is the caller-chosen stream source name.  Execution is
+serial, so there are no ``exec.*`` metrics: the physical layer's work
+shows as ``physical.<op>`` spans.  Span names mirror the layer
+prefixes: ``session.execute``, ``physical.<op>``, ``stream.flush``,
 ``storage.<op>``.
 """
 
@@ -83,9 +76,7 @@ from repro.obs.tracing import (
     JsonlSink,
     SpanRecord,
     add_sink,
-    capture,
     enabled,
-    ingest,
     remove_sink,
     set_tracing,
     span,
@@ -104,9 +95,7 @@ __all__ = [
     "QueryProfile",
     "SpanRecord",
     "add_sink",
-    "capture",
     "enabled",
-    "ingest",
     "registry",
     "remove_sink",
     "set_tracing",

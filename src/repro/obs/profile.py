@@ -2,10 +2,9 @@
 
 :class:`QueryProfile` is what :meth:`Session.explain_analyze` returns:
 the optimized plan annotated node-by-node with wall time, exact
-input/output row counts, partition fan-out and the kernel combination
-count.  Row counts are deterministic (the serial-
-equivalence contract makes them identical under every executor);
-timings are wall-clock and asserted by tests only as present/positive.
+input/output row counts and the exact kernel combination count.  Row
+and combination counts are deterministic; timings are wall-clock and
+asserted by tests only as present/positive.
 
 :class:`FlushProfile` is the optional per-batch breakdown a
 :class:`~repro.stream.engine.StreamEngine` constructed with
@@ -27,9 +26,6 @@ class NodeProfile:
     rows_in: tuple[int, ...]
     rows_out: int
     wall_seconds: float
-    partitions: int
-    parallel_batches: int
-    tasks: int
     kernel_combinations: int
     children: tuple["NodeProfile", ...] = ()
 
@@ -53,11 +49,6 @@ class NodeProfile:
             f"rows={rows_in}->{self.rows_out}",
             f"time={self.wall_seconds * 1e3:.3f}ms",
         ]
-        if self.partitions > 1 or self.parallel_batches:
-            parts.append(
-                f"partitions={self.partitions} "
-                f"batches={self.parallel_batches} tasks={self.tasks}"
-            )
         if self.kernel_combinations:
             parts.append(f"combine={self.kernel_combinations}")
         lines = ["  ".join(parts)]
@@ -73,9 +64,6 @@ class NodeProfile:
             "rows_in": list(self.rows_in),
             "rows_out": self.rows_out,
             "wall_seconds": self.wall_seconds,
-            "partitions": self.partitions,
-            "parallel_batches": self.parallel_batches,
-            "tasks": self.tasks,
             "kernel_combinations": self.kernel_combinations,
             "children": [child.to_json() for child in self.children],
         }
@@ -86,8 +74,6 @@ class QueryProfile:
     """The product of ``Session.explain_analyze``: plan + measurements."""
 
     query: str
-    executor: str
-    workers: int
     root: NodeProfile
     wall_seconds: float
 
@@ -104,7 +90,6 @@ class QueryProfile:
         """The full annotated plan as an indented text tree."""
         header = (
             f"EXPLAIN ANALYZE  {self.query}\n"
-            f"executor={self.executor} workers={self.workers} "
             f"total={self.wall_seconds * 1e3:.3f}ms "
             f"rows={self.rows}"
         )
@@ -114,8 +99,6 @@ class QueryProfile:
         """A JSON-serializable mapping of the whole profile."""
         return {
             "query": self.query,
-            "executor": self.executor,
-            "workers": self.workers,
             "wall_seconds": self.wall_seconds,
             "rows": self.rows,
             "plan": self.root.to_json(),
@@ -129,7 +112,6 @@ class FlushProfile:
     events: int
     entities_refolded: int
     combinations: int
-    partitions: int
     refold_seconds: float
     materialize_seconds: float
     publish_seconds: float
@@ -141,8 +123,7 @@ class FlushProfile:
         return (
             f"flush: {self.events} event(s), "
             f"{self.entities_refolded} entit(y/ies) refolded, "
-            f"{self.combinations} combination(s), "
-            f"{self.partitions} partition(s); "
+            f"{self.combinations} combination(s); "
             f"refold={self.refold_seconds * 1e3:.3f}ms "
             f"materialize={self.materialize_seconds * 1e3:.3f}ms "
             f"publish={self.publish_seconds * 1e3:.3f}ms "
@@ -155,7 +136,6 @@ class FlushProfile:
             "events": self.events,
             "entities_refolded": self.entities_refolded,
             "combinations": self.combinations,
-            "partitions": self.partitions,
             "refold_seconds": self.refold_seconds,
             "materialize_seconds": self.materialize_seconds,
             "publish_seconds": self.publish_seconds,

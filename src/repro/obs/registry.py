@@ -16,7 +16,7 @@ Existing per-subsystem counter objects keep their attribute/snapshot
 APIs and *re-register* onto the registry instead of being replaced:
 
 * :meth:`MetricsRegistry.register_source` adopts a process-global stats
-  object (the kernel's and executor layer's ``STATS``) through a
+  object (the evidence kernel's ``STATS``) through a
   snapshot callable and an optional reset callable;
 * :meth:`MetricsRegistry.attach` tracks per-instance stats dataclasses
   (``SessionStats``, ``StreamStats``) by weak reference and sums their
@@ -227,7 +227,7 @@ class MetricsRegistry:
         *snapshot* is a callable returning ``{field: int}``; *reset*
         (optional) zeroes the underlying counters.  The adopted object
         keeps its own API -- the registry only reads through it, so the
-        kernel/exec ``STATS`` singletons surface here without changing a
+        kernel's ``STATS`` singleton surfaces here without changing a
         single call site.
         """
         with self._lock:

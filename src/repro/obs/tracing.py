@@ -1,12 +1,9 @@
 """Structured tracing: nested spans with near-zero cost when disabled.
 
 A *span* measures one named unit of work -- a query run, a physical
-operator application, an executor batch, a stream flush, a storage
-save.  Spans nest: each thread keeps its own parent stack, so
-in-process work builds one tree per driving thread, while process-pool
-workers capture their spans and ship the records back with the task
-results (the same pattern the stream engine uses for kernel stats),
-where :func:`ingest` re-homes them under the dispatching span.
+operator application, a stream flush, a storage save.  Spans nest: each
+thread keeps its own parent stack, so work builds one tree per driving
+thread.
 
 The cost contract: when tracing is disabled -- the default, unless the
 ``REPRO_TRACE`` environment variable is set to a non-empty value other
@@ -14,11 +11,10 @@ than ``0`` -- :func:`span` checks one module-level flag and returns a
 shared no-op singleton.  No allocation, no clock read, no locking on
 any hot path.
 
-Finished spans become :class:`SpanRecord` dataclasses (picklable, so
-they survive the process-pool hop) collected into a bounded in-memory
-buffer (:func:`take_records`) and fanned out to registered sinks
-(:func:`add_sink`); :class:`JsonlSink` appends one JSON object per
-record for the CLI's ``--trace-out FILE``.
+Finished spans become :class:`SpanRecord` dataclasses collected into a
+bounded in-memory buffer (:func:`take_records`) and fanned out to
+registered sinks (:func:`add_sink`); :class:`JsonlSink` appends one JSON
+object per record for the CLI's ``--trace-out FILE``.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ _STACK = threading.local()
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span -- plain data, picklable across processes."""
+    """One finished span -- plain data."""
 
     span_id: int
     parent_id: int | None
@@ -140,16 +136,6 @@ def _parent_stack() -> list:
 
 def _emit(record: SpanRecord) -> None:
     with _LOCK:
-        captures = list(_CAPTURES)
-        if captures:
-            # A capture is active (process-pool worker): divert the
-            # record entirely -- it ships back with the task result and
-            # the parent emits it exactly once on ingest.  Skipping the
-            # regular sinks here also keeps a fork-inherited file sink
-            # from double-writing.
-            for sink in captures:
-                sink.emit(record)
-            return
         _RECORDS.append(record)
         sinks = list(_SINKS)
     for sink in sinks:
@@ -209,61 +195,6 @@ def take_records() -> list[SpanRecord]:
         records = list(_RECORDS)
         _RECORDS.clear()
     return records
-
-
-def ingest(records) -> None:
-    """Re-home span records shipped back from a worker process.
-
-    The records keep their in-worker parent/child links; top-level
-    worker spans are parented under the caller's current span (the
-    executor dispatch span), so the tree reads as one trace.
-    """
-    stack = _parent_stack()
-    parent = stack[-1] if stack else None
-    worker_ids = {record.span_id for record in records}
-    for record in records:
-        if record.parent_id is None or record.parent_id not in worker_ids:
-            record = SpanRecord(
-                span_id=record.span_id,
-                parent_id=parent,
-                name=record.name,
-                thread=record.thread,
-                duration=record.duration,
-                attrs=record.attrs,
-            )
-        _emit(record)
-
-
-@contextlib.contextmanager
-def capture():
-    """Collect the spans finished inside the block into the yielded list.
-
-    Used by process-pool workers: the child captures its spans and
-    returns them with the task result; the parent :func:`ingest`\\ s
-    them.  Capture diverts records from the global buffer and sinks --
-    the parent emits them exactly once on ingest.
-    """
-    sink = _CaptureSink()
-    with _LOCK:
-        _CAPTURES.append(sink)
-    try:
-        yield sink.records
-    finally:
-        with _LOCK:
-            _CAPTURES.remove(sink)
-
-
-class _CaptureSink:
-    __slots__ = ("records",)
-
-    def __init__(self):
-        self.records: list[SpanRecord] = []
-
-    def emit(self, record: SpanRecord) -> None:
-        self.records.append(record)
-
-
-_CAPTURES: list = []
 
 
 class JsonlSink:

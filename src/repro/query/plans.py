@@ -68,10 +68,8 @@ class Plan(ABC):
 
         Execution runs through the physical layer
         (:mod:`repro.exec.physical`): each node lowers to a physical
-        operator that may shard its work over the configured executor.
-        Under the default serial configuration the physical operators
-        evaluate exactly as :meth:`apply`, so results and order match
-        the direct recursion bit for bit.
+        operator that evaluates exactly as :meth:`apply`, so results and
+        order match the direct recursion bit for bit.
         """
         from repro.exec.physical import run_plan
 

@@ -43,8 +43,6 @@ from dataclasses import dataclass
 
 from repro.ds.kernel import STATS as KERNEL_STATS
 from repro.errors import PlanError, ReproError
-from repro.exec.executors import STATS as EXEC_STATS
-from repro.exec.executors import current_config, partition_count
 from repro.exec.physical import apply_node, lower_node
 from repro.expr import RelExpr, _Literal, _Rel
 from repro.model.relation import ExtendedRelation
@@ -256,28 +254,21 @@ class Session:
         """Execute *query* and return the plan annotated with measurements.
 
         Every node is evaluated through the physical layer exactly as
-        :meth:`execute` would -- same executor, same partitioning --
-        but *bypassing the result caches*, so the timings measure real
-        work.  Each :class:`~repro.obs.profile.NodeProfile` carries the
-        node's wall time, exact input/output row counts (identical
-        under every executor, by the serial-equivalence contract),
-        partition fan-out, and the evidence combination count
-        (combination counters bumped inside forked process-pool workers
-        stay in the children, so the count can undercount under the
-        process executor; row counts and timings are always measured in
-        this process).  The session's caches and stats are untouched.
+        :meth:`execute` would, but *bypassing the result caches*, so the
+        timings measure real work.  Each
+        :class:`~repro.obs.profile.NodeProfile` carries the node's wall
+        time, exact input/output row counts and the exact evidence
+        combination count.  The session's caches and stats are
+        untouched.
         """
         self._sync()
         compiled = self._compile(query)
-        config = current_config()
         start = time.perf_counter()
         _, root = self._profile_node(compiled.plan)
         wall = time.perf_counter() - start
         text = query if isinstance(query, str) else compiled.plan.label()
         return QueryProfile(
             query=text,
-            executor=config.kind,
-            workers=config.workers,
             root=root,
             wall_seconds=wall,
         )
@@ -291,24 +282,16 @@ class Session:
             child_profiles.append(profile)
         inputs = tuple(child_results)
         kernel_baseline = KERNEL_STATS.snapshot()
-        exec_baseline = EXEC_STATS.snapshot()
         start = time.perf_counter()
         result = apply_node(plan, inputs, self._db)
         wall = time.perf_counter() - start
         kernel_delta = KERNEL_STATS.since(kernel_baseline)
-        exec_after = EXEC_STATS.snapshot()
-        rows_in = tuple(len(relation) for relation in inputs)
         profile = NodeProfile(
             label=plan.label(),
             strategy=lower_node(plan).strategy,
-            rows_in=rows_in,
+            rows_in=tuple(len(relation) for relation in inputs),
             rows_out=len(result),
             wall_seconds=wall,
-            partitions=partition_count(max(rows_in, default=0)),
-            parallel_batches=(
-                exec_after.parallel_batches - exec_baseline.parallel_batches
-            ),
-            tasks=exec_after.tasks - exec_baseline.tasks,
             kernel_combinations=kernel_delta.kernel_combinations,
             children=tuple(child_profiles),
         )
@@ -404,11 +387,9 @@ class Session:
         Subscriptions over the same query (same plan fingerprint)
         refresh back to back, so every group-mate after the first hits
         the still-warm result cache, and each distinct query executes
-        once per sweep; within a query, the physical layer fans its
-        node work out through the configured executor.  Refresh order
-        stays registration order within a group and
-        first-member-registration order across groups, so callbacks
-        fire in a deterministic sequence.
+        once per sweep.  Refresh order stays registration order within a
+        group and first-member-registration order across groups, so
+        callbacks fire in a deterministic sequence.
         """
         groups: dict[str, list[Subscription]] = {}
         for subscription in affected:
@@ -509,8 +490,7 @@ class Session:
                 self._stats.subplan_cache_hits += 1
             return cached
         inputs = tuple(self._run(child) for child in plan.children())
-        # Evaluate through the physical layer: the node may shard its
-        # work over the configured executor.  Cache keys (per-subtree
+        # Evaluate through the physical layer.  Cache keys (per-subtree
         # plan fingerprints) are untouched by physical lowering.
         result = apply_node(plan, inputs, self._db)
         self._stats.node_executions += 1

@@ -226,9 +226,9 @@ class StorageBackend(abc.ABC):
     def save_relation(self, relation) -> None:
         """Insert or replace one relation (creating the store if absent).
 
-        The tuples are stored in the relation's own order, so a reloaded
-        relation splits into the same ``relation.partitions(n)`` shards
-        as the saved one.  Bumps the catalog version.
+        The tuples are stored flat, in the relation's own order, so a
+        reloaded relation iterates in the saved order.  Bumps the
+        catalog version.
         """
         self._require_open()
         with self._instrument("save_relation", "saves", True):

@@ -75,6 +75,11 @@ def _fraction_tag(value: Fraction) -> dict:
     return {"fraction": f"{value.numerator}/{value.denominator}"}
 
 
+def _atom_to_json(value) -> object:
+    """One scalar: exact values tagged, everything else as itself."""
+    return _fraction_tag(value) if isinstance(value, Fraction) else value
+
+
 def _atom_from_json(value) -> object:
     """Decode one scalar; a ``{"fraction": "n/d"}`` tag is exact."""
     if type(value) is dict and len(value) == 1 and "fraction" in value:
@@ -84,7 +89,7 @@ def _atom_from_json(value) -> object:
 
 def key_to_json(key: tuple) -> list:
     """An entity key as a JSON list of tagged scalars."""
-    return [_fraction_tag(part) if isinstance(part, Fraction) else part for part in key]
+    return [_atom_to_json(part) for part in key]
 
 
 def key_from_json(document: list) -> tuple:
@@ -96,21 +101,27 @@ def key_from_json(document: list) -> tuple:
 
 
 def domain_to_json(domain: Domain) -> dict:
-    """Serialize a domain structurally."""
+    """Serialize a domain structurally.
+
+    Enumerated values and numeric bounds are scalars, tagged as in
+    :func:`key_to_json`, so exact ones survive ``json.dumps``.
+    """
     if isinstance(domain, BooleanDomain):
         return {"kind": "boolean", "name": domain.name}
     if isinstance(domain, EnumeratedDomain):
         return {
             "kind": "enumerated",
             "name": domain.name,
-            "values": sorted(domain.values, key=repr),
+            "values": [
+                _atom_to_json(value) for value in sorted(domain.values, key=repr)
+            ],
         }
     if isinstance(domain, NumericDomain):
         return {
             "kind": "numeric",
             "name": domain.name,
-            "low": domain.low,
-            "high": domain.high,
+            "low": _atom_to_json(domain.low),
+            "high": _atom_to_json(domain.high),
             "integral": domain.integral,
         }
     if isinstance(domain, TextDomain):
@@ -128,12 +139,14 @@ def domain_from_json(document: dict) -> Domain:
     if kind == "boolean":
         return BooleanDomain(name)
     if kind == "enumerated":
-        return EnumeratedDomain(name, document["values"])
+        return EnumeratedDomain(
+            name, [_atom_from_json(value) for value in document["values"]]
+        )
     if kind == "numeric":
         return NumericDomain(
             name,
-            low=document.get("low"),
-            high=document.get("high"),
+            low=_atom_from_json(document.get("low")),
+            high=_atom_from_json(document.get("high")),
             integral=document.get("integral", False),
         )
     if kind == "text":
@@ -260,10 +273,8 @@ def values_to_json(items) -> dict:
     for name, value in items:
         if isinstance(value, EvidenceSet):
             values[name] = _evidence_to_json(value)
-        elif isinstance(value, Fraction):
-            values[name] = _fraction_tag(value)
         else:
-            values[name] = value
+            values[name] = _atom_to_json(value)
     return values
 
 

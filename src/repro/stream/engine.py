@@ -32,7 +32,6 @@ sequence number up to which events are durably reflected.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import weakref
@@ -41,18 +40,17 @@ from dataclasses import dataclass
 
 from repro.ds.kernel import STATS as KERNEL_STATS
 from repro.errors import StreamError, TotalConflictError
-from repro.exec.executors import get_executor, partition_count
 from repro.integration.merging import MergeReport, TupleMerger
 from repro.integration.pipeline import coerce_reliability, discount_tuple
 from repro.model.etuple import ExtendedTuple
 from repro.model.membership import CERTAIN
-from repro.model.relation import ExtendedRelation, partition_index
+from repro.model.relation import ExtendedRelation
 from repro.obs import tracing
 from repro.obs.profile import FlushProfile
 from repro.obs.registry import registry as _metrics_registry
 from repro.storage.serialization import ReliabilityEvent, RetractEvent, UpsertEvent
 from repro.stream.changelog import BatchDelta, ChangeLog
-from repro.stream.state import Contribution, MergeState, fold_parts
+from repro.stream.state import Contribution, MergeState
 
 
 @dataclass
@@ -135,42 +133,6 @@ def _upsert_event(source: str, etuple: ExtendedTuple) -> UpsertEvent:
     membership = etuple.membership
     return UpsertEvent(
         source, dict(etuple.items()), (membership.sn, membership.sp)
-    )
-
-
-def _refold_bucket(common, bucket):
-    """Re-fold one shipped partition of ``(key, parts)`` pairs.
-
-    Module-level so the warm pool (:mod:`repro.exec.warmpool`) can
-    pickle it by reference; ``common`` is the batch-constant
-    ``(merger, schema)`` pair (the parts were already selected in
-    source order by the engine).  Each entity folds through
-    :func:`~repro.stream.state.fold_parts`, as
-    :meth:`~repro.stream.state.EntityState.refold` does, but on the
-    shipped parts, so the state graph never crosses the pipe.
-    """
-    merger, schema = common
-    baseline = KERNEL_STATS.snapshot()
-    combinations = 0
-    states = []
-    error = None
-    for key, parts in bucket:
-        try:
-            combined, conflicted, conflicts, used = fold_parts(
-                merger, schema, parts
-            )
-        except TotalConflictError as exc:
-            error = exc
-            break
-        combinations += used
-        states.append((key, combined, conflicted, conflicts))
-    delta = KERNEL_STATS.since(baseline)
-    return (
-        states,
-        combinations,
-        delta.kernel_combinations,
-        error,
-        os.getpid(),
     )
 
 
@@ -565,14 +527,6 @@ class StreamEngine:
         appends a :class:`BatchDelta` to the changelog and returns it.
         With ``profile_batches=True`` the delta carries a
         :class:`~repro.obs.profile.FlushProfile` phase breakdown.
-
-        Under a parallel executor (:mod:`repro.exec`) the pending
-        re-folds drain as per-partition merge batches: dirty entities
-        group by their key's hash partition and each group re-folds in
-        one task.  Entities are disjoint and the published relation is
-        materialized from the engine's entity map (whose order never
-        depends on fold timing), so the flushed relation, the delta and
-        the conflict records are identical to the serial flush.
         """
         if not tracing.enabled():
             return self._flush()
@@ -598,12 +552,8 @@ class StreamEngine:
             for key in touched
             if (entity := self._state.get(key)) is not None and entity.dirty
         ]
-        n = partition_count(len(dirty))
-        if n > 1:
-            self._refold_partitioned(dirty, order, n)
-        else:
-            for entity in dirty:
-                self._refold(entity, order)
+        for entity in dirty:
+            self._refold(entity, order)
         refold_done = time.perf_counter() if profiling else 0.0
         for key in touched:
             entity = self._state.get(key)
@@ -687,7 +637,6 @@ class StreamEngine:
                 events=delta.events,
                 entities_refolded=len(dirty),
                 combinations=self._stats.combinations - combinations_before,
-                partitions=n,
                 refold_seconds=refold_done - started,
                 materialize_seconds=materialize_done - refold_done,
                 publish_seconds=done - materialize_done,
@@ -772,66 +721,6 @@ class StreamEngine:
         """Add the kernel combinations made since *baseline*."""
         delta = KERNEL_STATS.since(baseline)
         self._stats.kernel_combinations += delta.kernel_combinations
-
-    def _refold_partitioned(self, dirty, order, n: int) -> None:
-        """Drain the pending re-folds as per-partition merge batches.
-
-        Each task re-folds its entities' shipped parts and returns the
-        resulting states, which the engine commits; each entity's fold
-        is the identical ``merge_entity`` computation the serial path
-        runs, so the committed states are exact.  Kernel combination
-        attribution: a batch run inline is measured around the whole
-        batch (the engine is single-driver, so the process-wide delta is
-        exactly this batch); pool workers measure inside each child and
-        the deltas are summed.
-
-        A ``raise``-policy :class:`TotalConflictError` is re-raised
-        after the successfully re-folded entities' state and counters
-        are committed; entities whose fresh state was not committed
-        simply stay dirty and re-fold at the next flush, exactly as the
-        serial path leaves later entities unfolded after a mid-loop
-        raise.
-        """
-        buckets: list[list] = [[] for _ in range(n)]
-        for entity in dirty:
-            buckets[partition_index(entity.key, n)].append(entity)
-        # Compact task encoding: ship each entity's surviving parts
-        # rather than the EntityState graph, with the merger and schema
-        # pickled once for the whole batch.  Each outcome tags the
-        # worker pid so kernel attribution below can tell child work
-        # from inline work.
-        payloads = [
-            [(entity.key, entity.parts(order)) for entity in bucket]
-            for bucket in buckets
-            if bucket
-        ]
-        batch_baseline = KERNEL_STATS.snapshot()
-        outcomes = get_executor().map(
-            _refold_bucket, (self._merger, self._schema), payloads
-        )
-        errors = []
-        own_pid = os.getpid()
-        from_children = False
-        for states, combinations, kernel_delta, error, pid in outcomes:
-            self._stats.combinations += combinations
-            self._stats.refolds += len(states)
-            if pid != own_pid:
-                # Child processes measured their own kernel usage; the
-                # parent's process-wide counters never saw that work.
-                from_children = True
-                self._stats.kernel_combinations += kernel_delta
-            for key, combined, conflicted, fold_conflicts in states:
-                entity = self._state.get(key)
-                entity.combined = combined
-                entity.conflicted = conflicted
-                entity.fold_conflicts = fold_conflicts
-                entity.dirty = False
-            if error is not None:
-                errors.append(error)
-        if not from_children:
-            self._attribute_kernel_usage(batch_baseline)
-        if errors:
-            raise errors[0]
 
     def _rollback_upsert(
         self, entity, state, source, key, prior, auto_registered

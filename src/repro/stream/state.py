@@ -33,21 +33,6 @@ from repro.integration.merging import MergeReport, TupleMerger
 from repro.model.etuple import ExtendedTuple
 
 
-def fold_parts(merger: TupleMerger, schema, parts) -> tuple:
-    """Fold one entity's discounted *parts*, in order.
-
-    Returns ``(combined, conflicted, conflict records, combinations)``:
-    no parts fold to nothing, and a total conflict whose policy drops
-    the entity folds to ``None`` with ``conflicted`` set.  A ``raise``
-    policy's :class:`~repro.errors.TotalConflictError` propagates.
-    """
-    if not parts:
-        return None, False, [], 0
-    report = MergeReport()
-    merged = merger.merge_entity(parts, schema, report)
-    return merged, merged is None, list(report.conflicts), len(parts) - 1
-
-
 @dataclass
 class Contribution:
     """One source's current evidence about one entity."""
@@ -116,11 +101,18 @@ class EntityState:
         publishing the stale cached fold) and its conflict records are
         untouched.
         """
-        self.combined, self.conflicted, self.fold_conflicts, used = fold_parts(
-            merger, schema, self.parts(order)
-        )
+        parts = self.parts(order)
+        if not parts:
+            self.combined, self.conflicted, self.fold_conflicts = None, False, []
+            self.dirty = False
+            return 0
+        report = MergeReport()
+        merged = merger.merge_entity(parts, schema, report)
+        self.combined = merged
+        self.conflicted = merged is None
+        self.fold_conflicts = list(report.conflicts)
         self.dirty = False
-        return used
+        return len(parts) - 1
 
     def __repr__(self) -> str:
         state = "conflicted" if self.conflicted else (

@@ -1,6 +1,4 @@
-"""CONC fixture: lost-update global writes and a fork-unsafe capture."""
-
-import sqlite3
+"""CONC fixture: lost-update global writes."""
 
 STATS = {"hits": 0}
 HISTORY = []
@@ -9,21 +7,3 @@ HISTORY = []
 def record(key):
     STATS["hits"] += 1
     HISTORY.append(key)
-
-
-def run(pool, path):
-    connection = sqlite3.connect(path)
-
-    def task(key):
-        return connection.execute("SELECT 1").fetchone()
-
-    return pool.map(task, ["a"])
-
-
-def ship(pool, path):
-    with open(path) as handle:
-
-        def encoded(common, item):
-            return handle.readline()
-
-        return pool.submit_batch(fn=encoded, common=None, items=["a"])

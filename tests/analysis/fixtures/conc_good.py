@@ -1,6 +1,5 @@
 """CONC fixture: the same shapes, done safely."""
 
-import sqlite3
 import threading
 
 _LOCK = threading.Lock()
@@ -14,19 +13,3 @@ def record(key):
         STATS["hits"] += 1
         HISTORY.append(key)
     _LOCAL.last = key
-
-
-def run(pool, path):
-    def task(key):
-        with sqlite3.connect(path) as connection:
-            return connection.execute("SELECT 1").fetchone()
-
-    return pool.map(task, ["a"])
-
-
-def ship(pool, path):
-    def encoded(common, item):
-        with open(path) as handle:
-            return handle.readline()
-
-    return pool.submit_batch(encoded, None, ["a"])

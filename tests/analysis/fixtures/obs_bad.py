@@ -1,7 +1,7 @@
 """OBS fixture: cross-package mutation of another layer's STATS."""
 
 from repro.ds.kernel import STATS as KERNEL_STATS
-from repro.exec.executors import STATS
+from repro.storage.backends.base import STATS
 
 
 def count_combination():
@@ -9,7 +9,7 @@ def count_combination():
 
 
 def hand_rolled_increment(total):
-    STATS.tasks += total  # OBS001: augmented assignment on exec's stats
+    STATS.saves += total  # OBS001: augmented assignment on storage's stats
 
 
 def overwrite_field():

@@ -81,39 +81,14 @@ class TestDetermChecker:
 
 
 class TestConcChecker:
-    def test_bad_fixture_flags_writes_and_capture(self, tmp_path):
+    def test_bad_fixture_flags_unguarded_writes(self, tmp_path):
         place(tmp_path, "conc_bad.py", "repro/exec/conc_bad.py")
         result = analyze([tmp_path], checkers=[ConcChecker()])
-        rules = rules_of(result)
-        # STATS["hits"] += 1, HISTORY.append, the captured connection,
-        # and the with-bound handle shipped (by keyword) to the warm
-        # pool's long-lived submit_batch.
-        assert rules == ["CONC001", "CONC001", "CONC002", "CONC002"]
-        captures = [f for f in result.findings if f.rule == "CONC002"]
-        assert any("handle" in f.message for f in captures)
-        assert any("connection" in f.message for f in captures)
+        # STATS["hits"] += 1 and HISTORY.append.
+        assert rules_of(result) == ["CONC001", "CONC001"]
 
     def test_locked_writes_and_local_handles_are_clean(self, tmp_path):
         place(tmp_path, "conc_good.py", "repro/exec/conc_good.py")
-        result = analyze([tmp_path], checkers=[ConcChecker()])
-        assert result.findings == []
-
-    def test_sockets_shipped_through_wire_dispatches_flagged(self, tmp_path):
-        place(tmp_path, "conc_socket_bad.py", "repro/exec/conc_socket_bad.py")
-        result = analyze([tmp_path], checkers=[ConcChecker()])
-        rules = rules_of(result)
-        # the assigned socket into submit_batch, the lambda capture into
-        # the three-operand executor map, and the with-bound socket into
-        # submit_batch (by keyword) -- three CONC003s, and nothing
-        # misfiled as CONC002
-        assert rules == ["CONC003", "CONC003", "CONC003"]
-        messages = [f.message for f in result.findings]
-        assert any("connection" in message for message in messages)
-        assert any("lambda" in message for message in messages)
-        assert any("wire" in message for message in messages)
-
-    def test_worker_side_connects_and_thread_submits_are_clean(self, tmp_path):
-        place(tmp_path, "conc_socket_good.py", "repro/exec/conc_socket_good.py")
         result = analyze([tmp_path], checkers=[ConcChecker()])
         assert result.findings == []
 
@@ -155,9 +130,9 @@ class TestObsChecker:
         # legal case: same package, absolute import.
         place(tmp_path, "obs_bad.py", "repro/ds/obs_bad.py")
         result = analyze([tmp_path], checkers=[ObsChecker()])
-        # Only the exec.executors import stays foreign from repro/ds/.
+        # Only the storage import stays foreign from repro/ds/.
         assert rules_of(result) == ["OBS001"]
-        assert "repro.exec.executors" in result.findings[0].message
+        assert "repro.storage.backends.base" in result.findings[0].message
 
     def test_telemetry_layer_itself_is_exempt(self, tmp_path):
         place(tmp_path, "obs_bad.py", "repro/obs/obs_bad.py")

@@ -43,7 +43,6 @@ from repro.algebra.thresholds import sn_at_least
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.ds import combination, discounting, kernel, mass
 from repro.errors import SerializationError
-from repro.exec.executors import executor_scope
 from repro.integration.pipeline import _discount_relation
 from repro.model import etuple as etuple_module
 from repro.model.membership import TupleMembership
@@ -156,8 +155,7 @@ def counted(monkeypatch):
         discounting, "discount_compiled", producing(kernel.discount_compiled)
     )
     sources = golden_sources(11, exact=False)
-    with executor_scope(executor="serial", workers=1, partitions=None):
-        integrate(sources, FLOAT_RELIABILITIES)
+    integrate(sources, FLOAT_RELIABILITIES)
     counts["validates"] += counts["kernel_validates"]
     return counts, kernel_loop, membership_rule
 
@@ -318,8 +316,7 @@ def test_discount_and_merge_coerce_no_value(monkeypatch):
         "_coerce_value",
         _counting(counts, "coerced", etuple_module._coerce_value),
     )
-    with executor_scope(executor="serial", workers=1, partitions=None):
-        relation, _ = integrate(sources, FLOAT_RELIABILITIES)
+    relation, _ = integrate(sources, FLOAT_RELIABILITIES)
     assert len(relation) > 0
     assert counts["coerced"] == 0
 

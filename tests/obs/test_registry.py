@@ -196,9 +196,6 @@ class TestGlobalCatalogue:
         for expected in (
             "kernel.kernel_combinations",
             "kernel.compilations",
-            "exec.parallel_batches",
-            "exec.inline_batches",
-            "exec.tasks",
             "session.queries",
             "session.plans_built",
             "session.plan_cache_hit_ratio",
@@ -210,6 +207,8 @@ class TestGlobalCatalogue:
         # One combination engine: there is no fallback counter to report.
         assert "kernel.fallback_combinations" not in names
         assert "stream.fallback_combinations" not in names
+        # Execution is serial: no fan-out counters.
+        assert not any(name.startswith("exec.") for name in names)
 
     def test_instrument_kinds_are_stable(self):
         reg = registry()

@@ -1,4 +1,4 @@
-"""Structured tracing: the cost contract, nesting, shipping, sinks."""
+"""Structured tracing: the cost contract, nesting, sinks."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ import pytest
 from repro.obs import tracing
 from repro.obs.tracing import (
     JsonlSink,
-    SpanRecord,
     add_sink,
-    capture,
     enabled,
-    ingest,
     remove_sink,
     set_tracing,
     span,
@@ -76,43 +73,6 @@ class TestNesting:
                     pass
         first, second, _ = take_records()
         assert first.parent_id == second.parent_id == parent.span_id
-
-
-class TestWorkerShipping:
-    def test_capture_diverts_from_buffer_and_sinks(self):
-        seen = []
-
-        class Sink:
-            def emit(self, record):
-                seen.append(record)
-
-        sink = Sink()
-        add_sink(sink)
-        try:
-            with tracing_scope():
-                with capture() as shipped:
-                    with span("worker.task"):
-                        pass
-        finally:
-            remove_sink(sink)
-        assert [r.name for r in shipped] == ["worker.task"]
-        assert take_records() == []  # diverted, not buffered
-        assert seen == []  # and kept away from the sinks
-
-    def test_ingest_reparents_top_level_worker_spans(self):
-        worker = [
-            SpanRecord(101, 100, "child.inner", "W", 0.1, {"n": 1}),
-            SpanRecord(100, None, "child.outer", "W", 0.2, {}),
-        ]
-        with tracing_scope():
-            with span("exec.map") as dispatch:
-                ingest(worker)
-        records = {r.name: r for r in take_records()}
-        # The worker-internal link survives; the worker's root hangs off
-        # the dispatching span.
-        assert records["child.inner"].parent_id == 100
-        assert records["child.outer"].parent_id == dispatch.span_id
-        assert records["child.inner"].attrs == {"n": 1}
 
 
 class TestSinks:

@@ -18,13 +18,14 @@ from repro.model.attribute import Attribute
 from repro.model.domain import EnumeratedDomain, TextDomain
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
-from repro.model.relation import ExtendedRelation, partition_index
+from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.obs import registry
 from repro.storage import Database, open_backend
 from repro.storage.backends.sqlite import _key_text
 from repro.stream import StreamEngine
 from repro.stream.changelog import BatchDelta
+from tests.storage.legacy_layout import shard_index
 
 COLOURS = ("red", "green", "blue")
 
@@ -378,7 +379,7 @@ class TestSqliteDirtyShards:
                 for key in engine.relation.keys():
                     backend._db.execute(
                         "UPDATE tuples SET partition = ? WHERE key_json = ?",
-                        (partition_index(key, 3), _key_text(key)),
+                        (shard_index(key, 3), _key_text(key)),
                     )
             engine.upsert("a", _etuple(schema, "late-1", "blue"))
             engine.flush()
@@ -438,7 +439,7 @@ class TestSqliteDirtyShards:
                     key = tuple(json.loads(key_json))
                     backend._db.execute(
                         "UPDATE tuples SET partition = ? WHERE key_json = ?",
-                        (partition_index(key, 16), key_json),
+                        (shard_index(key, 16), key_json),
                     )
                 backend._set_meta("stream:R:shards", 16)
             stamped = backend._db.execute(

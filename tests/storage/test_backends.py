@@ -22,6 +22,7 @@ from repro.storage import (
     save_database,
 )
 from repro.storage.backends import default_scheme, split_url
+from tests.storage.legacy_layout import shard_index
 
 ALL_SCHEMES = ("json", "sqlite", "log")
 
@@ -264,7 +265,6 @@ class TestSqliteBackend:
         shard by shard; the next save stores it flat."""
         import sqlite3
 
-        from repro.model.relation import partition_index
         from repro.storage.serialization import schema_to_json, tuple_to_json
 
         relation = table_ra()
@@ -297,7 +297,7 @@ class TestSqliteBackend:
             "VALUES ('RA', ?, ?, ?)",
             [
                 (
-                    partition_index(etuple.key(), 3),
+                    shard_index(etuple.key(), 3),
                     position,
                     json.dumps(tuple_to_json(etuple)),
                 )
@@ -306,9 +306,9 @@ class TestSqliteBackend:
         )
         connection.commit()
         connection.close()
-        sharded_order = [
-            key for shard in relation.partitions(3) for key in shard.keys()
-        ]
+        sharded_order = sorted(
+            relation.keys(), key=lambda key: shard_index(key, 3)
+        )
         assert sharded_order != list(relation.keys())
         with open_backend(f"sqlite:{path}") as backend:
             assert backend.catalog()["RA"] == {"tuples": 6, "partitions": 3}

@@ -116,13 +116,10 @@ class TestBackendRoundTripProperties:
         n=st.integers(min_value=1, max_value=12),
         seed=st.integers(min_value=0, max_value=999),
         exact=st.booleans(),
-        partitions=st.integers(min_value=2, max_value=5),
     )
-    def test_partitioned_layout_round_trips(
-        self, scheme, n, seed, exact, partitions
-    ):
-        """A flat save reloads into the identical hash-shard layout
-        (same shard membership, same order) on every engine."""
+    def test_partitioned_layout_round_trips(self, scheme, n, seed, exact):
+        """A save writes no hash shards and reloads in the saved order
+        on every engine."""
         config = SyntheticConfig(
             n_tuples=n, seed=seed, exact=exact, ignorance=0.4
         )
@@ -136,11 +133,7 @@ class TestBackendRoundTripProperties:
                     "partitions": 0,
                 }
         assert reloaded.same_tuples(relation)
-        saved_shards = relation.partitions(partitions)
-        loaded_shards = reloaded.partitions(partitions)
-        for saved, loaded in zip(saved_shards, loaded_shards):
-            assert list(saved.keys()) == list(loaded.keys())
-            assert saved.same_tuples(loaded)
+        assert list(reloaded.keys()) == list(relation.keys())
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=999))

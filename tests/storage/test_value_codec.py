@@ -22,6 +22,7 @@ from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.storage import open_backend
+from repro.storage.serialization import domain_from_json, domain_to_json
 from repro.stream import (
     StreamEngine,
     UpsertEvent,
@@ -349,3 +350,57 @@ def test_previous_event_file_replays_to_the_same_state(tmp_path):
     assert typed(key for (key,) in replayed.source_snapshot("daily").keys()) == [
         (3, int)
     ]
+
+
+EXACT_DOMAINS = RelationSchema(
+    "R",
+    [
+        Attribute(
+            "k", NumericDomain("k", low=Fraction(1, 2), high=Fraction(9, 2)),
+            key=True,
+        ),
+        Attribute("level", EnumeratedDomain("e", [Fraction(1, 2), 1])),
+    ],
+)
+
+
+@pytest.mark.parametrize("scheme", ["json", "sqlite"])
+def test_schemas_with_exact_domain_scalars_reopen(scheme, tmp_path):
+    """A ``Fraction`` bound or enumerated value is stored tagged, so the
+    schema saves at all and reopens equal in value and type."""
+    relation = ExtendedRelation(
+        EXACT_DOMAINS,
+        [
+            ExtendedTuple(EXACT_DOMAINS, {"k": Fraction(1, 2), "level": 1}),
+            ExtendedTuple(
+                EXACT_DOMAINS, {"k": Fraction(3, 2), "level": Fraction(1, 2)}
+            ),
+        ],
+    )
+    url = f"{scheme}:{tmp_path / ('store.' + SUFFIX[scheme])}"
+    with open_backend(url) as backend:
+        backend.save_relation(relation)
+    with open_backend(url) as backend:
+        reloaded = backend.load_relation("R")
+    assert reloaded == relation
+    key_domain = reloaded.schema.attribute("k").domain
+    assert typed([key_domain.low, key_domain.high]) == typed(
+        [Fraction(1, 2), Fraction(9, 2)]
+    )
+    values = reloaded.schema.attribute("level").domain.values
+    assert sorted(typed(values), key=repr) == sorted(
+        typed([Fraction(1, 2), 1]), key=repr
+    )
+
+
+def test_domains_read_raw_and_tagged_scalars():
+    """Documents written before domain scalars were tagged still load,
+    and integer and absent bounds are still written raw."""
+    raw = {"kind": "numeric", "name": "k", "low": 1, "high": None}
+    assert domain_to_json(domain_from_json(raw))["low"] == 1
+    assert domain_to_json(domain_from_json(raw))["high"] is None
+    tagged = {"kind": "numeric", "name": "k", "low": {"fraction": "1/2"}}
+    assert domain_from_json(tagged).low == Fraction(1, 2)
+    values = {"kind": "enumerated", "name": "e", "values": [1, {"fraction": "1/2"}]}
+    assert domain_from_json(values).values == {1, Fraction(1, 2)}
+    assert json.dumps(domain_to_json(domain_from_json(values)))

@@ -8,11 +8,20 @@ on-disk format pin the ``json:`` scheme explicitly.
 
 import io
 import json
+import os
+import subprocess
+import sys
+
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import REMOVED_ENV, main
 from repro.storage import open_database
+
+
+#: The repository root (the subprocess test imports ``src/repro``).
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -176,11 +185,8 @@ class TestRepl:
         assert "Scan RA" in output
         # The second run of the identical query is a result-cache hit.
         assert "1 result hits" in output
-        # :stats also reports the evidence-kernel counters and the
-        # physical executor / partition configuration.
+        # :stats also reports the evidence-kernel counters.
         assert "kernel: " in output and "combination(s)" in output
-        assert "executor:" in output
-        assert "partition(s)" in output
 
     def test_stats_names_storage_backend(self, demo_db, monkeypatch):
         status, output = self.run_repl(monkeypatch, demo_db, ":stats\n:quit\n")
@@ -303,38 +309,19 @@ class TestStream:
         # the kernel: 5 matched entities x 6 attributes, enumerated and
         # open text alike.
         assert "evidence combinations: 30" in output
-        # ... and names the physical executor configuration.
-        assert "executor:" in output
 
-    def test_workers_flag_fans_out_and_matches_serial(
-        self, demo_db, events_file, tmp_path
+    @pytest.mark.parametrize("flag", ["--workers", "--executor"])
+    def test_removed_executor_flags_are_usage_errors(
+        self, demo_db, events_file, flag, capsys
     ):
-        """--workers N replays through a pool; the integrated relation
-        is identical to the serial replay."""
-        from repro.exec import executor_scope
-
-        serial_out = tmp_path / "serial.json"
-        pooled_out = tmp_path / "pooled.json"
-        with executor_scope():  # restore config mutated by --workers
-            status, _ = run_cli(
+        """Replays run serially; the pool's flags are gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
                 "stream", str(demo_db), str(events_file),
-                "--schema", "RA", "--save", str(serial_out),
+                "--schema", "RA", flag, "2",
             )
-            assert status == 0
-            status, output = run_cli(
-                "stream", str(demo_db), str(events_file),
-                "--schema", "RA", "--workers", "3", "--save", str(pooled_out),
-            )
-            assert status == 0
-            assert "executor: process, 3 worker(s)" in output
-        serial_db = read_database(serial_out)
-        pooled_db = read_database(pooled_out)
-        assert pooled_db.get("integrated").same_tuples(
-            serial_db.get("integrated")
-        )
-        assert list(pooled_db.get("integrated").keys()) == list(
-            serial_db.get("integrated").keys()
-        )
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_save_persists_integrated_relation(
         self, demo_db, events_file, tmp_path
@@ -462,7 +449,6 @@ class TestStats:
         payload = json.loads(output)
         for name in (
             "kernel.kernel_combinations",
-            "exec.tasks",
             "session.queries",
             "session.plans_built",
             "session.result_cache_hit_ratio",
@@ -474,6 +460,8 @@ class TestStats:
         # count as kernel combinations (the registry is process-wide).
         assert payload["kernel.kernel_combinations"] >= 30
         assert "kernel.fallback_combinations" not in payload
+        # Execution is serial: there are no fan-out counters.
+        assert not any(name.startswith("exec.") for name in payload)
         # Storage I/O of the demo-database load is accounted per scheme.
         assert any(name.startswith("storage.") for name in payload)
         # Histogram values arrive as structured objects.
@@ -492,6 +480,41 @@ class TestStats:
         assert "# TYPE repro_kernel_kernel_combinations counter" in output
         assert "# TYPE repro_session_result_cache_hit_ratio gauge" in output
         assert '_bucket{le="+Inf"}' in output
+
+
+class TestRemovedSettings:
+    """Variables of removed execution features fail loudly, naming the
+    variable, instead of being silently ignored."""
+
+    @pytest.mark.parametrize("name", REMOVED_ENV)
+    def test_removed_variables_are_rejected(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "2")
+        status, output = run_cli("stats")
+        assert status == 1
+        assert output == ""
+        error = capsys.readouterr().err
+        assert name in error and "removed" in error
+
+    def test_empty_values_count_as_unset(self, monkeypatch):
+        for name in REMOVED_ENV:
+            monkeypatch.setenv(name, " ")
+        status, _ = run_cli("stats")
+        assert status == 0
+
+    def test_executor_variable_fails_the_installed_entry_point(self):
+        """``REPRO_EXECUTOR=process repro stats`` exits 1, naming it."""
+        env = dict(
+            os.environ,
+            REPRO_EXECUTOR="process",
+            PYTHONPATH=str(ROOT / "src"),
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "stats"],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        assert result.returncode == 1
+        assert "REPRO_EXECUTOR" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestConvert:

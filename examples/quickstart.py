@@ -12,9 +12,9 @@ This walks the paper's core loop with the fluent lazy API:
    rule is associative), publishes on flush, and re-collects
    subscribed queries,
 5. inspect the compact evidence kernel that runs underneath it all,
-6. look at the physical plan: the execution layer rewrites each query
-   and lowers every node onto a physical operator, run in one exact
-   serial pass,
+6. look at the optimized plan: the optimizer rewrites each query, and
+   every plan node calls its algebra operation in one exact serial
+   pass,
 7. persist everything through a pluggable storage backend (json /
    sqlite / append-only log), with write-ahead durability for streams,
 8. watch it all through the unified telemetry layer (repro.obs):
@@ -144,18 +144,17 @@ def main() -> None:
 
     # Execution.  The paper's operators work per entity (definite keys
     # identify real-world entities; merges never mix entities), so one
-    # serial pass is already exact.  The physical layer (repro.exec)
-    # rewrites each logical plan (selection fusion and pushdown,
-    # projection pruning) and lowers every node onto a physical
-    # operator; describe_physical shows the strategy each node runs
-    # with, as `repro query DB --explain` shows the logical plan.
-    from repro.exec import describe_physical
+    # serial pass is already exact.  The optimizer rewrites each plan
+    # (selection fusion and pushdown, projection pruning), and every
+    # plan node evaluates by calling its algebra operation;
+    # session.explain shows the optimized plan, as
+    # `repro query DB --explain` does.
     from repro.session import Session
 
     # A fresh session, so the query below really re-executes (the
     # default session would serve its cached result).
     session = Session(db)
-    print(describe_physical(session.plan("RA UNION RB BY (rname)")))
+    print(session.explain("RA UNION RB BY (rname)"))
     again = session.execute("RA UNION RB BY (rname)")
     assert again.same_tuples(integrated.collect())
     assert list(again.keys()) == list(integrated.collect().keys())

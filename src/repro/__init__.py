@@ -48,8 +48,8 @@ session behind the database caches plans and results for you:
 ['ashiana', 'country', 'mehl']
 
 The SQL-like string front end lowers into the identical plans (same
-optimizer, same caches); the eager ``algebra.*`` functions still work
-and are now thin wrappers over single-node expressions:
+optimizer, same caches).  The eager ``algebra.*`` functions run one
+operation at once, and plan nodes evaluate by calling them:
 
 >>> db.add(union(table_ra(), table_rb(), name="R"))
 >>> result = db.query("SELECT rname, rating FROM R WHERE rating IS {ex} WITH SN >= 0.5")

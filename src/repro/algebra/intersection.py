@@ -30,9 +30,7 @@ def intersection(
 ) -> ExtendedRelation:
     """``R intersect S``: Dempster-merge of the key-matched tuples only.
 
-    A thin wrapper over the single-node plan
-    :class:`repro.query.plans.IntersectPlan`; use
-    :func:`intersection_with_report` directly when the conflict report
+    Use :func:`intersection_with_report` when the conflict report
     matters.
 
     >>> from repro.datasets.restaurants import table_ra, table_rb
@@ -40,12 +38,8 @@ def intersection(
     >>> sorted(t.key()[0] for t in consensus)
     ['country', 'garden', 'mehl', 'olive', 'wok']
     """
-    from repro.query.plans import IntersectPlan, LiteralPlan
-
-    merged = IntersectPlan(
-        LiteralPlan(left), LiteralPlan(right), on_conflict
-    ).execute(None)
-    return merged if name is None else merged.with_name(name)
+    merged, _ = intersection_with_report(left, right, name, on_conflict)
+    return merged
 
 
 def intersection_with_report(

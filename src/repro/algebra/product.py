@@ -36,26 +36,11 @@ def product(
 ) -> ExtendedRelation:
     """``R x S``: the extended cartesian product.
 
-    A thin wrapper over the single-node plan
-    :class:`repro.query.plans.ProductPlan`.
-
     >>> from repro.datasets.restaurants import table_ra, table_rm_a
     >>> pairs = product(table_ra(), table_rm_a())
     >>> len(pairs) == len(table_ra()) * len(table_rm_a())
     True
     """
-    from repro.query.plans import LiteralPlan, ProductPlan
-
-    result = ProductPlan(LiteralPlan(left), LiteralPlan(right)).execute(None)
-    return result if name is None else result.with_name(name)
-
-
-def product_eager(
-    left: ExtendedRelation,
-    right: ExtendedRelation,
-    name: str | None = None,
-) -> ExtendedRelation:
-    """The eager product kernel plan execution maps onto."""
     schema = left.schema.concat(right.schema, name)
     left_map = _rename_map(left.schema, right.schema)
     right_map = _rename_map(right.schema, left.schema)

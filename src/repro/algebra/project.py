@@ -21,26 +21,11 @@ def project(
 ) -> ExtendedRelation:
     """``project(R, names)``: restriction to *names* (keys required).
 
-    A thin wrapper over the single-node plan
-    :class:`repro.query.plans.ProjectPlan`.
-
     >>> from repro.datasets.restaurants import table_ra
     >>> result = project(table_ra(), ["rname", "phone", "speciality", "rating"])
     >>> result.schema.names
     ('rname', 'phone', 'speciality', 'rating')
     """
-    from repro.query.plans import LiteralPlan, ProjectPlan
-
-    result = ProjectPlan(LiteralPlan(relation), tuple(names)).execute(None)
-    return result if name is None else result.with_name(name)
-
-
-def project_eager(
-    relation: ExtendedRelation,
-    names: Iterable[str],
-    name: str | None = None,
-) -> ExtendedRelation:
-    """The eager projection kernel plan execution maps onto."""
     schema = relation.schema.project(list(names), name)
     projected = [etuple.project(schema) for etuple in relation]
     return ExtendedRelation(schema, projected, on_unsupported="drop")

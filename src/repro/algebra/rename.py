@@ -20,26 +20,11 @@ def rename(
 ) -> ExtendedRelation:
     """A copy of *relation* with attributes renamed via ``{old: new}``.
 
-    A thin wrapper over the single-node plan
-    :class:`repro.query.plans.RenamePlan`.
-
     >>> from repro.datasets.restaurants import table_ra
     >>> renamed = rename(table_ra(), {"rname": "restaurant"})
     >>> "restaurant" in renamed.schema
     True
     """
-    from repro.query.plans import LiteralPlan, RenamePlan
-
-    result = RenamePlan(LiteralPlan(relation), dict(mapping)).execute(None)
-    return result if name is None else result.with_name(name)
-
-
-def rename_eager(
-    relation: ExtendedRelation,
-    mapping: Mapping[str, str],
-    name: str | None = None,
-) -> ExtendedRelation:
-    """The eager renaming kernel plan execution maps onto."""
     schema = relation.schema.rename_attributes(mapping, name)
     renamed_tuples = [etuple.renamed(schema, dict(mapping)) for etuple in relation]
     return ExtendedRelation(schema, renamed_tuples, on_unsupported="drop")

@@ -32,10 +32,9 @@ def select(
 ) -> ExtendedRelation:
     """``select(R, P, Q)``: the paper's extended selection.
 
-    A thin wrapper over the single-node plan
-    :class:`repro.query.plans.SelectPlan`; composite queries should use
-    the lazy expression API (:meth:`repro.storage.Database.rel`) so the
-    planner can optimize across operations.
+    Composite queries should use the lazy expression API
+    (:meth:`repro.storage.Database.rel`) so the planner can optimize
+    across operations.
 
     Parameters
     ----------
@@ -56,19 +55,6 @@ def select(
     >>> sorted(t.key()[0] for t in result)
     ['garden', 'wok']
     """
-    from repro.query.plans import LiteralPlan, SelectPlan
-
-    result = SelectPlan(LiteralPlan(relation), predicate, threshold).execute(None)
-    return result if name is None else result.with_name(name)
-
-
-def select_eager(
-    relation: ExtendedRelation,
-    predicate: Predicate,
-    threshold: MembershipThreshold = SN_POSITIVE,
-    name: str | None = None,
-) -> ExtendedRelation:
-    """The eager selection kernel plan execution maps onto."""
     predicate.validate_against(relation.schema)
     schema = relation.schema if name is None else relation.schema.with_name(name)
     selected: list[ExtendedTuple] = []

@@ -222,18 +222,12 @@ def union(
 ) -> ExtendedRelation:
     """``R union S`` matched on the common key (see module docstring).
 
-    A thin wrapper over the single-node plan
-    :class:`repro.query.plans.UnionPlan`; use
-    :func:`union_with_report` directly when the conflict report matters.
+    Use :func:`union_with_report` when the conflict report matters.
 
     >>> from repro.datasets.restaurants import table_ra, table_rb
     >>> merged = union(table_ra(), table_rb())
     >>> merged.get(("mehl",)).membership.format()
     '(5/6,5/6)'
     """
-    from repro.query.plans import LiteralPlan, UnionPlan
-
-    merged = UnionPlan(
-        LiteralPlan(left), LiteralPlan(right), on_conflict
-    ).execute(None)
-    return merged if name is None else merged.with_name(name)
+    merged, _ = union_with_report(left, right, name, on_conflict)
+    return merged

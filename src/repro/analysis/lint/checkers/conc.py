@@ -2,7 +2,7 @@
 
 Callers may drive the library from several threads at once (an
 application can run integrations and queries concurrently), so any
-module-level state the evidence kernel, algebra, integration, stream,
+module-level state the evidence kernel, algebra, query, integration, stream,
 storage or telemetry layers touch is concurrent whether it planned to
 be or not.  One rule:
 
@@ -190,7 +190,7 @@ class ConcChecker(Checker):
     name = "conc"
     paths = (
         "repro/ds/",
-        "repro/exec/",
+        "repro/query/",
         "repro/stream/",
         "repro/storage/",
         "repro/algebra/",

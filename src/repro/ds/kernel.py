@@ -55,6 +55,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from repro.counters import ThreadLocalCounters
+from repro.errors import MassFunctionError
 from repro.ds.frame import (
     OMEGA,
     FocalElement,
@@ -202,6 +203,7 @@ class InternedFrame:
         "_query_bit",
         "_sort_keys",
         "_renderings",
+        "_text_atoms",
     )
 
     def __init__(self, source: FrameOfDiscernment | frozenset):
@@ -214,6 +216,7 @@ class InternedFrame:
         ordered = sorted(self._atoms, key=repr)
         self._bit_by_value = {value: bit for bit, value in enumerate(ordered)}
         self._value_by_bit = ordered
+        self._text_atoms = all(type(value) in (str, int) for value in ordered)
         width = len(ordered) if self._frame is not None else len(ordered) + 2
         self._omega = (1 << width) - 1
         self._query_bit = 1 << len(ordered)
@@ -231,6 +234,13 @@ class InternedFrame:
     def atoms(self) -> frozenset:
         """The values that have a bit of their own."""
         return self._atoms
+
+    @property
+    def text_atoms(self) -> bool:
+        """Whether every atom is a ``str`` or an ``int``: the values whose
+        :func:`~repro.ds.notation.format_atom` text
+        :func:`~repro.ds.notation.parse_atom` reads back unchanged."""
+        return self._text_atoms
 
     @property
     def omega_mask(self) -> int:
@@ -608,7 +618,9 @@ def combine_compiled(
 ) -> tuple[CompiledMass | None, Numeric]:
     """Dempster's rule on bitmasks: ``(normalized result, kappa)``.
 
-    Returns ``(None, kappa)`` on total conflict (no surviving mass).
+    Returns ``(None, kappa)`` on total conflict: no surviving mass, or
+    float mass whose normalization by ``1 - kappa`` fails the total
+    check (see :data:`~repro.ds.mass.FLOAT_SUM_TOLERANCE`).
     """
     pooled, kappa = conjunctive_compiled(a, b)
     if not pooled:
@@ -616,6 +628,12 @@ def combine_compiled(
     if kappa:
         remaining = 1 - kappa
         pooled = {mask: value / remaining for mask, value in pooled.items()}
+        try:
+            return _canonical(a.interned, pooled), kappa
+        except MassFunctionError:
+            # Exact masses renormalize to exactly one, so only float
+            # round-off magnified by a tiny 1 - kappa gets here.
+            return None, kappa
     return _canonical(a.interned, pooled), kappa
 
 

@@ -44,7 +44,12 @@ from repro.ds.frame import OMEGA, FocalElement, FrameOfDiscernment, is_omega
 
 Numeric = Union[Fraction, float]
 
-#: Tolerance used to validate that float masses sum to one.
+#: Tolerance used to validate that float masses sum to one.  Float
+#: Dempster combination near total conflict divides by a tiny
+#: ``1 - kappa``, which can magnify round-off past this tolerance; such a
+#: combination counts as total conflict (``combine_with_conflict``
+#: returns ``None``, ``combine`` raises ``TotalConflictError``), so the
+#: extended union's ``on_conflict`` policy applies to it.
 FLOAT_SUM_TOLERANCE = 1e-9  # repro: ignore[EXACT] -- the one float-tolerance knob
 
 

@@ -11,7 +11,7 @@ The exceptions mirror the layers of the system:
   :class:`MembershipError`, :class:`RelationError`),
 * algebra layer (:class:`PredicateError`, :class:`OperationError`),
 * query layer (:class:`QueryError` and its lexing/parsing/planning
-  subclasses, plus :class:`ExecutionError` for the physical layer and
+  subclasses, plus :class:`ExecutionError` for query execution and
   its :class:`ConfigError` refinement),
 * integration layer (:class:`IntegrationError`),
 * storage layer (:class:`SerializationError`, :class:`CatalogError`).
@@ -135,7 +135,7 @@ class PlanError(QueryError):
 
 
 class ExecutionError(ReproError):
-    """The physical execution layer failed or was misconfigured."""
+    """Query execution failed or was misconfigured."""
 
 
 class ConfigError(ExecutionError):

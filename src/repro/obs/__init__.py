@@ -25,7 +25,7 @@ session.plans_built                     counter    plans compiled (cache misses)
 session.plan_cache_hits                 counter    plan-cache hits
 session.result_cache_hits               counter    whole-query result-cache hits
 session.subplan_cache_hits              counter    shared-subtree result-cache hits
-session.node_executions                 counter    plan nodes physically executed
+session.node_executions                 counter    plan nodes evaluated (cache misses)
 session.invalidations                   counter    cache invalidation sweeps
 session.entries_invalidated             counter    cache entries dropped by invalidation
 session.subscription_refreshes          counter    subscribed queries re-collected after publish
@@ -58,10 +58,13 @@ storage.<scheme>.file_bytes             gauge      current on-disk size of the l
 
 ``<scheme>`` is the backend scheme (``json``/``sqlite``/``log``);
 ``<name>`` is the caller-chosen stream source name.  Execution is
-serial, so there are no ``exec.*`` metrics: the physical layer's work
-shows as ``physical.<op>`` spans.  Span names mirror the layer
-prefixes: ``session.execute``, ``physical.<op>``, ``stream.flush``,
-``storage.<op>``.
+serial, so there are no ``exec.*`` metrics.  Span names mirror the
+layer prefixes: ``session.execute``, ``physical.<op>``, ``stream.flush``,
+``storage.<op>``.  A ``physical.<op>`` span covers one plan node
+evaluated by :meth:`Plan.execute <repro.query.plans.Plan.execute>` or a
+:class:`~repro.session.Session` (``<op>`` is the node's
+:attr:`~repro.query.plans.Plan.op`); direct ``repro.algebra`` calls
+emit none.
 """
 
 from repro.obs.profile import FlushProfile, NodeProfile, QueryProfile

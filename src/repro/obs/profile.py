@@ -22,7 +22,6 @@ class NodeProfile:
     """One plan node's measured execution, children included."""
 
     label: str
-    strategy: str
     rows_in: tuple[int, ...]
     rows_out: int
     wall_seconds: float
@@ -45,7 +44,7 @@ class NodeProfile:
         pad = "  " * indent
         rows_in = "+".join(str(n) for n in self.rows_in) or "0"
         parts = [
-            f"{pad}{self.label} [{self.strategy}]",
+            f"{pad}{self.label}",
             f"rows={rows_in}->{self.rows_out}",
             f"time={self.wall_seconds * 1e3:.3f}ms",
         ]
@@ -60,7 +59,6 @@ class NodeProfile:
         """A JSON-serializable mapping of the annotated subtree."""
         return {
             "label": self.label,
-            "strategy": self.strategy,
             "rows_in": list(self.rows_in),
             "rows_out": self.rows_out,
             "wall_seconds": self.wall_seconds,

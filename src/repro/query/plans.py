@@ -2,26 +2,31 @@
 
 Plans are bound trees: every node knows its output schema at build time
 (binding happens in :mod:`repro.query.planner`), so attribute resolution
-errors surface before execution.  Execution maps nodes 1:1 onto the
-algebra operations:
+errors surface before execution.  Each node evaluates by calling its
+algebra operation directly:
 
 * :class:`ScanPlan` -> catalog lookup
 * :class:`LiteralPlan` -> an in-memory relation (no catalog involved)
 * :class:`SelectPlan` -> :func:`repro.algebra.select` (a ``None``
   predicate means a pure membership-threshold filter)
 * :class:`ProjectPlan` -> :func:`repro.algebra.project`
-* :class:`UnionPlan` -> :func:`repro.algebra.union`
-* :class:`ProductPlan` -> :func:`repro.algebra.product`
 * :class:`RenamePlan` -> :func:`repro.algebra.rename`
+* :class:`UnionPlan` -> :func:`repro.algebra.union_with_report`
+* :class:`IntersectPlan` ->
+  :func:`repro.algebra.intersection.intersection_with_report`
+* :class:`ProductPlan` -> :func:`repro.algebra.product`
 
 (the extended join is represented as Select over Product, mirroring its
 definition in Section 3.5).
 
 Every node separates *recursion* from *evaluation*: :meth:`Plan.execute`
 walks the tree, while :meth:`Plan.apply` evaluates one node given its
-children's results.  Engines that want to share work between plans (see
-:class:`repro.session.Session`) recurse themselves, memoize subtree
-results by fingerprint, and call ``apply`` per node.
+children's results.  :func:`run_node` is the one place a node is
+evaluated: it wraps :meth:`Plan.apply` in the node's
+``physical.<op>`` tracing span.  Engines that want to share work
+between plans (see :class:`repro.session.Session`) recurse themselves,
+memoize subtree results by fingerprint, and call :func:`run_node` per
+node.
 """
 
 from __future__ import annotations
@@ -33,17 +38,39 @@ from abc import ABC, abstractmethod
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.algebra.predicates import Predicate
-from repro.algebra.select import select_eager
-from repro.algebra.project import project_eager
-from repro.algebra.product import product_eager
+from repro.algebra.select import select
+from repro.algebra.project import project
+from repro.algebra.product import product
 from repro.algebra.union import union_with_report
 from repro.algebra.intersection import intersection_with_report
-from repro.algebra.rename import rename_eager
+from repro.algebra.rename import rename
 from repro.algebra.thresholds import SN_POSITIVE, MembershipThreshold
+from repro.obs import tracing
+
+
+def run_node(plan: "Plan", inputs, database) -> ExtendedRelation:
+    """Evaluate one node given its children's results.
+
+    With tracing enabled the evaluation runs in a ``physical.<op>``
+    span that records the node label and the exact input/output row
+    counts; otherwise the one extra cost is the flag check.
+    """
+    if not tracing.enabled():
+        return plan.apply(inputs, database)
+    with tracing.span("physical." + plan.op, label=plan.label()) as current:
+        result = plan.apply(inputs, database)
+        current.note(
+            rows_in=[len(relation) for relation in inputs],
+            rows_out=len(result),
+        )
+        return result
 
 
 class Plan(ABC):
     """A bound logical plan node."""
+
+    #: Operation name used in the node's ``physical.<op>`` span.
+    op: str
 
     @abstractmethod
     def schema(self) -> RelationSchema:
@@ -64,16 +91,9 @@ class Plan(ABC):
         """One-line description of this node."""
 
     def execute(self, database) -> ExtendedRelation:
-        """Evaluate the whole subtree against a database catalog.
-
-        Execution runs through the physical layer
-        (:mod:`repro.exec.physical`): each node lowers to a physical
-        operator that evaluates exactly as :meth:`apply`, so results and
-        order match the direct recursion bit for bit.
-        """
-        from repro.exec.physical import run_plan
-
-        return run_plan(self, database)
+        """Evaluate the whole subtree against a database catalog."""
+        inputs = tuple(child.execute(database) for child in self.children())
+        return run_node(self, inputs, database)
 
     def describe(self, indent: int = 0) -> str:
         """The plan subtree as indented text (for ``EXPLAIN``)."""
@@ -102,6 +122,8 @@ def scan_names(plan: "Plan") -> frozenset:
 class ScanPlan(Plan):
     """Read a named relation from the catalog."""
 
+    op = "scan"
+
     def __init__(self, name: str, schema: RelationSchema):
         self._name = name
         self._schema = schema
@@ -127,12 +149,12 @@ class ScanPlan(Plan):
 class LiteralPlan(Plan):
     """An in-memory relation used directly as a plan leaf.
 
-    This is how the eager ``algebra.*`` wrappers phrase a single
-    operation as a one-node plan, and how expressions mix catalog
-    relations with ad-hoc ones.  Each instance carries a process-unique
-    token so two literals never alias in a plan/result cache.
+    This is how expressions mix catalog relations with ad-hoc ones.
+    Each instance carries a process-unique token so two literals never
+    alias in a plan/result cache.
     """
 
+    op = "literal"
     _counter = itertools.count(1)
 
     def __init__(self, relation: ExtendedRelation):
@@ -165,6 +187,8 @@ class LiteralPlan(Plan):
 class SelectPlan(Plan):
     """Extended selection; ``predicate=None`` filters on membership only."""
 
+    op = "select"
+
     def __init__(
         self,
         child: Plan,
@@ -196,7 +220,7 @@ class SelectPlan(Plan):
     def apply(self, inputs, database) -> ExtendedRelation:
         (relation,) = inputs
         if self._predicate is not None:
-            return select_eager(relation, self._predicate, self._threshold)
+            return select(relation, self._predicate, self._threshold)
         kept = [
             etuple
             for etuple in relation
@@ -214,6 +238,8 @@ class SelectPlan(Plan):
 
 class ProjectPlan(Plan):
     """Extended projection."""
+
+    op = "project"
 
     def __init__(self, child: Plan, names: tuple[str, ...]):
         self._child = child
@@ -234,7 +260,7 @@ class ProjectPlan(Plan):
         return self._schema
 
     def apply(self, inputs, database) -> ExtendedRelation:
-        return project_eager(inputs[0], self._names)
+        return project(inputs[0], self._names)
 
     def children(self) -> tuple[Plan, ...]:
         return (self._child,)
@@ -245,6 +271,8 @@ class ProjectPlan(Plan):
 
 class RenamePlan(Plan):
     """Attribute renaming (plumbing; touches no values or memberships)."""
+
+    op = "rename"
 
     def __init__(self, child: Plan, mapping: dict[str, str]):
         self._child = child
@@ -265,7 +293,7 @@ class RenamePlan(Plan):
         return self._schema
 
     def apply(self, inputs, database) -> ExtendedRelation:
-        return rename_eager(inputs[0], self._mapping)
+        return rename(inputs[0], self._mapping)
 
     def children(self) -> tuple[Plan, ...]:
         return (self._child,)
@@ -279,6 +307,8 @@ class RenamePlan(Plan):
 
 class UnionPlan(Plan):
     """Extended union (attribute-value conflict resolution)."""
+
+    op = "union"
 
     def __init__(self, left: Plan, right: Plan, on_conflict: str = "raise"):
         left.schema().require_union_compatible(right.schema())
@@ -322,6 +352,8 @@ class IntersectPlan(Plan):
     """Extended intersection (consensus extension): Dempster-merge of
     the key-matched tuples only."""
 
+    op = "intersect"
+
     def __init__(self, left: Plan, right: Plan, on_conflict: str = "raise"):
         left.schema().require_union_compatible(right.schema())
         self._left = left
@@ -363,6 +395,8 @@ class IntersectPlan(Plan):
 class ProductPlan(Plan):
     """Extended cartesian product."""
 
+    op = "product"
+
     def __init__(self, left: Plan, right: Plan):
         self._left = left
         self._right = right
@@ -382,7 +416,7 @@ class ProductPlan(Plan):
         return self._schema
 
     def apply(self, inputs, database) -> ExtendedRelation:
-        return product_eager(inputs[0], inputs[1])
+        return product(inputs[0], inputs[1])
 
     def children(self) -> tuple[Plan, ...]:
         return (self._left, self._right)

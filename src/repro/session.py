@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 from repro.ds.kernel import STATS as KERNEL_STATS
 from repro.errors import PlanError, ReproError
-from repro.exec.physical import apply_node, lower_node
 from repro.expr import RelExpr, _Literal, _Rel
 from repro.model.relation import ExtendedRelation
 from repro.obs import tracing
@@ -53,7 +52,7 @@ from repro.query.executor import compile_text
 from repro.query.fingerprint import fingerprint as plan_fingerprint
 from repro.query.fingerprint import plan_key
 from repro.query.planner import optimize
-from repro.query.plans import Plan, scan_names
+from repro.query.plans import Plan, run_node, scan_names
 
 
 @dataclass
@@ -253,11 +252,10 @@ class Session:
     def explain_analyze(self, query) -> QueryProfile:
         """Execute *query* and return the plan annotated with measurements.
 
-        Every node is evaluated through the physical layer exactly as
-        :meth:`execute` would, but *bypassing the result caches*, so the
-        timings measure real work.  Each
-        :class:`~repro.obs.profile.NodeProfile` carries the node's wall
-        time, exact input/output row counts and the exact evidence
+        Every node is evaluated exactly as :meth:`execute` would, but
+        *bypassing the result caches*, so the timings measure real work.
+        Each :class:`~repro.obs.profile.NodeProfile` carries the node's
+        wall time, exact input/output row counts and the exact evidence
         combination count.  The session's caches and stats are
         untouched.
         """
@@ -283,12 +281,11 @@ class Session:
         inputs = tuple(child_results)
         kernel_baseline = KERNEL_STATS.snapshot()
         start = time.perf_counter()
-        result = apply_node(plan, inputs, self._db)
+        result = run_node(plan, inputs, self._db)
         wall = time.perf_counter() - start
         kernel_delta = KERNEL_STATS.since(kernel_baseline)
         profile = NodeProfile(
             label=plan.label(),
-            strategy=lower_node(plan).strategy,
             rows_in=tuple(len(relation) for relation in inputs),
             rows_out=len(result),
             wall_seconds=wall,
@@ -490,9 +487,7 @@ class Session:
                 self._stats.subplan_cache_hits += 1
             return cached
         inputs = tuple(self._run(child) for child in plan.children())
-        # Evaluate through the physical layer.  Cache keys (per-subtree
-        # plan fingerprints) are untouched by physical lowering.
-        result = apply_node(plan, inputs, self._db)
+        result = run_node(plan, inputs, self._db)
         self._stats.node_executions += 1
         self._remember(self._results, key, result)
         self._result_deps[key] = scan_names(plan)

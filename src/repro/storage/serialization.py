@@ -195,20 +195,59 @@ def schema_from_json(document: dict) -> RelationSchema:
 # -- values and rows ------------------------------------------------------------
 
 
+def _is_text_atom(value) -> bool:
+    """Whether *value* reads back from its notation text unchanged."""
+    return type(value) in (str, int)
+
+
+def _text_atoms_only(mass_function: MassFunction) -> bool:
+    """Whether every atom of *mass_function* (of its frame, once
+    compiled) is a text atom."""
+    if mass_function.is_compiled:
+        return mass_function.compiled().interned.text_atoms
+    return all(
+        _is_text_atom(member)
+        for element in mass_function.focal_elements()
+        if not is_omega(element)
+        for member in element
+    )
+
+
+def _element_to_json(element) -> list | None:
+    """A focal element's members (OMEGA: ``None``): ``str`` and ``int``
+    atoms as notation text, others tagged like scalars."""
+    if is_omega(element):
+        return None
+    if all(_is_text_atom(member) for member in element):
+        return sorted(format_atom(member) for member in element)
+    return [
+        format_atom(member) if _is_text_atom(member) else _atom_to_json(member)
+        for member in sorted(element, key=repr)
+    ]
+
+
+def _member_from_json(member) -> object:
+    return parse_atom(member) if type(member) is str else _atom_from_json(member)
+
+
 def _evidence_to_json(evidence: EvidenceSet) -> dict:
     """Serialize one evidence set.
 
-    Exact (Fraction) evidence uses the paper's human-readable bracket
-    notation.  Float or mixed evidence is stored structurally, mass by
-    mass: re-encoding each float as an exact fraction would make the
-    masses sum to something other than exactly 1 and fail re-validation.
-    Float masses are JSON numbers; the exact masses of mixed evidence
-    are ``"n/d"`` strings, so every mass keeps its type.
+    Exact (Fraction) evidence over ``str`` and ``int`` atoms uses the
+    paper's human-readable bracket notation.  Other evidence is stored
+    structurally, mass by mass: re-encoding each float as an exact
+    fraction would make the masses sum to something other than exactly
+    1 and fail re-validation, and notation text would turn ``True`` or
+    ``1.5`` into the text ``true`` or the exact ``3/2``.  Float masses
+    are JSON numbers and the exact masses of other evidence ``"n/d"``
+    strings, so every mass keeps its type; ``bool``, ``float`` and
+    ``Fraction`` atoms are tagged like scalars.
     """
     mass_function = evidence.mass_function
-    if mass_function.is_exact():
+    text_atoms = _text_atoms_only(mass_function)
+    if text_atoms and mass_function.is_exact():
         return {"evidence": evidence.format(style="fraction")}
-    if mass_function.is_compiled:
+    if text_atoms and mass_function.is_compiled:
         # The compiled masks and values are already in canonical focal
         # order, and the interned frame caches each mask's rendering.
         compiled = mass_function.compiled()
@@ -226,12 +265,8 @@ def _evidence_to_json(evidence: EvidenceSet) -> dict:
         }
     items = []
     for element, value in mass_function.items():
-        if is_omega(element):
-            rendered = None
-        else:
-            rendered = sorted(format_atom(member) for member in element)
         mass = value if type(value) is float else _number_to_json(value)
-        items.append({"element": rendered, "mass": mass})
+        items.append({"element": _element_to_json(element), "mass": mass})
     return {"evidence_items": items}
 
 
@@ -259,7 +294,7 @@ def _evidence_from_json(document: dict, domain) -> EvidenceSet:
         if rendered is None:
             element: object = OMEGA
         else:
-            element = frozenset(parse_atom(member) for member in rendered)
+            element = frozenset(map(_member_from_json, rendered))
         mass = _number_from_json(item["mass"])
         masses[element] = masses[element] + mass if element in masses else mass
     frame = domain.frame() if domain is not None and domain.is_enumerable else None
@@ -283,7 +318,9 @@ def values_from_json(document: dict, schema: RelationSchema | None = None) -> di
 
     Evidence binds to the attribute's domain in *schema*; without one it
     decodes unbound.  Any other JSON object (a mass mapping in an event
-    file) is kept as it is.
+    file) is kept as it is.  Rows written before exact scalars were
+    tagged hold them as bare ``"n/d"`` text, which a numeric domain in
+    *schema* reads back as the exact number.
     """
     values: dict[str, object] = {}
     for name, value in document.items():
@@ -293,6 +330,13 @@ def values_from_json(document: dict, schema: RelationSchema | None = None) -> di
                 value = _evidence_from_json(value, domain)
             else:
                 value = _atom_from_json(value)
+        elif (
+            type(value) is str
+            and schema is not None
+            and "/" in value
+            and isinstance(schema.attribute(name).domain, NumericDomain)
+        ):
+            value = _number_from_json(value)
         values[name] = value
     return values
 

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from repro.ds.combination import combine, combine_with_conflict
+from repro.ds.frame import OMEGA
+from repro.ds.mass import MassFunction
 from repro.errors import OperationError, SchemaError, TotalConflictError
 from repro.model.attribute import Attribute
 from repro.model.domain import EnumeratedDomain, TextDomain
 from repro.model.etuple import ExtendedTuple
+from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.algebra import union, union_with_report
@@ -216,3 +220,57 @@ class TestEvidencePooling:
         merged = union(left, right)
         assert merged.get("a").evidence("colour").definite_value() == "r"
         assert merged.get("a").membership.as_tuple() == (Fraction(1, 2), 1)
+
+
+class TestFloatNearTotalConflict:
+    """Float Dempster near total conflict: ``{a: 1-e, OMEGA: e}`` against
+    ``{b: 1-e, OMEGA: e}``.  Normalizing by ``1 - kappa ~ 2e`` magnifies
+    round-off, so for small *e* the combination is a total conflict and
+    the conflict policies apply instead of a mass-total error."""
+
+    EPSILONS = [1e-7, 1e-8, 1e-9, 1e-12]
+
+    @staticmethod
+    def _pair(eps):
+        return (
+            MassFunction({"r": 1 - eps, OMEGA: eps}),
+            MassFunction({"g": 1 - eps, OMEGA: eps}),
+        )
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_combine_with_conflict_never_fails_validation(self, eps):
+        m1, m2 = self._pair(eps)
+        combined, kappa = combine_with_conflict(m1, m2)
+        assert kappa == pytest.approx(1 - 2 * eps + eps * eps, abs=1e-15)
+        if eps >= 1e-7:
+            assert combined[{"r"}] == pytest.approx(0.5)
+            assert combined[{"g"}] == pytest.approx(0.5)
+        else:
+            assert combined is None
+            with pytest.raises(TotalConflictError):
+                combine(m1, m2)
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("policy", ["raise", "vacuous", "drop"])
+    def test_one_tuple_union_applies_the_policy(self, schema, eps, policy):
+        domain = schema.attribute("colour").domain
+        left, right = (
+            _rel(schema, name, [({"k": "a", "colour": EvidenceSet(m, domain)}, (1, 1))])
+            for name, m in zip("LR", self._pair(eps))
+        )
+        if eps >= 1e-7:
+            merged, report = union_with_report(left, right, on_conflict=policy)
+            assert merged.get("a").evidence("colour").bel({"r"}) == pytest.approx(0.5)
+            assert report.total_conflicts == []
+            return
+        if policy == "raise":
+            with pytest.raises(TotalConflictError, match="colour"):
+                union(left, right, on_conflict=policy)
+            return
+        merged, report = union_with_report(left, right, on_conflict=policy)
+        assert [record.attribute for record in report.total_conflicts] == ["colour"]
+        if policy == "vacuous":
+            assert merged.get("a").evidence("colour").is_vacuous()
+        else:
+            assert len(merged) == 0
+            assert report.dropped == [("a",)]

@@ -51,7 +51,7 @@ class TestExactChecker:
         assert "EXACT001" in rules_of(result)
 
     def test_other_layers_are_exempt(self, tmp_path):
-        place(tmp_path, "exact_bad.py", "repro/exec/exact_bad.py")
+        place(tmp_path, "exact_bad.py", "repro/stream/exact_bad.py")
         result = analyze([tmp_path], checkers=[ExactChecker()])
         assert result.findings == []
 
@@ -82,13 +82,13 @@ class TestDetermChecker:
 
 class TestConcChecker:
     def test_bad_fixture_flags_unguarded_writes(self, tmp_path):
-        place(tmp_path, "conc_bad.py", "repro/exec/conc_bad.py")
+        place(tmp_path, "conc_bad.py", "repro/query/conc_bad.py")
         result = analyze([tmp_path], checkers=[ConcChecker()])
         # STATS["hits"] += 1 and HISTORY.append.
         assert rules_of(result) == ["CONC001", "CONC001"]
 
     def test_locked_writes_and_local_handles_are_clean(self, tmp_path):
-        place(tmp_path, "conc_good.py", "repro/exec/conc_good.py")
+        place(tmp_path, "conc_good.py", "repro/query/conc_good.py")
         result = analyze([tmp_path], checkers=[ConcChecker()])
         assert result.findings == []
 

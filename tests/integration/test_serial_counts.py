@@ -38,7 +38,7 @@ from fractions import Fraction
 import pytest
 
 from repro.algebra.predicates import IsPredicate
-from repro.algebra.select import select_eager
+from repro.algebra.select import select
 from repro.algebra.thresholds import sn_at_least
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.ds import combination, discounting, kernel, mass
@@ -240,7 +240,7 @@ def test_selection_checks_supports_not_products(monkeypatch):
     relation = read_relation()
     predicate = IsPredicate("category", {"c1", "c4", "c7"})
     threshold = sn_at_least("0.05")
-    select_eager(relation, predicate, threshold)  # compile the evidence
+    select(relation, predicate, threshold)  # compile the evidence
     counts = {"memberships": 0, "coerced": 0, "zero_seeds": 0, "bel_pls": 0}
     monkeypatch.setattr(
         TupleMembership,
@@ -261,7 +261,7 @@ def test_selection_checks_supports_not_products(monkeypatch):
         return result
 
     monkeypatch.setattr(kernel.CompiledMass, "bel_pls", bel_pls)
-    selected = select_eager(relation, predicate, threshold)
+    selected = select(relation, predicate, threshold)
     assert 0 < len(selected) < READ_TUPLES
     assert counts["bel_pls"] == READ_TUPLES
     assert counts["memberships"] == READ_TUPLES

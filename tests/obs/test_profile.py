@@ -90,7 +90,7 @@ class TestExplainAnalyze:
         assert payload["rows"] == 3
         assert set(payload) == {"query", "wall_seconds", "rows", "plan"}
         assert set(payload["plan"]) == {
-            "label", "strategy", "rows_in", "rows_out", "wall_seconds",
+            "label", "rows_in", "rows_out", "wall_seconds",
             "kernel_combinations", "children",
         }
         assert payload["plan"]["children"][0]["children"][0]["rows_out"] == 6

@@ -109,3 +109,84 @@ class TestEnvironmentFlag:
             assert tracing._env_enabled() is expect
         monkeypatch.delenv("REPRO_TRACE")
         assert tracing._env_enabled() is False
+
+
+def _plans(db):
+    """One plan per node type, each rooted at the named operation."""
+    from repro.algebra import IsPredicate
+    from repro.datasets.restaurants import table_ra
+    from repro.query.plans import (
+        IntersectPlan,
+        LiteralPlan,
+        ProductPlan,
+        ProjectPlan,
+        RenamePlan,
+        ScanPlan,
+        SelectPlan,
+        UnionPlan,
+    )
+
+    def scan(name):
+        return ScanPlan(name, db.get(name).schema)
+
+    return {
+        "scan": scan("RA"),
+        "literal": LiteralPlan(table_ra()),
+        "select": SelectPlan(scan("RA"), IsPredicate("speciality", {"si"})),
+        "project": ProjectPlan(scan("RA"), ("rname", "rating")),
+        "rename": RenamePlan(scan("RA"), {"rating": "stars"}),
+        "union": UnionPlan(scan("RA"), scan("RB")),
+        "intersect": IntersectPlan(scan("RA"), scan("RB")),
+        "product": ProductPlan(scan("RA"), scan("RM_A")),
+    }
+
+
+class TestPlanSpans:
+    """Every plan node evaluates in a ``physical.<op>`` span carrying its
+    label and row counts, whichever engine runs it (the benchmark's
+    per-layer breakdown maps these names to ``algebra.<op>_s``)."""
+
+    @pytest.fixture
+    def db(self):
+        from repro.datasets.restaurants import table_ra, table_rb, table_rm_a
+        from repro.storage import Database
+
+        database = Database("spans")
+        for relation in (table_ra(), table_rb(), table_rm_a()):
+            database.add(relation)
+        return database
+
+    @pytest.mark.parametrize(
+        "op",
+        ["scan", "literal", "select", "project", "rename", "union",
+         "intersect", "product"],
+    )
+    @pytest.mark.parametrize("engine", ["plan", "session"])
+    def test_node_emits_its_physical_span(self, db, op, engine):
+        from repro.session import Session
+
+        plan = _plans(db)[op]
+        assert plan.op == op
+        inputs = [child.execute(db) for child in plan.children()]
+        with tracing_scope():
+            if engine == "plan":
+                result = plan.execute(db)
+            else:
+                result = Session(db).execute(plan)
+        records = [
+            record
+            for record in take_records()
+            if record.name == f"physical.{op}"
+            and record.attrs["label"] == plan.label()
+        ]
+        assert len(records) == 1
+        assert records[0].attrs["rows_in"] == [len(r) for r in inputs]
+        assert records[0].attrs["rows_out"] == len(result)
+
+    def test_direct_algebra_calls_emit_no_span(self):
+        from repro.algebra import IsPredicate, select, union
+        from repro.datasets.restaurants import table_ra, table_rb
+
+        with tracing_scope():
+            union(select(table_ra(), IsPredicate("speciality", {"si"})), table_rb())
+        assert take_records() == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.storage import Database
+from repro.query.fingerprint import plan_key
 from repro.query.parser import parse
 from repro.query.planner import build_plan, optimize
 from repro.query.plans import (
@@ -165,6 +166,15 @@ class TestOptimizerSemantics:
         raw = build_plan(parse(text), db)
         optimized = optimize(build_plan(parse(text), db))
         assert raw.execute(db).same_tuples(optimized.execute(db))
+
+    def test_optimize_is_idempotent(self, db):
+        """An optimized plan is a fixpoint: optimizing it again changes
+        neither its canonical form nor its rendering."""
+        for text in self.QUERIES + ["SELECT rname FROM RA WHERE rating IS {ex}"]:
+            once = optimize(plan_of(db, text))
+            twice = optimize(once)
+            assert plan_key(twice) == plan_key(once), text
+            assert twice.describe() == once.describe(), text
 
     def test_union_pushdown_would_be_wrong(self, db):
         """Demonstrate that pushing selection below union changes results:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ds.frame import OMEGA
+from repro.ds.frame import OMEGA, is_omega
 from repro.model.attribute import Attribute
 from repro.model.domain import AnyDomain, EnumeratedDomain
 from repro.model.etuple import ExtendedTuple
@@ -180,7 +180,13 @@ def evidence(draw):
     domain = draw(st.sampled_from([ENUMERATED, OPEN]))
     atoms = st.sampled_from(TEXT_ATOMS)
     if domain is OPEN:
-        atoms = st.one_of(atoms, st.integers(min_value=-50, max_value=50))
+        atoms = st.one_of(
+            atoms,
+            st.integers(min_value=-50, max_value=50),
+            st.booleans(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.fractions(max_denominator=1000),
+        )
     elements = draw(
         st.lists(
             st.one_of(st.just(OMEGA), st.frozensets(atoms, min_size=1, max_size=3)),
@@ -216,9 +222,15 @@ def evidence(draw):
 
 
 def typed_masses(value: EvidenceSet) -> dict:
-    """Masses by focal element, each with its type (OMEGA as written)."""
+    """Masses by focal element, each mass and atom with its type (OMEGA
+    as written): ``True`` and ``1``, or ``1.5`` and ``3/2``, compare
+    equal but are different atoms."""
     return {
-        element: (mass, type(mass))
+        (
+            element
+            if is_omega(element)
+            else frozenset((atom, type(atom)) for atom in element)
+        ): (mass, type(mass))
         for element, mass in value.mass_function._mass_dict().items()
     }
 

@@ -22,7 +22,12 @@ from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.storage import open_backend
-from repro.storage.serialization import domain_from_json, domain_to_json
+from repro.storage.serialization import (
+    domain_from_json,
+    domain_to_json,
+    tuple_from_json,
+    values_from_json,
+)
 from repro.stream import (
     StreamEngine,
     UpsertEvent,
@@ -404,3 +409,38 @@ def test_domains_read_raw_and_tagged_scalars():
     values = {"kind": "enumerated", "name": "e", "values": [1, {"fraction": "1/2"}]}
     assert domain_from_json(values).values == {1, Fraction(1, 2)}
     assert json.dumps(domain_to_json(domain_from_json(values)))
+
+
+#: A row as stores written before exact scalars were tagged hold it: the
+#: exact ``weight`` is bare ``"n/d"`` text, like the text ``note``.
+PREVIOUS_ROW = {
+    "values": {
+        "k": "wok",
+        "weight": "1/2",
+        "note": "1/2",
+        "colour": {"evidence": "[red^1/2, Ω^1/2]"},
+    },
+    "membership": ["1/2", "1/1"],
+}
+
+
+def test_previous_rows_read_exact_numbers_under_numeric_domains():
+    schema = RelationSchema(
+        "R",
+        [
+            Attribute("k", TextDomain("k"), key=True),
+            Attribute("weight", NumericDomain("weight")),
+            Attribute("note", TextDomain("note")),
+            Attribute("colour", COLOUR, uncertain=True),
+        ],
+    )
+    values = values_from_json(PREVIOUS_ROW["values"], schema)
+    assert typed([values["weight"], values["note"]]) == typed(
+        [Fraction(1, 2), "1/2"]
+    )
+    etuple = tuple_from_json(json.loads(json.dumps(PREVIOUS_ROW)), schema)
+    stored = [etuple[name].definite_value() for name in ("weight", "note")]
+    assert typed(stored) == typed(
+        [Fraction(1, 2), "1/2"]
+    )
+    assert etuple.membership.sn == Fraction(1, 2)

@@ -170,7 +170,7 @@ class TestSqlEquivalence:
 
 
 class TestEagerWrappers:
-    """algebra.* stays eager but now routes through single-node plans."""
+    """algebra.* evaluates eagerly, one operation per call."""
 
     def test_select_unchanged(self):
         result = select(table_ra(), attr("speciality").is_({"si"}))

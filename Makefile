@@ -7,6 +7,8 @@
 #   make bench-kernel   evidence kernel vs the frozenset test oracle
 #   make bench-query    selection, session-cache and planner benchmarks
 #                       (the exact query path's own assertions)
+#   make bench-merge    Table 4 union, union scaling and federation
+#                       ablation benchmarks (the merge path's assertions)
 #   make bench-storage  save/load/point-load per storage backend
 #   make bench-e2e      the end-to-end benchmark's own tests plus a
 #                       5-second smoke run of every workload
@@ -19,7 +21,7 @@ PYTHON ?= python
 export PYTHONPATH := src:.:$(PYTHONPATH)
 
 .PHONY: test test-sqlite bench bench-stream bench-kernel bench-query \
-	bench-storage bench-e2e lint lint-analysis quickstart
+	bench-merge bench-storage bench-e2e lint lint-analysis quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -41,6 +43,11 @@ bench-query:
 		benchmarks/bench_table2_selection.py \
 		benchmarks/bench_session_cache.py \
 		benchmarks/bench_query_planner.py -q
+
+bench-merge:
+	$(PYTHON) -m pytest benchmarks/bench_table4_union.py \
+		benchmarks/bench_scaling_union.py \
+		benchmarks/bench_federation_ablation.py -q
 
 bench-storage:
 	$(PYTHON) -m pytest benchmarks/bench_storage_backends.py -q -s

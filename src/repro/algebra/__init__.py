@@ -47,7 +47,7 @@ from repro.algebra.thresholds import (
     sp_greater,
 )
 from repro.algebra.select import select
-from repro.algebra.union import UnionReport, union, union_with_report
+from repro.algebra.union import union, union_with_report
 from repro.algebra.intersection import intersection, intersection_with_report
 from repro.algebra.project import project
 from repro.algebra.product import product
@@ -85,7 +85,6 @@ __all__ = [
     "select",
     "union",
     "union_with_report",
-    "UnionReport",
     "intersection",
     "intersection_with_report",
     "project",

@@ -79,6 +79,7 @@ import sys
 from contextlib import contextmanager
 
 from repro.errors import ConfigError, ReproError
+from repro.integration.merging import CONFLICT_POLICIES
 from repro.storage.backends import (
     open_backend,
     open_database,
@@ -209,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--on-conflict",
-        choices=["raise", "vacuous", "drop"],
+        choices=CONFLICT_POLICIES,
         default="vacuous",
         help="total-conflict policy (default: vacuous)",
     )

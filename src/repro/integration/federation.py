@@ -31,7 +31,11 @@ from dataclasses import dataclass, field
 from repro.errors import IntegrationError, TotalConflictError
 from repro.model.relation import ExtendedRelation
 from repro.integration.merging import MergeReport, TupleMerger
-from repro.integration.pipeline import _discount_relation, coerce_reliability
+from repro.integration.pipeline import (
+    _discount_relation,
+    coerce_reliability,
+    discount_tuple,
+)
 
 
 @dataclass(frozen=True)
@@ -160,30 +164,40 @@ class Federation:
         This is the seed of the paper's "ongoing research" direction --
         combining query processing with conflict resolution: a federated
         *point query* need not materialize the whole integrated relation,
-        only the one entity's evidence.  Returns the merged
-        :class:`ExtendedTuple`, or ``None`` when no source supports the
-        entity.  The result is identical to looking the key up in the
-        fully materialized integration (verified by the test-suite).
+        only the one entity's evidence.  Each source's tuple is
+        discounted by its reliability (:func:`discount_tuple`) and the
+        tuples are folded left to right with
+        :meth:`TupleMerger.merge_entity`, the streaming engine's refold
+        path.  Returns the merged :class:`ExtendedTuple` under the
+        schema named *name*, or ``None`` when no source supports the
+        entity or the merger's ``on_conflict`` policy dropped it.  On the
+        conflict-free path the result is identical to looking the key up
+        in the fully materialized integration (verified by the
+        test-suite).
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
         if not isinstance(key, tuple):
             key = (key,)
-        relevant: list[ExtendedRelation] = []
+        parts = []
         for source in self._sources:
             etuple = source.relation.get(key)
             if etuple is None:
                 continue
-            fragment = ExtendedRelation(source.relation.schema, [etuple])
             if source.reliability != 1:
-                fragment = _discount_relation(fragment, source.reliability)
-            relevant.append(fragment)
-        if not relevant:
+                etuple = discount_tuple(
+                    etuple, source.relation.schema, source.reliability
+                )
+            if etuple.membership.is_supported:
+                # A tuple discounted to sn = 0 supplies no support; the
+                # batch fold drops it too (CWA_ER).
+                parts.append(etuple)
+        if not parts:
             return None
-        accumulated = relevant[0]
-        for fragment in relevant[1:]:
-            accumulated, _ = self._merger.merge(accumulated, fragment, name=name)
-        return accumulated.get(key)
+        schema = parts[0].schema.with_name(name)
+        for etuple in parts[1:]:
+            schema.require_union_compatible(etuple.schema)
+        return self._merger.merge_entity(parts, schema)
 
     def integrate_entities(
         self, keys, name: str = "federated"

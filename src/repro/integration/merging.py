@@ -1,8 +1,9 @@
 """Tuple merging (Figure 1): combine matched tuples into the integrated
 relation.
 
-:class:`TupleMerger` generalizes the extended union of
-:mod:`repro.algebra.union`:
+:class:`TupleMerger` owns the one Dempster merge of two tuples that
+denote the same entity.  The extended union and intersection of
+:mod:`repro.algebra` run on it, and it generalizes them:
 
 * the tuple matching may come from any entity-identification strategy
   (not only key equality), and
@@ -11,16 +12,28 @@ relation.
   extracted during schema integration.
 
 Tuple *membership* is always pooled with Dempster's rule -- membership is
-evidence about existence, and both sources supplied some.  When every
-attribute uses the evidential method and matching is by key, merging
-coincides with the extended union exactly (verified by the test-suite).
+evidence about existence, and both sources supplied some.  With every
+attribute on the evidential method, merging a key-matched pair *is* the
+extended union's attribute-value conflict resolution: both call the same
+pair merge, so they agree by construction.
+
+Total conflict (``kappa = 1``) means the sources are irreconcilable for
+an attribute or for the membership; per Section 2.2 "some actions may be
+necessary to inform the data administrators".  :data:`CONFLICT_POLICIES`
+names the three actions: ``"raise"`` propagates
+:class:`TotalConflictError`; ``"vacuous"`` records the conflict and falls
+back to total ignorance for the offending *uncertain* attribute (a
+certain attribute cannot hold ignorance, and a membership conflict has
+no fallback, so the tuple is dropped and recorded instead); ``"drop"``
+records the conflict and drops the merged tuple.  Every conflict lands
+in the :class:`MergeReport` as a :class:`ConflictRecord`.
 
 Evidential combinations ride the compact evidence kernel
 (:mod:`repro.ds.kernel`) whenever the attribute's domain is enumerated:
 the merged evidence keeps its compiled (bitmask) state, so the n-ary
-folds built on :meth:`TupleMerger.merge_pair` / :meth:`merge_entity`
-(the federation's tree fold, the stream engine's per-entity cache)
-never re-derive masks between combinations.
+folds built on the merger (the federation's tree fold and point
+queries, the stream engine's per-entity cache) never re-derive masks
+between combinations.
 
 Validation policy
 -----------------
@@ -49,15 +62,68 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 from repro.errors import IntegrationError, TotalConflictError
+from repro.ds.combination import combine_with_conflict
+from repro.ds.mass import Numeric
 from repro.model.etuple import ExtendedTuple
+from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
-from repro.algebra.union import ConflictRecord, _combine_evidence
 from repro.integration.entity_identification import KeyMatcher, TupleMatching
 from repro.integration.methods import (
     EvidentialMethod,
     IntegrationMethod,
     get_method,
 )
+
+#: Accepted total-conflict policies (see the module docstring).
+CONFLICT_POLICIES = ("raise", "vacuous", "drop")
+
+
+def require_policy(on_conflict: str, error_class=IntegrationError) -> str:
+    """Return *on_conflict* if it is one of :data:`CONFLICT_POLICIES`.
+
+    The one policy check shared by the merger, the algebra and the
+    query plans; *error_class* picks the layer's exception.
+    """
+    if on_conflict not in CONFLICT_POLICIES:
+        raise error_class(
+            f"on_conflict must be one of {CONFLICT_POLICIES}, got {on_conflict!r}"
+        )
+    return on_conflict
+
+
+@dataclass(frozen=True)
+class ConflictRecord:
+    """One observed conflict between the two sources.
+
+    ``attribute`` is the attribute name, or ``"(sn,sp)"`` for the tuple
+    membership evidence.  ``kappa`` is Dempster's conflict mass (``1``
+    for a membership pair or a non-evidential method that conflicts
+    totally); ``total`` marks irreconcilable conflicts.
+    """
+
+    key: tuple
+    attribute: str
+    kappa: Numeric
+    total: bool
+
+
+def _combine_evidence(
+    left: EvidenceSet, right: EvidenceSet
+) -> tuple[EvidenceSet | None, Numeric]:
+    """Dempster-combine two attribute values; ``(None, kappa)`` on total
+    conflict.  Returns the conflict mass alongside the result.
+
+    Runs on the compiled evidence kernel whenever both sides carry the
+    attribute's enumerated frame (see :mod:`repro.ds.kernel`); the
+    merged evidence then stays compiled, so the integration fold and
+    the streaming engine's resident states never re-derive masks.
+    """
+    combined, kappa = combine_with_conflict(
+        left.mass_function, right.mass_function
+    )
+    if combined is None:
+        return None, kappa
+    return EvidenceSet(combined, left.domain or right.domain), kappa
 
 
 class _SameLayout:
@@ -111,6 +177,10 @@ class MergeReport:
         """Only the irreconcilable conflicts."""
         return [record for record in self.conflicts if record.total]
 
+    def max_kappa(self) -> Numeric:
+        """The largest observed conflict mass (0 when conflict-free)."""
+        return max((record.kappa for record in self.conflicts), default=0)
+
     def summary(self) -> str:
         """One-line digest for logs."""
         return (
@@ -133,8 +203,8 @@ class TupleMerger:
         Method for attributes without an override (the paper's
         evidential method).
     on_conflict:
-        ``"raise"`` (default), ``"vacuous"`` or ``"drop"``, as in
-        :mod:`repro.algebra.union`.
+        ``"raise"`` (default), ``"vacuous"`` or ``"drop"`` (see the
+        module docstring).
 
     >>> from repro.datasets.restaurants import table_ra, table_rb
     >>> merged, report = TupleMerger().merge(table_ra(), table_rb())
@@ -148,10 +218,7 @@ class TupleMerger:
         default_method: object = None,
         on_conflict: str = "raise",
     ):
-        if on_conflict not in ("raise", "vacuous", "drop"):
-            raise IntegrationError(
-                f"on_conflict must be raise/vacuous/drop, got {on_conflict!r}"
-            )
+        require_policy(on_conflict)
         self._methods = {
             name: get_method(method) for name, method in (methods or {}).items()
         }
@@ -329,7 +396,9 @@ class TupleMerger:
             report.conflicts.append(ConflictRecord(key, "(sn,sp)", 1, True))
             if self._on_conflict == "raise":
                 raise TotalConflictError(
-                    f"total conflict on membership of tuple {key!r}"
+                    f"total conflict on membership of tuple {key!r}: "
+                    f"{l_tuple.membership.format()} vs "
+                    f"{r_tuple.membership.format()}"
                 )
             report.dropped.append(key)
             return None
@@ -351,8 +420,6 @@ class TupleMerger:
 
     def _handle_total_conflict(self, attribute, key, left_value, right_value, report):
         """Apply the on_conflict policy; ``None`` means drop the tuple."""
-        from repro.model.evidence import EvidenceSet
-
         if self._on_conflict == "raise":
             raise TotalConflictError(
                 f"total conflict on attribute {attribute.name!r} of tuple "

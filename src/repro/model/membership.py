@@ -47,7 +47,12 @@ from fractions import Fraction
 
 from repro.errors import MembershipError, TotalConflictError
 from repro.ds.frame import MEMBERSHIP_FRAME, OMEGA
-from repro.ds.mass import MassFunction, Numeric, coerce_mass_value
+from repro.ds.mass import (
+    FLOAT_SUM_TOLERANCE,
+    MassFunction,
+    Numeric,
+    coerce_mass_value,
+)
 
 
 class TupleMembership:
@@ -201,6 +206,18 @@ class TupleMembership:
         arithmetic; mixed Fraction/float operands keep Python's mixed
         arithmetic, which differs from converting first (``float(1 -
         Fraction(1, 3)) != 1 - float(Fraction(1, 3))``).
+
+        Near total conflict in floats, normalizing by a tiny ``1 -
+        kappa`` magnifies round-off: ``(1-e, 1)`` against ``(0, e)`` at
+        ``e = 1e-9`` puts ``sn`` above ``sp``.  The evidence rule's
+        policy applies (see :data:`repro.ds.mass.FLOAT_SUM_TOLERANCE`):
+        when the three normalized masses on {true}, {false} and the
+        whole frame miss a total of one by more than that tolerance,
+        the pair counts as total conflict, ``(None, kappa)``, and the
+        merge's ``on_conflict`` policy decides.  A float ``sn`` above
+        ``sp`` always fails this check, since ``sn - sp`` is at most the
+        total's excess over one.  Exact operands normalize to exactly
+        one and skip it.
         """
         sn1, sp1 = self._sn, self._sp
         sn2, sp2 = other._sn, other._sp
@@ -212,6 +229,20 @@ class TupleMembership:
         remaining = 1 - kappa
         mass_true = sn1 * sp2 + sp1 * sn2 - sn1 * sn2
         mass_false = false1 * (1 - sn2) + (sp1 - sn1) * false2
+        # Any float operand makes kappa a float.  Round-off in the
+        # masses is a few ulps, so dividing by 1 - kappa >= 1/2 keeps
+        # their total far inside the tolerance: only a conflict that
+        # outweighs the rest (remaining < kappa) needs the check.
+        if (
+            type(kappa) is float
+            and remaining < kappa
+            and abs(
+                (mass_true + mass_false + (sp1 - sn1) * (sp2 - sn2)) / remaining
+                - 1
+            )
+            > FLOAT_SUM_TOLERANCE
+        ):
+            return None, kappa
         return (
             TupleMembership(mass_true / remaining, 1 - mass_false / remaining),
             kappa,

@@ -35,8 +35,10 @@ import itertools
 
 from abc import ABC, abstractmethod
 
+from repro.errors import PlanError
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
+from repro.integration.merging import require_policy
 from repro.algebra.predicates import Predicate
 from repro.algebra.select import select
 from repro.algebra.project import project
@@ -314,7 +316,7 @@ class UnionPlan(Plan):
         left.schema().require_union_compatible(right.schema())
         self._left = left
         self._right = right
-        self._on_conflict = on_conflict
+        self._on_conflict = require_policy(on_conflict, PlanError)
 
     @property
     def left(self) -> Plan:
@@ -358,7 +360,7 @@ class IntersectPlan(Plan):
         left.schema().require_union_compatible(right.schema())
         self._left = left
         self._right = right
-        self._on_conflict = on_conflict
+        self._on_conflict = require_policy(on_conflict, PlanError)
 
     @property
     def left(self) -> Plan:

@@ -4,7 +4,7 @@ Every :meth:`~repro.stream.engine.StreamEngine.flush` closes one
 micro-batch and emits a :class:`BatchDelta`: which entities the batch
 inserted into, updated in, or removed from the integrated relation,
 which hit a total conflict, and the
-:class:`~repro.algebra.union.ConflictRecord`\\ s of the *current* folds
+:class:`~repro.integration.merging.ConflictRecord`\\ s of the *current* folds
 of every entity the batch touched (so a still-conflicting entity
 re-reports on each touch, independent of arrival order).
 The :class:`ChangeLog` accumulates them -- the administrator-facing

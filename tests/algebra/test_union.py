@@ -12,9 +12,12 @@ from repro.model.attribute import Attribute
 from repro.model.domain import EnumeratedDomain, TextDomain
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
+from repro.model.membership import TupleMembership
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.algebra import union, union_with_report
+from repro.integration import Federation, TupleMerger
+from repro.integration.merging import ConflictRecord
 from repro.datasets.restaurants import table_ra, table_rb
 
 
@@ -274,3 +277,86 @@ class TestFloatNearTotalConflict:
         else:
             assert len(merged) == 0
             assert report.dropped == [("a",)]
+
+
+class TestFloatNearTotalMembershipConflict:
+    """The membership rule ``F`` near total conflict: ``(1-e, 1)``
+    against ``(0, e)`` or ``(e, e)``.  Float normalization by ``1 - kappa
+    ~ 2e`` breaks the masses' total (and, at some *e*, ``sn <= sp``), so
+    for small *e* the pair is a total conflict and the merge's policies
+    apply instead of a range-check error, as for the evidence rule."""
+
+    EPSILONS = [1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12]
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("sn", ["zero", "eps"])
+    def test_combine_reports_total_conflict(self, eps, sn):
+        certain = TupleMembership(1 - eps, 1)
+        doubtful = TupleMembership(0 if sn == "zero" else eps, eps)
+        combined, kappa = certain.combine_dempster_with_conflict(doubtful)
+        assert kappa == pytest.approx(1 - 2 * eps + eps * eps, abs=1e-15)
+        if eps >= 1e-7:
+            assert combined.sn == pytest.approx(0.5, abs=1e-7)
+            assert combined.sp == pytest.approx(0.5, abs=1e-7)
+        else:
+            assert combined is None
+            with pytest.raises(TotalConflictError):
+                certain.combine_dempster(doubtful)
+
+    def test_exact_pair_never_conflicts(self):
+        eps = Fraction(1, 10**12)
+        combined, kappa = TupleMembership(1 - eps, 1).combine_dempster_with_conflict(
+            TupleMembership(0, eps)
+        )
+        assert kappa == (1 - eps) ** 2
+        assert combined.as_tuple() == ((1 - eps) / (2 - eps), 1 / (2 - eps))
+
+    @staticmethod
+    def _pair(schema, eps):
+        return tuple(
+            _rel(schema, name, [({"k": "a", "colour": "r"}, membership)])
+            for name, membership in (("L", (1 - eps, 1)), ("R", (eps, eps)))
+        )
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("policy", ["raise", "vacuous", "drop"])
+    def test_one_tuple_union_applies_the_policy(self, schema, eps, policy):
+        left, right = self._pair(schema, eps)
+        if eps >= 1e-7:
+            merged, report = union_with_report(left, right, on_conflict=policy)
+            assert merged.get("a").membership.sn == pytest.approx(0.5, abs=1e-7)
+            assert report.total_conflicts == []
+            return
+        if policy == "raise":
+            with pytest.raises(TotalConflictError, match="membership"):
+                union(left, right, on_conflict=policy)
+            return
+        # No ignorance fallback exists for a membership pair: both
+        # recording policies drop the tuple.
+        merged, report = union_with_report(left, right, on_conflict=policy)
+        assert len(merged) == 0
+        assert report.dropped == [("a",)]
+        assert report.total_conflicts == [ConflictRecord(("a",), "(sn,sp)", 1, True)]
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("policy", ["raise", "vacuous", "drop"])
+    def test_one_tuple_federation_applies_the_policy(self, schema, eps, policy):
+        federation = Federation(TupleMerger(on_conflict=policy))
+        for relation in self._pair(schema, eps):
+            federation.add_source(relation.name, relation)
+        if eps >= 1e-7:
+            integrated, _ = federation.integrate(name="F")
+            on_demand = federation.integrate_entity("a", name="F")
+            assert on_demand.membership.sn == pytest.approx(0.5, abs=1e-7)
+            assert on_demand.membership == integrated.get("a").membership
+            return
+        if policy == "raise":
+            with pytest.raises(TotalConflictError, match="membership"):
+                federation.integrate()
+            with pytest.raises(TotalConflictError, match="membership"):
+                federation.integrate_entity("a")
+            return
+        integrated, report = federation.integrate()
+        assert len(integrated) == 0
+        assert report.total_conflicts == 1
+        assert federation.integrate_entity("a") is None

@@ -15,6 +15,9 @@ serial fold must
   range-check one discounted membership per distinct typed ``(sn, sp)``
   pair of a source, not one per tuple.
 
+The extended union and intersection of two same-layout relations
+re-coerce no attribute value either.
+
 Persisting the integrated relation to a new SQLite store is one
 transaction (one ``COMMIT``), and a first save that fails leaves no
 store behind.
@@ -37,10 +40,16 @@ from fractions import Fraction
 
 import pytest
 
+from repro.algebra.intersection import intersection_with_report
 from repro.algebra.predicates import IsPredicate
 from repro.algebra.select import select
 from repro.algebra.thresholds import sn_at_least
-from repro.datasets.generators import SyntheticConfig, synthetic_relation
+from repro.algebra.union import union_with_report
+from repro.datasets.generators import (
+    SyntheticConfig,
+    synthetic_pair,
+    synthetic_relation,
+)
 from repro.ds import combination, discounting, kernel, mass
 from repro.errors import SerializationError
 from repro.integration.pipeline import _discount_relation
@@ -318,6 +327,26 @@ def test_discount_and_merge_coerce_no_value(monkeypatch):
     )
     relation, _ = integrate(sources, FLOAT_RELIABILITIES)
     assert len(relation) > 0
+    assert counts["coerced"] == 0
+
+
+@pytest.mark.parametrize("operator", [union_with_report, intersection_with_report])
+@pytest.mark.parametrize("exact", [False, True])
+def test_union_and_intersection_coerce_no_value(monkeypatch, operator, exact):
+    """Both sides of a union or intersection share the result's layout,
+    so matched, left-only and right-only tuples are built from values
+    the sources already coerced: no ``_coerce_value`` call."""
+    config = SyntheticConfig(n_tuples=120, overlap=0.6, exact=exact, seed=5)
+    left, right = synthetic_pair(config, "L", "R")
+    counts = {"coerced": 0}
+    monkeypatch.setattr(
+        etuple_module,
+        "_coerce_value",
+        _counting(counts, "coerced", etuple_module._coerce_value),
+    )
+    merged, report = operator(left, right, on_conflict="vacuous")
+    assert len(report.matched) == 72
+    assert len(merged) > 0
     assert counts["coerced"] == 0
 
 

@@ -243,6 +243,30 @@ class TestEntityLevelIntegration:
         with pytest.raises(IntegrationError):
             Federation().integrate_entity(("x",))
 
+    def test_result_takes_the_federation_name(self, federation):
+        """Matched or single-source, the tuple comes back under the
+        integrated relation's name, as in the materialization."""
+        assert federation.integrate_entity("wok", name="R").schema.name == "R"
+        assert federation.integrate_entity("ashiana", name="R").schema.name == "R"
+
+    def test_fully_discounted_source_is_skipped(self):
+        federation = Federation()
+        federation.add_source("daily", table_ra())
+        federation.add_source("tribune", table_rb(), reliability=0)
+        on_demand = federation.integrate_entity("garden")
+        assert on_demand.membership == table_ra().get("garden").membership
+
+    def test_dropped_entity_is_none(self):
+        """A total conflict under ``drop`` drops the entity, as the
+        streaming engine's refold does, even when a later source agrees
+        with one side."""
+        left, right, bystander = TestFederationTreeFold()._conflicting_sources()
+        federation = Federation(TupleMerger(on_conflict="drop"))
+        federation.add_source("metro", left)
+        federation.add_source("herald", right)
+        federation.add_source("bystander", bystander)
+        assert federation.integrate_entity("t") is None
+
 
 class TestFederationTreeFold:
     def _conflicting_sources(self):

@@ -323,6 +323,21 @@ class TestStream:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_on_conflict_choices_are_the_merge_policies(
+        self, demo_db, events_file, capsys
+    ):
+        """The flag offers exactly the merger's policies."""
+        from repro.integration.merging import CONFLICT_POLICIES
+
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "stream", str(demo_db), str(events_file),
+                "--schema", "RA", "--on-conflict", "bogus",
+            )
+        assert exit_info.value.code == 2
+        choices = ", ".join(map(repr, CONFLICT_POLICIES))
+        assert f"(choose from {choices})" in capsys.readouterr().err
+
     def test_save_persists_integrated_relation(
         self, demo_db, events_file, tmp_path
     ):

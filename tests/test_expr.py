@@ -70,6 +70,18 @@ class TestBuilding:
         with pytest.raises(PlanError):
             db.rel("RA").union(42)
 
+    @pytest.mark.parametrize("operator", ["union", "intersect"])
+    def test_bad_conflict_policy_fails_when_the_plan_is_built(self, db, operator):
+        """An unknown policy is a plan error when the plan node is
+        built, so neither an explain nor a run gets past it."""
+        expression = getattr(db.rel("RA"), operator)(
+            db.rel("RB"), on_conflict="bogus"
+        )
+        with pytest.raises(PlanError, match="bogus"):
+            expression.explain()
+        with pytest.raises(PlanError, match="bogus"):
+            expression.collect()
+
     def test_repr_shows_chain(self, db):
         expr = db.rel("RA").project("rname", "rating")
         assert "project" in repr(expr)

@@ -8,6 +8,26 @@ from repro.errors import OperationError, TotalConflictError
 from repro.algebra import intersection, intersection_with_report, union
 from repro.algebra.properties import verify_boundedness, verify_closure
 from repro.datasets.restaurants import expected_table4, table_ra, table_rb
+from repro.model.attribute import Attribute
+from repro.model.domain import EnumeratedDomain, TextDomain
+from repro.model.etuple import ExtendedTuple
+from repro.model.relation import ExtendedRelation
+from repro.model.schema import RelationSchema
+
+
+def _one_tuple(name, membership):
+    schema = RelationSchema(
+        name,
+        [
+            Attribute("k", TextDomain("k"), key=True),
+            Attribute(
+                "colour", EnumeratedDomain("colour", ["r", "g", "b"]), uncertain=True
+            ),
+        ],
+    )
+    return ExtendedRelation(
+        schema, [ExtendedTuple(schema, {"k": "a", "colour": "r"}, membership)]
+    )
 
 
 class TestIntersection:
@@ -50,6 +70,23 @@ class TestIntersection:
     def test_conflict_policies(self):
         with pytest.raises(OperationError):
             intersection(table_ra(), table_rb(), on_conflict="panic")
+
+    @pytest.mark.parametrize("policy", ["raise", "vacuous", "drop"])
+    def test_membership_near_total_conflict_applies_the_policy(self, policy):
+        """Float memberships ``(1-e, 1)`` and ``(e, e)`` at e = 1e-12 are a
+        total conflict, as in the union: ``raise`` names the membership,
+        and both recording policies drop the one matched entity."""
+        eps = 1e-12
+        left, right = _one_tuple("L", (1 - eps, 1)), _one_tuple("R", (eps, eps))
+        if policy == "raise":
+            with pytest.raises(TotalConflictError, match="membership"):
+                intersection(left, right, on_conflict=policy)
+            return
+        merged, report = intersection_with_report(left, right, on_conflict=policy)
+        assert len(merged) == 0
+        assert report.matched == [(("a",), ("a",))]
+        assert report.dropped == [("a",)]
+        assert [record.attribute for record in report.total_conflicts] == ["(sn,sp)"]
 
     def test_theorem1_properties(self):
         assert verify_closure(intersection(table_ra(), table_rb()))

@@ -7,7 +7,12 @@ import pytest
 from repro.ds.combination import combine, combine_with_conflict
 from repro.ds.frame import OMEGA
 from repro.ds.mass import MassFunction
-from repro.errors import OperationError, SchemaError, TotalConflictError
+from repro.errors import (
+    IntegrationError,
+    OperationError,
+    SchemaError,
+    TotalConflictError,
+)
 from repro.model.attribute import Attribute
 from repro.model.domain import EnumeratedDomain, TextDomain
 from repro.model.etuple import ExtendedTuple
@@ -15,9 +20,10 @@ from repro.model.evidence import EvidenceSet
 from repro.model.membership import TupleMembership
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
-from repro.algebra import union, union_with_report
+from repro.algebra import intersection, union, union_with_report
 from repro.integration import Federation, TupleMerger
-from repro.integration.merging import ConflictRecord
+from repro.integration.merging import CONFLICT_POLICIES, ConflictRecord
+from repro.datasets.generators import SyntheticConfig, synthetic_pair
 from repro.datasets.restaurants import table_ra, table_rb
 
 
@@ -80,6 +86,30 @@ class TestStructure:
         left = _rel(schema, "L", [({"k": "a", "colour": "r"}, (1, 1))])
         with pytest.raises(OperationError):
             union(left, left.with_name("R"), on_conflict="panic")
+
+    @pytest.mark.parametrize(
+        "entry_point,error_class",
+        [
+            (
+                lambda policy: union(table_ra(), table_rb(), on_conflict=policy),
+                OperationError,
+            ),
+            (
+                lambda policy: intersection(table_ra(), table_rb(), on_conflict=policy),
+                OperationError,
+            ),
+            (lambda policy: TupleMerger(on_conflict=policy), IntegrationError),
+        ],
+        ids=["union", "intersection", "merger"],
+    )
+    def test_one_policy_check_for_every_entry_point(self, entry_point, error_class):
+        """Union, intersection and the merger reject an unknown policy
+        with the one message that lists :data:`CONFLICT_POLICIES`."""
+        with pytest.raises(error_class) as excinfo:
+            entry_point("panic")
+        assert str(excinfo.value) == (
+            f"on_conflict must be one of {CONFLICT_POLICIES}, got 'panic'"
+        )
 
 
 class TestConflictPolicies:
@@ -188,6 +218,31 @@ class TestReport:
         _, report = union_with_report(table_ra(), table_rb())
         assert "5 matched" in report.summary()
         assert "1 left-only" in report.summary()
+
+    def test_matched_holds_key_pairs_in_left_order(self):
+        _, report = union_with_report(table_ra(), table_rb())
+        left_keys = [t.key() for t in table_ra()]
+        assert [left for left, _ in report.matched] == [
+            key for key in left_keys if table_rb().get(key) is not None
+        ]
+        assert all(left == right for left, right in report.matched)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_union_is_the_mergers_merge(self, exact):
+        """The extended union and :meth:`TupleMerger.merge` run one pair
+        merge: on a synthetic pair with conflicts their reports are
+        equal, conflict records included, and so are their tuples."""
+        config = SyntheticConfig(n_tuples=60, overlap=0.6, exact=exact, seed=3)
+        left, right = synthetic_pair(config, "L", "R")
+        merged, report = union_with_report(
+            left, right, name="M", on_conflict="vacuous"
+        )
+        by_merger, merger_report = TupleMerger(on_conflict="vacuous").merge(
+            left, right, name="M"
+        )
+        assert report.total_conflicts
+        assert report == merger_report
+        assert merged.same_tuples(by_merger)
 
 
 class TestEvidencePooling:

@@ -3,11 +3,13 @@
 The compact evidence kernel (:mod:`repro.ds.kernel`) encodes focal
 elements as int bitmasks, so the pairwise intersections of Dempster's
 rule become bitwise-ANDs with no per-pair set allocation and no
-frozenset hashing.  This bench pins the claim the kernel exists for: on
-float masses (the large-scale configuration; with exact Fractions the
-bigint arithmetic dominates both) a combination over an enumerated
+frozenset hashing.  Exact operands are pooled as int numerators over a
+common denominator, so the loop allocates no Fraction either: one
+normalized Fraction is built per output mass.  This bench pins the
+claims the kernel exists for: a 16x16 combination over an enumerated
 frame must run >= 5x faster than the textbook frozenset loop of the
-test oracle (``tests/ds/oracle.py``).
+test oracle (``tests/ds/oracle.py``), on float masses and on exact
+Fraction masses alike.
 
 Both produce identical results -- asserted here, over a frame and over
 an open domain, and verified property-based in
@@ -29,9 +31,9 @@ UNIVERSE = [f"v{i:02d}" for i in range(24)]
 FRAME = FrameOfDiscernment("universe", UNIVERSE)
 #: Focal elements per operand (the rule is quadratic in this).
 N_FOCAL = 16
-#: Required kernel-vs-oracle speedup on float masses.  Asserted at
-#: full strength locally; shared CI runners set a looser floor via the
-#: environment so scheduler noise cannot fail the build.
+#: Required kernel-vs-oracle speedup, on float and on exact masses.
+#: Asserted at full strength locally; shared CI runners set a looser
+#: floor via the environment so scheduler noise cannot fail the build.
 RATIO_FLOOR = float(os.environ.get("KERNEL_BENCH_RATIO_FLOOR", "5"))
 
 
@@ -53,14 +55,23 @@ def _make_mass(n_focal: int, seed: int, exact: bool) -> MassFunction:
     return MassFunction(masses, FRAME)
 
 
-@pytest.fixture(scope="module")
-def operands():
-    m1 = _make_mass(N_FOCAL, seed=1, exact=False)
-    m2 = _make_mass(N_FOCAL, seed=2, exact=False)
+def _compiled_operands(exact: bool):
+    m1 = _make_mass(N_FOCAL, seed=1, exact=exact)
+    m2 = _make_mass(N_FOCAL, seed=2, exact=exact)
     # Compile up front: relations compile once and combine many times,
     # so steady-state combination cost is what matters.
     m1.compiled(), m2.compiled()
     return m1, m2
+
+
+@pytest.fixture(scope="module")
+def operands():
+    return _compiled_operands(exact=False)
+
+
+@pytest.fixture(scope="module")
+def exact_operands():
+    return _compiled_operands(exact=True)
 
 
 def _oracle_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -68,16 +79,21 @@ def _oracle_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return combined
 
 
-def test_equivalence_with_the_oracle(operands):
+@pytest.mark.parametrize("exact", [False, True])
+def test_equivalence_with_the_oracle(exact):
     """Sanity: the kernel changes the representation, not the result --
     over the enumerated frame and over an open domain (the same
     evidence without its frame, compiled over the atoms it mentions)."""
-    m1, m2 = operands
+    m1, m2 = _compiled_operands(exact)
     open_pair = (m1.with_frame(None), m2.with_frame(None))
     for left, right in ((m1, m2), open_pair):
         on_kernel = combine(left, right)
         expected = _oracle_combine(left, right)
         assert list(on_kernel.items()) == list(expected.items())
+        assert all(
+            type(got) is type(want)
+            for (_, got), (_, want) in zip(on_kernel.items(), expected.items())
+        )
         assert on_kernel.is_compiled and on_kernel.frame == left.frame
 
 
@@ -93,11 +109,9 @@ def test_oracle_combination(benchmark, operands):
     assert abs(float(sum(v for _, v in combined.items())) - 1.0) < 1e-9
 
 
-def test_exact_fraction_combination(benchmark):
-    """Exact masses for reference: Fraction arithmetic dominates both
-    paths, so the kernel's win is smaller here (reported, not gated)."""
-    m1 = _make_mass(N_FOCAL, seed=1, exact=True)
-    m2 = _make_mass(N_FOCAL, seed=2, exact=True)
+def test_exact_fraction_combination(benchmark, exact_operands):
+    """Exact masses: pooled on int numerators (gated below)."""
+    m1, m2 = exact_operands
     combined = benchmark(combine, m1, m2)
     assert sum(v for _, v in combined.items()) == 1
 
@@ -113,21 +127,32 @@ def test_kernel_beats_frozenset_5x(operands, bench_record):
     """The acceptance bar: >= 5x over the frozenset oracle on float
     masses over an enumerated frame (RATIO_FLOOR relaxes it on noisy
     shared runners)."""
-    m1, m2 = operands
+    assert _kernel_vs_oracle(*operands, bench_record, "") >= RATIO_FLOOR
 
+
+def test_exact_kernel_beats_frozenset_5x(exact_operands, bench_record):
+    """The same bar on exact Fraction masses: the oracle pools
+    Fractions pair by pair, the kernel int numerators."""
+    ratio = _kernel_vs_oracle(*exact_operands, bench_record, "exact_")
+    assert ratio >= RATIO_FLOOR
+
+
+def _kernel_vs_oracle(m1, m2, bench_record, prefix: str) -> float:
+    """Best-of-7 kernel and oracle combination times, recorded under
+    *prefix*; returns the oracle-to-kernel ratio."""
     kernel_time = min(_timed(lambda: combine(m1, m2)) for _ in range(7))
     frozenset_time = min(
         _timed(lambda: _oracle_combine(m1, m2)) for _ in range(7)
     )
     ratio = frozenset_time / kernel_time
     print(
-        f"\nkernel {kernel_time * 1e6:.1f} us vs "
+        f"\n{prefix}kernel {kernel_time * 1e6:.1f} us vs "
         f"frozenset {frozenset_time * 1e6:.1f} us -> {ratio:.1f}x"
     )
-    bench_record("kernel_combine_seconds", kernel_time)
-    bench_record("frozenset_combine_seconds", frozenset_time)
-    bench_record("kernel_vs_frozenset_ratio", ratio)
-    assert ratio >= RATIO_FLOOR
+    bench_record(f"{prefix}kernel_combine_seconds", kernel_time)
+    bench_record(f"{prefix}frozenset_combine_seconds", frozenset_time)
+    bench_record(f"{prefix}kernel_vs_frozenset_ratio", ratio)
+    return ratio
 
 
 def _timed(operation, repeats: int = 50) -> float:

@@ -14,6 +14,11 @@ For every tuple ``r`` of the input relation, the selection:
 The original attribute values are retained in the result (the paper's
 footnote 4 contrasts this with DeMichiel's approach, which rewrites
 attribute values during selection).
+
+A tuple whose predicate support has ``sn = 0`` is skipped before step
+2: ``F_TM`` would revise its ``sn`` to 0, which step 3 drops.  On exact
+data, a certain tuple's revised membership is its support pair itself
+(see :meth:`~repro.model.membership.TupleMembership.combine_product`).
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ def select(
     selected: list[ExtendedTuple] = []
     for etuple in relation:
         support = predicate.support(etuple)
+        if not support.is_supported:
+            # F_TM would revise sn to 0, which the scan drops below.
+            continue
         revised = etuple.membership.combine_product(support)
         if not revised.is_supported:
             continue

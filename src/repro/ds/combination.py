@@ -35,14 +35,18 @@ pairwise intersections bitwise-ANDs, with the arithmetic of the
 textbook frozenset loop (and hence its results, bit for bit).  Operands
 over an enumerated frame share the frame's bit assignment; open-domain
 operands (text, numbers) are compiled over the atoms they mention, with
-bits only the symbolic OMEGA carries.  :data:`KERNEL_STATS` counts the
-combinations.
+bits only the symbolic OMEGA carries.  Exact operands are pooled as int
+numerators over a common denominator and normalized into one Fraction
+per result mass; float and mixed operands, and two definite operands
+(one product), keep the textbook arithmetic.
+:data:`KERNEL_STATS` counts the combinations.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from fractions import Fraction
 
 from repro.errors import MassFunctionError, TotalConflictError
 from repro.ds.frame import FocalElement
@@ -83,8 +87,13 @@ def conjunctive(
     set (the conflict between the sources).
     """
     a, b = _compiled_pair(m1, m2)
-    pooled, kappa = conjunctive_compiled(a, b)
+    pooled, kappa, denominator = conjunctive_compiled(a, b)
     element_of = a.interned.element_of
+    if denominator is not None:
+        return {
+            element_of(mask): Fraction(n, denominator)
+            for mask, n in pooled.items()
+        }, (Fraction(kappa, denominator) if kappa else 0)
     return {element_of(mask): value for mask, value in pooled.items()}, kappa
 
 

@@ -20,7 +20,14 @@ elements.  This module runs all of them on bitmasks:
 * :class:`CompiledMass` stores the mass function as parallel
   ``(mask, mass)`` tuples in the library's canonical focal order;
 * combination, discounting, belief and plausibility then run as
-  bitwise-AND/OR loops with no per-pair set allocation.
+  bitwise-AND/OR loops with no per-pair set allocation;
+* when both operands of a conjunctive combination hold only Fractions
+  and more than one product is pooled, the loop multiplies and pools
+  int numerators over the operands' common denominators
+  (:meth:`CompiledMass.scaled`, computed once per form) and Dempster's
+  rule builds one normalized Fraction per result mass.  Fractions are
+  canonical, so values and types equal the Fraction loop's; float and
+  mixed operands, and a single product, keep that loop.
 
 Bits follow sorted-``repr`` order, so a mask's sort key is
 order-isomorphic to :func:`repro.ds.mass._focal_sort_key`, every loop
@@ -49,6 +56,7 @@ and the streaming throughput report).
 
 from __future__ import annotations
 
+import math
 import threading
 
 from dataclasses import asdict, dataclass
@@ -69,6 +77,9 @@ from repro.obs.registry import registry as _metrics_registry
 
 #: The value of an empty belief-measure sum (shared, never re-allocated).
 _ZERO = Fraction(0)
+
+#: The one mass type of a form :meth:`CompiledMass.scaled` scales.
+_FRACTION_ONLY = frozenset({Fraction})
 
 
 # -- observability ------------------------------------------------------------
@@ -406,12 +417,13 @@ class CompiledMass:
     source mass function, never re-coerced.
     """
 
-    __slots__ = ("interned", "masks", "values")
+    __slots__ = ("interned", "masks", "values", "_scaled")
 
     def __init__(self, interned: InternedFrame, masks: tuple, values: tuple):
         self.interned = interned
         self.masks = masks
         self.values = values
+        self._scaled = None
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -419,6 +431,31 @@ class CompiledMass:
     def is_exact(self) -> bool:
         """``True`` when every mass is a :class:`Fraction`."""
         return all(isinstance(value, Fraction) for value in self.values)
+
+    def scaled(self) -> tuple[tuple[int, ...], int] | None:
+        """The masses as ``(numerators, denominator)``: int numerators,
+        aligned with :attr:`masks`, over the least common denominator of
+        the masses; ``None`` unless every mass is a ``Fraction``.
+        Computed once, then cached."""
+        scaled = self._scaled
+        if scaled is None:
+            values = self.values
+            if not _FRACTION_ONLY.issuperset(map(type, values)):
+                scaled = False
+            else:
+                denominators = [value.denominator for value in values]
+                common = math.lcm(*denominators)
+                scaled = (
+                    tuple(
+                        [
+                            value.numerator * (common // denominator)
+                            for value, denominator in zip(values, denominators)
+                        ]
+                    ),
+                    common,
+                )
+            self._scaled = scaled
+        return scaled or None
 
     def to_mass_dict(self) -> dict[FocalElement, Numeric]:
         """Decode back to a ``{focal element: mass}`` dict."""
@@ -583,14 +620,31 @@ def _canonical(interned: InternedFrame, pooled: dict) -> CompiledMass:
 
 def conjunctive_compiled(
     a: CompiledMass, b: CompiledMass
-) -> tuple[dict[int, Numeric], Numeric]:
+) -> tuple[dict[int, Numeric], Numeric, int | None]:
     """Unnormalized conjunctive combination on bitmasks.
 
-    Returns ``(pooled, kappa)`` where *pooled* maps non-empty
-    intersection masks to pooled mass (in first-insertion order,
-    mirroring the frozenset loop pair for pair) and *kappa* is the mass
-    on the empty set.
+    Returns ``(pooled, kappa, denominator)`` where *pooled* maps
+    non-empty intersection masks to pooled mass (in first-insertion
+    order, mirroring the frozenset loop pair for pair) and *kappa* is
+    the mass on the empty set.  When both operands hold only Fractions
+    and there is more than one product, the masses are pooled as int
+    numerators over their common denominators
+    (:meth:`CompiledMass.scaled`): *pooled* and *kappa* hold ints over
+    the returned *denominator*, the product of the two.  Otherwise the
+    masses are pooled as they are, and *denominator* is ``None``: float
+    and mixed operands, and a definite pair, whose one product costs
+    less than scaling it.
     """
+    # A float form fails the first test, without a scan.
+    if (
+        type(a.values[0]) is Fraction
+        and type(b.values[0]) is Fraction
+        and len(a.values) + len(b.values) > 2
+    ):
+        a_scaled = a.scaled()
+        b_scaled = a_scaled and b.scaled()
+        if b_scaled:
+            return _conjunctive_scaled(a.masks, a_scaled, b.masks, b_scaled)
     pooled: dict[int, Numeric] = {}
     # An int seed keeps float workloads on float arithmetic (0 + x is x
     # for either mass type, bit for bit).
@@ -610,7 +664,35 @@ def conjunctive_compiled(
                 )
             else:
                 kappa = kappa + product
-    return pooled, kappa
+    return pooled, kappa, None
+
+
+def _conjunctive_scaled(
+    a_masks: tuple, a_scaled: tuple, b_masks: tuple, b_scaled: tuple
+) -> tuple[dict[int, int], int, int]:
+    """The exact conjunctive loop on int numerators.
+
+    A product is zero exactly when the Fraction product is, so a mask
+    enters *pooled* exactly when the Fraction loop would put it there,
+    in the same order.
+    """
+    a_numerators, a_denominator = a_scaled
+    b_numerators, b_denominator = b_scaled
+    pooled: dict[int, int] = {}
+    kappa = 0
+    get = pooled.get
+    b_pairs = tuple(zip(b_masks, b_numerators))
+    for x_mask, x_value in zip(a_masks, a_numerators):
+        for y_mask, y_value in b_pairs:
+            product = x_value * y_value
+            if not product:
+                continue
+            meet = x_mask & y_mask
+            if meet:
+                pooled[meet] = get(meet, 0) + product
+            else:
+                kappa += product
+    return pooled, kappa, a_denominator * b_denominator
 
 
 def combine_compiled(
@@ -621,8 +703,27 @@ def combine_compiled(
     Returns ``(None, kappa)`` on total conflict: no surviving mass, or
     float mass whose normalization by ``1 - kappa`` fails the total
     check (see :data:`~repro.ds.mass.FLOAT_SUM_TOLERANCE`).
+
+    Exact operands are normalized on their int numerators: a pooled
+    numerator ``n`` over ``D`` with conflict ``K`` becomes the one
+    Fraction ``n / (D - K)``, which equals ``(n / D) / (1 - K / D)``
+    (Fractions are canonical, so value and type are those of the
+    Fraction loop).  A conflict-free kappa is the int ``0``, as the
+    Fraction loop's int seed leaves it.
     """
-    pooled, kappa = conjunctive_compiled(a, b)
+    pooled, kappa, denominator = conjunctive_compiled(a, b)
+    if denominator is not None:
+        exact_kappa = Fraction(kappa, denominator) if kappa else 0
+        if not pooled:
+            return None, exact_kappa
+        remaining = denominator - kappa
+        return (
+            _canonical(
+                a.interned,
+                {mask: Fraction(n, remaining) for mask, n in pooled.items()},
+            ),
+            exact_kappa,
+        )
     if not pooled:
         return None, kappa
     if kappa:
@@ -631,7 +732,7 @@ def combine_compiled(
         try:
             return _canonical(a.interned, pooled), kappa
         except MassFunctionError:
-            # Exact masses renormalize to exactly one, so only float
+            # Exact operands took the int path above, so only float
             # round-off magnified by a tiny 1 - kappa gets here.
             return None, kappa
     return _canonical(a.interned, pooled), kappa

@@ -62,9 +62,11 @@ def coerce_mass_value(value: object) -> Numeric:
     """
     if isinstance(value, bool):
         raise MassFunctionError(f"mass value must be numeric, got {value!r}")
-    if isinstance(value, Fraction):
-        return value
+    # float first: isinstance of a float against Fraction is an ABC
+    # dispatch, and float masses are the common large-scale case.
     if isinstance(value, float):
+        return value
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, Rational):
         return Fraction(value)
@@ -85,17 +87,42 @@ def validate_mass_total(values) -> None:
     ``FLOAT_SUM_TOLERANCE`` policy lives in exactly one place.  *values*
     is a sized collection; one value is its own sum (``0 + x`` has the
     value and type of ``x``), which spares the common definite mass
-    function a list copy and a ``sum`` call.
+    function a list copy and a ``sum`` call.  Exact masses are summed
+    as int numerators over a common denominator, with no intermediate
+    Fraction; a float value sends the whole sum to ``sum``.
     """
     if not values:
         raise MassFunctionError("a mass function needs at least one focal element")
     if len(values) == 1:
         (total,) = values
     else:
-        total = sum(values)
+        # Exact masses: sum int numerators over a common denominator
+        # (unreduced: the total is one iff they are equal).
+        numerator, denominator = 0, 1
+        for value in values:
+            if type(value) is not Fraction:
+                total = sum(values)
+                break
+            value_denominator = value.denominator
+            if value_denominator == denominator:
+                numerator += value.numerator
+            else:
+                shared = math.gcd(denominator, value_denominator)
+                numerator = numerator * (value_denominator // shared) + (
+                    value.numerator * (denominator // shared)
+                )
+                denominator = denominator // shared * value_denominator
+        else:
+            if numerator != denominator:
+                raise MassFunctionError(
+                    f"masses must sum to 1, got {Fraction(numerator, denominator)}"
+                )
+            return
     # Masses are Fractions or floats, and a single float operand makes
-    # the sum a float: the sum's type says whether every mass is exact.
-    if isinstance(total, Fraction):
+    # the sum a float: the sum's type says whether every mass is exact
+    # (a type test: isinstance of a float against Fraction is an ABC
+    # dispatch).
+    if type(total) is Fraction:
         if total != 1:
             raise MassFunctionError(f"masses must sum to 1, got {total}")
     else:

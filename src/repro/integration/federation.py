@@ -65,6 +65,13 @@ class FederationReport:
         )
 
 
+def _without(relation: ExtendedRelation, keys: set) -> ExtendedRelation:
+    """*relation* without the tuples whose key is in *keys*."""
+    if any(key in relation for key in keys):
+        return relation.filter(lambda etuple: etuple.key() not in keys)
+    return relation
+
+
 def _tree_fold(
     merger: TupleMerger, layer: list, name: str
 ) -> tuple[ExtendedRelation, list[tuple[str, MergeReport]]]:
@@ -72,9 +79,17 @@ def _tree_fold(
 
     Returns the merged relation and the per-step reports; a mid-fold
     :class:`TotalConflictError` is re-raised with the operand labels.
+    An entity that a step drops (``on_conflict`` ``"drop"``, or
+    ``"vacuous"`` on a certain attribute or the membership) leaves
+    every later step's operands too, so a source merged later cannot
+    bring it back: the result agrees with :meth:`Federation.integrate_entity`
+    and the stream engine, which drop it for good.
     """
     steps: list[tuple[str, MergeReport]] = []
+    dropped: set[tuple] = set()
     while len(layer) > 1:
+        if dropped:
+            layer = [(label, _without(relation, dropped)) for label, relation in layer]
         merged_layer = []
         for i in range(0, len(layer) - 1, 2):
             left_label, left_relation = layer[i]
@@ -89,6 +104,7 @@ def _tree_fold(
                     f"with {right_label!r})"
                 ) from exc
             steps.append((right_label, step_report))
+            dropped.update(step_report.dropped)
             merged_layer.append((f"{left_label}+{right_label}", merged))
         if len(layer) % 2:
             merged_layer.append(layer[-1])

@@ -36,13 +36,24 @@ are trusted instead: the product of two valid pairs is valid by
 construction, in exact arithmetic and in float arithmetic alike, because
 float(Fraction) conversion and IEEE-754 rounding are monotone (the
 argument is spelled out where it is used).  Selection therefore pays for
-one range check per tuple -- the predicate support -- not two.  The one
-product that is still checked is a mixed one, an exact ``sn`` beside a
-rounded ``sp`` (or the reverse), where rounding can break the order.
+one range check per tuple -- the predicate support -- not two, and
+runs no ``F_TM`` at all for a tuple whose support has ``sn = 0``.  The
+one product that is still checked is a mixed one, an exact ``sn``
+beside a rounded ``sp`` (or the reverse), where rounding can break the
+order.  Beside another exact pair, the exact certain pair ``(1, 1)``
+returns that pair unchanged.
+
+``F`` on two exact pairs is trusted too: it runs on int numerators
+(each pair over its own common denominator), where the masses on
+{true}, {false} and the whole frame are non-negative ints summing to
+``1 - kappa`` times the common denominator, so ``0 <= sn <= sp <= 1``
+holds by construction and each output is one Fraction.  Float and
+mixed operands keep the constructor's check, which clamps round-off.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from repro.errors import MembershipError, TotalConflictError
@@ -53,6 +64,57 @@ from repro.ds.mass import (
     Numeric,
     coerce_mass_value,
 )
+
+
+#: The conflict of a conflict-free exact ``F`` (shared, never re-allocated).
+_ZERO = Fraction(0)
+
+
+def _scaled_pair(sn: Fraction, sp: Fraction) -> tuple[int, int, int]:
+    """An exact pair as ``(sn numerator, sp numerator, denominator)``
+    over the least common denominator of the two."""
+    sn_denominator, sp_denominator = sn.denominator, sp.denominator
+    if sn_denominator == sp_denominator:
+        return sn.numerator, sp.numerator, sn_denominator
+    common = math.lcm(sn_denominator, sp_denominator)
+    return (
+        sn.numerator * (common // sn_denominator),
+        sp.numerator * (common // sp_denominator),
+        common,
+    )
+
+
+def _dempster_scaled(
+    sn1: Fraction, sp1: Fraction, sn2: Fraction, sp2: Fraction
+) -> tuple["TupleMembership | None", Fraction]:
+    """The closed form of ``F`` on two exact pairs, in int numerators.
+
+    Each pair is scaled to its own common denominator, so the masses
+    and kappa of the closed form are ints over the product ``D`` of
+    the two; each output is then one Fraction, ``sn = T / (D - K)`` and
+    ``sp = (D - K - F) / (D - K)``, equal to the Fraction arithmetic's
+    (Fractions are canonical).  Kappa is a Fraction, as the products
+    of Fractions make it.
+    """
+    true1, possible1, denominator1 = _scaled_pair(sn1, sp1)
+    true2, possible2, denominator2 = _scaled_pair(sn2, sp2)
+    false1 = denominator1 - possible1
+    false2 = denominator2 - possible2
+    denominator = denominator1 * denominator2
+    kappa = true1 * false2 + false1 * true2
+    if kappa == denominator:
+        return None, Fraction(kappa, denominator)
+    remaining = denominator - kappa
+    mass_true = true1 * possible2 + possible1 * true2 - true1 * true2
+    mass_false = (
+        false1 * (denominator2 - true2) + (possible1 - true1) * false2
+    )
+    # Trusted construction (see the module docstring): all three
+    # masses are non-negative ints summing to ``remaining``.
+    combined = object.__new__(TupleMembership)
+    combined._sn = Fraction(mass_true, remaining)
+    combined._sp = Fraction(remaining - mass_false, remaining)
+    return combined, (Fraction(kappa, denominator) if kappa else _ZERO)
 
 
 class TupleMembership:
@@ -202,10 +264,12 @@ class TupleMembership:
 
         The merge step (extended union, tuple merging) records kappa
         for its conflict report, so it folds through this entry point
-        and computes the conflict once.  Float operands stay on float
-        arithmetic; mixed Fraction/float operands keep Python's mixed
-        arithmetic, which differs from converting first (``float(1 -
-        Fraction(1, 3)) != 1 - float(Fraction(1, 3))``).
+        and computes the conflict once.  Exact operands run on int
+        numerators (see the module docstring); kappa is then always a
+        Fraction.  Float operands stay on float arithmetic; mixed
+        Fraction/float operands keep Python's mixed arithmetic, which
+        differs from converting first (``float(1 - Fraction(1, 3)) !=
+        1 - float(Fraction(1, 3))``).
 
         Near total conflict in floats, normalizing by a tiny ``1 -
         kappa`` magnifies round-off: ``(1-e, 1)`` against ``(0, e)`` at
@@ -221,6 +285,13 @@ class TupleMembership:
         """
         sn1, sp1 = self._sn, self._sp
         sn2, sp2 = other._sn, other._sp
+        if (
+            type(sn1) is Fraction
+            and type(sp1) is Fraction
+            and type(sn2) is Fraction
+            and type(sp2) is Fraction
+        ):
+            return _dempster_scaled(sn1, sp1, sn2, sp2)
         false1 = 1 - sp1
         false2 = 1 - sp2
         kappa = sn1 * false2 + false1 * sn2
@@ -255,9 +326,27 @@ class TupleMembership:
         and the cartesian product, and also the multiplicative rule for
         conjoining the supports of independent predicates (Section 3.1.1,
         after Baldwin and Hau-Kashyap).
+
+        The exact certain pair ``(1, 1)`` is the rule's identity: beside
+        another exact pair the product is that pair, returned as it is
+        (``Fraction(1) * x == x`` in value and type).  A float ``(1.0,
+        1.0)`` keeps the arithmetic, whose types it can change.
         """
-        sn = self._sn * other._sn
-        sp = self._sp * other._sp
+        sn1, sp1 = self._sn, self._sp
+        sn2, sp2 = other._sn, other._sp
+        if (
+            type(sn1) is Fraction
+            and type(sp1) is Fraction
+            and type(sn2) is Fraction
+            and type(sp2) is Fraction
+        ):
+            # sn == 1 forces sp == 1 (0 <= sn <= sp <= 1).
+            if sn1 == 1:
+                return other
+            if sn2 == 1:
+                return self
+        sn = sn1 * sn2
+        sp = sp1 * sp2
         if type(sn) is not type(sp):
             # An exact product beside a rounded one: rounding may put
             # sp below sn, so check (and clamp) as the constructor does.

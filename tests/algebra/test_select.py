@@ -3,18 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PredicateError
 from repro.algebra import (
     IsPredicate,
     SN_CERTAIN,
+    SN_POSITIVE,
     ThetaPredicate,
     attr,
     lit,
     select,
 )
 from repro.algebra.thresholds import sn_at_least, sp_at_least
+from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.datasets.restaurants import table_ra
+from repro.model.membership import CERTAIN, TupleMembership
+from repro.model.relation import ExtendedRelation
+from tests.conftest import supported_memberships
 
 
 @pytest.fixture
@@ -95,3 +101,100 @@ class TestResultShape:
     def test_selection_on_key_attribute(self, ra):
         result = select(ra, ThetaPredicate("rname", "=", lit("wok")))
         assert [t.key()[0] for t in result] == ["wok"]
+
+
+# -- the scan against the reference m (x) F_SS filter ---------------------------
+
+
+def _reference_select(relation, predicate, threshold):
+    """The paper's selection as written: revise every tuple's membership
+    with the product rule ``F_TM`` (checked construction), then keep the
+    tuples with ``sn > 0`` that pass *threshold*."""
+    kept = []
+    for etuple in relation:
+        support = predicate.support(etuple)
+        revised = TupleMembership(
+            etuple.membership.sn * support.sn, etuple.membership.sp * support.sp
+        )
+        if revised.sn > 0 and threshold(revised):
+            kept.append((etuple.key(), revised))
+    return kept
+
+
+def _same_number(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+_FLOAT_CERTAIN = TupleMembership(1.0, 1.0)
+
+
+@st.composite
+def _scan_memberships(draw):
+    """Supported memberships: the exact and the float certain pair, and
+    exact, float and mixed Fraction/float pairs."""
+    kind = draw(st.sampled_from(["certain", "float-certain", "exact", "float", "mixed"]))
+    if kind == "certain":
+        return CERTAIN
+    if kind == "float-certain":
+        return _FLOAT_CERTAIN
+    exact = draw(supported_memberships())
+    if kind == "exact":
+        return exact
+    if kind == "float":
+        return exact.to_float()
+    if draw(st.booleans()):
+        return TupleMembership(exact.sn, float(exact.sp))
+    return TupleMembership(float(exact.sn), exact.sp)
+
+
+@st.composite
+def _scan_cases(draw):
+    exact = draw(st.booleans())
+    config = SyntheticConfig(
+        n_tuples=12,
+        domain_size=4,
+        ignorance=draw(st.sampled_from([0.0, 0.5])),
+        exact=exact,
+        seed=draw(st.integers(min_value=0, max_value=50)),
+    )
+    relation = synthetic_relation(config, "R")
+    memberships = draw(
+        st.lists(_scan_memberships(), min_size=len(relation), max_size=len(relation))
+    )
+    relation = ExtendedRelation(
+        relation.schema,
+        [
+            etuple.with_membership(membership)
+            for etuple, membership in zip(relation, memberships)
+        ],
+    )
+    categories = draw(
+        st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3"]), min_size=1)
+    )
+    predicate = IsPredicate("category", categories)
+    if draw(st.booleans()):
+        scores = draw(st.frozensets(st.sampled_from([0, 1, 2, 3]), min_size=1))
+        predicate = predicate & IsPredicate("score", scores)
+    threshold = draw(
+        st.sampled_from(
+            [SN_POSITIVE, sn_at_least("1/4"), sn_at_least(0.5), sp_at_least("3/5")]
+        )
+    )
+    return relation, predicate, threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases())
+def test_scan_equals_the_reference_filter(case):
+    """Skipping zero-support tuples and the exact certain pair's
+    shortcut change nothing: the same tuples, in the same order, with
+    memberships equal in value, type and (floats) bits."""
+    relation, predicate, threshold = case
+    selected = select(relation, predicate, threshold)
+    expected = _reference_select(relation, predicate, threshold)
+    assert [etuple.key() for etuple in selected] == [key for key, _ in expected]
+    for etuple, (_, revised) in zip(selected, expected):
+        assert _same_number(etuple.membership.sn, revised.sn)
+        assert _same_number(etuple.membership.sp, revised.sp)

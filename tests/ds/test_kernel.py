@@ -119,6 +119,40 @@ def evidence_pairs(draw, kinds=ALL_KINDS):
 
 
 @st.composite
+def conflicting_pairs(draw, kinds=ALL_KINDS):
+    """Two operands skewed toward high and total conflict: each puts its
+    focal elements on its own half of the values, so every product
+    conflicts unless an operand holds a *bridge* -- OMEGA or an element
+    of the other half -- which keeps kappa below one."""
+    frame, values = draw(domains().filter(lambda domain: len(domain[1]) >= 2))
+    half = len(values) // 2
+    operands = []
+    for own, other in ((values[:half], values[half:]), (values[half:], values[:half])):
+        elements = draw(
+            st.lists(
+                st.frozensets(st.sampled_from(own), min_size=1, max_size=3),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        bridge = draw(st.sampled_from(["none", "none", "omega", "other"]))
+        if bridge == "omega":
+            elements.append(OMEGA)
+        elif bridge == "other":
+            crossing = draw(
+                st.frozensets(st.sampled_from(other), min_size=1, max_size=2)
+            )
+            # Equal atoms of other types (1 and 1.0) can sit on both halves.
+            if crossing not in elements:
+                elements.append(crossing)
+        masses = draw(weights(len(elements), kinds))
+        operand_frame = frame if not operands or draw(st.booleans()) else None
+        operands.append(MassFunction(dict(zip(elements, masses)), operand_frame))
+    return tuple(operands) if draw(st.booleans()) else tuple(reversed(operands))
+
+
+@st.composite
 def queries(draw, values):
     """A query: OMEGA, or values from the domain and maybe unmentioned ones."""
     if draw(st.integers(min_value=0, max_value=5)) == 0:
@@ -228,10 +262,20 @@ def assert_dempster_matches(pair):
 class TestPathEquivalence:
     """The kernel path against the oracle path."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(evidence_pairs(kinds=("exact",)))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            evidence_pairs(kinds=("exact",)), conflicting_pairs(kinds=("exact",))
+        )
+    )
     def test_combine_exact(self, pair):
+        """Exact operands pool int numerators; half the pairs are skewed
+        toward high and total conflict.  A conflict-free kappa stays the
+        int ``0``."""
         assert_dempster_matches(pair)
+        kind, got = outcome(combine_with_conflict, *pair)
+        if kind == "ok" and not got[1]:
+            assert type(got[1]) is int
 
     @settings(max_examples=100, deadline=None)
     @given(evidence_pairs(kinds=("float", "mixed")))
@@ -240,7 +284,7 @@ class TestPathEquivalence:
         assert_dempster_matches(pair)
 
     @settings(max_examples=100, deadline=None)
-    @given(evidence_pairs())
+    @given(st.one_of(evidence_pairs(), conflicting_pairs()))
     def test_conjunctive(self, pair):
         kind, got = outcome(conjunctive, *pair)
         want_kind, want = outcome(oracle.conjunctive, *pair)

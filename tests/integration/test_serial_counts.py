@@ -16,7 +16,9 @@ serial fold must
   pair of a source, not one per tuple.
 
 The extended union and intersection of two same-layout relations
-re-coerce no attribute value either.
+re-coerce no attribute value either, and the exact union of a fixed
+pair allocates a recorded number of Fractions: one per result mass,
+conflict mass and membership component, and none to check a total.
 
 Persisting the integrated relation to a new SQLite store is one
 transaction (one ``COMMIT``), and a first save that fails leaves no
@@ -26,6 +28,8 @@ On a fixed exact relation of ``N`` tuples, the extended selection must
 
 * range-check exactly ``N`` membership pairs -- the predicate supports
   ``F_SS`` -- and none of the ``F_TM`` products;
+* run ``F_TM`` only for the tuples whose predicate support has
+  ``sn > 0``;
 * re-coerce no attribute value of a kept tuple, and seed no ``Bel``/
   ``Pls`` sum with a fresh ``Fraction(0)``;
 
@@ -278,6 +282,26 @@ def test_selection_checks_supports_not_products(monkeypatch):
     assert counts["zero_seeds"] == 0
 
 
+def test_product_rule_runs_only_for_supported_tuples(monkeypatch):
+    """A zero predicate support would revise ``sn`` to 0, which the scan
+    drops anyway: ``F_TM`` is skipped for it."""
+    relation = read_relation()
+    predicate = IsPredicate("category", {"c1", "c4", "c7"})
+    threshold = sn_at_least("0.05")
+    supported = sum(
+        1 for etuple in relation if predicate.support(etuple).sn > 0
+    )
+    assert 0 < supported < READ_TUPLES
+    counts = {"products": 0}
+    monkeypatch.setattr(
+        TupleMembership,
+        "combine_product",
+        _counting(counts, "products", TupleMembership.combine_product),
+    )
+    select(relation, predicate, threshold)
+    assert counts["products"] == supported
+
+
 def test_bel_pls_misses_return_the_shared_zero():
     compiled = next(iter(read_relation())).evidence("category").mass_function.compiled()
     (sn, sp), zeros = _zero_seeds(compiled.bel_pls, 0)
@@ -348,6 +372,25 @@ def test_union_and_intersection_coerce_no_value(monkeypatch, operator, exact):
     assert len(report.matched) == 72
     assert len(merged) > 0
     assert counts["coerced"] == 0
+
+
+#: Fractions the exact union of the fixed seed-5 pair allocates: 496
+#: result masses and kappas of the attribute combinations, 166
+#: ``(sn, sp)`` components and kappas of the membership rule ``F``, and
+#: 9 vacuous masses of total-conflict fallbacks.  Pooling and checking
+#: Fractions allocated 3412 (Python 3.11) and 4063 (3.12).
+EXACT_UNION_FRACTIONS = 671
+
+
+def test_exact_union_allocates_the_recorded_fractions():
+    config = SyntheticConfig(n_tuples=120, overlap=0.6, exact=True, seed=5)
+    left, right = synthetic_pair(config, "L", "R")
+    counter = FractionCounter()
+    merged, report = counter.call(
+        lambda: union_with_report(left, right, on_conflict="vacuous")
+    )
+    assert len(report.matched) == 72 and len(merged) > 0
+    assert counter.allocations == EXACT_UNION_FRACTIONS
 
 
 @pytest.mark.parametrize("reliability", [0.9, Fraction(4, 5)])

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from repro.errors import MembershipError, TotalConflictError
-from repro.ds.combination import combine
+from repro.ds.combination import combine, combine_with_conflict
 from repro.model.membership import (
     CERTAIN,
     IMPOSSIBLE,
@@ -226,3 +226,26 @@ def test_dempster_preserves_positive_support(a, b):
 @given(a=memberships(), b=memberships())
 def test_product_commutative_associative_sample(a, b):
     assert a.combine_product(b) == b.combine_product(a)
+
+
+@given(a=memberships(), b=memberships())
+@example(a=CERTAIN, b=IMPOSSIBLE)
+@example(a=IMPOSSIBLE, b=TupleMembership("1/3", 1))
+@example(a=TupleMembership("1/2", "3/4"), b=TupleMembership("2/3", "5/6"))
+def test_exact_dempster_equals_the_generic_rule_with_its_kappa(a, b):
+    """The integer closed form of ``F`` on exact pairs equals Dempster's
+    rule over the boolean frame (``to_mass`` -> ``combine`` ->
+    ``from_mass``): the same pair, exact, and the same kappa, up to
+    kappa = 1.  ``F``'s kappa is always a Fraction; the kernel leaves a
+    conflict-free kappa as its int seed ``0``."""
+    closed, kappa = a.combine_dempster_with_conflict(b)
+    generic, generic_kappa = combine_with_conflict(a.to_mass(), b.to_mass())
+    assert kappa == generic_kappa
+    assert type(kappa) is Fraction
+    assert type(generic_kappa) is (Fraction if generic_kappa else int)
+    if generic is None:
+        assert closed is None and kappa == 1
+        return
+    expected = TupleMembership.from_mass(generic)
+    assert closed == expected
+    assert type(closed.sn) is Fraction and type(closed.sp) is Fraction

@@ -325,6 +325,76 @@ class TestFederationTreeFold:
         assert "'p+q'" in str(excinfo.value)
         assert "'r+s'" in str(excinfo.value)
 
+    @staticmethod
+    def _two_entity_sources(names, uncertain):
+        """Per source name, a relation holding ``t`` with ``v`` = the
+        name's focal value and ``u`` with ``v`` = ``a`` (conflict-free)."""
+        from repro.model.attribute import Attribute
+        from repro.model.domain import EnumeratedDomain, TextDomain
+        from repro.model.etuple import ExtendedTuple
+        from repro.model.relation import ExtendedRelation
+        from repro.model.schema import RelationSchema
+
+        schema = RelationSchema(
+            "S",
+            [
+                Attribute("k", TextDomain("k"), key=True),
+                Attribute(
+                    "v", EnumeratedDomain("v", ["a", "b", "c"]), uncertain=uncertain
+                ),
+            ],
+        )
+        focal = {"metro": "a", "herald": "b", "bystander": "a", "echo": "a"}
+        return {
+            name: ExtendedRelation(
+                schema.with_name(name),
+                [
+                    ExtendedTuple(schema, {"k": "t", "v": {focal[name]: 1}}),
+                    ExtendedTuple(schema, {"k": "u", "v": {"a": 1}}),
+                ],
+            )
+            for name in names
+        }
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("metro", "herald", "bystander"),
+            ("bystander", "echo", "metro", "herald"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "on_conflict, uncertain",
+        [("drop", True), ("drop", False), ("vacuous", False)],
+    )
+    def test_an_entity_dropped_at_any_step_stays_dropped(
+        self, names, on_conflict, uncertain
+    ):
+        """metro and herald conflict totally on ``t``; under ``drop``, or
+        under ``vacuous`` on a certain attribute, the step that merges
+        them drops ``t``.  A source merged later that agrees with one
+        side must not bring it back: the materialized integration agrees
+        with ``integrate_entity`` and with the stream engine."""
+        from repro.stream import StreamEngine
+
+        sources = self._two_entity_sources(names, uncertain)
+        merger = TupleMerger(on_conflict=on_conflict)
+        federation = Federation(merger)
+        engine = StreamEngine(sources[names[0]].schema, name="F", merger=merger)
+        for name, relation in sources.items():
+            federation.add_source(name, relation)
+            for etuple in relation:
+                engine.upsert(name, etuple)
+        engine.flush()
+        integrated, report = federation.integrate(name="F")
+        dropped = [key for _, step in report.steps for key in step.dropped]
+        assert dropped == [("t",)]
+        assert federation.integrate_entity("t", name="F") is None
+        assert ("t",) not in integrated
+        assert integrated.keys() == engine.relation.keys() == (("u",),)
+        assert integrated.get(("u",)) == federation.integrate_entity("u", name="F")
+        assert integrated.same_tuples(engine.relation)
+
     def test_five_source_tree_fold_equals_sequential_fold(self):
         """The balanced tree fold must reproduce the left-to-right fold
         exactly (associativity, exact arithmetic)."""

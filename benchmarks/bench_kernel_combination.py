@@ -14,17 +14,25 @@ Fraction masses alike.
 Both produce identical results -- asserted here, over a frame and over
 an open domain, and verified property-based in
 ``tests/ds/test_kernel.py``.
+
+Compilation is reported, not gated: the time to compile the 1,800
+evidence values of one fresh integrate operation (three float sources
+of 200 entities, three attributes each, as the end-to-end benchmark
+generates them), beside the repr-sorted compilation of the test oracle.
 """
 
 import os
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from repro.ds import MassFunction, combine, combine_all
+from repro.datasets.generators import SyntheticConfig, synthetic_pair
+from repro.ds import MassFunction, combine, combine_all, compile_mass_function
 from repro.ds.frame import OMEGA, FrameOfDiscernment
+from repro.model.evidence import EvidenceSet
 from tests.ds import oracle
 
 UNIVERSE = [f"v{i:02d}" for i in range(24)]
@@ -160,3 +168,49 @@ def _timed(operation, repeats: int = 50) -> float:
     for _ in range(repeats):
         operation()
     return (time.perf_counter() - started) / repeats
+
+
+def _integrate_operation_evidence(seed: int = 4242) -> list[MassFunction]:
+    """The source evidence of one integrate operation: three fresh
+    float sources (``s0``/``s1`` a perturbed pair, ``s2`` independent)
+    of 200 entities with 80% key overlap."""
+    config = SyntheticConfig(
+        n_tuples=200, overlap=0.8, conflict=0.3, exact=False, seed=seed
+    )
+    s0, s1 = synthetic_pair(config, "s0", "s1")
+    _, s2 = synthetic_pair(replace(config, seed=seed + 1), "t0", "s2")
+    return [
+        value.mass_function
+        for relation in (s0, s1, s2)
+        for etuple in relation
+        for _, value in etuple.items()
+        if isinstance(value, EvidenceSet)
+    ]
+
+
+def test_integrate_evidence_compilation(bench_record):
+    """Reported, not gated: compiling one integrate operation's 1,800
+    source evidence values (best of 7), and the oracle's repr-sorted
+    compilation of the same values."""
+    masses = _integrate_operation_evidence()
+    assert len(masses) == 1800
+    for m in masses:
+        got, want = compile_mass_function(m), oracle.compile_by_repr(m)
+        assert got.interned is want.interned and got.masks == want.masks
+        assert got.values == want.values
+
+    def compile_all(compile_one):
+        return lambda: [compile_one(m) for m in masses]
+
+    compile_time = min(
+        _timed(compile_all(compile_mass_function), repeats=3) for _ in range(7)
+    )
+    repr_sorted_time = min(
+        _timed(compile_all(oracle.compile_by_repr), repeats=3) for _ in range(7)
+    )
+    print(
+        f"\ncompile {len(masses)} values: {compile_time * 1e3:.2f} ms "
+        f"(repr-sorted {repr_sorted_time * 1e3:.2f} ms)"
+    )
+    bench_record("integrate_evidence_compile_seconds", compile_time)
+    bench_record("repr_sorted_evidence_compile_seconds", repr_sorted_time)

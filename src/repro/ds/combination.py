@@ -130,11 +130,14 @@ def combine_with_conflict(
     This is the fold step the integration layers (extended union, tuple
     merging, streaming) use: the returned mass function stays compiled,
     so a chain of combinations never decodes or re-interns intermediate
-    states.
+    states.  When the kernel's result is *m1*'s own compiled form (see
+    :func:`~repro.ds.kernel.combine_compiled`), the result is *m1*.
     """
     compiled, kappa = combine_compiled(*_compiled_pair(m1, m2))
     if compiled is None:
         return None, kappa
+    if compiled is m1.compiled():
+        return m1, kappa
     return MassFunction._from_compiled(compiled), kappa
 
 

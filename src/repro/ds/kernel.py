@@ -30,8 +30,10 @@ elements.  This module runs all of them on bitmasks:
   mixed operands, and a single product, keep that loop.
 
 Bits follow sorted-``repr`` order, so a mask's sort key is
-order-isomorphic to :func:`repro.ds.mass._focal_sort_key`, every loop
-visits pairs in the canonical focal order, and results -- exact
+order-isomorphic to :func:`repro.ds.mass._focal_sort_key` (compilation
+orders masks by it instead of sorting focal elements by ``repr``; see
+:func:`compile_mass_function` for the atoms where it does not hold),
+every loop visits pairs in the canonical focal order, and results -- exact
 Fractions and float round-off alike -- equal the textbook frozenset
 loops bit for bit (the property-based test-suite checks the kernel
 against such a reference implementation).  Coercion and validation
@@ -71,7 +73,12 @@ from repro.ds.frame import (
     is_omega,
     typed_values_key,
 )
-from repro.ds.mass import Numeric, validate_mass_total
+from repro.ds.mass import (
+    Numeric,
+    _focal_sort_key,
+    is_fraction,
+    validate_mass_total,
+)
 from repro.ds.notation import format_atom
 from repro.obs.registry import registry as _metrics_registry
 
@@ -215,6 +222,7 @@ class InternedFrame:
         "_sort_keys",
         "_renderings",
         "_text_atoms",
+        "_str_atoms",
     )
 
     def __init__(self, source: FrameOfDiscernment | frozenset):
@@ -228,6 +236,7 @@ class InternedFrame:
         self._bit_by_value = {value: bit for bit, value in enumerate(ordered)}
         self._value_by_bit = ordered
         self._text_atoms = all(type(value) in (str, int) for value in ordered)
+        self._str_atoms = all(type(value) is str for value in ordered)
         width = len(ordered) if self._frame is not None else len(ordered) + 2
         self._omega = (1 << width) - 1
         self._query_bit = 1 << len(ordered)
@@ -336,6 +345,32 @@ class InternedFrame:
             _cache_put(self._sort_keys, mask, key)
         return key
 
+    def repr_ordered(self, elements) -> bool:
+        """Whether :meth:`sort_key` orders the masks of *elements* as
+        :func:`repro.ds.mass._focal_sort_key` orders the elements.
+
+        It does when every member has its bit's own type and ``repr``,
+        which holds for a table of ``str`` atoms without a look (among
+        the built-in types only a ``str`` equals a ``str``).  An equal
+        member of another type (``True`` at the bit of ``1``) or
+        spelling (``-0.0`` at ``0.0``) can sort elsewhere by its own
+        ``repr``.
+        """
+        if self._str_atoms:
+            return True
+        bits = self._bit_by_value
+        values = self._value_by_bit
+        for element in elements:
+            if element is OMEGA:
+                continue
+            for value in element:
+                own = values[bits[value]]
+                if own is not value and (
+                    type(own) is not type(value) or repr(own) != repr(value)
+                ):
+                    return False
+        return True
+
     def rendered_members(self, mask: int) -> tuple | None:
         """The members of *mask* as sorted
         :func:`~repro.ds.notation.format_atom` strings; ``None`` for
@@ -430,7 +465,7 @@ class CompiledMass:
 
     def is_exact(self) -> bool:
         """``True`` when every mass is a :class:`Fraction`."""
-        return all(isinstance(value, Fraction) for value in self.values)
+        return all(map(is_fraction, self.values))
 
     def scaled(self) -> tuple[tuple[int, ...], int] | None:
         """The masses as ``(numerators, denominator)``: int numerators,
@@ -523,27 +558,53 @@ def compile_mass_function(m) -> CompiledMass:
     without over the table of the atoms its focal elements mention.
     Compilation starts from the mass function's masses -- already
     coerced through :func:`~repro.ds.mass.coerce_mass_value` and
-    validated by the ``MassFunction`` constructor -- in canonical focal
-    order, so the kernel re-implements neither coercion nor validation.
+    validated by the ``MassFunction`` constructor -- so the kernel
+    re-implements neither coercion nor validation.
+
+    Each focal element is mapped to its mask, and the masks are put in
+    canonical focal order by the table's cached :meth:`~InternedFrame.
+    sort_key`, which is order-isomorphic to the frozenset order: no
+    member's ``repr`` is computed.  A single focal element needs no
+    sort.  Where the isomorphism fails -- an element holds an atom
+    equal to, but typed or spelled unlike, the atom at its bit (see
+    :meth:`InternedFrame.repr_ordered`) -- the elements are sorted by
+    :func:`~repro.ds.mass._focal_sort_key` and the table is built in
+    that order, so the table, masks and values never depend on which
+    path ran.
     """
     masses = m._mass_dict()
-    elements = m.focal_elements()
-    if m.frame is not None:
-        interned = intern_frame(m.frame)
-    else:
-        # OMEGA sorts last; the atoms are the members of the rest.
-        concrete = elements[:-1] if elements[-1] is OMEGA else elements
-        if len(concrete) == 1:
-            interned = intern_atoms(concrete[0])
-        else:
-            interned = intern_atoms(frozenset().union(*concrete))
-    mask_of = interned.mask_of
     STATS.bump("compilations")
+    interned = _table_of(m.frame, masses)
+    mask_of = interned.mask_of
+    if len(masses) == 1:
+        ((element, value),) = masses.items()
+        return CompiledMass(interned, (mask_of(element),), (value,))
+    by_mask = {mask_of(element): value for element, value in masses.items()}
+    if len(by_mask) == len(masses) and interned.repr_ordered(masses):
+        order = sorted(by_mask, key=interned.sort_key)
+        return CompiledMass(
+            interned, tuple(order), tuple([by_mask[mask] for mask in order])
+        )
+    elements = sorted(masses, key=_focal_sort_key)
+    interned = _table_of(m.frame, elements)
+    mask_of = interned.mask_of
     return CompiledMass(
         interned,
         tuple([mask_of(element) for element in elements]),
         tuple([masses[element] for element in elements]),
     )
+
+
+def _table_of(frame: FrameOfDiscernment | None, elements) -> InternedFrame:
+    """The frame's table, or the table of the atoms *elements* (focal
+    elements, in the order given) mention.  Of equal atoms of different
+    types, the first one met keeps the bit."""
+    if frame is not None:
+        return intern_frame(frame)
+    concrete = [element for element in elements if element is not OMEGA]
+    if len(concrete) == 1:
+        return intern_atoms(concrete[0])
+    return intern_atoms(frozenset().union(*concrete))
 
 
 def align(a: CompiledMass, b: CompiledMass) -> tuple[CompiledMass, CompiledMass]:
@@ -710,6 +771,14 @@ def combine_compiled(
     (Fractions are canonical, so value and type are those of the
     Fraction loop).  A conflict-free kappa is the int ``0``, as the
     Fraction loop's int seed leaves it.
+
+    On the Fraction/float loop, a conflict-free result that is *a*'s
+    single mask with *a*'s mass, equal in value and type (two equal
+    definite values, or a float definite value met by evidence that
+    includes it), is *a* itself: its values are validated once, as a
+    new result's would be, and no new form is built.  ``Fraction(1)``
+    against ``1.0`` pools the float ``1.0``, so it builds a new form,
+    and so does every result of the int path.
     """
     pooled, kappa, denominator = conjunctive_compiled(a, b)
     if denominator is not None:
@@ -735,6 +804,12 @@ def combine_compiled(
             # Exact operands took the int path above, so only float
             # round-off magnified by a tiny 1 - kappa gets here.
             return None, kappa
+    if len(pooled) == 1 and len(a.masks) == 1:
+        ((mask, value),) = pooled.items()
+        own = a.values[0]
+        if mask == a.masks[0] and type(value) is type(own) and value == own:
+            validate_mass_total(a.values)
+            return a, kappa
     return _canonical(a.interned, pooled), kappa
 
 

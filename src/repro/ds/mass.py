@@ -78,6 +78,25 @@ def coerce_mass_value(value: object) -> Numeric:
     raise MassFunctionError(f"mass value must be numeric, got {value!r}")
 
 
+def is_fraction(value: object) -> bool:
+    """``isinstance(value, Fraction)``, answered by a type test for the
+    common types.
+
+    ``Fraction`` is an ABC subclass, so ``isinstance`` against it
+    dispatches through ``ABCMeta.__instancecheck__`` for every value
+    that is not a Fraction -- about ten times the cost of the type
+    tests that answer for a ``Fraction``, ``float``, ``str`` or
+    ``int`` here.  Anything else (a ``Fraction`` subclass, ``bool``)
+    falls back to ``isinstance``.
+    """
+    kind = type(value)
+    if kind is Fraction:
+        return True
+    if kind is float or kind is str or kind is int:
+        return False
+    return isinstance(value, Fraction)
+
+
 def validate_mass_total(values) -> None:
     """Check that masses sum to one (exactly, or within float tolerance).
 
@@ -367,7 +386,7 @@ class MassFunction:
         the compiled form when attached, without decoding the masses)."""
         if self._compiled is not None:
             return self._compiled.is_exact()
-        return all(isinstance(value, Fraction) for value in self._masses.values())
+        return all(map(is_fraction, self._masses.values()))
 
     def is_vacuous(self) -> bool:
         """``True`` when all mass sits on the whole frame (ignorance)."""

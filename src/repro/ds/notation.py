@@ -132,10 +132,9 @@ def format_atom(value: object) -> str:
             return value
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
+    # Numbers, a Fraction as "n/d" included.
     return str(value)
 
 

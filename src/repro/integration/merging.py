@@ -48,8 +48,14 @@ domain.  A certain attribute holds definite evidence on both sides.
 Dempster's rule keeps two equal definite values definite, and two
 different ones conflict totally, which takes the ``on_conflict`` path:
 raise, or drop the tuple (only an uncertain attribute falls back to
-ignorance).  Left-only and right-only tuples are copied under the
-result schema by sharing their values under the same condition.
+ignorance).  When Dempster's rule returns the left value's own mass
+function (two equal definite values, see
+:func:`repro.ds.kernel.combine_compiled`) and the left value has a
+domain, the merged value is the left :class:`EvidenceSet` itself, not
+a copy: that very object was checked against that domain when it was
+built, so no check is skipped.  Left-only and right-only tuples are
+copied under the result schema by sharing their values under the same
+condition.
 Everything else keeps the full constructor: a non-evidential method
 (its result is arbitrary evidence) and a source schema whose
 attributes are reordered or differ.  The membership pair always comes
@@ -117,12 +123,17 @@ def _combine_evidence(
     attribute's enumerated frame (see :mod:`repro.ds.kernel`); the
     merged evidence then stays compiled, so the integration fold and
     the streaming engine's resident states never re-derive masks.
+    A result that is *left*'s own mass function, under *left*'s
+    domain, is *left* (see "Validation policy" in the module
+    docstring).
     """
     combined, kappa = combine_with_conflict(
         left.mass_function, right.mass_function
     )
     if combined is None:
         return None, kappa
+    if combined is left.mass_function and left.domain is not None:
+        return left, kappa
     return EvidenceSet(combined, left.domain or right.domain), kappa
 
 

@@ -84,6 +84,22 @@ def _scaled_pair(sn: Fraction, sp: Fraction) -> tuple[int, int, int]:
     )
 
 
+def _float_terms(sn: Fraction, sp: Fraction) -> tuple[float, ...]:
+    """``sn``, ``sp``, ``1 - sp``, ``sp - sn`` and ``1 - sn`` of an exact
+    pair as floats, each the correctly rounded int division of its
+    numerator by the pair's common denominator: the value ``float()``
+    gives the exact sub-expression, which is what Python's ``Fraction
+    op float`` arithmetic computes with."""
+    true, possible, denominator = _scaled_pair(sn, sp)
+    return (
+        true / denominator,
+        possible / denominator,
+        (denominator - possible) / denominator,
+        (possible - true) / denominator,
+        (denominator - true) / denominator,
+    )
+
+
 def _dempster_scaled(
     sn1: Fraction, sp1: Fraction, sn2: Fraction, sp2: Fraction
 ) -> tuple["TupleMembership | None", Fraction]:
@@ -266,10 +282,17 @@ class TupleMembership:
         for its conflict report, so it folds through this entry point
         and computes the conflict once.  Exact operands run on int
         numerators (see the module docstring); kappa is then always a
-        Fraction.  Float operands stay on float arithmetic; mixed
-        Fraction/float operands keep Python's mixed arithmetic, which
-        differs from converting first (``float(1 - Fraction(1, 3)) !=
-        1 - float(Fraction(1, 3))``).
+        Fraction.  Float operands stay on float arithmetic.  An exact
+        pair meeting a float pair runs on floats too, with the results
+        of Python's mixed arithmetic, which evaluates ``Fraction op
+        float`` as ``float(Fraction) op float``: each exact
+        sub-expression the closed form feeds to a float operation --
+        ``sn``, ``sp``, ``1 - sp`` and ``sp - sn``, and ``1 - sn`` of
+        an exact right operand -- is converted once, by correctly
+        rounded int division, as ``float()`` converts it, and no
+        Fraction is built.  Converting only ``sn`` and ``sp`` would not
+        do (``float(1 - Fraction(1, 3)) != 1 - float(Fraction(1,
+        3))``).  Any other mix of types keeps Python's mixed arithmetic.
 
         Near total conflict in floats, normalizing by a tiny ``1 -
         kappa`` magnifies round-off: ``(1-e, 1)`` against ``(0, e)`` at
@@ -285,21 +308,29 @@ class TupleMembership:
         """
         sn1, sp1 = self._sn, self._sp
         sn2, sp2 = other._sn, other._sp
-        if (
-            type(sn1) is Fraction
-            and type(sp1) is Fraction
-            and type(sn2) is Fraction
-            and type(sp2) is Fraction
-        ):
+        exact1 = type(sn1) is Fraction and type(sp1) is Fraction
+        if exact1 and type(sn2) is Fraction and type(sp2) is Fraction:
             return _dempster_scaled(sn1, sp1, sn2, sp2)
-        false1 = 1 - sp1
-        false2 = 1 - sp2
+        if exact1 and type(sn2) is float and type(sp2) is float:
+            sn1, sp1, false1, free1, _ = _float_terms(sn1, sp1)
+            false2, free2, not_true2 = 1 - sp2, sp2 - sn2, 1 - sn2
+        elif (
+            type(sn2) is Fraction
+            and type(sp2) is Fraction
+            and type(sn1) is float
+            and type(sp1) is float
+        ):
+            sn2, sp2, false2, free2, not_true2 = _float_terms(sn2, sp2)
+            false1, free1 = 1 - sp1, sp1 - sn1
+        else:
+            false1, free1 = 1 - sp1, sp1 - sn1
+            false2, free2, not_true2 = 1 - sp2, sp2 - sn2, 1 - sn2
         kappa = sn1 * false2 + false1 * sn2
         if kappa == 1:
             return None, kappa
         remaining = 1 - kappa
         mass_true = sn1 * sp2 + sp1 * sn2 - sn1 * sn2
-        mass_false = false1 * (1 - sn2) + (sp1 - sn1) * false2
+        mass_false = false1 * not_true2 + free1 * false2
         # Any float operand makes kappa a float.  Round-off in the
         # masses is a few ulps, so dividing by 1 - kappa >= 1/2 keeps
         # their total far inside the tolerance: only a conflict that
@@ -307,10 +338,7 @@ class TupleMembership:
         if (
             type(kappa) is float
             and remaining < kappa
-            and abs(
-                (mass_true + mass_false + (sp1 - sn1) * (sp2 - sn2)) / remaining
-                - 1
-            )
+            and abs((mass_true + mass_false + free1 * free2) / remaining - 1)
             > FLOAT_SUM_TOLERANCE
         ):
             return None, kappa

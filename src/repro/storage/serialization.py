@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.errors import ReproError, SerializationError, StreamError
 from repro.ds.frame import OMEGA, is_omega
-from repro.ds.mass import MassFunction
+from repro.ds.mass import MassFunction, is_fraction
 from repro.ds.notation import format_atom, parse_atom, parse_number
 from repro.model.attribute import Attribute
 from repro.model.domain import (
@@ -56,7 +56,7 @@ FORMAT_VERSION = 1
 
 def _number_to_json(value) -> object:
     """A membership, reliability or mass: exact values as ``"n/d"``."""
-    if isinstance(value, Fraction):
+    if is_fraction(value):
         return f"{value.numerator}/{value.denominator}"
     return value
 
@@ -77,7 +77,7 @@ def _fraction_tag(value: Fraction) -> dict:
 
 def _atom_to_json(value) -> object:
     """One scalar: exact values tagged, everything else as itself."""
-    return _fraction_tag(value) if isinstance(value, Fraction) else value
+    return _fraction_tag(value) if is_fraction(value) else value
 
 
 def _atom_from_json(value) -> object:

@@ -13,7 +13,10 @@ The pair loops are the frozenset loops the library ran before every
 operation moved onto the kernel, unchanged in shape (the inner operand's
 ``items()`` is re-iterated for every outer row), so
 ``benchmarks/bench_kernel_combination.py`` times the kernel against the
-same reference its speedup gate was set on.
+same reference its speedup gate was set on.  :func:`compile_by_repr` is
+the compilation the kernel ran before it ordered masks by their cached
+sort keys: the table, masks and values it builds are the reference for
+:func:`repro.ds.kernel.compile_mass_function`.
 
 A mixed pair -- one operand with a frame, one without -- is checked
 against the frame first: the frameless operand's concrete elements
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 from repro.ds import MassFunction, OMEGA
 from repro.ds.frame import is_omega
+from repro.ds.kernel import CompiledMass, intern_atoms, intern_frame
 from repro.ds.mass import coerce_focal_element, coerce_mass_value
 from repro.errors import MassFunctionError
 
@@ -181,3 +185,25 @@ def commonality(m: MassFunction, subset):
         if covers:
             total = total + value
     return total
+
+
+def compile_by_repr(m: MassFunction) -> CompiledMass:
+    """The compilation the kernel used to run: the focal elements in
+    ``focal_elements()`` order -- sorted by the ``repr`` of their
+    members, OMEGA last -- with an open domain's atom table built from
+    them in that order, and each element mapped to its mask."""
+    elements = m.focal_elements()
+    masses = dict(m.items())
+    if m.frame is not None:
+        interned = intern_frame(m.frame)
+    else:
+        concrete = elements[:-1] if elements[-1] is OMEGA else elements
+        if len(concrete) == 1:
+            interned = intern_atoms(concrete[0])
+        else:
+            interned = intern_atoms(frozenset().union(*concrete))
+    return CompiledMass(
+        interned,
+        tuple([interned.mask_of(element) for element in elements]),
+        tuple([masses[element] for element in elements]),
+    )

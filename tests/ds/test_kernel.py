@@ -773,3 +773,199 @@ class TestUnseededSums:
         assert compiled.pls(0b110) is kernel._ZERO
         assert compiled.bel_pls(0b110) == (kernel._ZERO, kernel._ZERO)
         assert compiled.commonality(0b010) is kernel._ZERO
+
+
+# -- compilation order --------------------------------------------------------
+
+#: Atom pools of the compilation property.  ``mixed`` holds equal atoms
+#: of other types (``1``, ``1.0``, ``True``; ``2.5``, ``Fraction(5, 2)``)
+#: and spellings (``0.0``, ``-0.0``), whose ``repr`` order can differ
+#: from the order of the bit their equal atom holds.
+COMPILE_POOLS = {
+    "str": ["a", "b", "c", "Ω", "10", "9", "a b", "'"],
+    "int": [0, 1, 2, 9, 10, -3, 100, 2**70],
+    "bool": [True, False],
+    "float": [0.5, 2.5, 1.0, 0.0, 1e-9, 10.0, -7.25],
+    "Fraction": [Fraction(1, 3), Fraction(5, 2), Fraction(1), Fraction(-3, 7)],
+    "mixed": [
+        "a", "1", 1, 10, True, False, 0, 1.0, 0.0, -0.0, 2.5,
+        Fraction(5, 2), Fraction(1, 3), "2.5",
+    ],
+}
+
+
+_COMPILE_VALUES = st.lists(
+    st.integers(min_value=0, max_value=13), min_size=1, max_size=6
+)
+_COMPILE_MEMBERS = st.frozensets(
+    st.integers(min_value=0, max_value=5), min_size=1, max_size=3
+)
+
+
+@st.composite
+def compile_cases(draw):
+    """A mass function over a frame or an open domain of drawn atoms:
+    OMEGA, a single focal element, and the full frame (which the
+    constructor canonicalizes to OMEGA) all come up."""
+    # Indices into fixed-size pools keep every strategy cached.
+    pool = COMPILE_POOLS[draw(st.sampled_from(sorted(COMPILE_POOLS)))]
+    values = [pool[i % len(pool)] for i in draw(_COMPILE_VALUES)]
+    frame = FrameOfDiscernment("compile", values) if draw(st.booleans()) else None
+    n_focal = draw(st.integers(min_value=1, max_value=5))
+    elements: list = []
+    if draw(st.booleans()):
+        elements.append(OMEGA)
+    if frame is not None and draw(st.booleans()):
+        elements.append(frozenset(values))  # the whole frame: OMEGA
+    for _ in range(n_focal):  # a repeated draw adds nothing
+        members = frozenset(
+            values[i % len(values)] for i in draw(_COMPILE_MEMBERS)
+        )
+        if members not in elements:
+            elements.append(members)
+    masses = draw(weights(len(elements)))
+    return MassFunction(dict(zip(elements, masses)), frame)
+
+
+class TestCompileOrder:
+    """:func:`compile_mass_function` orders masks by the table's cached
+    sort keys; the repr-sorted compilation of :mod:`tests.ds.oracle` is
+    the reference for its table, masks, values and value types."""
+
+    @staticmethod
+    def compile_counting_sort_keys(m):
+        """Compile *m*; return the form and the ``_focal_sort_key`` calls."""
+        calls = []
+        original = kernel._focal_sort_key
+
+        def counting(element):
+            calls.append(element)
+            return original(element)
+
+        kernel._focal_sort_key = counting
+        try:
+            return kernel.compile_mass_function(m), len(calls)
+        finally:
+            kernel._focal_sort_key = original
+
+    def assert_same_form(self, got: CompiledMass, want: CompiledMass):
+        assert got.interned is want.interned
+        assert got.masks == want.masks
+        assert len(got.values) == len(want.values)
+        assert all(map(same_number, got.values, want.values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=compile_cases())
+    def test_equals_the_repr_sorted_compilation(self, m):
+        got, sort_key_calls = self.compile_counting_sort_keys(m)
+        self.assert_same_form(got, oracle.compile_by_repr(m))
+        if not aliased(m):
+            # Every atom is its bit's own: the masks' sort keys order them.
+            assert sort_key_calls == 0
+
+    def test_single_and_full_frame_elements(self):
+        frame = FrameOfDiscernment("f", ["x", "y"])
+        for m in (
+            MassFunction({("x", "y"): 1}, frame),  # canonicalized to OMEGA
+            MassFunction({"x": 0.5, ("x", "y"): 0.5}, frame),
+            MassFunction({("x", "y"): 1}),
+            MassFunction({OMEGA: 1}),
+            MassFunction.definite(2**70),
+        ):
+            got, sort_key_calls = self.compile_counting_sort_keys(m)
+            self.assert_same_form(got, oracle.compile_by_repr(m))
+            assert sort_key_calls == 0
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # True sits at the bit of 1, which sorts before "10"; its own
+            # repr sorts after it.
+            MassFunction(
+                {True: 0.25, 10: 0.75}, FrameOfDiscernment("f", [1, 2, 10])
+            ),
+            # -0.0 sits at the bit of 0.0, after -1.0; its own repr sorts
+            # before it.
+            MassFunction(
+                {-0.0: 0.5, -1.0: 0.5}, FrameOfDiscernment("f", [0.0, -1.0])
+            ),
+            # Open domain: the table keeps the atom of the first element
+            # in repr order, 1.0 (not the 1 that the dict lists first).
+            MassFunction({(1, 5): 0.5, 1.0: 0.25, OMEGA: 0.25}),
+        ],
+        ids=["bool-at-int", "negative-zero", "open-int-and-float"],
+    )
+    def test_equal_atoms_spelled_otherwise_keep_the_repr_order(self, m):
+        got, sort_key_calls = self.compile_counting_sort_keys(m)
+        self.assert_same_form(got, oracle.compile_by_repr(m))
+        assert sort_key_calls == len(m)
+
+
+# -- equal definite operands ----------------------------------------------------
+
+
+PAIR_FRAME = FrameOfDiscernment("pair", ["x", "y"])
+
+
+class TestEqualDefiniteIdentity:
+    """A conflict-free result equal to the left operand's single focal
+    element and mass, in value and type, is the left operand itself
+    (when both operands share a table, so the left one is not
+    re-mapped)."""
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (MassFunction.definite("x"), MassFunction.definite("x")),
+            (MassFunction({"x": 1.0}), MassFunction({"x": 1.0})),
+            (
+                MassFunction.definite("x", PAIR_FRAME),
+                MassFunction.definite("x", PAIR_FRAME),
+            ),
+            (MassFunction({"x": 1.0}), MassFunction({"x": 0.5, OMEGA: 0.5})),
+        ],
+    )
+    def test_returns_the_left_operand(self, left, right):
+        result, kappa = combine_with_conflict(left, right)
+        assert result is left
+        assert kappa == 0 and type(kappa) is int
+        expected, expected_kappa = oracle.combine_with_conflict(left, right)
+        assert same_number(kappa, expected_kappa)
+        assert_same_mass(result, expected)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (MassFunction.definite("x"), MassFunction({"x": 1.0})),
+            (MassFunction({"x": "1/2", "y": "1/2"}), MassFunction.definite("x")),
+            (MassFunction.definite("x"), MassFunction({"x": "1/2", "y": "1/2"})),
+            (MassFunction.definite("x"), MassFunction({"x": "1/2", ("x", "y"): "1/2"})),
+        ],
+        ids=["fraction-one-vs-float-one", "several-focal", "conflict", "re-mapped"],
+    )
+    def test_other_results_are_new(self, left, right):
+        result, kappa = combine_with_conflict(left, right)
+        assert result is not left and result is not right
+        expected, expected_kappa = oracle.combine_with_conflict(left, right)
+        assert same_number(kappa, expected_kappa)
+        assert_same_mass(result, expected)
+
+    def test_different_definite_values_conflict(self):
+        result, kappa = combine_with_conflict(
+            MassFunction.definite("x"), MassFunction.definite("y")
+        )
+        assert result is None and kappa == 1
+
+    def test_kernel_validates_the_reused_form_once(self, monkeypatch):
+        left = MassFunction.definite("x").compiled()
+        right = MassFunction.definite("x").compiled()
+        calls = []
+        original = kernel.validate_mass_total
+        monkeypatch.setattr(
+            kernel,
+            "validate_mass_total",
+            lambda values: calls.append(values) or original(values),
+        )
+        result, kappa = kernel.combine_compiled(left, right)
+        assert result is left and kappa == 0
+        assert calls == [left.values]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import IntegrationError
 from repro.ds.frame import OMEGA
+from repro.ds.mass import MassFunction
 from repro.model.attribute import Attribute
 from repro.model.domain import EnumeratedDomain, NumericDomain, TextDomain
 from repro.model.etuple import ExtendedTuple
@@ -14,6 +15,7 @@ from repro.model.evidence import EvidenceSet
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
 from repro.algebra import union
+from repro.algebra.union import union_with_report
 from repro.integration import (
     AttributeCorrespondence,
     AttributePreprocessor,
@@ -22,6 +24,8 @@ from repro.integration import (
     SchemaMapping,
     TupleMerger,
 )
+from repro.integration.merging import MergeReport, _combine_evidence
+from repro.stream import StreamEngine
 from repro.datasets.restaurants import (
     expected_table4,
     rating_domain,
@@ -344,3 +348,98 @@ class TestSingleEntityMerge:
         ra = table_ra()
         folded = TupleMerger().merge_entity([ra.get(("wok",))])
         assert folded == ra.get(("wok",))
+
+
+class TestEqualCertainValues:
+    """Two equal certain values merge to the left value itself: the
+    union, the merger and the stream refold keep the left
+    :class:`EvidenceSet` object, with kappa the int ``0``.  A different
+    value, or ``Fraction(1)`` against ``1.0``, builds a new one."""
+
+    SCHEMA = RelationSchema(
+        "S",
+        [
+            Attribute("id", NumericDomain("id", low=0, integral=True), key=True),
+            Attribute("label", TextDomain("label")),
+            Attribute(
+                "category",
+                EnumeratedDomain("category", ["c0", "c1", "c2"]),
+                uncertain=True,
+            ),
+        ],
+    )
+
+    def tuple_of(self, label, category="[c0^0.5, c1^0.5]", key=1):
+        return ExtendedTuple(
+            self.SCHEMA, {"id": key, "label": label, "category": category}
+        )
+
+    def label_of(self, etuple):
+        return etuple.evidence("label")
+
+    def test_combine_evidence_returns_the_left_value(self):
+        left = self.label_of(self.tuple_of("item-1"))
+        right = self.label_of(self.tuple_of("item-1"))
+        combined, kappa = _combine_evidence(left, right)
+        assert combined is left
+        assert kappa == 0 and type(kappa) is int
+
+    def test_different_value_conflicts(self):
+        left = self.label_of(self.tuple_of("item-1"))
+        right = self.label_of(self.tuple_of("item-2"))
+        assert _combine_evidence(left, right) == (None, 1)
+
+    def test_fraction_one_against_float_one_builds_a_new_value(self):
+        domain = self.SCHEMA.attribute("label").domain
+        left = EvidenceSet(MassFunction({"item-1": Fraction(1)}), domain)
+        right = EvidenceSet(MassFunction({"item-1": 1.0}), domain)
+        combined, kappa = _combine_evidence(left, right)
+        assert combined is not left and combined is not right
+        assert kappa == 0 and type(kappa) is int
+        (mass,) = [value for _, value in combined.items()]
+        assert type(mass) is float and mass == 1.0
+
+    def test_union_keeps_the_left_value(self):
+        left = ExtendedRelation(self.SCHEMA, [self.tuple_of("item-1")])
+        right = ExtendedRelation(
+            self.SCHEMA, [self.tuple_of("item-1", "[c1^0.25, Ω^0.75]")]
+        )
+        merged, report = union_with_report(left, right)
+        (result,) = merged
+        assert self.label_of(result) is self.label_of(left.get((1,)))
+        assert [record.attribute for record in report.conflicts] == ["category"]
+
+    def test_merger_keeps_the_left_value(self):
+        left = self.tuple_of("item-1")
+        right = self.tuple_of("item-1", "[c1^0.25, Ω^0.75]")
+        report = MergeReport()
+        merged = TupleMerger().merge_pair(left, right, report=report)
+        assert self.label_of(merged) is self.label_of(left)
+        assert self.label_of(merged) == self.label_of(right)
+        assert all(record.attribute != "label" for record in report.conflicts)
+
+    def test_merger_builds_new_values_otherwise(self):
+        left = self.tuple_of("item-1")
+        right = self.tuple_of("item-2")
+        report = MergeReport()
+        assert TupleMerger(on_conflict="drop").merge_pair(
+            left, right, report=report
+        ) is None
+        assert [(r.attribute, r.kappa, r.total) for r in report.conflicts] == [
+            ("label", 1, True)
+        ]
+
+    def test_stream_refold_keeps_the_first_value(self):
+        engine = StreamEngine(self.SCHEMA, name="F")
+        for source, category in (
+            ("a", "[c0^0.5, c1^0.5]"),
+            ("b", "[c1^0.25, Ω^0.75]"),
+            ("c", "[c0^0.5, Ω^0.5]"),
+        ):
+            engine.upsert(source, self.tuple_of("item-1", category))
+        engine.flush()
+        first = self.label_of(engine.source_snapshot("a").get((1,)))
+        assert self.label_of(engine.relation.get((1,))) is first
+        engine.retract("c", 1)  # refolds the entity from a and b
+        engine.flush()
+        assert self.label_of(engine.relation.get((1,))) is first

@@ -7,7 +7,9 @@ serial fold must
 * allocate no ``Fraction`` inside the bitmask combination loop
   (:func:`repro.ds.kernel.conjunctive_compiled`) or the membership rule
   ``F`` (:class:`TupleMembership`'s Dempster combination) whenever every
-  operand is a float;
+  operand is a float, nor in ``F`` on an exact pair beside a float one;
+* compile every evidence value without sorting focal elements by the
+  ``repr`` of their members;
 * validate each mass function a kernel operation produces exactly once
   (:func:`repro.ds.mass.validate_mass_total`), and make exactly as many
   validation calls in total as it always has;
@@ -84,19 +86,26 @@ KERNEL_COMBINATIONS = 720 + 360
 KERNEL_DISCOUNTS = 800
 VALIDATE_CALLS = 4280
 FLOAT_MEMBERSHIP_COMBINATIONS = 210
+#: ``F`` on an exact pair beside a float pair, and the evidence
+#: compilations of the same federation (both counted when the mixed
+#: rule moved onto floats and compilation onto mask order).
+MIXED_MEMBERSHIP_COMBINATIONS = 150
+COMPILATIONS = 1782
 
 
-class FractionCounter:
-    """Counts Fraction constructions made while :meth:`call` runs."""
+class CallCounter:
+    """Counts calls of the functions whose code objects are *codes*,
+    made while :meth:`call` runs."""
 
-    def __init__(self):
-        self.allocations = 0
+    def __init__(self, codes):
+        self.codes = codes
+        self.hits = 0
         self.calls = 0
 
     def call(self, function, *args):
         def hook(frame, event, arg):
-            if event == "call" and frame.f_code in _FRACTION_CONSTRUCTORS:
-                self.allocations += 1
+            if event == "call" and frame.f_code in self.codes:
+                self.hits += 1
 
         previous = sys.getprofile()
         sys.setprofile(hook)
@@ -107,8 +116,25 @@ class FractionCounter:
             self.calls += 1
 
 
+class FractionCounter(CallCounter):
+    """Counts Fraction constructions made while :meth:`call` runs."""
+
+    def __init__(self):
+        super().__init__(_FRACTION_CONSTRUCTORS)
+
+    @property
+    def allocations(self) -> int:
+        return self.hits
+
+
 def _all_float(values) -> bool:
     return all(type(value) is float for value in values)
+
+
+def _mixed(left, right) -> bool:
+    """An all-Fraction membership pair beside an all-float one."""
+    kinds = {(type(left.sn), type(left.sp)), (type(right.sn), type(right.sp))}
+    return kinds == {(Fraction, Fraction), (float, float)}
 
 
 @pytest.fixture
@@ -117,6 +143,7 @@ def counted(monkeypatch):
     counts = {"kernel_validates": 0, "validates": 0, "produced": 0}
     kernel_loop = FractionCounter()
     membership_rule = FractionCounter()
+    mixed_rule = FractionCounter()
 
     original_conjunctive = kernel.conjunctive_compiled
 
@@ -131,6 +158,8 @@ def counted(monkeypatch):
     def membership(self, other):
         if _all_float((self.sn, self.sp, other.sn, other.sp)):
             return membership_rule.call(original_membership, self, other)
+        if _mixed(self, other):
+            return mixed_rule.call(original_membership, self, other)
         return original_membership(self, other)
 
     original_kernel_validate = kernel.validate_mass_total
@@ -170,23 +199,47 @@ def counted(monkeypatch):
     sources = golden_sources(11, exact=False)
     integrate(sources, FLOAT_RELIABILITIES)
     counts["validates"] += counts["kernel_validates"]
-    return counts, kernel_loop, membership_rule
+    return counts, kernel_loop, membership_rule, mixed_rule
 
 
 def test_float_kernel_loop_allocates_no_fraction(counted):
-    _, kernel_loop, _ = counted
+    _, kernel_loop, _, _ = counted
     assert kernel_loop.calls == KERNEL_COMBINATIONS
     assert kernel_loop.allocations == 0
 
 
 def test_float_membership_rule_allocates_no_fraction(counted):
-    _, _, membership_rule = counted
+    _, _, membership_rule, _ = counted
     assert membership_rule.calls == FLOAT_MEMBERSHIP_COMBINATIONS
     assert membership_rule.allocations == 0
 
 
+def test_mixed_membership_rule_allocates_no_fraction(counted):
+    """The exact ``CERTAIN`` memberships of the reliability-1 source meet
+    discounted float ones: ``F`` runs on floats for them."""
+    _, _, _, mixed_rule = counted
+    assert mixed_rule.calls == MIXED_MEMBERSHIP_COMBINATIONS
+    assert mixed_rule.allocations == 0
+
+
+def test_compilation_sorts_no_focal_element_by_repr(monkeypatch):
+    """Every compilation of the federation maps its focal elements to
+    masks and orders them by the table's cached sort keys: no
+    ``_focal_sort_key`` call while any evidence compiles."""
+    sort_keys = CallCounter({mass._focal_sort_key.__code__})
+    original = kernel.compile_mass_function
+    monkeypatch.setattr(
+        kernel,
+        "compile_mass_function",
+        lambda m: sort_keys.call(original, m),
+    )
+    integrate(golden_sources(11, exact=False), FLOAT_RELIABILITIES)
+    assert sort_keys.calls == COMPILATIONS
+    assert sort_keys.hits == 0
+
+
 def test_each_kernel_result_is_validated_exactly_once(counted):
-    counts, _, _ = counted
+    counts, _, _, _ = counted
     assert counts["produced"] == KERNEL_COMBINATIONS + KERNEL_DISCOUNTS
     assert counts["kernel_validates"] == counts["produced"]
     assert counts["validates"] == VALIDATE_CALLS

@@ -8,6 +8,8 @@ runs on integer numerators and denominators.  Discounting
 their result tuples from the source tuples' already-coerced values.
 Each must agree with the checked construction it replaces, in value and
 in type, over exact, float, mixed, zero, one and subnormal components.
+The membership rule ``F`` on an exact pair meeting a float pair runs on
+floats; it must agree with Python's mixed Fraction/float arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.datasets.generators import (
     synthetic_relation,
 )
 from repro.ds.discounting import discount
-from repro.ds.mass import coerce_mass_value
+from repro.ds.mass import FLOAT_SUM_TOLERANCE, coerce_mass_value
 from repro.errors import MembershipError, RelationError
 from repro.integration import TupleMerger
 from repro.integration.methods import IntegrationMethod
@@ -34,6 +36,7 @@ from repro.model.evidence import EvidenceSet
 from repro.model.membership import TupleMembership
 from repro.model.relation import ExtendedRelation
 from repro.model.schema import RelationSchema
+from tests.integration.test_serial_counts import FractionCounter
 
 SUBNORMALS = [5e-324, 1e-310, 2.2250738585072009e-308]
 
@@ -391,3 +394,153 @@ class TestTrustedMerge:
             assert copy == ExtendedTuple(
                 merged.schema, dict(right.get(key).items()), copy.membership
             )
+
+
+# -- F on an exact pair meeting a float pair ------------------------------------
+
+
+def reference_dempster(left, right):
+    """``F`` as Python's mixed arithmetic evaluates the closed form:
+    every pair that is not all-Fraction ran this code before exact x
+    float pairs moved onto floats."""
+    sn1, sp1 = left.sn, left.sp
+    sn2, sp2 = right.sn, right.sp
+    false1 = 1 - sp1
+    false2 = 1 - sp2
+    kappa = sn1 * false2 + false1 * sn2
+    if kappa == 1:
+        return None, kappa
+    remaining = 1 - kappa
+    mass_true = sn1 * sp2 + sp1 * sn2 - sn1 * sn2
+    mass_false = false1 * (1 - sn2) + (sp1 - sn1) * false2
+    if (
+        type(kappa) is float
+        and remaining < kappa
+        and abs(
+            (mass_true + mass_false + (sp1 - sn1) * (sp2 - sn2)) / remaining - 1
+        )
+        > FLOAT_SUM_TOLERANCE
+    ):
+        return None, kappa
+    return (
+        TupleMembership(mass_true / remaining, 1 - mass_false / remaining),
+        kappa,
+    )
+
+
+def spelled_outcome(rule, left, right) -> tuple:
+    """``rule(left, right)`` spelled: ``(result, kappa)`` by ``repr`` and
+    type, sign included, or the error raised (the closed form can round
+    ``sp`` a few ulps below 0, which the range check rejects)."""
+    try:
+        result, kappa = rule(left, right)
+    except MembershipError as exc:
+        return "error", str(exc)
+
+    def spell(value):
+        return (type(value), repr(value), math.copysign(1, value))
+
+    if result is None:
+        return None, spell(kappa)
+    return (spell(result.sn), spell(result.sp)), spell(kappa)
+
+
+@st.composite
+def exact_pairs(draw):
+    low, high = sorted(
+        draw(
+            st.one_of(
+                st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+                st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3)]),
+            )
+        )
+        for _ in range(2)
+    )
+    return TupleMembership(low, high)
+
+
+@st.composite
+def float_pairs(draw):
+    low, high = sorted(
+        draw(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.0, 1.0, 1 / 3, 0.1, *SUBNORMALS]),
+            )
+        )
+        for _ in range(2)
+    )
+    return TupleMembership(low, high)
+
+
+NEAR_TOTAL = [10.0**-k for k in range(7, 13)]
+
+
+class TestMixedMembershipRule:
+    """``F`` on an all-Fraction pair meeting an all-float pair runs on
+    floats: ``sn``, ``sp`` and kappa equal Python's mixed arithmetic in
+    ``repr`` and type, in both operand orders, and no Fraction is
+    built."""
+
+    @staticmethod
+    def assert_matches_the_reference(left, right):
+        assert spelled_outcome(
+            TupleMembership.combine_dempster_with_conflict, left, right
+        ) == spelled_outcome(reference_dempster, left, right)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact=exact_pairs(), rounded=float_pairs())
+    def test_equals_mixed_arithmetic_in_both_orders(self, exact, rounded):
+        self.assert_matches_the_reference(exact, rounded)
+        self.assert_matches_the_reference(rounded, exact)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact=exact_pairs())
+    def test_equal_pairs(self, exact):
+        rounded = TupleMembership(float(exact.sn), float(exact.sp))
+        self.assert_matches_the_reference(exact, rounded)
+        self.assert_matches_the_reference(rounded, exact)
+
+    @pytest.mark.parametrize(
+        "exact, rounded",
+        [
+            ((1, 1), (0.9, 1.0)),
+            ((1, 1), (1.0, 1.0)),
+            ((1, 1), (0.0, 0.0)),
+            ((0, 1), (0.25, 0.5)),
+            (("1/3", "2/3"), (1 / 3, 2 / 3)),
+            # sp rounds to -2.2e-16 with (0, 0) on the right: both paths raise.
+            (("3/253", "1/65"), (0.0, 0.0)),
+        ],
+    )
+    def test_certain_and_borders(self, exact, rounded):
+        exact = TupleMembership(Fraction(exact[0]), Fraction(exact[1]))
+        rounded = TupleMembership(*rounded)
+        self.assert_matches_the_reference(exact, rounded)
+        self.assert_matches_the_reference(rounded, exact)
+
+    @pytest.mark.parametrize("eps", NEAR_TOTAL)
+    def test_near_total_conflict_with_one_exact_side(self, eps):
+        exact_eps = Fraction(eps)
+        cases = [
+            # The exact side holds the near-certain existence ...
+            (TupleMembership(1 - exact_eps, Fraction(1)), TupleMembership(0.0, eps)),
+            (TupleMembership(1 - exact_eps, Fraction(1)), TupleMembership(eps, eps)),
+            # ... or the near-certain absence.
+            (TupleMembership(1 - eps, 1.0), TupleMembership(Fraction(0), exact_eps)),
+            (TupleMembership(1 - eps, 1.0), TupleMembership(exact_eps, exact_eps)),
+        ]
+        for exact_or_float, other in cases:
+            self.assert_matches_the_reference(exact_or_float, other)
+            self.assert_matches_the_reference(other, exact_or_float)
+
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_allocates_no_fraction(self, exact_first):
+        exact = TupleMembership(Fraction(1, 3), Fraction(5, 7))
+        rounded = TupleMembership(0.2, 0.9)
+        left, right = (exact, rounded) if exact_first else (rounded, exact)
+        counter = FractionCounter()
+        result, kappa = counter.call(left.combine_dempster_with_conflict, right)
+        assert counter.allocations == 0
+        assert type(result.sn) is float and type(result.sp) is float
+        assert type(kappa) is float

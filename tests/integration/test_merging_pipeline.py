@@ -418,7 +418,7 @@ class TestEqualCertainValues:
         assert self.label_of(merged) == self.label_of(right)
         assert all(record.attribute != "label" for record in report.conflicts)
 
-    def test_merger_builds_new_values_otherwise(self):
+    def test_merger_records_a_different_value_as_total_conflict(self):
         left = self.tuple_of("item-1")
         right = self.tuple_of("item-2")
         report = MergeReport()

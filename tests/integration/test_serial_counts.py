@@ -87,8 +87,7 @@ KERNEL_DISCOUNTS = 800
 VALIDATE_CALLS = 4280
 FLOAT_MEMBERSHIP_COMBINATIONS = 210
 #: ``F`` on an exact pair beside a float pair, and the evidence
-#: compilations of the same federation (both counted when the mixed
-#: rule moved onto floats and compilation onto mask order).
+#: compilations, of the same federation.
 MIXED_MEMBERSHIP_COMBINATIONS = 150
 COMPILATIONS = 1782
 

@@ -7,8 +7,8 @@ Design choices DESIGN.md calls out, measured:
   bookkeeping for robustness;
 * **intersection vs union** -- the consensus operation does strictly
   less work (no pass-through tuples);
-* **federation width** -- folding 2/4/8 sources is linear in the number
-  of pairwise merges, and order-independent on conflict-free evidence.
+* **federation width** -- folding 2/4/8 sources left to right costs one
+  pairwise merge per added source, each against the result so far.
 """
 
 import pytest

@@ -15,9 +15,11 @@ records after the earlier ones, so a rerun bench extends its trajectory
 instead of overwriting it.  A measurement the host cannot make (a
 speedup floor below 4 cores) appends an explicit ``skipped`` record via
 ``bench_record.skipped`` rather than leaving no trace.
-:func:`read_results` reads the file back, normalizing pre-stamping
-records to ``rev: None``.  CI uploads the file as an artifact, so every
-build leaves a machine-readable performance trail.
+Earlier records are written back exactly as stored, so a session
+changes no byte of them.  :func:`read_results` reads the file back,
+normalizing pre-stamping records to ``rev: None``.  CI uploads the
+file as an artifact, so every build leaves a machine-readable
+performance trail.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def git_revision() -> str | None:
     return _GIT_REVISION
 
 
+def _stored_records(path: Path) -> list:
+    """The record list stored at *path*, exactly as written (a missing or
+    corrupt file reads as an empty list)."""
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return []
+    return raw if isinstance(raw, list) else []
+
+
 def read_results(path: Path | None = None) -> list[dict]:
     """``BENCH_RESULTS.json`` as a record list, tolerating old layouts.
 
@@ -67,17 +79,11 @@ def read_results(path: Path | None = None) -> list[dict]:
     existing.  A missing or corrupt file reads as an empty list.
     """
     target = path if path is not None else _results_path()
-    try:
-        raw = json.loads(target.read_text())
-    except (OSError, ValueError):
-        return []
-    if not isinstance(raw, list):
-        return []
-    records = []
-    for record in raw:
-        if isinstance(record, dict):
-            records.append({"rev": None, **record})
-    return records
+    return [
+        {"rev": None, **record}
+        for record in _stored_records(target)
+        if isinstance(record, dict)
+    ]
 
 
 def _results_path() -> Path:
@@ -132,7 +138,9 @@ def pytest_sessionfinish(session, exitstatus):
     if not _RECORDS:
         return
     path = _results_path()
-    path.write_text(json.dumps(read_results(path) + _RECORDS, indent=2) + "\n")
+    # Earlier records go back as stored, so their bytes do not change.
+    records = _stored_records(path) + _RECORDS
+    path.write_text(json.dumps(records, indent=2) + "\n")
 
 
 @pytest.fixture

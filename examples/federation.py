@@ -4,8 +4,8 @@
 Extends the paper's two-database scenario: a third agency ("campus
 weekly") joins, with a spottier survey the bureau trusts less
 (reliability 0.7).  The federation folds the evidential merge across all
-three sources -- Dempster's rule is associative and commutative, so the
-fold order does not matter -- and then a decision view commits each
+three sources in registration order -- the order a point query and the
+stream engine fold in too -- and then a decision view commits each
 attribute to its best value for the printed tourist guide, confidence
 alongside.
 

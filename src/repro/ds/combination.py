@@ -165,9 +165,10 @@ def combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
 def combine_all(masses: Iterable[MassFunction]) -> MassFunction:
     """Fold :func:`combine` over any number of mass functions.
 
-    Dempster's rule is associative and commutative, so the fold order is
-    immaterial; a left fold is used.  At least one mass function is
-    required.
+    A left fold is used.  Dempster's rule is associative and commutative,
+    so in exact arithmetic the fold order is immaterial; on float masses
+    another order may differ in the last bits.  At least one mass
+    function is required.
     """
     iterator = iter(masses)
     try:

@@ -1,26 +1,27 @@
 """Multi-source federation: integrating more than two databases.
 
-The paper integrates two databases, but its machinery is n-ary by
-construction: Dempster's rule is associative and commutative, so folding
-the pairwise merge over any number of sources yields an
-order-independent result (the test-suite verifies all permutations
-agree).  :class:`Federation` packages that fold:
+The paper integrates two databases; :class:`Federation` integrates any
+number by folding the pairwise merge over the sources in registration
+order:
 
 * sources register with a name, a relation and an optional reliability
   (discounted before merging, per :mod:`repro.ds.discounting`);
-* :meth:`Federation.integrate` folds the merger as a balanced tree --
-  adjacent sources pair up, then the halves pair up, and so on -- and
-  accumulates every pairwise merge report into a combined digest.  The
-  tree fold keeps intermediate relations small (each merge combines
-  results of similar depth rather than dragging one ever-growing
-  accumulator through every step); by associativity the result equals
-  the left-to-right fold on the conflict-free path, which the
-  permutation tests verify.
+* :meth:`Federation.integrate` merges the first two sources, then merges
+  each further source into the result so far, and accumulates every
+  pairwise merge report into a combined digest;
+* :meth:`Federation.integrate_entity` folds one entity's tuples in the
+  same order, as the stream engine does, so a point query, the stream
+  and the materialized integration agree bit for bit, on floats as well
+  as in exact arithmetic.
+
+Other fold orders would agree only in exact arithmetic on the
+conflict-free path: on float masses Dempster's rule is not associative,
+and neither is a total-conflict fallback.
 
 Evidence over enumerated domains combines on the compact kernel
 (:mod:`repro.ds.kernel`): each merge step's output carries its compiled
-state into the next layer of the tree, so an n-way integration compiles
-each source's evidence once and runs every subsequent combination on
+state into the next step, so an n-way integration compiles each
+source's evidence once and runs every subsequent combination on
 bitmasks.
 """
 
@@ -72,46 +73,6 @@ def _without(relation: ExtendedRelation, keys: set) -> ExtendedRelation:
     return relation
 
 
-def _tree_fold(
-    merger: TupleMerger, layer: list, name: str
-) -> tuple[ExtendedRelation, list[tuple[str, MergeReport]]]:
-    """Balanced-tree fold of ``(label, relation)`` pairs (>= 2 entries).
-
-    Returns the merged relation and the per-step reports; a mid-fold
-    :class:`TotalConflictError` is re-raised with the operand labels.
-    An entity that a step drops (``on_conflict`` ``"drop"``, or
-    ``"vacuous"`` on a certain attribute or the membership) leaves
-    every later step's operands too, so a source merged later cannot
-    bring it back: the result agrees with :meth:`Federation.integrate_entity`
-    and the stream engine, which drop it for good.
-    """
-    steps: list[tuple[str, MergeReport]] = []
-    dropped: set[tuple] = set()
-    while len(layer) > 1:
-        if dropped:
-            layer = [(label, _without(relation, dropped)) for label, relation in layer]
-        merged_layer = []
-        for i in range(0, len(layer) - 1, 2):
-            left_label, left_relation = layer[i]
-            right_label, right_relation = layer[i + 1]
-            try:
-                merged, step_report = merger.merge(
-                    left_relation, right_relation, name=name
-                )
-            except TotalConflictError as exc:
-                raise TotalConflictError(
-                    f"{exc} (while merging source(s) {left_label!r} "
-                    f"with {right_label!r})"
-                ) from exc
-            steps.append((right_label, step_report))
-            dropped.update(step_report.dropped)
-            merged_layer.append((f"{left_label}+{right_label}", merged))
-        if len(layer) % 2:
-            merged_layer.append(layer[-1])
-        layer = merged_layer
-    return layer[0][1], steps
-
-
 class Federation:
     """An n-way integration over union-compatible sources.
 
@@ -149,17 +110,22 @@ class Federation:
     def integrate(
         self, name: str = "federated"
     ) -> tuple[ExtendedRelation, FederationReport]:
-        """Tree-fold the merger over all sources (at least one required).
+        """Fold the merger over all sources left to right (at least one
+        source required).
 
-        A :class:`TotalConflictError` raised mid-fold is re-raised with
-        the labels of the two operands being merged, so the
-        administrator learns *which* sources (or merged groups of
-        sources) were irreconcilable.
+        A key that a step drops (``on_conflict`` ``"drop"``, or
+        ``"vacuous"`` on a certain attribute or the membership) is
+        removed from every later source, so a source merged later cannot
+        bring it back.  A :class:`TotalConflictError` raised mid-fold is
+        re-raised with the sources merged so far (``'p+q'``) and the
+        source being merged (``'r'``), so the administrator learns
+        *which* sources were irreconcilable.  For every key the result
+        equals :meth:`integrate_entity`.
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
         report = FederationReport()
-        layer = [
+        (label, relation), *rest = [
             (
                 source.name,
                 source.relation
@@ -168,10 +134,22 @@ class Federation:
             )
             for source in self._sources
         ]
-        if len(layer) == 1:
-            return layer[0][1].with_name(name), report
-        relation, steps = _tree_fold(self._merger, layer, name)
-        report.steps.extend(steps)
+        if not rest:
+            return relation.with_name(name), report
+        dropped: set[tuple] = set()
+        for source_name, incoming in rest:
+            try:
+                relation, step = self._merger.merge(
+                    relation, _without(incoming, dropped), name=name
+                )
+            except TotalConflictError as exc:
+                raise TotalConflictError(
+                    f"{exc} (while merging source {source_name!r} "
+                    f"into {label!r})"
+                ) from exc
+            report.steps.append((source_name, step))
+            dropped.update(step.dropped)
+            label = f"{label}+{source_name}"
         return relation, report
 
     def integrate_entity(self, key: tuple, name: str = "federated"):
@@ -186,10 +164,10 @@ class Federation:
         :meth:`TupleMerger.merge_entity`, the streaming engine's refold
         path.  Returns the merged :class:`ExtendedTuple` under the
         schema named *name*, or ``None`` when no source supports the
-        entity or the merger's ``on_conflict`` policy dropped it.  On the
-        conflict-free path the result is identical to looking the key up
-        in the fully materialized integration (verified by the
-        test-suite).
+        entity or the merger's ``on_conflict`` policy dropped it.  Both
+        fold in registration order, so the result is identical to
+        looking the key up in :meth:`integrate`, for any number of
+        sources and on float masses too (verified by the test-suite).
         """
         if not self._sources:
             raise IntegrationError("a federation needs at least one source")
@@ -214,16 +192,3 @@ class Federation:
         for etuple in parts[1:]:
             schema.require_union_compatible(etuple.schema)
         return self._merger.merge_entity(parts, schema)
-
-    def integrate_entities(
-        self, keys, name: str = "federated"
-    ) -> list:
-        """Batch point queries: :meth:`integrate_entity` for many keys.
-
-        Returns one entry per input key, in input order; each entry is
-        exactly what :meth:`integrate_entity` returns for that key (the
-        merged tuple, or ``None``).
-        """
-        if not self._sources:
-            raise IntegrationError("a federation needs at least one source")
-        return [self.integrate_entity(key, name=name) for key in keys]

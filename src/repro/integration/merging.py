@@ -31,9 +31,9 @@ in the :class:`MergeReport` as a :class:`ConflictRecord`.
 Evidential combinations ride the compact evidence kernel
 (:mod:`repro.ds.kernel`) whenever the attribute's domain is enumerated:
 the merged evidence keeps its compiled (bitmask) state, so the n-ary
-folds built on the merger (the federation's tree fold and point
-queries, the stream engine's per-entity cache) never re-derive masks
-between combinations.
+folds built on the merger (the federation's fold and point queries,
+the stream engine's per-entity cache) never re-derive masks between
+combinations.
 
 Validation policy
 -----------------
@@ -332,8 +332,10 @@ class TupleMerger:
     ) -> ExtendedTuple | None:
         """Fold one entity's matched tuples (any number of sources).
 
-        Dempster's rule is associative, so the left-to-right fold equals
-        any other combination order on the conflict-free path.  Returns
+        The tuples fold left to right, the order
+        :meth:`Federation.integrate` merges sources in; in exact
+        arithmetic on the conflict-free path any other order gives the
+        same tuple, since Dempster's rule is associative.  Returns
         ``None`` when a total conflict dropped the entity under the
         configured policy.
         """

@@ -150,13 +150,16 @@ class TupleMembership:
         possible = coerce_mass_value(sp)
         if isinstance(necessary, float) or isinstance(possible, float):
             # Clamp float round-off (e.g. the closed-form Dempster rule
-            # can produce sn exceeding sp by ~1e-16); genuine violations
-            # beyond the tolerance still raise below.
+            # can produce sn exceeding sp by ~1e-16, or sp ~1e-16 below 0
+            # against the certain absence); genuine violations beyond
+            # the tolerance still raise below.
             tolerance = self.FLOAT_TOLERANCE
             if -tolerance <= necessary < 0:
                 necessary = 0.0
             if 1 < possible <= 1 + tolerance:
                 possible = 1.0
+            if -tolerance <= possible < 0:
+                possible = 0.0
             if possible < necessary <= possible + tolerance:
                 necessary = possible
         if type(necessary) is Fraction and type(possible) is Fraction:

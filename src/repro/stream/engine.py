@@ -7,17 +7,14 @@ relation *incrementally*: Dempster's rule is associative and
 commutative, so each arriving tuple folds into the entity's cached
 combined state with a single pairwise combination -- O(delta) work per
 event instead of O(n) -- while retractions and overwrites re-fold only
-the affected entity's surviving contributions.  The result is **exact**
-on the conflict-free path: whenever no total conflict arises (e.g.
-every evidence set keeps some mass on OMEGA), any event interleaving
-and any batching produce precisely the relation
-``Federation.integrate`` would compute on the final per-source
-snapshots (verified property-based by the test-suite).  When a total
-conflict *does* fire a fallback policy, no fold order is canonical
-(exception handling is not associative); the engine is then still
-deterministic -- it always publishes the left-to-right fold of the
-final snapshots in source-registration order -- but that may differ
-from the federation's balanced tree fold over the same snapshots.
+the affected entity's surviving contributions.  Whatever the event
+interleaving and batching, the engine publishes the left-to-right fold
+of the final per-source snapshots in source-registration order: the
+fast path only ever extends that fold, and an out-of-order arrival
+re-folds the entity.  That is the fold ``Federation.integrate``
+computes over the same snapshots, so the two agree exactly, on float
+masses and under total-conflict fallbacks too (verified by the
+test-suite).
 
 Micro-batching: events accumulate into the resident
 :class:`~repro.stream.state.MergeState`; :meth:`StreamEngine.flush`
@@ -296,12 +293,10 @@ class StreamEngine:
     def source_snapshot(self, source: str) -> ExtendedRelation:
         """The raw (undiscounted) tuples *source* currently asserts.
 
-        On the conflict-free path, running ``Federation.integrate`` over
-        all source snapshots (with the same reliabilities and merger)
-        reproduces the engine's integrated relation exactly; with
-        total-conflict fallbacks the engine instead matches the
-        registration-order left fold of these snapshots (see the module
-        docstring).
+        Running ``Federation.integrate`` over all source snapshots (with
+        the same reliabilities, registration order and merger)
+        reproduces the engine's integrated relation exactly (see the
+        module docstring).
         """
         state = self._require_source(source)
         schema = self._schema.with_name(str(source))

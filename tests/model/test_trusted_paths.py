@@ -430,8 +430,7 @@ def reference_dempster(left, right):
 
 def spelled_outcome(rule, left, right) -> tuple:
     """``rule(left, right)`` spelled: ``(result, kappa)`` by ``repr`` and
-    type, sign included, or the error raised (the closed form can round
-    ``sp`` a few ulps below 0, which the range check rejects)."""
+    type, sign included, or the error raised."""
     try:
         result, kappa = rule(left, right)
     except MembershipError as exc:
@@ -509,7 +508,8 @@ class TestMixedMembershipRule:
             ((1, 1), (0.0, 0.0)),
             ((0, 1), (0.25, 0.5)),
             (("1/3", "2/3"), (1 / 3, 2 / 3)),
-            # sp rounds to -2.2e-16 with (0, 0) on the right: both paths raise.
+            # sp rounds to -2.2e-16 with (0, 0) on the right; the float
+            # clamp brings it back to 0.0 on both paths.
             (("3/253", "1/65"), (0.0, 0.0)),
         ],
     )
@@ -518,6 +518,25 @@ class TestMixedMembershipRule:
         rounded = TupleMembership(*rounded)
         self.assert_matches_the_reference(exact, rounded)
         self.assert_matches_the_reference(rounded, exact)
+
+    @pytest.mark.parametrize(
+        "left",
+        [
+            TupleMembership(Fraction(3, 253), Fraction(1, 65)),
+            TupleMembership(3 / 253, 1 / 65),
+        ],
+        ids=["exact", "float"],
+    )
+    def test_certain_absence_commutes(self, left):
+        """``F`` against the certain absence gives the same result and
+        kappa in both operand orders, though one order rounds ``sp`` a
+        few ulps below 0."""
+        absent = TupleMembership(0.0, 0.0)
+        forward = left.combine_dempster_with_conflict(absent)
+        backward = absent.combine_dempster_with_conflict(left)
+        assert forward == backward
+        assert forward[0] == TupleMembership(0.0, 0.0)
+        assert forward[1] == pytest.approx(3 / 253)
 
     @pytest.mark.parametrize("eps", NEAR_TOTAL)
     def test_near_total_conflict_with_one_exact_side(self, eps):

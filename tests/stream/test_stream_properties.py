@@ -1,16 +1,15 @@
 """Property-based equivalence: streaming == batch, for any event order.
 
-Dempster's rule is associative and commutative, so *any* interleaving,
-batching and retraction pattern pushed through the
-:class:`~repro.stream.StreamEngine` must land on exactly the relation
-``Federation.integrate`` computes from the final per-source snapshots.
+The :class:`~repro.stream.StreamEngine` always publishes the
+registration-order fold of the final per-source snapshots, which is the
+fold ``Federation.integrate`` computes.  So *any* interleaving, batching
+and retraction pattern must land on exactly the relation
+``Federation.integrate`` computes from those snapshots.
 
 The generated workloads keep full ignorance mass on every evidence set
-(``ignorance=1.0``), which guarantees ``kappa < 1`` at every pairwise
-combination: order independence only holds on the conflict-free path,
-because the total-conflict fallback (like any exception handling) is
-not associative -- the same caveat the federation permutation tests
-document.
+(``ignorance=1.0``), so ``kappa < 1`` at every pairwise combination.
+The total-conflict fallbacks are pinned by ``TestFoldOrderDeterminism``
+in ``test_engine.py`` and by the federation tests.
 """
 
 import random

@@ -2,6 +2,7 @@
 federation."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -260,7 +261,7 @@ class TestEntityLevelIntegration:
         """A total conflict under ``drop`` drops the entity, as the
         streaming engine's refold does, even when a later source agrees
         with one side."""
-        left, right, bystander = TestFederationTreeFold()._conflicting_sources()
+        left, right, bystander = TestFederationFold()._conflicting_sources()
         federation = Federation(TupleMerger(on_conflict="drop"))
         federation.add_source("metro", left)
         federation.add_source("herald", right)
@@ -268,7 +269,7 @@ class TestEntityLevelIntegration:
         assert federation.integrate_entity("t") is None
 
 
-class TestFederationTreeFold:
+class TestFederationFold:
     def _conflicting_sources(self):
         """Two relations with an irreconcilable attribute on key 't'."""
         from repro.model.attribute import Attribute
@@ -307,23 +308,24 @@ class TestFederationTreeFold:
         message = str(excinfo.value)
         assert "'metro'" in message and "'herald'" in message
 
-    def test_conflict_labels_cover_merged_groups(self):
-        """With four sources the second round merges groups; the error
-        names the composite labels so the administrator can bisect."""
+    def test_conflict_labels_name_the_merged_prefix(self):
+        """With four sources the third step conflicts; the error names
+        the sources merged so far and the one being merged, so the
+        administrator can bisect."""
         from repro.errors import TotalConflictError
 
         left, right, bystander = self._conflicting_sources()
         federation = Federation()
-        # Pairs (p, q) and (r, s) are internally consistent; the final
-        # group-vs-group merge is the one that conflicts.
+        # p and q agree; r conflicts with both, and s is never reached.
         federation.add_source("p", left)
         federation.add_source("q", bystander)
         federation.add_source("r", right)
         federation.add_source("s", right.with_name("right2"))
         with pytest.raises(TotalConflictError) as excinfo:
             federation.integrate()
-        assert "'p+q'" in str(excinfo.value)
-        assert "'r+s'" in str(excinfo.value)
+        assert str(excinfo.value).endswith(
+            "(while merging source 'r' into 'p+q')"
+        )
 
     @staticmethod
     def _two_entity_sources(names, uncertain):
@@ -395,24 +397,49 @@ class TestFederationTreeFold:
         assert integrated.get(("u",)) == federation.integrate_entity("u", name="F")
         assert integrated.same_tuples(engine.relation)
 
-    def test_five_source_tree_fold_equals_sequential_fold(self):
-        """The balanced tree fold must reproduce the left-to-right fold
-        exactly (associativity, exact arithmetic)."""
-        config = SyntheticConfig(
-            n_tuples=10, conflict=0.4, ignorance=1.0, seed=11
-        )
-        relations = {
-            name: synthetic_relation(config, name) for name in "ABCDE"
-        }
-        federation = Federation(TupleMerger(on_conflict="vacuous"))
-        for name, relation in relations.items():
-            federation.add_source(name, relation)
-        integrated, report = federation.integrate(name="F")
-        assert len(report.steps) == len(relations) - 1
+    @pytest.mark.parametrize("n_sources", [4, 5])
+    @pytest.mark.parametrize(
+        "exact, reliabilities",
+        [
+            (True, [1, "9/10", "3/4", "1/2", "2/3"]),
+            (False, [1, 0.9, 0.75, 0.5, 0.66]),
+        ],
+        ids=["exact", "float"],
+    )
+    def test_integrate_equals_point_queries_and_stream(
+        self, n_sources, exact, reliabilities
+    ):
+        """Materialization, point query and stream fold every entity in
+        registration order, so they agree bit for bit -- on floats too,
+        where Dempster's rule is not associative."""
+        from repro.stream import StreamEngine
 
+        relations = {
+            name: synthetic_relation(
+                SyntheticConfig(
+                    n_tuples=20, conflict=0.4, exact=exact, seed=11 + index
+                ),
+                name,
+            )
+            for index, name in enumerate("ABCDE"[:n_sources])
+        }
         merger = TupleMerger(on_conflict="vacuous")
-        names = list(relations)
-        accumulated = relations[names[0]]
-        for name in names[1:]:
-            accumulated, _ = merger.merge(accumulated, relations[name], name="F")
-        assert integrated.same_tuples(accumulated)
+        federation = Federation(merger)
+        engine = StreamEngine(relations["A"].schema, name="F", merger=merger)
+        events = []
+        for (name, relation), reliability in zip(relations.items(), reliabilities):
+            federation.add_source(name, relation, reliability)
+            engine.register_source(name, reliability)
+            events.extend((name, etuple) for etuple in relation)
+        integrated, report = federation.integrate(name="F")
+        assert len(report.steps) == n_sources - 1
+
+        keys = {key for relation in relations.values() for key in relation.keys()}
+        for key in keys:
+            assert integrated.get(key) == federation.integrate_entity(key, name="F")
+
+        random.Random(n_sources).shuffle(events)
+        for name, etuple in events:
+            engine.upsert(name, etuple)
+        engine.flush()
+        assert integrated.same_tuples(engine.relation)

@@ -6,7 +6,8 @@
 #   make bench-stream   incremental-vs-recompute ingestion benchmark
 #   make bench-kernel   evidence kernel vs the frozenset test oracle
 #   make bench-query    selection, session-cache and planner benchmarks
-#                       (the exact query path's own assertions)
+#                       (the exact query path's own assertions), and
+#                       the recorded load and IS-scan layer times
 #   make bench-merge    Table 4 union, union scaling and federation
 #                       ablation benchmarks (the merge path's assertions)
 #   make bench-storage  save/load/point-load per storage backend
@@ -42,7 +43,8 @@ bench-query:
 	$(PYTHON) -m pytest benchmarks/bench_scaling_selection.py \
 		benchmarks/bench_table2_selection.py \
 		benchmarks/bench_session_cache.py \
-		benchmarks/bench_query_planner.py -q
+		benchmarks/bench_query_planner.py \
+		benchmarks/bench_query_layers.py -q
 
 bench-merge:
 	$(PYTHON) -m pytest benchmarks/bench_table4_union.py \

@@ -9,7 +9,9 @@ Headline numbers also land in ``BENCH_RESULTS.json`` at the repo root
 (override with ``BENCH_RESULTS_PATH``): benches call the
 :func:`bench_record` fixture with ``(metric, value)`` pairs, and every
 record is stamped with the git revision it measured (``rev``, None
-outside a checkout) and the host it ran on (``nproc``, ``python``).
+outside a checkout) and the host class it ran on (``nproc``,
+``python``, ``cpu``), the fields a comparison with an earlier record
+of the same kind of host matches on.
 The file is append-only: the session-finish hook adds this session's
 records after the earlier ones, so a rerun bench extends its trajectory
 instead of overwriting it.  A measurement the host cannot make (a
@@ -37,8 +39,10 @@ from repro.datasets.restaurants import table_ra, table_rb
 from repro.obs import registry
 
 #: Records accumulated this session: {"bench", "metric", "value", "rev",
-#: "nproc", "python"}, plus "status"/"reason" on skipped records.
+#: "nproc", "python", "cpu"}, plus "status"/"reason" on skipped records.
 _RECORDS: list[dict] = []
+
+_CPU: str | None = None
 
 _GIT_REVISION: str | None | bool = False  # False = not resolved yet
 
@@ -59,6 +63,29 @@ def git_revision() -> str | None:
         except (OSError, subprocess.SubprocessError):
             _GIT_REVISION = None
     return _GIT_REVISION
+
+
+def host_cpu(cpuinfo: Path = Path("/proc/cpuinfo")) -> str:
+    """The CPU model name, read as ``e2ebench/run.py`` stamps its
+    provenance: the first ``model name`` line of *cpuinfo*, else
+    ``platform.processor()`` or ``platform.machine()``."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open(cpuinfo) as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return cpu
+
+
+def _host_cpu() -> str:
+    """:func:`host_cpu` of this host, read once per session."""
+    global _CPU
+    if _CPU is None:
+        _CPU = host_cpu()
+    return _CPU
 
 
 def _stored_records(path: Path) -> list:
@@ -117,6 +144,7 @@ class BenchRecorder:
                 "rev": git_revision(),
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
+                "cpu": _host_cpu(),
                 **extra,
             }
         )

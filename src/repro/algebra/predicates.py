@@ -22,12 +22,12 @@ Convenience constructors keep call sites readable::
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from repro.errors import PredicateError
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
-from repro.model.membership import SupportPair
+from repro.model.membership import SupportPair, scaled_support
 from repro.algebra.support import normalize_theta, theta_support
 
 
@@ -41,6 +41,16 @@ class Predicate(ABC):
     @abstractmethod
     def attributes(self) -> frozenset[str]:
         """The attribute names the predicate references."""
+
+    def supported(
+        self, tuples: Iterable[ExtendedTuple]
+    ) -> Iterator[tuple[ExtendedTuple, SupportPair]]:
+        """``(tuple, support)`` for each of *tuples* whose support has
+        ``sn > 0``, in order: the scan of the extended selection."""
+        for etuple in tuples:
+            support = self.support(etuple)
+            if support.is_supported:
+                yield etuple, support
 
     def __and__(self, other: "Predicate") -> "And":
         return And(self, other)
@@ -181,10 +191,16 @@ class IsPredicate(Predicate):
 
     Support: ``(Bel({c1..cn}), Pls({c1..cn}))`` of the tuple's evidence.
 
-    When the attribute's evidence rides on the compiled kernel (see
-    :mod:`repro.ds.kernel`), the tested value set is encoded once per
-    interned frame and every tuple evaluates by subset-mask tests --
-    a relation scan never re-hashes the predicate's value set.
+    The attribute's evidence is evaluated on the compiled kernel (see
+    :mod:`repro.ds.kernel`): the tested value set is encoded once per
+    interned frame and every tuple evaluates by subset-mask tests -- a
+    relation scan never re-hashes the predicate's value set.  The scan
+    (:meth:`supported`) sums exact evidence as int numerators over its
+    common denominator (:meth:`~repro.ds.kernel.CompiledMass.scaled`),
+    skips a tuple with ``Bel = 0`` before building any pair, and builds
+    the others without a range check
+    (:func:`~repro.model.membership.scaled_support`); float and mixed
+    evidence sums its masses and range-checks the pair.
     """
 
     __slots__ = ("_attribute", "_values", "_mask_cache")
@@ -210,9 +226,8 @@ class IsPredicate(Predicate):
         """The tested value set."""
         return self._values
 
-    def support(self, etuple: ExtendedTuple) -> SupportPair:
-        compiled = etuple.evidence(self._attribute).mass_function.compiled()
-        interned = compiled.interned
+    def _query_mask(self, interned) -> int:
+        """The value set's mask on *interned*, cached per table."""
         query_mask = self._mask_cache.get(interned)
         if query_mask is None:
             query_mask = interned.query_mask(self._values)
@@ -223,8 +238,38 @@ class IsPredicate(Predicate):
                 # InternedFrame objects forever.
                 self._mask_cache.clear()
             self._mask_cache[interned] = query_mask
-        sn, sp = compiled.bel_pls(query_mask)
+        return query_mask
+
+    def support(self, etuple: ExtendedTuple) -> SupportPair:
+        compiled = etuple.evidence(self._attribute).mass_function.compiled()
+        sn, sp = compiled.bel_pls(self._query_mask(compiled.interned))
         return SupportPair(sn, sp)
+
+    def supported(
+        self, tuples: Iterable[ExtendedTuple]
+    ) -> Iterator[tuple[ExtendedTuple, SupportPair]]:
+        attribute = self._attribute
+        query_mask_of = self._query_mask
+        for etuple in tuples:
+            compiled = etuple.evidence(attribute).mass_function.compiled()
+            query_mask = query_mask_of(compiled.interned)
+            scaled = compiled.scaled()
+            if scaled is None:
+                sn, sp = compiled.bel_pls(query_mask)
+                support = SupportPair(sn, sp)
+                if support.is_supported:
+                    yield etuple, support
+                continue
+            numerators, denominator = scaled
+            true = possible = 0
+            for mask, numerator in zip(compiled.masks, numerators):
+                meet = mask & query_mask
+                if meet:
+                    possible += numerator
+                    if meet == mask:
+                        true += numerator
+            if true:
+                yield etuple, scaled_support(true, possible, denominator)
 
     def attributes(self) -> frozenset[str]:
         return frozenset({self._attribute})

@@ -15,10 +15,16 @@ The original attribute values are retained in the result (the paper's
 footnote 4 contrasts this with DeMichiel's approach, which rewrites
 attribute values during selection).
 
-A tuple whose predicate support has ``sn = 0`` is skipped before step
-2: ``F_TM`` would revise its ``sn`` to 0, which step 3 drops.  On exact
-data, a certain tuple's revised membership is its support pair itself
-(see :meth:`~repro.model.membership.TupleMembership.combine_product`).
+The predicate yields the supports of the scan
+(:meth:`~repro.algebra.predicates.Predicate.supported`).  A tuple whose
+support has ``sn = 0`` is skipped before step 2: ``F_TM`` would revise
+its ``sn`` to 0, which step 3 drops.  An ``is``-predicate over exact
+evidence computes ``Bel``/``Pls`` as int sums and skips such a tuple
+before building any pair; the pairs it does build are in range by
+construction and are not re-checked (see
+:class:`~repro.algebra.predicates.IsPredicate`).  On exact data, a
+certain tuple's revised membership is its support pair itself (see
+:meth:`~repro.model.membership.TupleMembership.combine_product`).
 """
 
 from __future__ import annotations
@@ -63,11 +69,7 @@ def select(
     predicate.validate_against(relation.schema)
     schema = relation.schema if name is None else relation.schema.with_name(name)
     selected: list[ExtendedTuple] = []
-    for etuple in relation:
-        support = predicate.support(etuple)
-        if not support.is_supported:
-            # F_TM would revise sn to 0, which the scan drops below.
-            continue
+    for etuple, support in predicate.supported(relation):
         revised = etuple.membership.combine_product(support)
         if not revised.is_supported:
             continue

@@ -37,10 +37,11 @@ every loop visits pairs in the canonical focal order, and results -- exact
 Fractions and float round-off alike -- equal the textbook frozenset
 loops bit for bit (the property-based test-suite checks the kernel
 against such a reference implementation).  Coercion and validation
-are *not* re-implemented here: compilation always starts from an
-already validated :class:`~repro.ds.mass.MassFunction` (whose
-constructor owns :func:`~repro.ds.mass.coerce_mass_value`), and result
-totals are re-checked through the shared
+are *not* re-implemented here: compilation starts from an already
+validated :class:`~repro.ds.mass.MassFunction` (whose constructor owns
+:func:`~repro.ds.mass.coerce_mass_value`) or from framed bracket text,
+whose decoder (:func:`repro.ds.notation.parse_evidence`) runs the
+constructor's checks, and totals are checked through the shared
 :func:`~repro.ds.mass.validate_mass_total` (the one
 ``FLOAT_SUM_TOLERANCE`` check in the library).
 
@@ -761,9 +762,10 @@ def combine_compiled(
 ) -> tuple[CompiledMass | None, Numeric]:
     """Dempster's rule on bitmasks: ``(normalized result, kappa)``.
 
-    Returns ``(None, kappa)`` on total conflict: no surviving mass, or
-    float mass whose normalization by ``1 - kappa`` fails the total
-    check (see :data:`~repro.ds.mass.FLOAT_SUM_TOLERANCE`).
+    Returns ``(None, kappa)`` on total conflict: no surviving mass, a
+    float kappa that rounds to exactly 1 beside surviving mass, or float
+    mass whose normalization by ``1 - kappa`` fails the total check (see
+    :data:`~repro.ds.mass.FLOAT_SUM_TOLERANCE`).
 
     Exact operands are normalized on their int numerators: a pooled
     numerator ``n`` over ``D`` with conflict ``K`` becomes the one
@@ -797,6 +799,10 @@ def combine_compiled(
         return None, kappa
     if kappa:
         remaining = 1 - kappa
+        if not remaining:
+            # Float products rounded the conflict up to exactly 1, though
+            # a tiny mass survived: nothing is left to normalize by.
+            return None, kappa
         pooled = {mask: value / remaining for mask, value in pooled.items()}
         try:
             return _canonical(a.interned, pooled), kappa

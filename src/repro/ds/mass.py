@@ -300,18 +300,20 @@ class MassFunction:
     # -- the compiled kernel form (see repro.ds.kernel) --------------------
 
     @classmethod
-    def _from_compiled(cls, compiled) -> "MassFunction":
+    def _from_compiled(cls, compiled, masses: dict | None = None) -> "MassFunction":
         """Wrap a kernel :class:`~repro.ds.kernel.CompiledMass` lazily.
 
         The frozenset dict is only materialized on first access, so a
         chain of kernel combinations (the integration fold, the stream
         engine's per-entity state) never decodes intermediates.  The
         compiled values are already validated by the kernel operation
-        that produced them.  The frame is the table's frame: ``None``
-        for open-domain evidence.
+        (or the framed parse) that produced them.  The frame is the
+        table's frame: ``None`` for open-domain evidence.  *masses*,
+        when given, is the frozenset dict itself, for elements whose
+        members are typed unlike the table's values at their bits.
         """
         self = object.__new__(cls)
-        self._masses = None
+        self._masses = masses
         self._frame = compiled.interned.frame
         self._compiled = compiled
         return self

@@ -31,9 +31,18 @@ atomic token groups and only re-walks the tokens to locate the offset
 of a :class:`~repro.errors.NotationError`.  Atom and mass-number parses
 (:func:`parse_atom`, :func:`parse_number`) are memoized in bounded
 caches; their results are immutable ``int``/``str``/``Fraction`` values
-and stored evidence repeats a small vocabulary of tokens.  Every parsed
-evidence set still goes through the :class:`~repro.ds.mass.MassFunction`
-constructor, which rejects negative masses and totals other than one.
+and stored evidence repeats a small vocabulary of tokens.
+
+Evidence over an enumerated frame (every stored value of an enumerated
+attribute) is decoded straight into the kernel form
+(:mod:`repro.ds.kernel`): each element's atoms become a mask through
+the frame's interned table, and no frozenset dict is built.  The
+decoder runs the :class:`~repro.ds.mass.MassFunction` constructor's
+checks itself, in the constructor's order and with its errors: negative
+masses, elements outside the frame, and the total, which it checks once
+through :func:`~repro.ds.mass.validate_mass_total`.  Unframed evidence
+(an open domain, whose atom table depends on the atoms it names) goes
+through the constructor and compiles on first use.
 """
 
 from __future__ import annotations
@@ -42,9 +51,10 @@ import functools
 import re
 from fractions import Fraction
 
-from repro.errors import NotationError
+from repro.errors import DomainError, MassFunctionError, NotationError
+from repro.ds import mass as _mass
 from repro.ds.frame import OMEGA, FocalElement, is_omega
-from repro.ds.mass import MassFunction, Numeric
+from repro.ds.mass import MassFunction, Numeric, _focal_sort_key
 
 #: Spellings accepted for the whole-frame element.
 OMEGA_SPELLINGS = frozenset({"Ω", "Θ", "omega", "theta", "*", "OMEGA", "THETA"})
@@ -204,76 +214,167 @@ def format_evidence(m: MassFunction, style: str = "auto", digits: int = 3) -> st
     return "[" + ", ".join(items) + "]"
 
 
-class _Parser:
-    """Recursive-descent parser for the evidence-set grammar."""
+#: Tokens that cannot start a focal element.
+_STRUCTURAL = frozenset({"[", "]", "{", "}", ",", "^"})
 
-    def __init__(self, tokens: list[str]):
-        self._tokens = tokens
-        self._index = 0
 
-    def _peek(self) -> str | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
+def _parse_items(tokens: list[str]) -> list[tuple[object, Fraction]]:
+    """Parse tokens into ``(members, mass)`` items in text order.
 
-    def _next(self) -> str:
-        token = self._peek()
-        if token is None:
-            raise NotationError("unexpected end of evidence set")
-        self._index += 1
-        return token
-
-    def _expect(self, expected: str) -> None:
-        token = self._next()
-        if token != expected:
-            raise NotationError(f"expected {expected!r}, got {token!r}")
-
-    def parse(self) -> dict:
-        self._expect("[")
-        masses: dict[FocalElement, Fraction] = {}
-        if self._peek() == "]":
-            raise NotationError("an evidence set needs at least one focal element")
+    *members* is :data:`OMEGA` for an OMEGA spelling, else the list of
+    parsed atoms of a set or singleton element (duplicates kept); *mass*
+    is the parsed Fraction.  Nothing is merged or checked beyond the
+    grammar: the builders below do that once the whole text has parsed,
+    so a malformed text always raises :class:`NotationError` first.
+    """
+    if not tokens:
+        raise NotationError("unexpected end of evidence set")
+    if tokens[0] != "[":
+        raise NotationError(f"expected '[', got {tokens[0]!r}")
+    if len(tokens) > 1 and tokens[1] == "]":
+        raise NotationError("an evidence set needs at least one focal element")
+    items = []
+    position = 1
+    try:
         while True:
-            element = self._parse_element()
-            self._expect("^")
-            value = self._parse_number()
-            if element in masses:
-                masses[element] += value
+            token = tokens[position]
+            position += 1
+            if token in OMEGA_SPELLINGS:
+                members = OMEGA
+            elif token == "{":
+                members = [parse_atom(tokens[position])]
+                position += 1
+                while True:
+                    token = tokens[position]
+                    position += 1
+                    if token == "}":
+                        break
+                    if token != ",":
+                        raise NotationError(
+                            f"expected ',' or '}}' in set, got {token!r}"
+                        )
+                    members.append(parse_atom(tokens[position]))
+                    position += 1
+            elif token in _STRUCTURAL:
+                raise NotationError(f"expected a focal element, got {token!r}")
             else:
-                masses[element] = value
-            token = self._next()
+                members = [parse_atom(token)]
+            token = tokens[position]
+            position += 1
+            if token != "^":
+                raise NotationError(f"expected '^', got {token!r}")
+            token = tokens[position]
+            position += 1
+            try:
+                value = parse_number(token)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise NotationError(f"cannot parse mass value {token!r}") from exc
+            items.append((members, value))
+            token = tokens[position]
+            position += 1
             if token == "]":
                 break
             if token != ",":
                 raise NotationError(f"expected ',' or ']', got {token!r}")
-        if self._peek() is not None:
-            raise NotationError(f"trailing input after evidence set: {self._peek()!r}")
-        return masses
+    except IndexError:
+        raise NotationError("unexpected end of evidence set") from None
+    if position < len(tokens):
+        raise NotationError(
+            f"trailing input after evidence set: {tokens[position]!r}"
+        )
+    return items
 
-    def _parse_element(self) -> FocalElement:
-        token = self._next()
-        if token in OMEGA_SPELLINGS:
-            return OMEGA
-        if token == "{":
-            members = [parse_atom(self._next())]
-            while True:
-                token = self._next()
-                if token == "}":
-                    break
-                if token != ",":
-                    raise NotationError(f"expected ',' or '}}' in set, got {token!r}")
-                members.append(parse_atom(self._next()))
-            return frozenset(members)
-        if token in {"[", "]", "}", ",", "^"}:
-            raise NotationError(f"expected a focal element, got {token!r}")
-        return frozenset({parse_atom(token)})
 
-    def _parse_number(self) -> Fraction:
-        token = self._next()
-        try:
-            return parse_number(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NotationError(f"cannot parse mass value {token!r}") from exc
+def _element(members) -> FocalElement:
+    """The focal element a parsed item names."""
+    return OMEGA if members is OMEGA else frozenset(members)
+
+
+def _mass_function(items: list) -> MassFunction:
+    """Unframed evidence: the items, equal elements summed, through the
+    :class:`~repro.ds.mass.MassFunction` constructor."""
+    masses: dict[FocalElement, Fraction] = {}
+    for members, value in items:
+        element = _element(members)
+        masses[element] = masses[element] + value if element in masses else value
+    return MassFunction(masses)
+
+
+def _compiled_mass_function(items: list, frame) -> MassFunction:
+    """Framed evidence, decoded straight into the kernel form.
+
+    Each item's atoms become a mask through the frame's interned table.
+    The checks are the constructor's, in its order: items naming equal
+    elements are summed (an OMEGA spelling apart from the whole frame's
+    set, as the text names them); then, element by element, a negative
+    sum raises, a zero one is dropped, an element outside the frame
+    raises the frame's :class:`~repro.errors.DomainError`, and the
+    whole frame's set joins OMEGA; last the total is checked once,
+    through :func:`repro.ds.mass.validate_mass_total`.  Masks are
+    ordered by the table's cached sort keys, unless a member is typed
+    or spelled unlike the frame value at its bit (see
+    :meth:`~repro.ds.kernel.InternedFrame.repr_ordered`): then the
+    parsed elements are sorted by :func:`~repro.ds.mass._focal_sort_key`
+    and kept as the decoded masses, as the constructor keeps them.
+    """
+    interned = _kernel.intern_frame(frame)
+    mask_of = interned.mask_of
+    omega = interned.omega_mask
+    # Summed by element: keyed by mask, by OMEGA for an OMEGA spelling,
+    # and by the element itself when it is outside the frame.
+    merged: dict = {}
+    firsts: dict = {}
+    for members, value in items:
+        if members is OMEGA:
+            key = OMEGA
+        else:
+            try:
+                key = mask_of(members)
+            except DomainError:
+                key = frozenset(members)
+        if key in merged:
+            merged[key] = merged[key] + value
+        else:
+            merged[key] = value
+            firsts[key] = members
+    masses: dict[int, Fraction] = {}
+    for key, value in merged.items():
+        # A Fraction has the sign of its numerator.
+        numerator = value.numerator
+        if numerator < 0:
+            raise MassFunctionError(
+                f"negative mass {value!r} for {_element(firsts[key])!r}"
+            )
+        if not numerator:
+            del firsts[key]
+            continue
+        if key is OMEGA:
+            key = omega
+        elif type(key) is frozenset:
+            frame.resolve(key)  # raises the canonical DomainError
+        masses[key] = masses[key] + value if key in masses else value
+    _mass.validate_mass_total(masses.values())
+    _kernel.STATS.bump("compilations")
+    # A member the fast order might misplace sends every element down
+    # the constructor's sort (the same result when none is misplaced).
+    if interned.repr_ordered(firsts.values()):
+        order = sorted(masses, key=interned.sort_key) if len(masses) > 1 else masses
+        return MassFunction._from_compiled(
+            _kernel.CompiledMass(
+                interned, tuple(order), tuple([masses[mask] for mask in order])
+            )
+        )
+    parsed = {
+        OMEGA if mask == omega else frozenset(firsts[mask]): value
+        for mask, value in masses.items()
+    }
+    order = sorted(parsed, key=_focal_sort_key)
+    compiled = _kernel.CompiledMass(
+        interned,
+        tuple([mask_of(element) for element in order]),
+        tuple([parsed[element] for element in order]),
+    )
+    return MassFunction._from_compiled(compiled, parsed)
 
 
 def parse_evidence(text: str, frame=None) -> MassFunction:
@@ -284,7 +385,16 @@ def parse_evidence(text: str, frame=None) -> MassFunction:
     Fraction(1, 2)
 
     Masses parse to exact fractions; ``0.33`` therefore means exactly
-    33/100 -- write ``1/3`` for a third.
+    33/100 -- write ``1/3`` for a third.  With a *frame* the result is
+    born compiled over the frame's interned table (see
+    :func:`_compiled_mass_function`); without one the atoms it reads
+    make its table, so it compiles on first use.
     """
-    masses = _Parser(_tokenize(text)).parse()
-    return MassFunction(masses, frame)
+    items = _parse_items(_tokenize(text))
+    if frame is None:
+        return _mass_function(items)
+    return _compiled_mass_function(items, frame)
+
+
+# The kernel imports this module (for format_atom), so it is bound last.
+from repro.ds import kernel as _kernel  # noqa: E402

@@ -28,17 +28,23 @@ this class for predicate supports.
 Validation policy
 -----------------
 Every pair that comes from outside the algebra -- user-supplied,
-parsed, loaded from storage, or a predicate support computed by
-``F_SS`` -- goes through the constructor and is range-checked (float
-pairs are clamped within :attr:`TupleMembership.FLOAT_TOLERANCE`
-first).  The outputs of ``F_TM`` (:meth:`TupleMembership.combine_product`)
-are trusted instead: the product of two valid pairs is valid by
-construction, in exact arithmetic and in float arithmetic alike, because
-float(Fraction) conversion and IEEE-754 rounding are monotone (the
-argument is spelled out where it is used).  Selection therefore pays for
-one range check per tuple -- the predicate support -- not two, and
-runs no ``F_TM`` at all for a tuple whose support has ``sn = 0``.  The
-one product that is still checked is a mixed one, an exact ``sn``
+parsed, loaded from storage -- goes through the constructor and is
+range-checked (float pairs are clamped within
+:attr:`TupleMembership.FLOAT_TOLERANCE` first), and so is a predicate
+support computed by ``F_SS`` from float or mixed evidence, from a
+theta-predicate, or from a compound predicate.  The support of an
+``is``-predicate over exact evidence is trusted
+(:func:`scaled_support`): the selection scan sums the masses as int
+numerators over their common denominator, and the sums are in range by
+construction.  The outputs of ``F_TM``
+(:meth:`TupleMembership.combine_product`) are trusted too: the product
+of two valid pairs is valid by construction, in exact arithmetic and in
+float arithmetic alike, because float(Fraction) conversion and
+IEEE-754 rounding are monotone (the argument is spelled out where it
+is used).  An exact ``is``-selection therefore range-checks no pair,
+and any other selection one per tuple -- the predicate support -- not
+two; neither runs ``F_TM`` for a tuple whose support has ``sn = 0``.
+The one product that is still checked is a mixed one, an exact ``sn``
 beside a rounded ``sp`` (or the reverse), where rounding can break the
 order.  Beside another exact pair, the exact certain pair ``(1, 1)``
 returns that pair unchanged.
@@ -131,6 +137,27 @@ def _dempster_scaled(
     combined._sn = Fraction(mass_true, remaining)
     combined._sp = Fraction(remaining - mass_false, remaining)
     return combined, (Fraction(kappa, denominator) if kappa else _ZERO)
+
+
+def scaled_support(true: int, possible: int, denominator: int) -> "TupleMembership":
+    """The exact support pair ``(true / denominator, possible /
+    denominator)``, built without a range check.
+
+    The caller passes the int sums of a ``Bel``/``Pls`` scan over the
+    scaled masses of exact evidence (see
+    :meth:`repro.algebra.predicates.IsPredicate.supported`): the
+    numerators of the focal elements inside the query (*true*) and of
+    those meeting it (*possible*), over the masses' common
+    *denominator*.  Every focal element inside the query meets it, and
+    the numerators are non-negative and sum to *denominator*, so ``0 <=
+    true <= possible <= denominator`` holds by construction (see the
+    module docstring).  Each component is one Fraction, equal in value
+    and type to the sum of the Fraction masses.
+    """
+    pair = object.__new__(TupleMembership)
+    pair._sn = Fraction(true, denominator)
+    pair._sp = Fraction(possible, denominator)
+    return pair
 
 
 class TupleMembership:

@@ -279,15 +279,16 @@ def _evidence_from_json(document: dict, domain) -> EvidenceSet:
     """Deserialize one evidence set (either encoding).
 
     Evidence over an enumerated domain is compiled to the kernel form
-    (:mod:`repro.ds.kernel`) as it is loaded: the schema's domains
-    deserialize to equal frames, which intern to one shared bit
-    assignment per attribute, so a reloaded database is immediately
-    back on the compiled fast path for queries and merges.  Without a
-    *domain* (an event file names no schema) the evidence is unbound;
-    the stream engine binds it to its attribute's domain on ingress.
+    (:mod:`repro.ds.kernel`) as it is loaded -- bracket text is parsed
+    straight into it: the schema's domains deserialize to equal frames,
+    which intern to one shared bit assignment per attribute, so a
+    reloaded database is immediately back on the compiled fast path for
+    queries and merges.  Without a *domain* (an event file names no
+    schema) the evidence is unbound; the stream engine binds it to its
+    attribute's domain on ingress.
     """
     if "evidence" in document:
-        return EvidenceSet.parse(document["evidence"], domain).compile()
+        return EvidenceSet.parse(document["evidence"], domain)
     masses: dict = {}
     for item in document["evidence_items"]:
         rendered = item["element"]

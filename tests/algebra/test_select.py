@@ -18,8 +18,14 @@ from repro.algebra import (
 from repro.algebra.thresholds import sn_at_least, sp_at_least
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
 from repro.datasets.restaurants import table_ra
+from repro.ds.frame import OMEGA
+from repro.ds.mass import MassFunction
+from repro.model.attribute import Attribute
+from repro.model.domain import NumericDomain, TextDomain
+from repro.model.etuple import ExtendedTuple
 from repro.model.membership import CERTAIN, TupleMembership
 from repro.model.relation import ExtendedRelation
+from repro.model.schema import RelationSchema
 from tests.conftest import supported_memberships
 
 
@@ -196,5 +202,122 @@ def test_scan_equals_the_reference_filter(case):
     expected = _reference_select(relation, predicate, threshold)
     assert [etuple.key() for etuple in selected] == [key for key, _ in expected]
     for etuple, (_, revised) in zip(selected, expected):
+        assert _same_number(etuple.membership.sn, revised.sn)
+        assert _same_number(etuple.membership.sp, revised.sp)
+
+
+# -- the IS scan against per-tuple supports ---------------------------------------
+
+
+WORDS = ["x", "y", "z", "w"]
+
+
+def _open_domain_relation(draw, kind: str) -> ExtendedRelation:
+    """Tuples of an uncertain open-domain attribute: each evidence set
+    compiles over the atoms it names, so a query names values its table
+    has no bit for (the query bit)."""
+    schema = RelationSchema(
+        "O",
+        [
+            Attribute("id", NumericDomain("id", low=0, integral=True), key=True),
+            Attribute("word", TextDomain("word"), uncertain=True),
+        ],
+    )
+    rows = []
+    for key in range(draw(st.integers(min_value=1, max_value=10))):
+        masses = {}
+        for element in draw(
+            st.lists(
+                st.one_of(
+                    st.frozensets(st.sampled_from(WORDS), min_size=1, max_size=2),
+                    st.just(OMEGA),
+                ),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        ):
+            masses[element] = Fraction(draw(st.integers(min_value=1, max_value=7)))
+        total = sum(masses.values())
+        evidence = MassFunction(
+            {element: _typed(value / total, kind) for element, value in masses.items()}
+        )
+        rows.append(ExtendedTuple(schema, {"id": key, "word": evidence}))
+    return ExtendedRelation(schema, rows)
+
+
+def _typed(value: Fraction, kind: str):
+    """*value* as an exact, float or (alternately) mixed mass."""
+    if kind == "exact" or (kind == "mixed" and value.denominator % 2):
+        return value
+    return float(value)
+
+
+@st.composite
+def _is_scan_cases(draw):
+    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if draw(st.booleans()):
+        relation = _open_domain_relation(draw, kind)
+        values = draw(st.frozensets(st.sampled_from(WORDS + ["v"]), min_size=1))
+        return relation, IsPredicate("word", values)
+    config = SyntheticConfig(
+        n_tuples=12,
+        domain_size=4,
+        ignorance=draw(st.sampled_from([0.0, 0.5])),
+        exact=kind != "float",
+        seed=draw(st.integers(min_value=0, max_value=50)),
+    )
+    relation = synthetic_relation(config, "R")
+    if kind == "mixed":
+        relation = ExtendedRelation(
+            relation.schema,
+            [
+                ExtendedTuple(
+                    relation.schema,
+                    dict(
+                        etuple.items(),
+                        category=MassFunction(
+                            {
+                                element: _typed(value, kind)
+                                for element, value in etuple.evidence(
+                                    "category"
+                                ).items()
+                            }
+                        ),
+                    ),
+                    etuple.membership,
+                )
+                for etuple in relation
+            ],
+        )
+    if draw(st.booleans()):
+        scores = draw(st.frozensets(st.sampled_from([0, 1, 2, 3]), min_size=1))
+        return relation, IsPredicate("score", scores)
+    categories = draw(st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3"]), min_size=1))
+    return relation, IsPredicate("category", categories)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_is_scan_cases())
+def test_is_scan_equals_per_tuple_support(case):
+    """The scan's supports equal ``support`` (the per-tuple ``Bel``/
+    ``Pls`` pass and the checked pair) in value and type, for exactly
+    the tuples with ``sn > 0``; the selection equals the per-tuple
+    ``support`` + ``F_TM`` reference."""
+    relation, predicate = case
+    expected = []
+    for etuple in relation:
+        support = predicate.support(etuple)
+        if support.sn > 0:
+            expected.append((etuple.key(), support))
+    scanned = list(predicate.supported(relation))
+    assert [etuple.key() for etuple, _ in scanned] == [key for key, _ in expected]
+    for (_, support), (_, reference) in zip(scanned, expected):
+        assert _same_number(support.sn, reference.sn)
+        assert _same_number(support.sp, reference.sp)
+    selected = select(relation, predicate)
+    reference = _reference_select(relation, predicate, SN_POSITIVE)
+    assert [etuple.key() for etuple in selected] == [key for key, _ in reference]
+    for etuple, (_, revised) in zip(selected, reference):
         assert _same_number(etuple.membership.sn, revised.sn)
         assert _same_number(etuple.membership.sp, revised.sp)

@@ -16,7 +16,11 @@ operation moved onto the kernel, unchanged in shape (the inner operand's
 same reference its speedup gate was set on.  :func:`compile_by_repr` is
 the compilation the kernel ran before it ordered masks by their cached
 sort keys: the table, masks and values it builds are the reference for
-:func:`repro.ds.kernel.compile_mass_function`.
+:func:`repro.ds.kernel.compile_mass_function`.  :func:`parse_masses` is
+the recursive-descent parser the notation module ran before framed text
+decoded straight into the kernel form: ``MassFunction(parse_masses(text),
+frame)``, compiled, is the reference for
+:func:`repro.ds.notation.parse_evidence`.
 
 A mixed pair -- one operand with a frame, one without -- is checked
 against the frame first: the frameless operand's concrete elements
@@ -32,7 +36,8 @@ from repro.ds import MassFunction, OMEGA
 from repro.ds.frame import is_omega
 from repro.ds.kernel import CompiledMass, intern_atoms, intern_frame
 from repro.ds.mass import coerce_focal_element, coerce_mass_value
-from repro.errors import MassFunctionError
+from repro.ds.notation import OMEGA_SPELLINGS, _tokenize, parse_atom, parse_number
+from repro.errors import MassFunctionError, NotationError
 
 
 def intersect_focal(x, y):
@@ -207,3 +212,81 @@ def compile_by_repr(m: MassFunction) -> CompiledMass:
         tuple([interned.mask_of(element) for element in elements]),
         tuple([masses[element] for element in elements]),
     )
+
+
+class _NotationParser:
+    """Recursive-descent parser for the evidence-set grammar."""
+
+    def __init__(self, tokens: list[str]):
+        self._tokens = tokens
+        self._index = 0
+
+    def _peek(self):
+        if self._index < len(self._tokens):
+            return self._tokens[self._index]
+        return None
+
+    def _next(self) -> str:
+        token = self._peek()
+        if token is None:
+            raise NotationError("unexpected end of evidence set")
+        self._index += 1
+        return token
+
+    def _expect(self, expected: str) -> None:
+        token = self._next()
+        if token != expected:
+            raise NotationError(f"expected {expected!r}, got {token!r}")
+
+    def parse(self) -> dict:
+        self._expect("[")
+        masses: dict = {}
+        if self._peek() == "]":
+            raise NotationError("an evidence set needs at least one focal element")
+        while True:
+            element = self._parse_element()
+            self._expect("^")
+            value = self._parse_number()
+            if element in masses:
+                masses[element] += value
+            else:
+                masses[element] = value
+            token = self._next()
+            if token == "]":
+                break
+            if token != ",":
+                raise NotationError(f"expected ',' or ']', got {token!r}")
+        if self._peek() is not None:
+            raise NotationError(f"trailing input after evidence set: {self._peek()!r}")
+        return masses
+
+    def _parse_element(self):
+        token = self._next()
+        if token in OMEGA_SPELLINGS:
+            return OMEGA
+        if token == "{":
+            members = [parse_atom(self._next())]
+            while True:
+                token = self._next()
+                if token == "}":
+                    break
+                if token != ",":
+                    raise NotationError(f"expected ',' or '}}' in set, got {token!r}")
+                members.append(parse_atom(self._next()))
+            return frozenset(members)
+        if token in {"[", "]", "}", ",", "^"}:
+            raise NotationError(f"expected a focal element, got {token!r}")
+        return frozenset({parse_atom(token)})
+
+    def _parse_number(self) -> Fraction:
+        token = self._next()
+        try:
+            return parse_number(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NotationError(f"cannot parse mass value {token!r}") from exc
+
+
+def parse_masses(text: str) -> dict:
+    """The paper's bracket notation as a ``{focal element: Fraction}``
+    dict, equal elements summed, nothing else checked."""
+    return _NotationParser(_tokenize(text)).parse()

@@ -12,6 +12,7 @@ from repro.ds.mass import MassFunction
 from repro.ds.combination import (
     combine,
     combine_all,
+    combine_with_conflict,
     conflict,
     conjunctive,
     disjunctive,
@@ -97,6 +98,19 @@ class TestCombineProperties:
         b = MassFunction.definite("y")
         with pytest.raises(TotalConflictError):
             combine(a, b)
+
+    def test_float_conflict_rounded_to_one_is_total(self):
+        """A surviving mass of about 1e-18 beside a conflict that float
+        products round to exactly 1.0: nothing is left to normalize by,
+        so the pair is in total conflict (in both operand orders)
+        rather than dividing by zero."""
+        a = MassFunction({"x": 0.001, "y": 0.999})
+        b = MassFunction({"x": 1e-15, "z": 1 - 1e-15})
+        for left, right in ((a, b), (b, a)):
+            result, kappa = combine_with_conflict(left, right)
+            assert result is None and kappa == 1.0
+            with pytest.raises(TotalConflictError):
+                combine(left, right)
 
     def test_frames_must_agree(self):
         fa = FrameOfDiscernment("a", ["x", "y"])

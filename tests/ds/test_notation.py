@@ -2,16 +2,19 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.errors import NotationError
+from repro.ds import kernel
+from repro.ds import mass as mass_module
+from repro.errors import DomainError, MassFunctionError, NotationError
 from repro.ds.frame import OMEGA, FrameOfDiscernment
 from repro.ds.mass import MassFunction
 from repro.ds.notation import (
@@ -25,6 +28,7 @@ from repro.ds.notation import (
     parse_number,
 )
 from tests.conftest import mass_functions
+from tests.ds import oracle
 
 
 class TestParse:
@@ -291,3 +295,209 @@ class TestMemoizedParses:
     def test_bad_mass_value_is_a_notation_error(self):
         with pytest.raises(NotationError, match="cannot parse mass value"):
             parse_evidence("[a^x]")
+
+
+# -- framed text decodes straight into the kernel form --------------------------
+
+
+#: Frames of ``str`` and ``int`` atoms, and frames whose values the text
+#: may name by equal atoms of another type (``1/2`` for ``0.5``, ``1``
+#: for ``True``), each with the atom tokens generated texts use: tokens
+#: naming frame values (the first ones name the whole frame), and rarer
+#: out-of-domain and unparseable ones.
+FRAMES = {
+    "str": (
+        FrameOfDiscernment("letters", ["a", "b", "c", "d"]),
+        ["a", "b", "c", "d", '"a"'],
+        ["e", "7", "1/0"],
+    ),
+    "int": (
+        FrameOfDiscernment("digits", [1, 2, 3, 10]),
+        ["1", "2", "3", "10", "01"],
+        ["4", '"1"'],
+    ),
+    "aliased": (
+        FrameOfDiscernment("aliased", [0.5, 2, 3.0, Fraction(7, 2)]),
+        ["0.5", "2", "3", "7/2", "1/2", "2/1", "3.0", "3.5"],
+        ["9"],
+    ),
+    "bool": (
+        FrameOfDiscernment("flags", [True, False, 2]),
+        ["1", "0", "2"],
+        ["true"],
+    ),
+}
+
+#: Mass tokens outside the generated exact totals: zero, negative,
+#: over one, and unparseable.
+ODD_MASSES = ["0", "-0", "1", "1/2", "1/3", "-1/2", "0.25", "3/2", "x", "1/0"]
+
+OMEGA_TEXT = ["Ω", "Θ", "omega", "theta", "*"]
+
+
+@st.composite
+def evidence_texts(draw, frame, atoms, odd_atoms):
+    """Bracket notation naming values of *frame*: duplicates, zero
+    masses, OMEGA and whole-frame sets, masses summing to one or not,
+    and malformed text."""
+
+    def atom():
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            return draw(st.sampled_from(odd_atoms))
+        return draw(st.sampled_from(atoms))
+
+    count = draw(st.integers(min_value=1, max_value=5))
+    elements = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["atom", "atom", "set", "omega", "all"]))
+        if kind == "atom":
+            elements.append(atom())
+        elif kind == "set":
+            size = draw(st.integers(min_value=1, max_value=4))
+            elements.append("{" + ",".join(atom() for _ in range(size)) + "}")
+        elif kind == "omega":
+            elements.append(draw(st.sampled_from(OMEGA_TEXT)))
+        else:
+            elements.append("{" + ",".join(atoms[: len(frame)]) + "}")
+    if draw(st.integers(min_value=0, max_value=3)):
+        weights = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=6),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        total = sum(weights) or 1
+        masses = [str(Fraction(weight, total)) for weight in weights]
+    else:
+        masses = draw(
+            st.lists(st.sampled_from(ODD_MASSES), min_size=count, max_size=count)
+        )
+    text = "[" + ", ".join(f"{e}^{m}" for e, m in zip(elements, masses)) + "]"
+    mutation = draw(st.sampled_from([None] * 9 + ["cut", "insert", "trail"]))
+    if mutation == "cut":
+        position = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        text = text[:position] + text[position + 1 :]
+    elif mutation == "insert":
+        position = draw(st.integers(min_value=0, max_value=len(text)))
+        piece = draw(st.sampled_from(["[", "]", "{", "}", ",", "^", "Ω", "a"]))
+        text = text[:position] + piece + text[position:]
+    elif mutation == "trail":
+        text += draw(st.sampled_from([" x", "]", ",", "[a^1]"]))
+    return text
+
+
+def _spell_element(element) -> object:
+    if element is OMEGA:
+        return "Ω"
+    return tuple(sorted((type(value).__name__, repr(value)) for value in element))
+
+
+def _spell(values) -> tuple:
+    return tuple((type(value), repr(value)) for value in values)
+
+
+def decoded(decode, text: str, frame):
+    """What decoding *text* gives: the compiled table, masks, values and
+    value types, the frame, and the focal elements and masses with the
+    types of their members -- or the error's type and message."""
+    try:
+        m = decode(text, frame)
+        compiled = m.compiled()
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return type(exc), str(exc)
+    return (
+        compiled.interned,
+        compiled.masks,
+        _spell(compiled.values),
+        m.frame == frame,
+        [(_spell_element(element), _spell([value])) for element, value in m.items()],
+    )
+
+
+def parse_then_compile(text: str, frame):
+    """The route framed text took before it decoded straight into the
+    kernel form: parse to a dict, build a ``MassFunction``, compile."""
+    return MassFunction(oracle.parse_masses(text), frame)
+
+
+class TestFramedDecode:
+    @pytest.mark.parametrize("kind", sorted(FRAMES))
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_parse_then_compile(self, kind, data):
+        frame = FRAMES[kind][0]
+        text = data.draw(evidence_texts(*FRAMES[kind]))
+        assert decoded(parse_evidence, text, frame) == decoded(
+            parse_then_compile, text, frame
+        )
+
+    @pytest.mark.parametrize("kind", sorted(FRAMES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unframed_equals_the_reference_parser(self, kind, data):
+        text = data.draw(evidence_texts(*FRAMES[kind]))
+        assert decoded(parse_evidence, text, None) == decoded(
+            parse_then_compile, text, None
+        )
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("[a^1/2, b^1/3]", MassFunctionError, "masses must sum to 1, got 5/6"),
+            ("[a^0]", MassFunctionError, "needs at least one focal element"),
+            ("[a^-1/2, b^3/2]", MassFunctionError, "negative mass Fraction(-1, 2)"),
+            ("[Ω^-1/2, {a,b,c,d}^3/2]", MassFunctionError, "negative mass"),
+            ("[e^1]", DomainError, "values 'e' are outside frame 'letters'"),
+            ("[e^0, a^1]", None, None),
+            ("[a^1/2, a^1/2, {a,b,c,d}^0]", None, None),
+            ("[e^-1]", MassFunctionError, "negative mass"),
+            ("[e^1, a^-1]", DomainError, "outside frame"),
+            ("[e^1, a^x]", NotationError, "cannot parse mass value 'x'"),
+        ],
+    )
+    def test_checks_run_in_the_constructor_order(self, text, error, message):
+        frame = FRAMES["str"][0]
+        if error is None:
+            assert parse_evidence(text, frame).compiled().values == (Fraction(1),)
+        else:
+            with pytest.raises(error, match=re.escape(message)):
+                parse_evidence(text, frame)
+        assert decoded(parse_evidence, text, frame) == decoded(
+            parse_then_compile, text, frame
+        )
+
+    def test_whole_frame_set_joins_omega(self):
+        frame = FRAMES["str"][0]
+        m = parse_evidence("[{a,b,c,d}^1/4, a^1/2, *^1/4]", frame)
+        compiled = m.compiled()
+        assert compiled.masks == (1, compiled.interned.omega_mask)
+        assert compiled.values == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_aliased_atoms_keep_their_parsed_values(self):
+        """``1/2`` names the frame's ``0.5``: the mask is the frame
+        value's, the decoded element keeps the parsed Fraction, as the
+        constructor kept it."""
+        frame = FRAMES["aliased"][0]
+        m = parse_evidence("[1/2^1]", frame)
+        assert m.definite_value() == Fraction(1, 2)
+        assert type(m.definite_value()) is Fraction
+        assert m.compiled().masks == (m.compiled().interned.mask_of({0.5}),)
+
+    def test_each_value_is_validated_and_compiled_once(self, monkeypatch):
+        calls = []
+        original = mass_module.validate_mass_total
+        monkeypatch.setattr(
+            mass_module,
+            "validate_mass_total",
+            lambda values: calls.append(len(values)) or original(values),
+        )
+        frame = FRAMES["str"][0]
+        before = kernel.STATS.snapshot()
+        m = parse_evidence("[a^1/2, {b,c}^1/4, Ω^1/4]", frame)
+        assert m.is_compiled
+        assert calls == [3]
+        assert kernel.STATS.since(before).compilations == 1
+        with pytest.raises(MassFunctionError):
+            parse_evidence("[a^1/2]", frame)
+        assert kernel.STATS.since(before).compilations == 1

@@ -25,9 +25,11 @@ from repro.datasets.generators import (
     synthetic_pair,
     synthetic_relation,
 )
+from repro.ds.combination import combine_with_conflict
 from repro.ds.discounting import discount
-from repro.ds.mass import FLOAT_SUM_TOLERANCE, coerce_mass_value
-from repro.errors import MembershipError, RelationError
+from repro.ds.frame import OMEGA, FrameOfDiscernment
+from repro.ds.mass import FLOAT_SUM_TOLERANCE, MassFunction, coerce_mass_value
+from repro.errors import MembershipError, RelationError, ReproError
 from repro.integration import TupleMerger
 from repro.integration.methods import IntegrationMethod
 from repro.integration.pipeline import _discount_relation, discount_tuple
@@ -563,3 +565,167 @@ class TestMixedMembershipRule:
         assert counter.allocations == 0
         assert type(result.sn) is float and type(result.sp) is float
         assert type(kappa) is float
+
+
+# -- commutativity of F and Dempster's rule --------------------------------------
+
+
+#: Conflicts 1 - eps away from total, for pairs skewed toward kappa -> 1.
+EPSILONS = [Fraction(1, 10**k) for k in (3, 6, 9, 12, 15)]
+
+COMMUTE_FRAME = FrameOfDiscernment("commute", ["a", "b", "c"])
+
+
+@st.composite
+def skewed_pairs(draw, exact: bool):
+    """Memberships skewed toward the certain pair ``(1, 1)``, the
+    certain absence ``(0, 0)``, and near-certain pairs whose ``F``
+    against each other has kappa near 1."""
+    kind = draw(
+        st.sampled_from(["certain", "absent", "unknown", "near", "near-absent", "any"])
+    )
+    if kind == "certain":
+        sn = sp = Fraction(1)
+    elif kind == "absent":
+        sn = sp = Fraction(0)
+    elif kind == "unknown":
+        sn, sp = Fraction(0), Fraction(1)
+    elif kind == "near":
+        sn, sp = 1 - draw(st.sampled_from(EPSILONS)), Fraction(1)
+    elif kind == "near-absent":
+        sp = draw(st.sampled_from(EPSILONS))
+        sn = draw(st.sampled_from([Fraction(0), sp]))
+    else:
+        sn, sp = sorted(
+            draw(st.fractions(min_value=0, max_value=1, max_denominator=1000))
+            for _ in range(2)
+        )
+    if exact:
+        return TupleMembership(sn, sp)
+    return TupleMembership(float(sn), float(sp))
+
+
+@st.composite
+def skewed_masses(draw, exact: bool):
+    """Mass functions skewed toward definite values (disjoint ones are
+    in total conflict) and toward near-definite ones (kappa near 1)."""
+    values = ["a", "b", "c"]
+    kind = draw(st.sampled_from(["definite", "near", "any"]))
+    if kind == "definite":
+        masses = {draw(st.sampled_from(values)): Fraction(1)}
+    elif kind == "near":
+        eps = draw(st.sampled_from(EPSILONS))
+        main = draw(st.sampled_from(values))
+        rest = draw(st.sampled_from([value for value in values if value != main] + [OMEGA]))
+        masses = {main: 1 - eps, rest: eps}
+    else:
+        elements = draw(
+            st.lists(
+                st.one_of(
+                    st.frozensets(st.sampled_from(values), min_size=1, max_size=2),
+                    st.just(OMEGA),
+                ),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        weights = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=9),
+                min_size=len(elements),
+                max_size=len(elements),
+            )
+        )
+        total = sum(weights)
+        masses = {
+            element: Fraction(weight, total)
+            for element, weight in zip(elements, weights)
+        }
+    if not exact:
+        masses = {element: float(value) for element, value in masses.items()}
+    return MassFunction(masses, COMMUTE_FRAME)
+
+
+def spelled_combination(left, right) -> tuple:
+    """``combine_with_conflict(left, right)`` spelled: the focal
+    elements with their masses and the kappa by ``repr`` and type, or
+    the error raised."""
+    try:
+        result, kappa = combine_with_conflict(left, right)
+    except ReproError as exc:
+        return "error", type(exc), str(exc)
+    kappa = (type(kappa), repr(kappa))
+    if result is None:
+        return None, kappa
+    return [(element, type(value), repr(value)) for element, value in result.items()], kappa
+
+
+def numbers_of(outcome) -> list:
+    """The numbers of a spelled outcome, for a float comparison."""
+    result, kappa = outcome
+    values = [] if result is None else [float(value) for _, _, value in result]
+    return values + [float(kappa[1])]
+
+
+def shape_of(outcome) -> tuple:
+    """A spelled outcome without its float values: elements and types."""
+    result, kappa = outcome
+    if result is None:
+        return None, kappa[0]
+    return [(element, kind) for element, kind, _ in result], kappa[0]
+
+
+class TestCommutativity:
+    """``F`` and Dempster's rule give the same result in both operand
+    orders.  Exact operands agree in ``repr`` and type.  Float operands
+    agree in outcome (total conflict or not) and types, and in value
+    within round-off scaled by ``1 / (1 - kappa)``: the float rules add
+    the same products in another order, so the last bits can differ."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(left=skewed_pairs(exact=True), right=skewed_pairs(exact=True))
+    def test_exact_membership_rule(self, left, right):
+        rule = TupleMembership.combine_dempster_with_conflict
+        assert spelled_outcome(rule, left, right) == spelled_outcome(rule, right, left)
+
+    @settings(max_examples=400, deadline=None)
+    @given(left=skewed_pairs(exact=False), right=skewed_pairs(exact=False))
+    def test_float_membership_rule(self, left, right):
+        rule = TupleMembership.combine_dempster_with_conflict
+        forward = spelled_outcome(rule, left, right)
+        backward = spelled_outcome(rule, right, left)
+        if forward[0] in ("error", None):
+            assert forward == backward
+            return
+        (sn, sp), kappa = forward
+        assert [part[0] for part in (sn, sp, kappa)] == [
+            part[0] for part in (*backward[0], backward[1])
+        ]
+        bound = 1e-14 / (1 - float(kappa[1]))
+        forward_values = (float(sn[1]), float(sp[1]), float(kappa[1]))
+        backward_values = tuple(float(part[1]) for part in (*backward[0], backward[1]))
+        for one, other in zip(forward_values, backward_values):
+            assert abs(one - other) <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=skewed_masses(exact=True), right=skewed_masses(exact=True))
+    def test_exact_dempster_rule(self, left, right):
+        assert spelled_combination(left, right) == spelled_combination(right, left)
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=skewed_masses(exact=False), right=skewed_masses(exact=False))
+    def test_float_dempster_rule(self, left, right):
+        forward = spelled_combination(left, right)
+        backward = spelled_combination(right, left)
+        if forward[0] == "error":
+            assert forward == backward
+            return
+        assert shape_of(forward) == shape_of(backward)
+        kappa = float(forward[1][1])
+        if forward[0] is None:
+            assert kappa == float(backward[1][1])
+            return
+        bound = 1e-14 / (1 - kappa)
+        for one, other in zip(numbers_of(forward), numbers_of(backward)):
+            assert abs(one - other) <= bound

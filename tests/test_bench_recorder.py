@@ -1,8 +1,10 @@
 """The benchmark harness's results file is append-only: a bench session
-adds its records after the earlier ones and changes no byte of them."""
+adds its records after the earlier ones and changes no byte of them.
+Each new record carries the host class it ran on: cpu, nproc, python."""
 
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,40 @@ def test_session_leaves_earlier_records_byte_identical(
         list(record.items()) for record in OLD_RECORDS
     ]
     assert [(r["bench"], r["value"]) for r in stored[3:]] == [("bench_session", 3.0)]
+    assert stored[3]["cpu"] == bench_conftest.host_cpu()
+    # Earlier records gain no ``cpu`` field.
+    assert all("cpu" not in record for record in stored[:3])
     # Readers still see ``rev`` on every record.
     assert bench_conftest.read_results(path)[0]["rev"] is None
 
+
+
+def test_records_carry_the_host_class(bench_conftest, tmp_path, monkeypatch):
+    path = tmp_path / "BENCH_RESULTS.json"
+    monkeypatch.setenv("BENCH_RESULTS_PATH", str(path))
+    monkeypatch.setattr(bench_conftest, "_CPU", None)
+    monkeypatch.setattr(bench_conftest, "host_cpu", lambda: "Test CPU @ 1.00GHz")
+    recorder = bench_conftest.BenchRecorder("bench_host")
+    recorder("seconds", 0.5)
+    recorder.skipped("speedup", "needs 4 cores")
+
+    bench_conftest.pytest_sessionfinish(session=None, exitstatus=0)
+
+    stored = json.loads(path.read_text())
+    assert [list(record)[:7] for record in stored] == [
+        ["bench", "metric", "value", "rev", "nproc", "python", "cpu"]
+    ] * 2
+    assert {record["cpu"] for record in stored} == {"Test CPU @ 1.00GHz"}
+    assert stored[1]["status"] == "skipped"
+
+
+def test_cpu_is_the_cpuinfo_model_name(bench_conftest, tmp_path):
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text(
+        "processor\t: 0\nvendor_id\t: Test\n"
+        "model name\t: Test CPU @ 1.00GHz\nprocessor\t: 1\n"
+        "model name\t: Test CPU @ 1.00GHz\n"
+    )
+    assert bench_conftest.host_cpu(cpuinfo) == "Test CPU @ 1.00GHz"
+    fallback = bench_conftest.host_cpu(tmp_path / "missing")
+    assert fallback == (platform.processor() or platform.machine())

@@ -293,7 +293,9 @@ def _is_scan_cases(draw):
     if draw(st.booleans()):
         scores = draw(st.frozensets(st.sampled_from([0, 1, 2, 3]), min_size=1))
         return relation, IsPredicate("score", scores)
-    categories = draw(st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3"]), min_size=1))
+    categories = draw(
+        st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3"]), min_size=1)
+    )
     return relation, IsPredicate("category", categories)
 
 

@@ -404,7 +404,7 @@ def decoded(decode, text: str, frame):
     try:
         m = decode(text, frame)
         compiled = m.compiled()
-    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+    except Exception as exc:  # the error is the outcome
         return type(exc), str(exc)
     return (
         compiled.interned,

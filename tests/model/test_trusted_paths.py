@@ -616,7 +616,9 @@ def skewed_masses(draw, exact: bool):
     elif kind == "near":
         eps = draw(st.sampled_from(EPSILONS))
         main = draw(st.sampled_from(values))
-        rest = draw(st.sampled_from([value for value in values if value != main] + [OMEGA]))
+        rest = draw(
+            st.sampled_from([value for value in values if value != main] + [OMEGA])
+        )
         masses = {main: 1 - eps, rest: eps}
     else:
         elements = draw(
@@ -658,14 +660,16 @@ def spelled_combination(left, right) -> tuple:
     kappa = (type(kappa), repr(kappa))
     if result is None:
         return None, kappa
-    return [(element, type(value), repr(value)) for element, value in result.items()], kappa
+    spelled = [(element, type(value), repr(value)) for element, value in result.items()]
+    return spelled, kappa
 
 
 def numbers_of(outcome) -> list:
-    """The numbers of a spelled outcome, for a float comparison."""
+    """The numbers of a spelled outcome, kappa first, for a float
+    comparison."""
     result, kappa = outcome
     values = [] if result is None else [float(value) for _, _, value in result]
-    return values + [float(kappa[1])]
+    return [float(kappa[1])] + values
 
 
 def shape_of(outcome) -> tuple:
@@ -674,6 +678,16 @@ def shape_of(outcome) -> tuple:
     if result is None:
         return None, kappa[0]
     return [(element, kind) for element, kind, _ in result], kappa[0]
+
+
+def assert_within_round_off(forward: list, backward: list) -> None:
+    """Both orders' numbers, kappa first, agree within round-off scaled
+    by ``1 / (1 - kappa)``."""
+    kappa = forward[0]
+    bound = 1e-14 / (1 - kappa) if kappa < 1 else 1e-14
+    assert len(forward) == len(backward)
+    for one, other in zip(forward, backward):
+        assert abs(one - other) <= bound
 
 
 class TestCommutativity:
@@ -695,18 +709,19 @@ class TestCommutativity:
         rule = TupleMembership.combine_dempster_with_conflict
         forward = spelled_outcome(rule, left, right)
         backward = spelled_outcome(rule, right, left)
-        if forward[0] in ("error", None):
+        if "error" in (forward[0], backward[0]):
             assert forward == backward
             return
-        (sn, sp), kappa = forward
-        assert [part[0] for part in (sn, sp, kappa)] == [
-            part[0] for part in (*backward[0], backward[1])
+        assert (forward[0] is None) == (backward[0] is None)
+        forward_parts = [forward[1], *(forward[0] or ())]
+        backward_parts = [backward[1], *(backward[0] or ())]
+        assert [kind for kind, _, _ in forward_parts] == [
+            kind for kind, _, _ in backward_parts
         ]
-        bound = 1e-14 / (1 - float(kappa[1]))
-        forward_values = (float(sn[1]), float(sp[1]), float(kappa[1]))
-        backward_values = tuple(float(part[1]) for part in (*backward[0], backward[1]))
-        for one, other in zip(forward_values, backward_values):
-            assert abs(one - other) <= bound
+        assert_within_round_off(
+            [float(value) for _, value, _ in forward_parts],
+            [float(value) for _, value, _ in backward_parts],
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(left=skewed_masses(exact=True), right=skewed_masses(exact=True))
@@ -718,14 +733,8 @@ class TestCommutativity:
     def test_float_dempster_rule(self, left, right):
         forward = spelled_combination(left, right)
         backward = spelled_combination(right, left)
-        if forward[0] == "error":
+        if "error" in (forward[0], backward[0]):
             assert forward == backward
             return
         assert shape_of(forward) == shape_of(backward)
-        kappa = float(forward[1][1])
-        if forward[0] is None:
-            assert kappa == float(backward[1][1])
-            return
-        bound = 1e-14 / (1 - kappa)
-        for one, other in zip(numbers_of(forward), numbers_of(backward)):
-            assert abs(one - other) <= bound
+        assert_within_round_off(numbers_of(forward), numbers_of(backward))

@@ -27,6 +27,7 @@ from collections.abc import Iterable, Iterator
 from repro.errors import PredicateError
 from repro.model.etuple import ExtendedTuple
 from repro.model.evidence import EvidenceSet
+from repro.model.relation import ExtendedRelation
 from repro.model.membership import SupportPair, scaled_support
 from repro.algebra.support import normalize_theta, theta_support
 
@@ -43,11 +44,12 @@ class Predicate(ABC):
         """The attribute names the predicate references."""
 
     def supported(
-        self, tuples: Iterable[ExtendedTuple]
+        self, relation: ExtendedRelation
     ) -> Iterator[tuple[ExtendedTuple, SupportPair]]:
-        """``(tuple, support)`` for each of *tuples* whose support has
-        ``sn > 0``, in order: the scan of the extended selection."""
-        for etuple in tuples:
+        """``(tuple, support)`` for each tuple of *relation* whose
+        support has ``sn > 0``, in order: the scan of the extended
+        selection."""
+        for etuple in relation:
             support = self.support(etuple)
             if support.is_supported:
                 yield etuple, support
@@ -195,12 +197,14 @@ class IsPredicate(Predicate):
     :mod:`repro.ds.kernel`): the tested value set is encoded once per
     interned frame and every tuple evaluates by subset-mask tests -- a
     relation scan never re-hashes the predicate's value set.  The scan
-    (:meth:`supported`) sums exact evidence as int numerators over its
-    common denominator (:meth:`~repro.ds.kernel.CompiledMass.scaled`),
-    skips a tuple with ``Bel = 0`` before building any pair, and builds
-    the others without a range check
-    (:func:`~repro.model.membership.scaled_support`); float and mixed
-    evidence sums its masses and range-checks the pair.
+    (:meth:`supported`) walks the relation's cached evidence column for
+    the attribute (:meth:`~repro.model.relation.ExtendedRelation.evidence_column`),
+    so only the first scan of a relation looks up, compiles and scales
+    each tuple's evidence.  It sums exact evidence as int numerators
+    over their common denominator, skips a tuple with ``Bel = 0``
+    before building any pair, and builds the others without a range
+    check (:func:`~repro.model.membership.scaled_support`); float and
+    mixed evidence sums its masses and range-checks the pair.
     """
 
     __slots__ = ("_attribute", "_values", "_mask_cache")
@@ -246,23 +250,24 @@ class IsPredicate(Predicate):
         return SupportPair(sn, sp)
 
     def supported(
-        self, tuples: Iterable[ExtendedTuple]
+        self, relation: ExtendedRelation
     ) -> Iterator[tuple[ExtendedTuple, SupportPair]]:
-        attribute = self._attribute
         query_mask_of = self._query_mask
-        for etuple in tuples:
-            compiled = etuple.evidence(attribute).mass_function.compiled()
-            query_mask = query_mask_of(compiled.interned)
-            scaled = compiled.scaled()
-            if scaled is None:
+        interned = query_mask = None
+        for etuple, compiled, masks, numerators, denominator in (
+            relation.evidence_column(self._attribute)
+        ):
+            if compiled.interned is not interned:
+                interned = compiled.interned
+                query_mask = query_mask_of(interned)
+            if numerators is None:
                 sn, sp = compiled.bel_pls(query_mask)
                 support = SupportPair(sn, sp)
                 if support.is_supported:
                     yield etuple, support
                 continue
-            numerators, denominator = scaled
             true = possible = 0
-            for mask, numerator in zip(compiled.masks, numerators):
+            for mask, numerator in zip(masks, numerators):
                 meet = mask & query_mask
                 if meet:
                     possible += numerator

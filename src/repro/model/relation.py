@@ -43,9 +43,14 @@ class ExtendedRelation:
     6
     >>> ra.get(("wok",)).evidence("speciality").format()
     '[si^1]'
+
+    Every ``is``-selection scan reads the tested attribute's evidence
+    column (:meth:`evidence_column`), built on the first scan and cached
+    on the relation, so later scans of the same relation skip the
+    per-tuple evidence lookup, compilation and scaling.
     """
 
-    __slots__ = ("_schema", "_index", "_policy")
+    __slots__ = ("_schema", "_index", "_policy", "_columns")
 
     def __init__(
         self,
@@ -83,6 +88,7 @@ class ExtendedRelation:
         self._schema = schema
         self._index = index
         self._policy = on_unsupported
+        self._columns: dict[str, tuple] = {}
 
     # -- constructors ------------------------------------------------------------
 
@@ -144,6 +150,37 @@ class ExtendedRelation:
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def evidence_column(self, attribute: str) -> tuple[tuple, ...]:
+        """The kernel form of *attribute*'s evidence, one row per tuple
+        in insertion order: the selection scan's input.
+
+        A row is ``(etuple, compiled, masks, numerators, denominator)``:
+        the tuple, its value's :class:`~repro.ds.kernel.CompiledMass`,
+        the compiled focal masks, and -- for exact evidence -- the int
+        numerators of the masses over their common denominator
+        (:meth:`~repro.ds.kernel.CompiledMass.scaled`).  A float or
+        mixed row has ``None`` for both, and its scan reads the
+        ``CompiledMass``.
+
+        Built on the first call for *attribute* and cached on this
+        relation; the relation is immutable, so the column never goes
+        stale, and a derived relation builds its own.  Two threads
+        building the same column at once compute equal rows, and the
+        last one stored wins.
+        """
+        column = self._columns.get(attribute)
+        if column is None:
+            rows = []
+            for etuple in self._index.values():
+                compiled = etuple.evidence(attribute).mass_function.compiled()
+                scaled = compiled.scaled()
+                if scaled is None:
+                    rows.append((etuple, compiled, compiled.masks, None, None))
+                else:
+                    rows.append((etuple, compiled, compiled.masks, *scaled))
+            column = self._columns[attribute] = tuple(rows)
+        return column
 
     # -- derivations --------------------------------------------------------------------
 

@@ -23,6 +23,21 @@ A :class:`Session` owns everything between "query" and "result" for a
   (the continuous-query hook the streaming engine drives on each
   flush).
 
+Lifecycle
+---------
+
+A session holds its database strongly, and the database holds its
+default session (:meth:`repro.storage.Database.session`), so the two
+form a reference cycle.  :meth:`repro.storage.Database.close` breaks it
+by releasing the default session: a closed database that is dropped
+frees its relations and the session's cached results at once, by
+reference counting, and the session's counters leave the registry's
+``session.*`` totals at the same moment.  A later ``db.session()``
+builds a fresh session.  A default session with subscriptions is kept
+at close -- its standing queries still refresh on later catalog changes
+-- and so is every explicit ``Session(db)``: each lives as long as its
+holders, keeping its database alive.
+
 Example::
 
     session = db.session()

@@ -135,17 +135,30 @@ class Database:
         return frozenset(touched)
 
     def close(self) -> None:
-        """Release the attached backend (no-op when none is attached).
+        """Release the attached backend and the default session.
 
         A detached database must stay fully readable, so any lazy
         stubs materialize first, while the backend can still serve
         them (callers wanting to stay lazy keep the backend attached).
+        Without a backend only the session is released.
+
+        The default session (:meth:`session`) and this database refer
+        to each other.  Releasing the session breaks that cycle, so a
+        closed database that is dropped frees its relations and cached
+        results at once, by reference counting, instead of at the next
+        full garbage collection.  A later :meth:`session` call builds a
+        fresh session.  A default session with subscriptions is kept:
+        its standing queries still refresh on later catalog changes, and
+        ``session().subscriptions()`` still lists them.  Explicit
+        ``Session(db)`` objects are not affected.
         """
         if self._backend is not None:
             for name in sorted(self._pending):
                 self._materialize(name)
             self._backend.close()
             self._backend = None
+        if self._session is not None and not self._session.subscriptions():
+            self._session = None
 
     def _require_backend(self):
         if self._backend is None:
@@ -350,9 +363,10 @@ class Database:
     def session(self):
         """The database's default :class:`repro.session.Session`.
 
-        Created lazily and reused: ``db.query``, ``db.explain`` and
-        ``db.rel`` all share its plan/result caches.  Build separate
-        ``Session(db)`` instances for independently-cached workloads.
+        Created lazily and reused until :meth:`close`: ``db.query``,
+        ``db.explain`` and ``db.rel`` all share its plan/result caches.
+        Build separate ``Session(db)`` instances for independently-cached
+        workloads.
         """
         if self._session is None:
             from repro.session import Session

@@ -14,6 +14,7 @@ from repro.algebra import (
     attr,
     lit,
     select,
+    union,
 )
 from repro.algebra.thresholds import sn_at_least, sp_at_least
 from repro.datasets.generators import SyntheticConfig, synthetic_relation
@@ -253,13 +254,30 @@ def _typed(value: Fraction, kind: str):
     return float(value)
 
 
+def _is_predicates(draw, choices) -> list:
+    """One to three ``is``-predicates, each on one of *choices* --
+    ``(attribute, candidate values)`` pairs -- so a relation is scanned
+    repeatedly, on the same and on different attributes."""
+    predicates = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        attribute, candidates = draw(st.sampled_from(choices))
+        values = draw(st.frozensets(st.sampled_from(candidates), min_size=1))
+        predicates.append(IsPredicate(attribute, values))
+    return predicates
+
+
 @st.composite
 def _is_scan_cases(draw):
+    """A relation of exact, float, mixed or open-domain rows, the
+    ``is``-predicates its scans test, and how to derive a second relation
+    from it (a selection or a union result)."""
     kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    derive = draw(st.sampled_from(["select", "union"]))
+    ids = list(range(12))
     if draw(st.booleans()):
         relation = _open_domain_relation(draw, kind)
-        values = draw(st.frozensets(st.sampled_from(WORDS + ["v"]), min_size=1))
-        return relation, IsPredicate("word", values)
+        choices = [("word", WORDS + ["v"]), ("id", ids)]
+        return relation, _is_predicates(draw, choices), derive
     config = SyntheticConfig(
         n_tuples=12,
         domain_size=4,
@@ -290,31 +308,30 @@ def _is_scan_cases(draw):
                 for etuple in relation
             ],
         )
-    if draw(st.booleans()):
-        scores = draw(st.frozensets(st.sampled_from([0, 1, 2, 3]), min_size=1))
-        return relation, IsPredicate("score", scores)
-    categories = draw(
-        st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3"]), min_size=1)
-    )
-    return relation, IsPredicate("category", categories)
+    labels = [f"item-{key}" for key in ids] + ["none"]
+    choices = [
+        ("category", ["c0", "c1", "c2", "c3"]),
+        ("score", [0, 1, 2, 3]),
+        ("label", labels),
+        ("id", ids),
+    ]
+    return relation, _is_predicates(draw, choices), derive
 
 
-@settings(max_examples=200, deadline=None)
-@given(_is_scan_cases())
-def test_is_scan_equals_per_tuple_support(case):
-    """The scan's supports equal ``support`` (the per-tuple ``Bel``/
-    ``Pls`` pass and the checked pair) in value and type, for exactly
-    the tuples with ``sn > 0``; the selection equals the per-tuple
-    ``support`` + ``F_TM`` reference."""
-    relation, predicate = case
+def _assert_scan_equals_per_tuple_support(relation, predicate):
+    """The scan yields this relation's own tuples with ``sn > 0``, in
+    order, with the supports of ``support`` (the per-tuple ``Bel``/
+    ``Pls`` pass and the checked pair) in value and type; the selection
+    equals the per-tuple ``support`` + ``F_TM`` reference."""
     expected = []
     for etuple in relation:
         support = predicate.support(etuple)
         if support.sn > 0:
-            expected.append((etuple.key(), support))
+            expected.append((etuple, support))
     scanned = list(predicate.supported(relation))
-    assert [etuple.key() for etuple, _ in scanned] == [key for key, _ in expected]
-    for (_, support), (_, reference) in zip(scanned, expected):
+    assert len(scanned) == len(expected)
+    for (etuple, support), (reference_tuple, reference) in zip(scanned, expected):
+        assert etuple is reference_tuple
         assert _same_number(support.sn, reference.sn)
         assert _same_number(support.sp, reference.sp)
     selected = select(relation, predicate)
@@ -323,3 +340,20 @@ def test_is_scan_equals_per_tuple_support(case):
     for etuple, (_, revised) in zip(selected, reference):
         assert _same_number(etuple.membership.sn, revised.sn)
         assert _same_number(etuple.membership.sp, revised.sp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_is_scan_cases())
+def test_is_scan_equals_per_tuple_support(case):
+    """Every scan of a relation -- repeated, by predicates on different
+    attributes -- and of a relation derived from it equals the per-tuple
+    supports: a relation's cached evidence column serves that relation
+    alone, and never yields a tuple with ``Bel = 0``."""
+    relation, predicates, derive = case
+    if derive == "select":
+        derived = select(relation, predicates[0])
+    else:
+        derived = union(relation, relation, on_conflict="vacuous")
+    for scanned in (relation, derived, relation):
+        for predicate in predicates:
+            _assert_scan_equals_per_tuple_support(scanned, predicate)

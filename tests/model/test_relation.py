@@ -170,3 +170,23 @@ class TestComparison:
             schema, [_t(schema, "b"), _t(schema, "a"), _t(schema, "c")]
         )
         assert [t.key()[0] for t in relation] == ["b", "a", "c"]
+
+
+class TestEvidenceColumn:
+    def test_rows_follow_the_tuples(self, schema):
+        exact = _t(schema, "a", value={"x": "1/4", "y": "3/4"})
+        floated = _t(schema, "b", value={"x": 0.25, "y": 0.75})
+        relation = ExtendedRelation(schema, [exact, floated])
+        (row_a, row_b) = relation.evidence_column("v")
+        compiled = exact.evidence("v").mass_function.compiled()
+        numerators, denominator = compiled.scaled()
+        assert row_a == (exact, compiled, compiled.masks, numerators, denominator)
+        compiled = floated.evidence("v").mass_function.compiled()
+        assert row_b == (floated, compiled, compiled.masks, None, None)
+
+    def test_built_once_per_relation_and_attribute(self, schema):
+        relation = ExtendedRelation(schema, [_t(schema, "a"), _t(schema, "b")])
+        assert relation.evidence_column("v") is relation.evidence_column("v")
+        assert relation.evidence_column("k") is not relation.evidence_column("v")
+        derived = relation.filter(lambda etuple: etuple.key() == ("b",))
+        assert [row[0] for row in derived.evidence_column("v")] == [derived.get("b")]

@@ -7,7 +7,8 @@
 #   make bench-kernel   evidence kernel vs the frozenset test oracle
 #   make bench-query    selection, session-cache and planner benchmarks
 #                       (the exact query path's own assertions), and
-#                       the recorded load and IS-scan layer times
+#                       the recorded load, IS-scan, projection and
+#                       whole-session times
 #   make bench-merge    Table 4 union, union scaling and federation
 #                       ablation benchmarks (the merge path's assertions)
 #   make bench-storage  save/load/point-load per storage backend

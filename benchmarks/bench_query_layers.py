@@ -11,7 +11,11 @@ history in ``BENCH_RESULTS.json``:
 * ``is_select_exact_1000_seconds`` -- one ``IS`` selection scan over
   the loaded relation (int ``Bel``/``Pls`` sums, ``F_TM``, the
   threshold), after a first scan has built the relation's evidence
-  column for the attribute, as every later query of a session finds it;
+  column and focal-mask index for the attribute, as every later query
+  of a session finds them;
+* ``project_exact_1000_seconds`` -- the projection of the loaded
+  relation onto its key and one uncertain attribute (tuples that share
+  the loaded, already checked values);
 * ``query_session_exact_1000_seconds`` -- one session: ``Database.open``
   of a store of two exact 1000-entity relations, a fixed mix of ``IS``
   selections over both uncertain attributes of both, then ``close``;
@@ -24,15 +28,16 @@ history in ``BENCH_RESULTS.json``:
 
 Times are medians of repeated runs, except the collector's mean.  They
 are reported, not gated: the only assertions are that the load returns
-the stored relation, that the scan keeps some but not all tuples, and
-that every session returns the same answers.
+the stored relation, that the scan keeps some but not all tuples, that
+the projection keeps every tuple, and that every session returns the
+same answers.
 """
 
 import gc
 import statistics
 import time
 
-from repro.algebra import IsPredicate, select
+from repro.algebra import IsPredicate, project, select
 from repro.algebra.thresholds import sn_at_least
 from repro.datasets.generators import (
     SyntheticConfig,
@@ -103,8 +108,14 @@ def test_exact_query_layers(tmp_path, bench_record):
     )
     assert 0 < len(selected) < ENTITIES
 
+    project_seconds, projected = _median_seconds(
+        lambda: project(loaded, ["id", "category"]), SCANS
+    )
+    assert len(projected) == ENTITIES
+
     bench_record("sqlite_load_exact_1000_seconds", load_seconds)
     bench_record("is_select_exact_1000_seconds", select_seconds)
+    bench_record("project_exact_1000_seconds", project_seconds)
 
 
 class _CollectorTime:

@@ -197,14 +197,20 @@ class IsPredicate(Predicate):
     :mod:`repro.ds.kernel`): the tested value set is encoded once per
     interned frame and every tuple evaluates by subset-mask tests -- a
     relation scan never re-hashes the predicate's value set.  The scan
-    (:meth:`supported`) walks the relation's cached evidence column for
-    the attribute (:meth:`~repro.model.relation.ExtendedRelation.evidence_column`),
-    so only the first scan of a relation looks up, compiles and scales
-    each tuple's evidence.  It sums exact evidence as int numerators
-    over their common denominator, skips a tuple with ``Bel = 0``
-    before building any pair, and builds the others without a range
-    check (:func:`~repro.model.membership.scaled_support`); float and
-    mixed evidence sums its masses and range-checks the pair.
+    (:meth:`supported`) reads the relation's cached evidence column for
+    the attribute and the column's index of focal masks
+    (:meth:`~repro.model.relation.ExtendedRelation.evidence_column`,
+    :meth:`~repro.model.relation.ExtendedRelation.focal_index`), so only
+    the first scan of a relation looks up, compiles and scales each
+    tuple's evidence.  A tuple has ``Bel > 0`` exactly when one of its
+    focal masks is a submask of the query mask, so the scan tests each
+    table's distinct focal masks once and visits, in relation order,
+    only the rows listed under a submask: its cost follows the rows it
+    can return, not the relation's size.  On each visited row it sums
+    exact evidence as int numerators over their common denominator and
+    builds the pair without a range check
+    (:func:`~repro.model.membership.scaled_support`); float and mixed
+    evidence sums its masses and range-checks the pair.
     """
 
     __slots__ = ("_attribute", "_values", "_mask_cache")
@@ -252,14 +258,23 @@ class IsPredicate(Predicate):
     def supported(
         self, relation: ExtendedRelation
     ) -> Iterator[tuple[ExtendedTuple, SupportPair]]:
-        query_mask_of = self._query_mask
-        interned = query_mask = None
-        for etuple, compiled, masks, numerators, denominator in (
-            relation.evidence_column(self._attribute)
-        ):
-            if compiled.interned is not interned:
-                interned = compiled.interned
-                query_mask = query_mask_of(interned)
+        column = relation.evidence_column(self._attribute)
+        query_masks = {}
+        hits = []
+        for interned, by_mask in relation.focal_index(self._attribute).items():
+            query_mask = query_masks[interned] = self._query_mask(interned)
+            for mask, positions in by_mask.items():
+                if mask & query_mask == mask:
+                    hits.append(positions)
+        if len(hits) == 1:
+            candidates = hits[0]
+        else:
+            # A row with several focal masks inside the query is listed
+            # under each of them.
+            candidates = sorted(set().union(*hits))
+        for position in candidates:
+            etuple, compiled, masks, numerators, denominator = column[position]
+            query_mask = query_masks[compiled.interned]
             if numerators is None:
                 sn, sp = compiled.bel_pls(query_mask)
                 support = SupportPair(sn, sp)

@@ -19,15 +19,18 @@ The predicate yields the supports of the scan
 (:meth:`~repro.algebra.predicates.Predicate.supported`).  A tuple whose
 support has ``sn = 0`` is skipped before step 2: ``F_TM`` would revise
 its ``sn`` to 0, which step 3 drops.  An ``is``-predicate reads the
-input relation's cached evidence column for its attribute
-(:meth:`~repro.model.relation.ExtendedRelation.evidence_column`), so a
+input relation's cached evidence column for its attribute and the
+column's index of focal masks
+(:meth:`~repro.model.relation.ExtendedRelation.evidence_column`,
+:meth:`~repro.model.relation.ExtendedRelation.focal_index`), so a
 relation scanned again -- by any ``is``-predicate on that attribute --
-reuses the kernel form the first scan built.  Over exact evidence it
-computes ``Bel``/``Pls`` as int sums and skips a tuple with ``sn = 0``
-before building any pair; the pairs it does build are in range by
-construction and are not re-checked (see
-:class:`~repro.algebra.predicates.IsPredicate`).  On exact data, a
-certain tuple's revised membership is its support pair itself (see
+reuses the kernel form the first scan built, and every scan visits only
+the tuples with ``sn > 0``: those with a focal element inside the
+tested value set.  Over exact evidence it computes ``Bel``/``Pls`` as
+int sums and builds pairs that are in range by construction and are
+not re-checked (see :class:`~repro.algebra.predicates.IsPredicate`).
+On exact data, a certain tuple's revised membership is its support
+pair itself (see
 :meth:`~repro.model.membership.TupleMembership.combine_product`).
 """
 

@@ -33,6 +33,12 @@ key of its source and checks only the new membership.  Discounting and
 tuple merging derive their results the same way, through the unchecked
 ``_derive``, where they can prove what the constructor would check (see
 :mod:`repro.integration.pipeline` and :mod:`repro.integration.merging`).
+The extended projection (:func:`repro.algebra.project`) restricts a
+tuple through the unchecked ``_project`` when the tuple carries its
+relation's attributes: the projected schema keeps those attribute
+objects, so every shared value is one the constructor would keep.  A
+tuple of any other schema, and the public :meth:`ExtendedTuple.project`,
+still go through the constructor.
 """
 
 from __future__ import annotations
@@ -211,6 +217,24 @@ class ExtendedTuple:
             copy._values = self._values
         copy._key = self._key
         copy._membership = membership
+        return copy
+
+    def _project(self, schema) -> "ExtendedTuple":
+        """:meth:`project`, unchecked: the trusted restriction for the
+        algebra's projection.
+
+        The caller proves that every attribute of *schema* equals this
+        tuple's attribute of that name, as :meth:`RelationSchema.project`
+        of a schema with this tuple's layout keeps them: every value is
+        then one the constructor would store unchanged.  The copy shares the values
+        and the membership; its key follows *schema*'s key order.
+        """
+        copy = object.__new__(ExtendedTuple)
+        copy._schema = schema
+        values = self._values
+        copy._values = projected = {name: values[name] for name in schema.names}
+        copy._key = tuple([projected[name] for name in schema.key_names])
+        copy._membership = self._membership
         return copy
 
     def with_values(self, replacements: Mapping[str, object]) -> "ExtendedTuple":

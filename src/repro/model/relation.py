@@ -45,9 +45,11 @@ class ExtendedRelation:
     '[si^1]'
 
     Every ``is``-selection scan reads the tested attribute's evidence
-    column (:meth:`evidence_column`), built on the first scan and cached
-    on the relation, so later scans of the same relation skip the
-    per-tuple evidence lookup, compilation and scaling.
+    column (:meth:`evidence_column`) and its index of focal masks
+    (:meth:`focal_index`), built on the first scan and cached on the
+    relation, so later scans of the same relation skip the per-tuple
+    evidence lookup, compilation and scaling, and visit only the tuples
+    that can answer.
     """
 
     __slots__ = ("_schema", "_index", "_policy", "_columns")
@@ -88,7 +90,7 @@ class ExtendedRelation:
         self._schema = schema
         self._index = index
         self._policy = on_unsupported
-        self._columns: dict[str, tuple] = {}
+        self._columns: dict[str, tuple[tuple, dict]] = {}
 
     # -- constructors ------------------------------------------------------------
 
@@ -163,24 +165,45 @@ class ExtendedRelation:
         mixed row has ``None`` for both, and its scan reads the
         ``CompiledMass``.
 
-        Built on the first call for *attribute* and cached on this
-        relation; the relation is immutable, so the column never goes
-        stale, and a derived relation builds its own.  Two threads
-        building the same column at once compute equal rows, and the
-        last one stored wins.
+        Built on the first call for *attribute*, together with the
+        column's :meth:`focal_index`, and cached on this relation; the
+        relation is immutable, so neither ever goes stale, and a derived
+        relation builds its own.  Two threads building the same column
+        at once compute equal rows, and the last one stored wins.
         """
-        column = self._columns.get(attribute)
-        if column is None:
+        return self._evidence_column(attribute)[0]
+
+    def focal_index(self, attribute: str) -> dict:
+        """Where each focal element of *attribute*'s evidence occurs:
+        ``{interned table: {focal mask: ascending row positions}}`` over
+        :meth:`evidence_column`.
+
+        A tuple has ``Bel(S) > 0`` exactly when one of its focal masks
+        is a submask of ``S``'s query mask on its table, so an ``is``-
+        scan reads the rows of those masks alone: its cost is one mask
+        test per distinct focal mask of each table plus the rows it
+        can return, not the relation's size.  Built and cached with the
+        column.
+        """
+        return self._evidence_column(attribute)[1]
+
+    def _evidence_column(self, attribute: str) -> tuple[tuple, dict]:
+        cached = self._columns.get(attribute)
+        if cached is None:
             rows = []
-            for etuple in self._index.values():
+            index: dict = {}
+            for position, etuple in enumerate(self._index.values()):
                 compiled = etuple.evidence(attribute).mass_function.compiled()
                 scaled = compiled.scaled()
                 if scaled is None:
                     rows.append((etuple, compiled, compiled.masks, None, None))
                 else:
                     rows.append((etuple, compiled, compiled.masks, *scaled))
-            column = self._columns[attribute] = tuple(rows)
-        return column
+                by_mask = index.setdefault(compiled.interned, {})
+                for mask in compiled.masks:
+                    by_mask.setdefault(mask, []).append(position)
+            cached = self._columns[attribute] = (tuple(rows), index)
+        return cached
 
     # -- derivations --------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.errors import OperationError, SchemaError
+from repro.errors import DomainError, OperationError, SchemaError
 from repro.algebra import (
     ThetaPredicate,
     attr,
@@ -15,6 +15,12 @@ from repro.algebra import (
     rename,
 )
 from repro.datasets.restaurants import table_m_a, table_ra, table_rm_a
+from repro.model import etuple as etuple_module
+from repro.model.attribute import Attribute
+from repro.model.domain import EnumeratedDomain, NumericDomain, TextDomain
+from repro.model.etuple import ExtendedTuple
+from repro.model.relation import ExtendedRelation
+from repro.model.schema import RelationSchema
 
 
 @pytest.fixture
@@ -47,6 +53,77 @@ class TestProject:
 
     def test_rename_result(self, ra):
         assert project(ra, ["rname"], name="names").name == "names"
+
+
+def _two_key_schema(domain=None):
+    return RelationSchema(
+        "K",
+        [
+            Attribute("a", TextDomain("a"), key=True),
+            Attribute("b", NumericDomain("b", low=0, integral=True), key=True),
+            Attribute(
+                "v",
+                domain or EnumeratedDomain("v", ["x", "y", "z"]),
+                uncertain=True,
+            ),
+            Attribute("w", TextDomain("w")),
+        ],
+    )
+
+
+class TestProjectTrustedPath:
+    """A projection shares the values its input already checked when the
+    tuples carry the relation's own attributes, and goes through the
+    constructor otherwise."""
+
+    def test_reordered_keys_follow_the_projected_schema(self):
+        schema = _two_key_schema()
+        relation = ExtendedRelation(
+            schema,
+            [
+                ExtendedTuple(
+                    schema, {"a": "p", "b": 1, "v": "[x^1/4, {x,y}^3/4]", "w": "q"}
+                ),
+                ExtendedTuple(
+                    schema, {"a": "r", "b": 2, "v": "x", "w": "s"}, ("1/2", "3/4")
+                ),
+            ],
+        )
+        result = project(relation, ["v", "b", "a"])
+        assert result.schema.key_names == ("b", "a")
+        assert [etuple.key() for etuple in result] == [(1, "p"), (2, "r")]
+        assert result.keys() == ((1, "p"), (2, "r"))
+        for projected, source in zip(result, relation):
+            built = ExtendedTuple(
+                result.schema,
+                {name: source.value(name) for name in ("v", "b", "a")},
+                source.membership,
+            )
+            assert projected == built
+            assert projected.key() == built.key()
+            assert projected == source.project(result.schema)
+
+    def test_tuples_of_another_domain_go_through_the_constructor(self, monkeypatch):
+        """Same attribute names, a wider domain for ``v``: the relation
+        accepts the tuples, and the projection re-checks their values
+        against its own domain."""
+        narrow = _two_key_schema()
+        wide = _two_key_schema(EnumeratedDomain("v", ["x", "y", "z", "u"]))
+        inside = ExtendedTuple(wide, {"a": "p", "b": 1, "v": "x", "w": "q"})
+        counts = {"coerced": 0}
+        coerce = etuple_module._coerce_value
+
+        def counting(attribute, raw):
+            counts["coerced"] += 1
+            return coerce(attribute, raw)
+
+        monkeypatch.setattr(etuple_module, "_coerce_value", counting)
+        result = project(ExtendedRelation(narrow, [inside]), ["a", "b", "v"])
+        assert counts["coerced"] == 3
+        assert result.get(("p", 1)).value("v").domain is narrow.attribute("v").domain
+        outside = ExtendedTuple(wide, {"a": "r", "b": 2, "v": "u", "w": "s"})
+        with pytest.raises(DomainError):
+            project(ExtendedRelation(narrow, [outside]), ["a", "b", "v"])
 
 
 class TestProduct:

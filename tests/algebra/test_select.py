@@ -216,7 +216,8 @@ WORDS = ["x", "y", "z", "w"]
 def _open_domain_relation(draw, kind: str) -> ExtendedRelation:
     """Tuples of an uncertain open-domain attribute: each evidence set
     compiles over the atoms it names, so a query names values its table
-    has no bit for (the query bit)."""
+    has no bit for (the query bit).  The first two rows name disjoint
+    words, so the column spans at least two atom tables."""
     schema = RelationSchema(
         "O",
         [
@@ -225,12 +226,13 @@ def _open_domain_relation(draw, kind: str) -> ExtendedRelation:
         ],
     )
     rows = []
-    for key in range(draw(st.integers(min_value=1, max_value=10))):
+    for key in range(draw(st.integers(min_value=2, max_value=10))):
+        words = (WORDS[:2], WORDS[2:])[key] if key < 2 else WORDS
         masses = {}
         for element in draw(
             st.lists(
                 st.one_of(
-                    st.frozensets(st.sampled_from(WORDS), min_size=1, max_size=2),
+                    st.frozensets(st.sampled_from(words), min_size=1, max_size=2),
                     st.just(OMEGA),
                 ),
                 min_size=1,
@@ -240,8 +242,12 @@ def _open_domain_relation(draw, kind: str) -> ExtendedRelation:
         ):
             masses[element] = Fraction(draw(st.integers(min_value=1, max_value=7)))
         total = sum(masses.values())
+        row_kind = _row_kind(draw, kind)
         evidence = MassFunction(
-            {element: _typed(value / total, kind) for element, value in masses.items()}
+            {
+                element: _typed(value / total, row_kind)
+                for element, value in masses.items()
+            }
         )
         rows.append(ExtendedTuple(schema, {"id": key, "word": evidence}))
     return ExtendedRelation(schema, rows)
@@ -254,15 +260,62 @@ def _typed(value: Fraction, kind: str):
     return float(value)
 
 
+#: How the masses of a generated column are typed: all exact, all float,
+#: mixed within each row, or each row drawing one of those three.
+MASS_KINDS = ["exact", "float", "mixed", "rows"]
+
+#: The mass of a vacuous row (total ignorance: OMEGA its only focal
+#: element), by row kind.
+_VACUOUS = {"exact": Fraction(1), "float": 1.0, "mixed": Fraction(1)}
+
+
+def _row_kind(draw, kind: str) -> str:
+    """The typing of one row's masses under the column's *kind*."""
+    if kind == "rows":
+        return draw(st.sampled_from(["exact", "float", "mixed"]))
+    return kind
+
+
+def _retyped_categories(draw, relation, kind: str) -> ExtendedRelation:
+    """*relation* (float when *kind* is, else exact) with each row's
+    ``category`` masses typed per *kind*, and some rows made vacuous
+    (``{OMEGA: 1}``)."""
+    rows = []
+    for etuple in relation:
+        row_kind = _row_kind(draw, kind)
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            masses = {OMEGA: _VACUOUS[row_kind]}
+        else:
+            masses = {
+                element: _typed(value, row_kind)
+                for element, value in etuple.evidence("category").items()
+            }
+        rows.append(
+            ExtendedTuple(
+                relation.schema,
+                dict(etuple.items(), category=MassFunction(masses)),
+                etuple.membership,
+            )
+        )
+    return ExtendedRelation(relation.schema, rows)
+
+
 def _is_predicates(draw, choices) -> list:
     """One to three ``is``-predicates, each on one of *choices* --
-    ``(attribute, candidate values)`` pairs -- so a relation is scanned
-    repeatedly, on the same and on different attributes."""
+    ``(attribute, candidate values, values no row holds)`` triples -- so
+    a relation is scanned repeatedly, on the same and on different
+    attributes.  A predicate names a random subset of the candidates,
+    all of them, or (where given) only values no row holds."""
     predicates = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        attribute, candidates = draw(st.sampled_from(choices))
-        values = draw(st.frozensets(st.sampled_from(candidates), min_size=1))
-        predicates.append(IsPredicate(attribute, values))
+        attribute, candidates, absent = draw(st.sampled_from(choices))
+        subsets = [
+            st.frozensets(st.sampled_from(candidates), min_size=1),
+            st.just(frozenset(candidates)),
+        ]
+        if absent:
+            subsets.append(st.just(frozenset(absent)))
+        predicates.append(IsPredicate(attribute, draw(st.one_of(subsets))))
     return predicates
 
 
@@ -270,13 +323,23 @@ def _is_predicates(draw, choices) -> list:
 def _is_scan_cases(draw):
     """A relation of exact, float, mixed or open-domain rows, the
     ``is``-predicates its scans test, and how to derive a second relation
-    from it (a selection or a union result)."""
-    kind = draw(st.sampled_from(["exact", "float", "mixed"]))
+    from it (a selection or a union result).
+
+    The cases an index of focal masks could get wrong are drawn often:
+    a query naming every frame value (its mask is OMEGA's), values with
+    no bit in an atom table (the query bit), vacuous rows, exact, float
+    and mixed rows in one column, open-domain rows over different atom
+    tables, and a query no row satisfies."""
+    kind = draw(st.sampled_from(MASS_KINDS))
     derive = draw(st.sampled_from(["select", "union"]))
     ids = list(range(12))
+    outside_id = [99]  # in the id domain, in no row: no row satisfies it
     if draw(st.booleans()):
         relation = _open_domain_relation(draw, kind)
-        choices = [("word", WORDS + ["v"]), ("id", ids)]
+        choices = [
+            ("word", WORDS + ["v"], ["v"]),
+            ("id", ids, outside_id),
+        ]
         return relation, _is_predicates(draw, choices), derive
     config = SyntheticConfig(
         n_tuples=12,
@@ -285,35 +348,13 @@ def _is_scan_cases(draw):
         exact=kind != "float",
         seed=draw(st.integers(min_value=0, max_value=50)),
     )
-    relation = synthetic_relation(config, "R")
-    if kind == "mixed":
-        relation = ExtendedRelation(
-            relation.schema,
-            [
-                ExtendedTuple(
-                    relation.schema,
-                    dict(
-                        etuple.items(),
-                        category=MassFunction(
-                            {
-                                element: _typed(value, kind)
-                                for element, value in etuple.evidence(
-                                    "category"
-                                ).items()
-                            }
-                        ),
-                    ),
-                    etuple.membership,
-                )
-                for etuple in relation
-            ],
-        )
+    relation = _retyped_categories(draw, synthetic_relation(config, "R"), kind)
     labels = [f"item-{key}" for key in ids] + ["none"]
     choices = [
-        ("category", ["c0", "c1", "c2", "c3"]),
-        ("score", [0, 1, 2, 3]),
-        ("label", labels),
-        ("id", ids),
+        ("category", ["c0", "c1", "c2", "c3"], None),
+        ("score", [0, 1, 2, 3], None),
+        ("label", labels, ["none"]),
+        ("id", ids, outside_id),
     ]
     return relation, _is_predicates(draw, choices), derive
 

@@ -37,7 +37,10 @@ On a fixed exact relation of ``N`` tuples, the extended selection must
   ``Pls`` sum with a fresh ``Fraction(0)``;
 
 while loading that relation from SQLite still validates every stored
-evidence value once (validation at ingress stays).
+evidence value once (validation at ingress stays), and projecting the
+loaded relation re-coerces no value.  On the float relation of the same
+seed, an ``IS`` scan computes ``Bel``/``Pls`` only for the tuples with
+``Bel > 0``: the focal-mask index never hands it another row.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import pytest
 
 from repro.algebra.intersection import intersection_with_report
 from repro.algebra.predicates import IsPredicate
+from repro.algebra.project import project
 from repro.algebra.select import select
 from repro.algebra.thresholds import sn_at_least
 from repro.algebra.union import union_with_report
@@ -335,6 +339,26 @@ def test_selection_checks_supports_not_products(monkeypatch):
     assert counts["zero_seeds"] == 0
 
 
+def test_scan_reads_only_the_rows_with_belief(monkeypatch):
+    """Float rows are summed by ``bel_pls``; the scan makes one call per
+    tuple with ``Bel > 0`` and none for the others."""
+    relation = synthetic_relation(
+        SyntheticConfig(n_tuples=READ_TUPLES, exact=False, seed=41), "R"
+    )
+    predicate = IsPredicate("category", {"c1", "c4", "c7"})
+    believed = sum(1 for etuple in relation if predicate.support(etuple).sn > 0)
+    assert 0 < believed < READ_TUPLES
+    list(predicate.supported(relation))  # build the column and its index
+    counts = {"bel_pls": 0}
+    monkeypatch.setattr(
+        kernel.CompiledMass,
+        "bel_pls",
+        _counting(counts, "bel_pls", kernel.CompiledMass.bel_pls),
+    )
+    assert len(list(predicate.supported(relation))) == believed
+    assert counts["bel_pls"] == believed
+
+
 def test_product_rule_runs_only_for_supported_tuples(monkeypatch):
     """A zero predicate support would revise ``sn`` to 0, which the scan
     drops anyway: ``F_TM`` is skipped for it."""
@@ -381,6 +405,31 @@ def test_loading_validates_every_stored_evidence_value(monkeypatch, tmp_path):
         database.close()
     assert len(loaded) == READ_TUPLES
     assert counts["validates"] == READ_TUPLES * EVIDENCE_PER_TUPLE
+
+
+def test_projecting_a_loaded_relation_coerces_no_value(monkeypatch, tmp_path):
+    """The loaded tuples carry the relation's own schema, whose values
+    the load checked: the projection shares them, with no
+    ``_coerce_value`` call."""
+    url = f"sqlite:{tmp_path / 'read.db'}"
+    database = create_database(url, "read")
+    database.add(read_relation())
+    database.persist()
+    database.close()
+    database = Database.open(url)
+    try:
+        loaded = database.get("R")
+    finally:
+        database.close()
+    counts = {"coerced": 0}
+    monkeypatch.setattr(
+        etuple_module,
+        "_coerce_value",
+        _counting(counts, "coerced", etuple_module._coerce_value),
+    )
+    projected = project(loaded, ["id", "category"])
+    assert len(projected) == READ_TUPLES
+    assert counts["coerced"] == 0
 
 
 # -- trusted discount and merge, one-transaction persist ------------------------

@@ -217,7 +217,8 @@ def _open_domain_relation(draw, kind: str) -> ExtendedRelation:
     """Tuples of an uncertain open-domain attribute: each evidence set
     compiles over the atoms it names, so a query names values its table
     has no bit for (the query bit).  The first two rows name disjoint
-    words, so the column spans at least two atom tables."""
+    words, so unless both are vacuous the column spans two atom tables
+    or more."""
     schema = RelationSchema(
         "O",
         [

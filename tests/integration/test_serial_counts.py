@@ -386,12 +386,18 @@ def test_bel_pls_misses_return_the_shared_zero():
     assert zeros == 0
 
 
-def test_loading_validates_every_stored_evidence_value(monkeypatch, tmp_path):
+def _stored_read_relation(tmp_path) -> str:
+    """The URL of a new SQLite store holding :func:`read_relation`."""
     url = f"sqlite:{tmp_path / 'read.db'}"
     database = create_database(url, "read")
     database.add(read_relation())
     database.persist()
     database.close()
+    return url
+
+
+def test_loading_validates_every_stored_evidence_value(monkeypatch, tmp_path):
+    url = _stored_read_relation(tmp_path)
     counts = {"validates": 0}
     monkeypatch.setattr(
         mass,
@@ -411,12 +417,7 @@ def test_projecting_a_loaded_relation_coerces_no_value(monkeypatch, tmp_path):
     """The loaded tuples carry the relation's own schema, whose values
     the load checked: the projection shares them, with no
     ``_coerce_value`` call."""
-    url = f"sqlite:{tmp_path / 'read.db'}"
-    database = create_database(url, "read")
-    database.add(read_relation())
-    database.persist()
-    database.close()
-    database = Database.open(url)
+    database = Database.open(_stored_read_relation(tmp_path))
     try:
         loaded = database.get("R")
     finally:
